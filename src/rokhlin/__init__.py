@@ -59,7 +59,6 @@ from .towers import (
     build_tower_family,
     cyclic_to_decaying,
     decaying_to_cyclic,
-    folner_average,
     tower_supports,
     verify_tower,
 )

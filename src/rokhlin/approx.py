@@ -40,7 +40,7 @@ from .cstar import (
     norm,
 )
 from .dynsys import Cycle, FiniteDynamicalSystem, InvariantSplit, invariant_split
-from .towers import TowerFamily, as_fraction, build_tower_family, verify_tower
+from .towers import TowerFamily, as_fraction, build_tower_family, rung_step, verify_tower
 
 __all__ = [
     "ApproxError",
@@ -162,15 +162,15 @@ class QuasicentralReport:
     With the default e (indicator of the invariant clopen long-orbit part)
     all three vanish exactly.  A supplied e must be [0, 1]-valued and
     supported on the long-orbit part; the commutator with the lifted quotient
-    maps still vanishes structurally, while the corner-splitting and
-    compressed-approximation errors are measured per element.
+    maps still vanishes structurally, while the corner-splitting error is
+    measured per element.  The compressed-approximation error is the quotient
+    corner claim, measured once by ``verify_quotient_corner``.
     """
 
     e: np.ndarray
     is_central_projection: bool
     commutator_error: float
     corner_errors: tuple[float, ...]
-    compressed_errors: tuple[float, ...] | None
 
     def sqrt(self) -> np.ndarray:
         return np.sqrt(self.e)
@@ -184,7 +184,6 @@ def quasicentral_unit(
     split: InvariantSplit,
     F: Sequence[CrossedElement],
     e_values: np.ndarray | None = None,
-    quotient: "QuotientSide | None" = None,
     norm_tol: float = 1e-3,
 ) -> QuasicentralReport:
     comp = sorted(split.complement)
@@ -194,15 +193,9 @@ def quasicentral_unit(
         # exactly and the compressed condition reduces to the quotient error
         e = np.zeros(sys.n)
         e[comp] = 1.0
-        coroot = np.sqrt(1.0 - e)
-        compressed = None
-        if quotient is not None:
-            compressed = tuple(
-                _corner_quotient_error(quotient, b, coroot, norm_tol).value for b in F
-            )
         return QuasicentralReport(
             e=e, is_central_projection=True, commutator_error=0.0,
-            corner_errors=tuple(0.0 for _ in F), compressed_errors=compressed,
+            corner_errors=tuple(0.0 for _ in F),
         )
     e = np.asarray(e_values, dtype=float)
     if e.shape != (sys.n,):
@@ -218,16 +211,11 @@ def quasicentral_unit(
     for b in F:
         defect = b.compressed(root) + b.compressed(coroot) - b
         corner.append(norm(defect, norm_tol).value)
-    compressed = None
-    if quotient is not None:
-        compressed = tuple(
-            _corner_quotient_error(quotient, b, coroot, norm_tol).value for b in F
-        )
     # the lifted quotient maps vanish on the long-orbit part, where e lives,
     # so the commutator is zero without any perturbation step
     return QuasicentralReport(
         e=e, is_central_projection=bool(np.all((e == 0) | (e == 1))),
-        commutator_error=0.0, corner_errors=tuple(corner), compressed_errors=compressed,
+        commutator_error=0.0, corner_errors=tuple(corner),
     )
 
 
@@ -352,8 +340,6 @@ def _corner_quotient_error(
 # ---------------------------------------------------------------------------
 # ideal side
 
-SparseC = dict[int, complex]
-
 
 @dataclass
 class IdealSide:
@@ -363,54 +349,46 @@ class IdealSide:
     window [-m, m], weighted by the square roots of the tower functions; the
     return map sends a windowed matrix unit f (x) E_{j j'} to the element
     (f o alpha_{-j}) u^{j - j'} and is an exact *-homomorphism thanks to the
-    disjointness of the support translates.
+    disjointness of the support translates.  ``root`` holds sqrt(mu) in the
+    family's tower coordinates; a block function maps anchor points (the
+    support) to complex values.
     """
 
     params: ApproxParams
     family: TowerFamily
     e: np.ndarray
-    sqrt_mu: tuple[dict[int, SparseC], ...]
+    root: np.ndarray
 
     @property
     def levels(self) -> int:
-        return len(self.sqrt_mu)
+        return len(self.root)
 
     @property
     def window_dim(self) -> int:
         return 2 * self.params.m + 1
 
-    def _sqrt_mu_fn(self, l: int, j: int) -> SparseC:
-        return self.sqrt_mu[l].get(j, {})
+    def summing(self, l: int, b: CrossedElement) -> dict[tuple[int, int], dict[int, complex]]:
+        """Windowed compression of b at level l, as sparse block functions.
 
-    def summing(self, l: int, b: CrossedElement) -> dict[tuple[int, int], SparseC]:
-        """Windowed compression of b at level l, as sparse block functions."""
-        sys = self.params.sys
+        Block (j, j - i) holds sqrt(mu_j) f_i (sqrt(mu_{j-i}) o alpha_{-i}) at
+        alpha_j of each anchor, pulled back to the anchor.
+        """
         m = self.params.m
-        blocks: dict[tuple[int, int], SparseC] = {}
+        points, root = self.family.points[l], self.root[l]
+        anchors = points[:, m]
+        blocks: dict[tuple[int, int], dict[int, complex]] = {}
         for i, f in b.coeffs.items():
             if abs(i) > 2 * m:
                 continue
-            for j in range(max(-m, -m + i), min(m, m + i) + 1):
-                left = self._sqrt_mu_fn(l, j)
-                right = self._sqrt_mu_fn(l, j - i)
-                if not left or not right:
-                    continue
-                back = sys.power_perm(-i)
-                fn: SparseC = {}
-                for x, lv in left.items():
-                    rv = right.get(int(back[x]))  # (g o alpha_{-i})(x) = g(alpha_{-i} x)
-                    if rv is None:
-                        continue
-                    val = f[x] * lv * rv
-                    if val != 0:
-                        fn[x] = val
-                if fn:
-                    # push the product back to the support coordinates
-                    fwd = sys.power_perm(-j)
-                    blocks[(j, j - i)] = {int(fwd[x]): v for x, v in fn.items()}
+            cols = np.arange(max(0, i), min(2 * m, 2 * m + i) + 1)  # rung j = col - m
+            vals = f[points[:, cols]] * root[:, cols] * root[:, cols - i]
+            for col, column in zip(cols.tolist(), vals.T):
+                nz = np.flatnonzero(column)
+                if nz.size:
+                    blocks[(col - m, col - m - i)] = dict(zip(anchors[nz].tolist(), column[nz]))
         return blocks
 
-    def returning(self, blocks: dict[tuple[int, int], SparseC]) -> CrossedElement:
+    def returning(self, blocks: dict[tuple[int, int], dict[int, complex]]) -> CrossedElement:
         """Return map: f (x) E_{j j'} -> (f o alpha_{-j}) u^{j-j'}."""
         sys = self.params.sys
         coeffs: dict[int, np.ndarray] = {}
@@ -431,23 +409,9 @@ class IdealSide:
 
     def sqrt_step_sup(self) -> float:
         """sup over levels, |i| <= k and j of |sqrt(mu_{j-i}) o alpha_{-i} - sqrt(mu_j)|."""
-        sys = self.params.sys
-        worst = 0.0
-        for l in range(self.levels):
-            js = set(self.sqrt_mu[l])
-            probe = {j + i for j in js for i in range(-self.params.k, self.params.k + 1)} | js
-            for j in probe:
-                fj = self._sqrt_mu_fn(l, j)
-                for i in range(-self.params.k, self.params.k + 1):
-                    fji = self._sqrt_mu_fn(l, j - i)
-                    fwd = sys.power_perm(i)  # g o alpha_{-i} lives on the i-th forward image
-                    moved = {int(fwd[x]): v for x, v in fji.items()}
-                    keys = set(moved) | set(fj)
-                    for x in keys:
-                        worst = max(worst, abs(moved.get(x, 0.0) - fj.get(x, 0.0)))
-        return worst
+        return float(rung_step(self.root, self.params.k))
 
-    def block_matrix_at(self, blocks: dict[tuple[int, int], SparseC], x: int) -> np.ndarray:
+    def block_matrix_at(self, blocks: dict[tuple[int, int], dict[int, complex]], x: int) -> np.ndarray:
         """Dense principal submatrix of a windowed block family at one point."""
         idx = sorted({j for pair in blocks for j in pair})
         pos = {j: r for r, j in enumerate(idx)}
@@ -494,7 +458,7 @@ class IdealSide:
             f2 = {x: complex(rng.standard_normal(), rng.standard_normal()) for x in sup}
             x = {(i1, j1): f1}
             y = {(i2, j2): f2}
-            prod: dict[tuple[int, int], SparseC] = {}
+            prod: dict[tuple[int, int], dict[int, complex]] = {}
             if j1 == i2:
                 prod[(i1, j2)] = {p: f1[p] * f2[p] for p in f1 if p in f2}
             lhs = self.returning(x) * self.returning(y)
@@ -515,11 +479,10 @@ def ideal_approx(params: ApproxParams, family: TowerFamily, e: np.ndarray) -> Id
     support_e = {x for x in range(params.sys.n) if e[x] != 0}
     if not support_e <= family.K:
         raise ApproxError("tower family was not built on the support of e")
-    sqrt_mu = tuple(
-        {j: {x: complex(math.sqrt(v)) for x, v in fn.items()} for j, fn in level.items()}
-        for level in family.mu
+    return IdealSide(
+        params=params, family=family, e=np.asarray(e, dtype=float),
+        root=np.sqrt(family.num / family.den),
     )
-    return IdealSide(params=params, family=family, e=np.asarray(e, dtype=float), sqrt_mu=sqrt_mu)
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +733,7 @@ def run_approximation(
     """Run the whole pipeline: parameters, cutoff, towers, both sides, assembly."""
     params = derive_params(F, eps, sys, N_override=N_override, norm_tol=norm_tol)
     quotient = quotient_approx(params.split, F, params.eps, sys)
-    equnit = quasicentral_unit(sys, params.split, F, e_values, quotient, norm_tol)
+    equnit = quasicentral_unit(sys, params.split, F, e_values, norm_tol)
     ideal = None
     tower_ok = True
     if not params.quotient_only:

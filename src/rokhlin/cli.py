@@ -29,7 +29,7 @@ from .cstar import (
 )
 from .dynsys import FiniteDynamicalSystem, load_system, quotient_report
 from .markers import greedy_markers
-from .towers import build_tower_family, verify_tower
+from .towers import TowerFamily, build_tower_family, verify_tower
 
 DEFAULT_SEED = 20260809
 
@@ -188,6 +188,18 @@ def cmd_markers(args) -> dict:
     return rep
 
 
+def _rung_values(family: TowerFamily, l: int) -> dict:
+    """Nonzero tower values of level l keyed by rung, then by point label."""
+    out = {}
+    for col in range(2 * family.m + 1):
+        nz = np.flatnonzero(family.num[l, :, col])
+        if nz.size:
+            points = family.points[l, nz, col].tolist()
+            values = (family.num[l, nz, col] / family.den).tolist()
+            out[str(col - family.m)] = {family.sys.labels[x]: v for x, v in zip(points, values)}
+    return out
+
+
 def cmd_towers(args) -> dict:
     sys = _read_system(args.system)
     d = args.d if args.d is not None else sys.declared_dim
@@ -204,13 +216,7 @@ def cmd_towers(args) -> dict:
         "step_bound": tower.step_bound,
         "step_measured": tower.step_measured,
         "conservation_exact": tower.conservation_exact,
-        "values": [
-            {
-                str(j): {sys.labels[x]: float(v) for x, v in sorted(fn.items())}
-                for j, fn in sorted(level.items())
-            }
-            for level in family.mu
-        ],
+        "values": [_rung_values(family, l) for l in range(family.levels)],
     }
     rep["assertions"].append(_assertion("conservation_error", tower.conservation_error, 1e-12))
     rep["assertions"].append(_assertion("step_measured", tower.step_measured, tower.step_bound))
@@ -439,7 +445,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", type=str, default=None, help="write the JSON report here")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--threads", type=int, default=1, help="reserved; computations are deterministic")
         p.add_argument("--timing", action="store_true", help="print wall time to stderr")
 
     p = sub.add_parser("orbits", help="orbit decomposition and quotient summary")

@@ -2,9 +2,18 @@
 
 The pipeline shifts a marker set into 2d+3 staggered supports, builds an
 equal-split partition of unity subordinate to their translates, and averages
-it over the window [-k', k'] to gain approximate equivariance.  Partition
-values and averages are exact rationals, so the conservation identity is
-checked exactly; sup norms are the only floating-point quantities.
+it over the window [-k', k'] to gain approximate equivariance.
+
+Every function of level l lives on the [-m, m] translates of support l, and
+those translates are pairwise disjoint, so a level is stored in tower
+coordinates: ``points[l, s, j + m]`` is the j-th forward image of anchor s
+(the sorted support points) and ``num[l, s, j + m]`` the value there, an int64
+numerator over one common denominator D = lcm(cover counts) * (2k'+1).  The
+average is then a moving-window sum along j, conservation is checked exactly,
+and the step is an exact difference of numerators.  A family with
+D >= 2^53 or (2m+1) D >= 2^63 is refused with a ``TowerError``: below those
+limits the reported floats num / D are correctly rounded and no int64 sum
+overflows.  Sup norms are the only floating-point quantities.
 
 The smoothing width k' and the enlarged compact set K' are always derived
 inside the pipeline from (k, epsilon, K); supplying them independently is the
@@ -33,14 +42,12 @@ __all__ = [
     "as_fraction",
     "tower_supports",
     "build_partition",
-    "folner_average",
     "build_tower_family",
     "verify_tower",
+    "rung_step",
     "cyclic_to_decaying",
     "decaying_to_cyclic",
 ]
-
-SparseFn = dict[int, Fraction]
 
 
 class TowerError(ValueError):
@@ -54,21 +61,51 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def _compose(sys: FiniteDynamicalSystem, fn: SparseFn, i: int) -> SparseFn:
-    """fn o alpha_i as a sparse map (value of fn at the i-th forward image)."""
-    back = sys.power_perm(-i)
-    return {int(back[x]): v for x, v in fn.items()}
-
-
-def _sup_diff(a: SparseFn, b: SparseFn) -> Fraction:
-    keys = set(a) | set(b)
-    return max((abs(a.get(x, Fraction(0)) - b.get(x, Fraction(0))) for x in keys), default=Fraction(0))
-
-
 def min_window_length(d: int, k: int) -> int:
     """Smallest admissible tower half-length m for tolerance window k: the
     staggered supports tile only when 2m >= 2(2d+3)k - d - 2."""
     return math.ceil(((2 * d + 3) * k) - d / 2 - 1)
+
+
+def _tower_points(
+    sys: FiniteDynamicalSystem, supports: Sequence[frozenset[int]], m: int
+) -> np.ndarray:
+    """points[l, s, j + m] = alpha_j(s-th smallest point of support l), |j| <= m."""
+    anchors = np.array([sorted(sup) for sup in supports], dtype=np.int64)
+    return np.stack([sys.power_perm(j)[anchors] for j in range(-m, m + 1)], axis=-1)
+
+
+def _overlapping_level(points: np.ndarray) -> int | None:
+    """First level whose translates share a point, or None when all are disjoint."""
+    for l, level in enumerate(points):
+        if np.unique(level).size < level.size:
+            return l
+    return None
+
+
+def rung_step(values: np.ndarray, k: int):
+    """max |values[..., j] - values[..., j - i]| over 1 <= i <= k and all j,
+    rungs outside the array reading zero.
+
+    For functions f_j stored in tower coordinates this is the sup over |i| <= k
+    of |f_j o alpha_i - f_{j-i}|: both sides live on alpha_{j-i} of the anchors.
+    """
+    padded = np.pad(values, [(0, 0)] * (values.ndim - 1) + [(k, k)])
+    return max(
+        (np.abs(padded[..., i:] - padded[..., :-i]).max(initial=0) for i in range(1, k + 1)),
+        default=0,
+    )
+
+
+def _common_denominator(cover_counts: Iterable[int], k_prime: int, m: int) -> int:
+    """D = lcm(cover counts) * (2k'+1), refused unless D < 2^53 and (2m+1) D < 2^63."""
+    D = math.lcm(*cover_counts) * (2 * k_prime + 1)
+    if D >= 2**53 or (2 * m + 1) * D >= 2**63:
+        raise TowerError(
+            f"common denominator D = {D} is too large for exact int64 towers "
+            f"(need D < 2^53 and (2m+1) D < 2^63 with m = {m})"
+        )
+    return D
 
 
 def tower_supports(
@@ -94,19 +131,15 @@ def tower_supports(
     supports = tuple(
         sys.apply((2 * (m - k) + 1) * l + (m - k) + 1, Z) for l in range(2 * d + 3)
     )
-    for l, sup in enumerate(supports):
-        counts = np.zeros(sys.n, dtype=np.int64)
-        for i in range(-m, m + 1):
-            counts[list(sys.apply(i, sup))] += 1
-        if counts.max(initial=0) > 1:
-            raise TowerError(f"translates of support {l} are not pairwise disjoint")
-    covered: set[int] = set()
-    for sup in supports:
-        for i in range(-(m - k), m - k + 1):
-            covered |= sys.apply(i, sup)
-    if not cert.K <= covered:
-        missing = sorted(cert.K - covered)[0]
-        raise TowerError(f"supports do not cover {sys.labels[missing]!r}")
+    points = _tower_points(sys, supports, m)
+    overlap = _overlapping_level(points)
+    if overlap is not None:
+        raise TowerError(f"translates of support {overlap} are not pairwise disjoint")
+    covered = np.zeros(sys.n, dtype=bool)
+    covered[points[..., k : 2 * m + 1 - k]] = True
+    missing = [x for x in sorted(cert.K) if not covered[x]]
+    if missing:
+        raise TowerError(f"supports do not cover {sys.labels[missing[0]]!r}")
     return supports
 
 
@@ -114,18 +147,16 @@ def tower_supports(
 class PartitionOfUnity:
     """Equal-split partition subordinate to the translated supports.
 
-    ``p[l][j]`` is the sparse rational function dividing each covered point of
-    K' evenly among the (l, j) pairs covering it; ``p_inf`` is the deficit off
-    K'.  All values together sum to one at every point, exactly.
+    ``num[l, s, j + m] / den`` is p[l][j] at ``points[l, s, j + m]``; p[l][j]
+    vanishes everywhere else.  Each point of K' is divided evenly among the
+    (l, j) pairs covering it and points off K' get nothing (the deficit p_inf
+    is one there), so the values at a point sum to one on K' and to zero off
+    it, exactly.
     """
 
-    sys: FiniteDynamicalSystem
-    supports: tuple[frozenset[int], ...]
-    m: int
-    k_prime: int
-    K_prime: frozenset[int]
-    p: tuple[dict[int, SparseFn], ...]
-    p_inf: SparseFn
+    points: np.ndarray
+    num: np.ndarray
+    den: int
 
 
 def build_partition(
@@ -138,41 +169,51 @@ def build_partition(
     """Divide each point of K' equally among the (l, j) support translates covering it.
 
     Only indices |j| <= m - k' participate.  A point of K' covered by no pair
-    is a certificate failure and is reported.
+    is a certificate failure and is reported.  The denominator is
+    lcm(cover counts), so that averaging over 2k'+1 rungs lands on the common
+    denominator D, which is checked here before any value is formed.
     """
-    K_prime = frozenset(K_prime)
-    jmax = m - k_prime
-    cover: dict[int, list[tuple[int, int]]] = {}
-    for l, sup in enumerate(supports):
-        for j in range(-jmax, jmax + 1):
-            for x in sys.apply(j, sup):
-                if x in K_prime:
-                    cover.setdefault(x, []).append((l, j))
-    missing = sorted(K_prime - set(cover))
+    K_prime = sorted(set(K_prime))
+    points = _tower_points(sys, supports, m)
+    in_K = np.zeros(sys.n, dtype=bool)
+    in_K[K_prime] = True
+    cover = np.zeros(points.shape, dtype=bool)
+    cover[..., k_prime : 2 * m + 1 - k_prime] = True
+    cover &= in_K[points]
+    counts = np.bincount(points[cover], minlength=sys.n)
+    missing = [x for x in K_prime if counts[x] == 0]
     if missing:
         raise TowerError(
             f"point {sys.labels[missing[0]]!r} of K' is covered by no support translate "
             "(invalid marker certificate)"
         )
-    p: tuple[dict[int, SparseFn], ...] = tuple({} for _ in supports)
-    for x, pairs in cover.items():
-        share = Fraction(1, len(pairs))
-        for l, j in pairs:
-            p[l].setdefault(j, {})[x] = share
-    p_inf = {x: Fraction(1) for x in range(sys.n) if x not in K_prime}
-    return PartitionOfUnity(
-        sys=sys, supports=tuple(frozenset(s) for s in supports), m=m,
-        k_prime=k_prime, K_prime=K_prime, p=p, p_inf=p_inf,
-    )
+    den = _common_denominator(np.unique(counts[K_prime]).tolist(), k_prime, m) // (2 * k_prime + 1)
+    num = np.zeros(points.shape, dtype=np.int64)
+    num[cover] = den // counts[points[cover]]
+    return PartitionOfUnity(points=points, num=num, den=den)
+
+
+def _window_sum(num: np.ndarray, k_prime: int) -> np.ndarray:
+    """Sum of num over the rungs [j - k', j + k'] at every rung j, rungs
+    outside the array reading zero: one cumulative sum and one difference."""
+    width = num.shape[-1]
+    acc = np.concatenate([np.zeros(num.shape[:-1] + (1,), dtype=num.dtype), num.cumsum(axis=-1)], axis=-1)
+    rungs = np.arange(width)
+    return acc[..., np.minimum(rungs + k_prime + 1, width)] - acc[..., np.maximum(rungs - k_prime, 0)]
 
 
 @dataclass(frozen=True)
 class TowerFamily:
-    """Averaged tower functions mu[l][j] with their construction parameters.
+    """Averaged tower functions with their construction parameters.
 
-    Invariants (checked by ``verify_tower``): values in [0, 1], mu[l][j]
-    supported in the j-th translate of support l and vanishing for |j| > m,
-    exact conservation on K, and the averaged-step bound 2k / (2k' + 1).
+    ``num[l, s, j + m] / den`` is mu[l][j] at ``points[l, s, j + m]``, the
+    j-th forward image of anchor s of support l; mu[l][j] vanishes at every
+    other point and for |j| > m.  By construction
+    mu[l][j] = (2k'+1)^{-1} sum_{|i| <= k'} p[l][j+i] o alpha_i.
+
+    Invariants (checked by ``verify_tower``): values in [0, 1], points equal
+    to the translates of the supports, which stay pairwise disjoint, exact
+    conservation on K, and the averaged-step bound 2k / (2k' + 1).
     """
 
     sys: FiniteDynamicalSystem
@@ -184,56 +225,30 @@ class TowerFamily:
     k_prime: int
     K_prime: frozenset[int]
     supports: tuple[frozenset[int], ...]
-    mu: tuple[dict[int, SparseFn], ...]
+    points: np.ndarray
+    num: np.ndarray
+    den: int
 
     @property
     def levels(self) -> int:
-        return len(self.mu)
-
-    def mu_fn(self, l: int, j: int) -> SparseFn:
-        return self.mu[l].get(j, {})
+        return len(self.supports)
 
     def mu_array(self, l: int, j: int) -> np.ndarray:
         out = np.zeros(self.sys.n)
-        for x, v in self.mu_fn(l, j).items():
-            out[x] = float(v)
+        if abs(j) <= self.m:
+            out[self.points[l, :, j + self.m]] = self.num[l, :, j + self.m] / self.den
         return out
 
     def step_bound(self) -> Fraction:
         return Fraction(2 * self.k, 2 * self.k_prime + 1)
 
     def end_sup(self, l: int) -> float:
-        return float(max((max(f.values(), default=Fraction(0)) for f in
-                          (self.mu_fn(l, self.m), self.mu_fn(l, -self.m))), default=Fraction(0)))
+        return int(self.num[l][:, [0, -1]].max(initial=0)) / self.den
 
     def decaying_tower(self, l: int) -> "DecayingTower":
-        vals = np.stack([self.mu_array(l, j) for j in range(-self.m, self.m + 1)])
+        vals = np.zeros((2 * self.m + 1, self.sys.n))
+        vals[np.arange(2 * self.m + 1), self.points[l]] = self.num[l] / self.den
         return DecayingTower(sys=self.sys, values=vals, m=self.m, eps=float(self.eps))
-
-
-def folner_average(partition: PartitionOfUnity) -> tuple[dict[int, SparseFn], ...]:
-    """Average each level's partition functions over the window [-k', k'].
-
-    mu[l][j] = (2k'+1)^{-1} sum_{|i| <= k'} p[l][j+i] o alpha_i, exactly.
-    """
-    sys = partition.sys
-    kp = partition.k_prime
-    weight = Fraction(1, 2 * kp + 1)
-    out: list[dict[int, SparseFn]] = []
-    for level in partition.p:
-        mu_level: dict[int, SparseFn] = {}
-        for j in range(-partition.m, partition.m + 1):
-            acc: SparseFn = {}
-            for i in range(-kp, kp + 1):
-                src = level.get(j + i)
-                if not src:
-                    continue
-                for x, v in _compose(sys, src, i).items():
-                    acc[x] = acc.get(x, Fraction(0)) + v * weight
-            if acc:
-                mu_level[j] = acc
-        out.append(mu_level)
-    return tuple(out)
 
 
 def build_tower_family(
@@ -266,11 +281,11 @@ def build_tower_family(
     if not cert.ok():
         raise TowerError(f"marker certificate failed: {cert}")
     supports = tower_supports(sys, cert, d, k_prime, m)
-    partition = build_partition(sys, supports, m, k_prime, frozenset(K_prime))
-    mu = folner_average(partition)
+    partition = build_partition(sys, supports, m, k_prime, K_prime)
     return TowerFamily(
         sys=sys, d=d, k=k, m=m, eps=eps, K=K, k_prime=k_prime,
-        K_prime=frozenset(K_prime), supports=supports, mu=mu,
+        K_prime=frozenset(K_prime), supports=supports, points=partition.points,
+        num=_window_sum(partition.num, k_prime), den=partition.den * (2 * k_prime + 1),
     )
 
 
@@ -303,57 +318,26 @@ class TowerReport:
 def verify_tower(family: TowerFamily) -> TowerReport:
     """Exhaustively check the tower family invariants.
 
-    Conservation is exact rational: the level sums must equal one at every
-    point of K.  The step supremum over levels, |i| <= k and all j is
-    compared with 2k/(2k'+1), which is strictly below eps.
+    Conservation is exact: the numerators at each point of K must sum to the
+    common denominator.  The step supremum over levels, |i| <= k and all j is
+    an exact numerator difference, compared with 2k/(2k'+1), which is
+    strictly below eps.
     """
-    sys = family.sys
-    totals: dict[int, Fraction] = {}
-    in_unit = True
-    contained = True
-    for l in range(family.levels):
-        for j, fn in family.mu[l].items():
-            allowed = sys.apply(j, family.supports[l]) if abs(j) <= family.m else frozenset()
-            if not set(fn) <= set(allowed):
-                contained = False
-            for x, v in fn.items():
-                if not (0 <= v <= 1):
-                    in_unit = False
-                totals[x] = totals.get(x, Fraction(0)) + v
-    errs = [abs(totals.get(x, Fraction(0)) - 1) for x in family.K]
-    cons_err = max(errs, default=Fraction(0))
-
-    step = Fraction(0)
-    for l in range(family.levels):
-        js = set(family.mu[l])
-        probe = {j + i for j in js for i in range(-family.k, family.k + 1)} | js
-        for j in probe:
-            fj = family.mu_fn(l, j)
-            for i in range(-family.k, family.k + 1):
-                step = max(step, _sup_diff(_compose(sys, fj, i), family.mu_fn(l, j - i)))
-
-    disjoint = True
-    for l, sup in enumerate(family.supports):
-        counts = np.zeros(sys.n, dtype=np.int64)
-        for i in range(-family.m, family.m + 1):
-            counts[list(sys.apply(i, sup))] += 1
-        if counts.max(initial=0) > 1:
-            disjoint = False
-
-    vanish = all(
-        abs(j) <= family.m for l in range(family.levels) for j in family.mu[l]
-    )
+    points, num, den = family.points, family.num, family.den
+    totals = np.zeros(family.sys.n, dtype=np.int64)
+    np.add.at(totals, points.ravel(), num.ravel())
+    cons_err = int(np.abs(totals[sorted(family.K)] - den).max(initial=0))
     bound = family.step_bound()
     return TowerReport(
         conservation_exact=(cons_err == 0),
-        conservation_error=float(cons_err),
-        step_measured=float(step),
+        conservation_error=cons_err / den,
+        step_measured=int(rung_step(num, family.k)) / den,
         step_bound=float(bound),
         step_below_eps=(bound < family.eps),
-        supports_disjoint=disjoint,
-        supports_contain=contained,
-        vanishes_outside=vanish,
-        values_in_unit_interval=in_unit,
+        supports_disjoint=_overlapping_level(points) is None,
+        supports_contain=np.array_equal(points, _tower_points(family.sys, family.supports, family.m)),
+        vanishes_outside=num.shape[-1] == 2 * family.m + 1,
+        values_in_unit_interval=bool(((num >= 0) & (num <= den)).all()),
     )
 
 

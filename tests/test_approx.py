@@ -252,8 +252,8 @@ class TestIdealSide:
                     # sqrt(mu_j)(a_j x) f(a_j x) sqrt(mu_{j-i})(a_{j-i} x)
                     aj = int(sys.power_perm(j)[x])
                     aji = int(sys.power_perm(j - i)[x])
-                    mu_j = ideal.family.mu_fn(l, j).get(aj, 0)
-                    mu_ji = ideal.family.mu_fn(l, j - i).get(aji, 0)
+                    mu_j = ideal.family.mu_array(l, j)[aj]
+                    mu_ji = ideal.family.mu_array(l, j - i)[aji]
                     fval = f.coefficient(0)[aj]
                     expected = math.sqrt(mu_j) * fval * math.sqrt(mu_ji)
                     assert abs(v - expected) < 1e-12

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rokhlin.dynsys import make_cycle_system
 from rokhlin.markers import greedy_markers
@@ -15,11 +17,12 @@ from rokhlin.towers import (
     build_tower_family,
     cyclic_to_decaying,
     decaying_to_cyclic,
-    folner_average,
     min_window_length,
     tower_supports,
     verify_tower,
+    _common_denominator,
     _tent,
+    _window_sum,
 )
 
 
@@ -62,39 +65,40 @@ class TestSupports:
 
 
 class TestPartition:
-    def build(self):
+    def build(self, K_prime=range(100)):
         sys = make_cycle_system([100])
         cert = greedy_markers(sys, 5, range(100))
         sup = tower_supports(sys, cert, d=0, k=2, m=5)
-        return sys, build_partition(sys, sup, m=5, k_prime=2, K_prime=range(100))
+        return sys, sup, build_partition(sys, sup, m=5, k_prime=2, K_prime=K_prime)
 
     def test_values_are_equal_splits(self):
-        sys, part = self.build()
+        sys, sup, part = self.build()
         counts = {}
-        jmax = part.m - part.k_prime
-        for l, supp in enumerate(part.supports):
+        jmax = 5 - 2
+        for supp in sup:
             for j in range(-jmax, jmax + 1):
                 for x in sys.apply(j, supp):
                     counts[x] = counts.get(x, 0) + 1
-        seen = {}
-        for level in part.p:
-            for fn in level.values():
-                for x, v in fn.items():
-                    assert v == Fraction(1, counts[x])
-                    seen[x] = seen.get(x, Fraction(0)) + v
-        # both cover multiplicities occur on this geometry
+        nonzero = [(x, v) for x, v in zip(part.points.ravel().tolist(), part.num.ravel().tolist()) if v]
+        for x, v in nonzero:
+            assert Fraction(v, part.den) == Fraction(1, counts[x])
+        # one value per covering pair, and both cover multiplicities occur here
+        assert len(nonzero) == sum(counts.values())
         assert {counts[x] for x in counts} == {1, 2}
 
     def test_total_is_one_everywhere(self):
-        sys, part = self.build()
-        totals = {x: Fraction(0) for x in range(sys.n)}
-        for level in part.p:
-            for fn in level.values():
-                for x, v in fn.items():
-                    totals[x] += v
-        for x, v in part.p_inf.items():
-            totals[x] += v
-        assert all(v == 1 for v in totals.values())
+        sys, _, part = self.build()
+        totals = np.zeros(sys.n, dtype=np.int64)
+        np.add.at(totals, part.points.ravel(), part.num.ravel())
+        assert np.all(totals == part.den)
+
+    def test_total_vanishes_off_K_prime(self):
+        # the deficit p_inf = 1 off K' is implicit: no partition value lives there
+        K_prime = set(range(20, 70))
+        sys, _, part = self.build(K_prime)
+        totals = np.zeros(sys.n, dtype=np.int64)
+        np.add.at(totals, part.points.ravel(), part.num.ravel())
+        assert all(totals[x] == (part.den if x in K_prime else 0) for x in range(sys.n))
 
     def test_uncovered_point_reported(self):
         sys = make_cycle_system([100])
@@ -107,24 +111,91 @@ class TestPartition:
 
 class TestFolner:
     def test_width_one_window_is_identity(self):
-        sys = make_cycle_system([20])
-        from rokhlin.towers import PartitionOfUnity
+        num = np.arange(60, dtype=np.int64).reshape(2, 3, 10)
+        assert np.array_equal(_window_sum(num, 0), num)
 
-        p0 = {0: {x: Fraction(1) for x in range(20)}}
-        part = PartitionOfUnity(
-            sys=sys, supports=(frozenset(range(20)),), m=0, k_prime=0,
-            K_prime=frozenset(range(20)), p=(p0,), p_inf={},
-        )
-        mu = folner_average(part)
-        assert mu[0][0] == p0[0]
+    def test_window_sum_clips_at_the_ends(self):
+        num = np.array([[[1, 2, 4, 8, 16]]], dtype=np.int64)
+        assert _window_sum(num, 1).tolist() == [[[3, 7, 14, 28, 24]]]
 
     def test_singleton_cover_gives_fifths(self):
         sys = make_cycle_system([100])
         K = set(range(30, 41))
         fam = build_tower_family(sys, d=0, k=1, m=5, eps="1/2", K=K, markers={27})
-        values = {v for level in fam.mu for fn in level.values() for v in fn.values()}
+        values = {Fraction(int(v), fam.den) for v in fam.num.ravel()}
         assert values <= {Fraction(i, 5) for i in range(6)}
         assert verify_tower(fam).ok()
+
+
+def _oracle_mu(sys, supports, m, k_prime, K_prime):
+    """Exact mu[(l, j, x)] = (2k'+1)^{-1} sum_{|i| <= k'} p[l][j+i](alpha_i x),
+    from an equal-split partition built point by point."""
+    jmax = m - k_prime
+    pairs = {}
+    for l, sup in enumerate(supports):
+        for j in range(-jmax, jmax + 1):
+            for x in sys.apply(j, sup):
+                if x in K_prime:
+                    pairs.setdefault(x, []).append((l, j))
+    mu = {}
+    for x, covering in pairs.items():
+        share = Fraction(1, len(covering) * (2 * k_prime + 1))
+        for l, j0 in covering:
+            # p[l][j0] at x feeds mu[l][j0 - i] at alpha_{-i} x
+            for i in range(-k_prime, k_prime + 1):
+                key = (l, j0 - i, int(sys.power_perm(-i)[x]))
+                mu[key] = mu.get(key, Fraction(0)) + share
+    return mu
+
+
+@st.composite
+def tower_cases(draw):
+    d = draw(st.sampled_from([0, 1]))
+    k = draw(st.sampled_from([1, 2]))
+    eps = draw(st.sampled_from(["1/2", "1/3", "1/4"]))
+    k_prime = k * math.ceil(1 / Fraction(eps))
+    m = min_window_length(d, k_prime) + draw(st.integers(0, 2))
+    N = (d + 1) * (4 * m + 1)
+    lengths = draw(st.lists(st.integers(N + 1, N + 40), min_size=1, max_size=2))
+    sys = make_cycle_system(lengths, d=d)
+    if draw(st.booleans()):
+        K = set(range(sys.n))
+    else:
+        K = draw(st.sets(st.integers(0, sys.n - 1), min_size=1, max_size=8))
+    return sys, d, k, m, eps, K
+
+
+class TestExactTowers:
+    @settings(max_examples=20, deadline=None)
+    @given(tower_cases())
+    def test_matches_fraction_oracle(self, case):
+        sys, d, k, m, eps, K = case
+        fam = build_tower_family(sys, d, k, m, eps, K)
+        mu = _oracle_mu(sys, fam.supports, m, fam.k_prime, fam.K_prime)
+        got = {
+            (l, col - m, int(fam.points[l, s, col])): Fraction(int(fam.num[l, s, col]), fam.den)
+            for l, s, col in zip(*np.nonzero(fam.num))
+        }
+        assert got == mu
+        for x in K:
+            assert sum(v for (_, _, y), v in mu.items() if y == x) == 1
+        # mu[l][j] o alpha_i lives at alpha_{-i} y; every pair with a nonzero side is visited
+        step = max(
+            abs(v - mu.get((l, j - i, int(sys.power_perm(-i)[y])), Fraction(0)))
+            for (l, j, y), v in mu.items() for i in range(-k, k + 1)
+        )
+        rep = verify_tower(fam)
+        assert rep.conservation_exact and rep.conservation_error == 0.0
+        assert rep.step_measured == float(step)
+        assert rep.ok()
+
+    def test_denominator_guard(self):
+        assert _common_denominator([2**50], 0, 2**11) == 2**50
+        with pytest.raises(TowerError, match=f"D = {2**50} "):
+            _common_denominator([2**50], 0, 2**12)  # (2m+1) D >= 2^63
+        D = math.lcm(*range(1, 45)) * 3
+        with pytest.raises(TowerError, match=f"D = {D} "):
+            _common_denominator(range(1, 45), 1, 5)  # D >= 2^53
 
 
 class TestFamilyVerification:
@@ -170,16 +241,18 @@ class TestFamilyVerification:
 
         sys = make_cycle_system([100])
         fam = build_tower_family(sys, d=0, k=1, m=5, eps="1/2", K=range(100))
-        # shift one tower function off its support and break conservation
-        bad_mu = [dict(level) for level in fam.mu]
-        fn = dict(next(iter(bad_mu[0].values())))
-        x = next(iter(fn))
-        fn[(x + 1) % sys.n] = Fraction(1, 2)
-        bad_mu[0][0] = fn
-        bad = dataclasses.replace(fam, mu=tuple(bad_mu))
-        rep = verify_tower(bad)
+        # perturb one numerator: conservation breaks
+        num = fam.num.copy()
+        num[0, 0, fam.m] += 1
+        rep = verify_tower(dataclasses.replace(fam, num=num))
         assert not rep.ok()
-        assert not rep.conservation_exact or not rep.supports_contain
+        assert not rep.conservation_exact
+        # move one point off its translate: containment breaks
+        points = fam.points.copy()
+        points[0, 0, fam.m] = (points[0, 0, fam.m] + 1) % sys.n
+        rep = verify_tower(dataclasses.replace(fam, points=points))
+        assert not rep.ok()
+        assert not rep.supports_contain
 
 
 class TestFractionHandling:
