@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys as _sys
 import time
 from pathlib import Path
@@ -109,28 +110,42 @@ def _labels_to_indices(sys: FiniteDynamicalSystem, labels) -> list[int]:
     return out
 
 
+def _finite_pair(value, where: str) -> complex:
+    """A [re, im] literal of two finite JSON numbers."""
+    numbers = isinstance(value, list) and len(value) == 2 and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
+    )
+    try:
+        z = complex(*value) if numbers else None
+    except OverflowError:
+        z = None
+    if z is None or not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ScenarioError(f"{where} must be a pair of finite numbers [re, im], got {value!r}")
+    return z
+
+
 def parse_element(sys: FiniteDynamicalSystem, literal) -> CrossedElement:
     """Element literal: list of band entries {power, coefficients|constant}.
 
     ``coefficients`` maps point labels to [re, im] pairs (missing points are
-    zero); ``constant`` applies one [re, im] value to every point.
+    zero); ``constant`` applies one [re, im] value to every point.  Every
+    value must be a pair of finite numbers.
     """
     if not isinstance(literal, list):
         raise ScenarioError("element literal must be a list of band entries")
     coeffs: dict[int, np.ndarray] = {}
     for entry in literal:
-        if not isinstance(entry, dict) or "power" not in entry:
+        if not isinstance(entry, dict) or not isinstance(entry.get("power"), int):
             raise ScenarioError(f"bad band entry {entry!r}")
-        i = int(entry["power"])
+        i = entry["power"]
         arr = coeffs.setdefault(i, np.zeros(sys.n, dtype=np.complex128))
         if "constant" in entry:
-            re, im = entry["constant"]
-            arr += complex(re, im)
-        elif "coefficients" in entry:
-            for lab, (re, im) in entry["coefficients"].items():
+            arr += _finite_pair(entry["constant"], f"constant at power {i}")
+        elif isinstance(entry.get("coefficients"), dict):
+            for lab, value in entry["coefficients"].items():
                 if lab not in sys.index:
                     raise ScenarioError(f"unknown point label {lab!r}")
-                arr[sys.index[lab]] += complex(re, im)
+                arr[sys.index[lab]] += _finite_pair(value, f"coefficient of {lab!r} at power {i}")
         else:
             raise ScenarioError(f"band entry {entry!r} needs 'coefficients' or 'constant'")
     return CrossedElement(sys, coeffs)

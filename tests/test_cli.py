@@ -144,6 +144,35 @@ class TestElementLiterals:
             parse_element(sys, [{"coefficients": {}}])
 
 
+class TestMalformedNormScenarios:
+    VALID = [{"power": 1, "constant": [0.5, 0.0]}]
+
+    @pytest.mark.parametrize("element, tol, message", [
+        ([{"power": 0, "coefficients": {"c0p0": [float("nan"), 0.0]}}], 1e-3, "'c0p0' at power 0"),
+        ([{"power": 1, "coefficients": {"c1p3": [1.0, float("inf")]}}], 1e-3, "'c1p3' at power 1"),
+        ([{"power": -1, "constant": [1.0]}], 1e-3, "constant at power -1"),
+        (VALID, float("nan"), "tol must be finite"),
+    ], ids=["nan-coefficient", "inf-coefficient", "one-element-constant", "nan-tol"])
+    def test_exit_two_with_error_object(self, tmp_path, capsys, element, tol, message):
+        spath = write_system(tmp_path)
+        scen = tmp_path / "bad.json"
+        scen.write_text(json.dumps({"command": "norm", "system": spath.name, "tol": tol, "element": element}))
+        rc = main(["norm", "--scenario", str(scen)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        rep = json.loads(captured.out)
+        assert message in rep["error"]["message"]
+        assert not rep["assertions"][0]["pass"]
+        assert "Traceback" not in captured.err
+
+    def test_zero_element_still_checks_tol(self, tmp_path, capsys):
+        spath = write_system(tmp_path)
+        scen = tmp_path / "zero.json"
+        scen.write_text(json.dumps({"command": "norm", "system": spath.name, "element": [], "tol": 0.0}))
+        assert main(["norm", "--scenario", str(scen)]) == 2
+        assert "tol must be finite and positive" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+
 class TestApproxScenario:
     def test_small_scenario_assertion_rows(self):
         rep = run_scenario(SCENARIOS / "approx_small.json")
