@@ -13,8 +13,6 @@ from .approx import (
     quasicentral_unit,
     quotient_approx,
     run_approximation,
-    verify_ideal_corner,
-    verify_quotient_corner,
 )
 from .cstar import (
     CrossedElement,

@@ -13,8 +13,12 @@ target tolerance eps, the pipeline
    nodes on the circle (two order-zero colors by arc parity);
 4. approximates the ideal side through matrix algebras over the tower
    supports, compressing by the coordinate window and the tower functions;
-5. measures the two corner errors and the final defect ||phi(psi(b)) - b||
-   against their stated multiples of eps, and emits the dimension ledger.
+5. measures, in one pass per element b, the quotient corner, the ideal corner
+   and the final defect ||phi(psi(b)) - b|| against their stated multiples of
+   eps: b is sampled and its e-corner composed once, and each fiber field is
+   measured once.  For a central projection e the algebra splits as a direct
+   sum, so the final defect is read off orbit by orbit as the larger corner
+   defect; the dimension ledger is emitted alongside.
 
 Norms are certified through :mod:`rokhlin.cstar`; every assertion carries the
 norm tolerance on its right-hand side so floating-point slack cannot produce
@@ -35,7 +39,6 @@ from .cstar import (
     CrossedElement,
     ElementOrbitFiber,
     InterpolationFiber,
-    NormResult,
     fiber_sup_norm,
     norm,
 )
@@ -56,8 +59,6 @@ __all__ = [
     "quasicentral_unit",
     "quotient_approx",
     "ideal_approx",
-    "verify_quotient_corner",
-    "verify_ideal_corner",
     "assemble_and_verify",
     "make_ledger",
     "run_approximation",
@@ -164,7 +165,8 @@ class QuasicentralReport:
     supported on the long-orbit part; the commutator with the lifted quotient
     maps still vanishes structurally, while the corner-splitting error is
     measured per element.  The compressed-approximation error is the quotient
-    corner claim, measured once by ``verify_quotient_corner``.
+    corner claim, measured by ``assemble_and_verify``.  ``is_central_projection``
+    holds when e is 0/1-valued and invariant under the map.
     """
 
     e: np.ndarray
@@ -200,7 +202,7 @@ def quasicentral_unit(
     e = np.asarray(e_values, dtype=float)
     if e.shape != (sys.n,):
         raise ApproxError(f"e must have one value per point, got shape {e.shape}")
-    if e.min(initial=0.0) < 0 or e.max(initial=0.0) > 1:
+    if not np.all((e >= 0) & (e <= 1)):  # NaN fails both comparisons
         raise ApproxError("e must take values in [0, 1]")
     outside = [x for x in range(sys.n) if e[x] != 0 and x not in split.complement]
     if outside:
@@ -213,9 +215,9 @@ def quasicentral_unit(
         corner.append(norm(defect, norm_tol).value)
     # the lifted quotient maps vanish on the long-orbit part, where e lives,
     # so the commutator is zero without any perturbation step
+    central = bool(np.all((e == 0) | (e == 1)) and np.array_equal(e[sys.perm], e))
     return QuasicentralReport(
-        e=e, is_central_projection=bool(np.all((e == 0) | (e == 1))),
-        commutator_error=0.0, corner_errors=tuple(corner),
+        e=e, is_central_projection=central, commutator_error=0.0, corner_errors=tuple(corner),
     )
 
 
@@ -247,10 +249,6 @@ class QuotientSide:
     def order_zero_colors(self) -> int:
         return 2 if self.cycles else 0
 
-    @property
-    def summing_dimension(self) -> int:
-        return sum(self.node_count[c.base] * c.length ** 2 for c in self.cycles)
-
     def sample(self, b: CrossedElement) -> dict[int, np.ndarray]:
         """Node matrices of the short-orbit restriction of b, keyed by cycle base."""
         out = {}
@@ -260,20 +258,6 @@ class QuotientSide:
 
     def interp_fiber(self, cyc: Cycle, blocks: dict[int, np.ndarray]) -> InterpolationFiber:
         return InterpolationFiber(cyc, blocks[cyc.base])
-
-    def error_fibers(self, b: CrossedElement) -> list:
-        """Per-cycle fields of (return o summing)(b) - b on the short-orbit part."""
-        blocks = self.sample(b)
-        return [
-            CombinedFiber([self.interp_fiber(cyc, blocks), ElementOrbitFiber(b, cyc)], [1.0, -1.0])
-            for cyc in self.cycles
-        ]
-
-    def measure_error(self, b: CrossedElement, norm_tol: float) -> NormResult:
-        fibers = [f for f in self.error_fibers(b)]
-        if not fibers:
-            return NormResult(value=0.0, tol=norm_tol, argmax=None, grids={}, per_orbit={})
-        return fiber_sup_norm(self.sys, fibers, norm_tol)
 
     def positivity_defect(self, b: CrossedElement) -> float:
         """Most negative eigenvalue of the summing map applied to b* b (>= 0 ideally)."""
@@ -313,28 +297,6 @@ def quotient_approx(
         sys=sys, split=split, eps=eps, k=k, cycles=cycles,
         node_count=node_count, nodes_lam=nodes,
     )
-
-
-def _corner_quotient_error(
-    quotient: QuotientSide, b: CrossedElement, coroot: np.ndarray, norm_tol: float
-) -> NormResult:
-    """|| (return o summing)(b restricted) - (1-e)^{1/2} b (1-e)^{1/2} || over all orbits."""
-    target = b.compressed(coroot)
-    blocks = quotient.sample(b)
-    fibers = [
-        CombinedFiber(
-            [quotient.interp_fiber(cyc, blocks), ElementOrbitFiber(target, cyc)], [1.0, -1.0]
-        )
-        for cyc in quotient.cycles
-    ]
-    for cyc in quotient.sys.orbits().cycles:
-        if cyc.base in quotient.split.complement:
-            fib = ElementOrbitFiber(target, cyc)
-            if fib.bands:
-                fibers.append(fib)
-    if not fibers:
-        return NormResult(value=0.0, tol=norm_tol, argmax=None, grids={}, per_orbit={})
-    return fiber_sup_norm(quotient.sys, fibers, norm_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -507,59 +469,6 @@ class ClaimReport:
         return self.max_measured <= self.bound + self.norm_tol
 
 
-def verify_quotient_corner(
-    quotient: QuotientSide,
-    F: Sequence[CrossedElement],
-    equnit: QuasicentralReport,
-    norm_tol: float = 1e-3,
-) -> ClaimReport:
-    """Corner error of the quotient side on (1-e)^{1/2} F (1-e)^{1/2}.
-
-    Bound: (d+3) eps.  With the default central cutoff this reduces to the
-    raw hat-interpolation error on the short-orbit part.
-    """
-    d = quotient.sys.declared_dim
-    coroot = equnit.cosqrt()
-    measured = tuple(
-        _corner_quotient_error(quotient, b, coroot, norm_tol).value for b in F
-    )
-    return ClaimReport(
-        name="quotient_corner",
-        bound=float((d + 3) * quotient.eps),
-        norm_tol=norm_tol,
-        measured=measured,
-    )
-
-
-def verify_ideal_corner(
-    ideal: IdealSide,
-    F: Sequence[CrossedElement],
-    equnit: QuasicentralReport,
-    norm_tol: float = 1e-3,
-) -> tuple[ClaimReport, dict]:
-    """Corner error of the ideal side on e^{1/2} F e^{1/2}.
-
-    Bound: (2d+3) eps.  Also reports the square-root step supremum, which
-    must stay strictly below eps/(2k+1).
-    """
-    p = ideal.params
-    root = equnit.sqrt()
-    measured = []
-    for b in F:
-        corner = b.compressed(root)
-        defect = ideal.composite(corner) - corner
-        measured.append(norm(defect, norm_tol).value)
-    step = ideal.sqrt_step_sup()
-    step_bound = float(p.eps) / (2 * p.k + 1)
-    report = ClaimReport(
-        name="ideal_corner",
-        bound=float((2 * p.d + 3) * p.eps),
-        norm_tol=norm_tol,
-        measured=tuple(measured),
-    )
-    return report, {"sqrt_step": step, "sqrt_step_bound": step_bound, "strict": step < step_bound}
-
-
 @dataclass(frozen=True)
 class DimensionLedger:
     """Bookkeeping of order-zero colors against the closed-form bound.
@@ -613,7 +522,12 @@ def make_ledger(d: int) -> DimensionLedger:
 
 @dataclass(frozen=True)
 class CPFactorization:
-    """The assembled approximation with all measured errors and counts."""
+    """The assembled approximation with all measured errors and counts.
+
+    ``sqrt_step`` holds the measured square-root step, its bound eps/(2k+1)
+    and ``strict``, the one pass rule for it: the step must stay strictly
+    below the bound.
+    """
 
     params: ApproxParams
     final: ClaimReport
@@ -622,7 +536,6 @@ class CPFactorization:
     sqrt_step: dict | None
     summands_actual: int
     summands_declared: int
-    summing_dimension: int
     ledger: DimensionLedger
 
     def passed(self) -> bool:
@@ -633,6 +546,20 @@ class CPFactorization:
         return ok and self.ledger.identities_hold()
 
 
+def _sup(sys: FiniteDynamicalSystem, fibers: list, norm_tol: float) -> float:
+    """Certified sup norm over fiber fields; zero when there are none."""
+    return fiber_sup_norm(sys, fibers, norm_tol).value if fibers else 0.0
+
+
+def _long_fields(params: ApproxParams, a: CrossedElement) -> list[ElementOrbitFiber]:
+    """Nonzero fiber fields of a over the long-orbit cycles."""
+    fibers = (
+        ElementOrbitFiber(a, cyc) for cyc in params.sys.orbits().cycles
+        if cyc.base in params.split.complement
+    )
+    return [fib for fib in fibers if fib.bands]
+
+
 def assemble_and_verify(
     params: ApproxParams,
     quotient: QuotientSide,
@@ -640,69 +567,72 @@ def assemble_and_verify(
     equnit: QuasicentralReport,
     norm_tol: float = 1e-3,
 ) -> CPFactorization:
-    """Measure || phi(psi(b)) - b || for the assembled two-sided approximation.
+    """Measure the three claims for the assembled two-sided approximation in
+    one pass per element b.
 
     The summing map sends b to the quotient samples of the (1-e)-corner plus
     the windowed compressions of the e-corner; the return map interpolates
-    the samples and maps the windowed blocks back.  The final bound is
+    the samples and maps the windowed blocks back.  Each fiber field is
+    measured once:
+
+    - short cycles: interp(sample(b)) - b, read by the quotient corner and
+      the final claim (e vanishes there);
+    - long cycles: (1-e)^{1/2} b (1-e)^{1/2}, the rest of the quotient corner
+      (no fields for the default e);
+    - long cycles: composite(corner) - corner with corner = e^{1/2} b e^{1/2},
+      the ideal corner.
+
+    ``ideal`` is None only when there are no long cycles.  When e is a
+    central projection the algebra splits as a direct sum: on each long cycle
+    either e = 1, where corner = b and the final field is the ideal field, or
+    e = 0, where the final field is -b, the quotient field.  The final defect
+    is then the larger corner defect.  Otherwise the long-cycle fields of
+    composite(corner) - b are measured for the final claim.
+
+    Bounds: quotient corner (d+3) eps, ideal corner (2d+3) eps, final
     (3d+7) eps, with order-zero colors 2 + (2d+3) observed and
-    (d+2) + (2d+3) = 3d+5 declared.
+    (d+2) + (2d+3) = 3d+5 declared.  The square-root step must stay strictly
+    below eps/(2k+1).
     """
     sys = params.sys
     d = params.d
-    root = equnit.sqrt()
-    quotient_report = verify_quotient_corner(quotient, params.F, equnit, norm_tol)
-    ideal_report, step_info = (None, None)
-    if ideal is not None:
-        ideal_report, step_info = verify_ideal_corner(ideal, params.F, equnit, norm_tol)
-
-    measured = []
+    root, coroot = equnit.sqrt(), equnit.cosqrt()
+    quotient_measured, ideal_measured, final_measured = [], [], []
     for b in params.F:
-        fibers = []
-        blocks = quotient.sample(b)  # summing input is the restriction of b
-        for cyc in quotient.cycles:
-            fibers.append(
-                CombinedFiber(
-                    [quotient.interp_fiber(cyc, blocks), ElementOrbitFiber(b, cyc)], [1.0, -1.0]
-                )
-            )
+        blocks = quotient.sample(b)
+        short = _sup(sys, [
+            CombinedFiber([quotient.interp_fiber(cyc, blocks), ElementOrbitFiber(b, cyc)], [1.0, -1.0])
+            for cyc in quotient.cycles
+        ], norm_tol)
+        quotient_err = max(short, _sup(sys, _long_fields(params, b.compressed(coroot)), norm_tol))
+        final = quotient_err if equnit.is_central_projection else short
         if ideal is not None:
-            # the lifted quotient maps vanish off the short part, so there the
-            # assembled defect is the windowed composite against b itself
             corner = b.compressed(root)
-            rest = ideal.composite(corner) - b
-            for cyc in sys.orbits().cycles:
-                if cyc.base in params.split.complement:
-                    fib = ElementOrbitFiber(rest, cyc)
-                    if fib.bands:
-                        fibers.append(fib)
-        else:
-            for cyc in sys.orbits().cycles:
-                if cyc.base in params.split.complement:
-                    fib = ElementOrbitFiber(b, cyc)
-                    if fib.bands:
-                        fibers.append(fib)
-        if fibers:
-            measured.append(fiber_sup_norm(sys, fibers, norm_tol).value)
-        else:
-            measured.append(0.0)
+            composite = ideal.composite(corner)
+            ideal_err = _sup(sys, _long_fields(params, composite - corner), norm_tol)
+            ideal_measured.append(ideal_err)
+            if not equnit.is_central_projection:
+                ideal_err = _sup(sys, _long_fields(params, composite - b), norm_tol)
+            final = max(final, ideal_err)
+        quotient_measured.append(quotient_err)
+        final_measured.append(final)
 
-    final = ClaimReport(
-        name="final_assembly",
-        bound=float((3 * d + 7) * params.eps),
-        norm_tol=norm_tol,
-        measured=tuple(measured),
-    )
-    actual = quotient.order_zero_colors + (ideal.levels if ideal is not None else 0)
+    eps = params.eps
+    step_info = ideal_report = None
+    if ideal is not None:
+        step, step_bound = ideal.sqrt_step_sup(), float(eps) / (2 * params.k + 1)
+        step_info = {"sqrt_step": step, "sqrt_step_bound": step_bound, "strict": step < step_bound}
+        ideal_report = ClaimReport("ideal_corner", float((2 * d + 3) * eps), norm_tol, tuple(ideal_measured))
     return CPFactorization(
         params=params,
-        final=final,
-        quotient_corner=quotient_report,
+        final=ClaimReport("final_assembly", float((3 * d + 7) * eps), norm_tol, tuple(final_measured)),
+        quotient_corner=ClaimReport(
+            "quotient_corner", float((d + 3) * quotient.eps), norm_tol, tuple(quotient_measured)
+        ),
         ideal_corner=ideal_report,
         sqrt_step=step_info,
-        summands_actual=actual,
+        summands_actual=quotient.order_zero_colors + (ideal.levels if ideal is not None else 0),
         summands_declared=3 * d + 5,
-        summing_dimension=quotient.summing_dimension,
         ledger=make_ledger(d),
     )
 

@@ -76,12 +76,13 @@ def emit_report(report: dict, path: str | Path | None) -> str:
     return text
 
 
-def _assertion(name: str, measured: float, bound: float) -> dict:
+def _assertion(name: str, measured: float, bound: float, passed: bool | None = None) -> dict:
+    """One report row; ``passed`` defaults to measured <= bound."""
     return {
         "name": name,
         "measured": float(measured),
         "bound": float(bound),
-        "pass": bool(measured <= bound),
+        "pass": bool(measured <= bound if passed is None else passed),
     }
 
 
@@ -110,18 +111,22 @@ def _labels_to_indices(sys: FiniteDynamicalSystem, labels) -> list[int]:
     return out
 
 
+def _finite_number(value, where: str) -> float:
+    """A finite JSON number (not a bool)."""
+    try:
+        x = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else math.nan
+    except OverflowError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise ScenarioError(f"{where} must be a finite number, got {value!r}")
+    return x
+
+
 def _finite_pair(value, where: str) -> complex:
     """A [re, im] literal of two finite JSON numbers."""
-    numbers = isinstance(value, list) and len(value) == 2 and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
-    )
-    try:
-        z = complex(*value) if numbers else None
-    except OverflowError:
-        z = None
-    if z is None or not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not (isinstance(value, list) and len(value) == 2):
         raise ScenarioError(f"{where} must be a pair of finite numbers [re, im], got {value!r}")
-    return z
+    return complex(_finite_number(value[0], where), _finite_number(value[1], where))
 
 
 def parse_element(sys: FiniteDynamicalSystem, literal) -> CrossedElement:
@@ -292,10 +297,17 @@ def _resolve(doc: dict, key: str) -> Path:
     return Path(doc["_dir"]) / doc[key]
 
 
+def _tol(doc: dict) -> float:
+    tol = doc.get("tol", 1e-3)
+    if not isinstance(tol, (int, float, str)) or isinstance(tol, bool):
+        raise ScenarioError(f"'tol' must be a number, got {tol!r}")
+    return float(tol)
+
+
 def run_norm_scenario(doc: dict) -> dict:
     sys = _read_system(_resolve(doc, "system"))
     rep = _report_shell("norm", {k: v for k, v in doc.items() if k != "_dir"})
-    tol = float(doc.get("tol", 1e-3))
+    tol = _tol(doc)
     a = parse_element(sys, doc["element"])
     result = norm(a, tol)
     rep["norm"] = {
@@ -320,18 +332,33 @@ def run_norm_scenario(doc: dict) -> dict:
 
 
 def run_approx_scenario(doc: dict) -> dict:
+    """Approx scenario: ``elements`` (a list of element literals) and
+    ``epsilon`` (a number or a fraction string) are required; ``N`` must be an
+    integer and ``e`` an object mapping point labels to finite numbers in
+    [0, 1]."""
+    for key in ("elements", "epsilon"):
+        if key not in doc:
+            raise ScenarioError(f"approx scenario needs {key!r}")
+    if not isinstance(doc["elements"], list):
+        raise ScenarioError("'elements' must be a list of element literals")
+    if not isinstance(doc["epsilon"], (int, float, str)) or isinstance(doc["epsilon"], bool):
+        raise ScenarioError(f"'epsilon' must be a number or a fraction string, got {doc['epsilon']!r}")
+    N = doc.get("N")
+    if N is not None and (not isinstance(N, int) or isinstance(N, bool)):
+        raise ScenarioError(f"'N' must be an integer, got {N!r}")
+    if "e" in doc and not isinstance(doc["e"], dict):
+        raise ScenarioError("'e' must map point labels to numbers")
     sys = _read_system(_resolve(doc, "system"))
     rep = _report_shell("approx", {k: v for k, v in doc.items() if k != "_dir"})
-    tol = float(doc.get("tol", 1e-3))
+    tol = _tol(doc)
     F = [parse_element(sys, lit) for lit in doc["elements"]]
     e_values = None
     if "e" in doc:
         e_values = np.zeros(sys.n)
         for lab, v in doc["e"].items():
-            e_values[_labels_to_indices(sys, [lab])[0]] = float(v)
+            e_values[_labels_to_indices(sys, [lab])[0]] = _finite_number(v, f"e at {lab!r}")
     run = run_approximation(
-        sys, F, doc["epsilon"],
-        N_override=doc.get("N"), e_values=e_values, norm_tol=tol,
+        sys, F, doc["epsilon"], N_override=N, e_values=e_values, norm_tol=tol,
     )
     fz = run.factorization
     p = run.params
@@ -353,11 +380,12 @@ def run_approx_scenario(doc: dict) -> dict:
         if claim is None:
             continue
         rep["assertions"].append(
-            _assertion(claim.name, claim.max_measured, claim.bound + claim.norm_tol)
+            _assertion(claim.name, claim.max_measured, claim.bound + claim.norm_tol, claim.passed)
         )
     if fz.sqrt_step is not None:
+        step = fz.sqrt_step
         rep["assertions"].append(
-            _assertion("sqrt_step", fz.sqrt_step["sqrt_step"], fz.sqrt_step["sqrt_step_bound"])
+            _assertion("sqrt_step", step["sqrt_step"], step["sqrt_step_bound"], step["strict"])
         )
     rep["assertions"].append(
         _assertion("summand_count_defect", abs(fz.summands_actual - fz.summands_declared)

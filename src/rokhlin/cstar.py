@@ -508,7 +508,8 @@ def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float) -> 
     """Sup of fiber spectral norms over per-orbit circle grids with certified slack.
 
     Grid sizes are powers of two with arc spacing such that lip * (pi / grid)
-    <= tol for each fiber's arc-Lipschitz bound.
+    <= tol for each fiber's arc-Lipschitz bound.  A fiber whose bound is not
+    finite (a NaN or infinite coefficient) is refused: nothing certifies it.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -517,8 +518,10 @@ def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float) -> 
     per_orbit: dict[str, tuple[float, complex]] = {}
     for fiber in fibers:
         lip = fiber.lip()
-        n = _next_pow2(lip * math.pi / tol) if lip > 0 else 1
         label = sys.labels[fiber.cycle.base]
+        if not math.isfinite(lip):
+            raise ValueError(f"fiber over the orbit of {label!r} is not finite (Lipschitz bound {lip})")
+        n = _next_pow2(lip * math.pi / tol) if lip > 0 else 1
         grids[label] = n
         lanczos = isinstance(fiber, ElementOrbitFiber) and fiber.L > _DENSE_MAX_L
         chunk = min(_GRID_CHUNK, max(64, int(2e7 / (fiber.L * fiber.L))))

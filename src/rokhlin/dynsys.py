@@ -130,6 +130,23 @@ class FiniteDynamicalSystem:
         p = self.power_perm(i)
         return frozenset(int(p[x]) for x in subset)
 
+    def translate_counts(self, subset: Iterable[int], lo: int, hi: int) -> np.ndarray:
+        """counts[x] = number of i in [lo, hi] with x in alpha_i(subset), for a
+        set of distinct points.
+
+        Steps the permutation one shift at a time, so a sweep over many
+        exponents costs one gather per exponent and caches no power arrays.
+        """
+        counts = np.zeros(self.n, dtype=np.int64)
+        cur = np.fromiter(subset, dtype=np.int64)
+        step = self.perm if lo > 0 else self.perm_inv
+        for _ in range(abs(lo)):
+            cur = step[cur]
+        for _ in range(lo, hi + 1):
+            counts[cur] += 1  # alpha_i is a bijection, so cur has no repeats
+            cur = self.perm[cur]
+        return counts
+
     def min_distance(self) -> float:
         """Smallest positive inter-point distance (requires a metric)."""
         if self.metric is None:

@@ -207,20 +207,15 @@ def marker_certificate(
     N = (d + 1) * (4 * m + 1)
 
     flag_a, wit_a = True, None
-    counts = np.zeros(sys.n, dtype=np.int64)
-    pts = list(Z)
-    for i in range(-m, m + 1):
-        counts[np.unique(sys.power_perm(i)[pts])] += 1 if pts else 0
-    if pts and counts.max(initial=0) > 1:
+    counts = sys.translate_counts(Z, -m, m)
+    if counts.max(initial=0) > 1:
         bad = int(np.argmax(counts))
         hits = [i for i in range(-m, m + 1) if bad in sys.apply(i, Z)]
         flag_a, wit_a = False, (sys.labels[bad], tuple(hits))
 
-    covered: set[int] = set()
-    for i in range(1, N + 1):
-        covered |= sys.apply(i, Z)
-    missing = K - covered
-    flag_b, wit_b = (False, next(iter(sorted(missing)))) if missing else (True, None)
+    covered = sys.translate_counts(Z, 1, N) > 0
+    missing = [x for x in sorted(K) if not covered[x]]
+    flag_b, wit_b = (False, missing[0]) if missing else (True, None)
 
     return MarkerCertificate(
         markers=Z, m=m, d=d, K=K, flag_disjoint=flag_a, flag_cover=flag_b,

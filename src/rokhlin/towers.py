@@ -271,9 +271,7 @@ def build_tower_family(
         raise TowerError("eps must be positive")
     K = frozenset(K)
     k_prime = k * math.ceil(1 / eps)
-    K_prime: set[int] = set()
-    for i in range(-k_prime, k_prime + 1):
-        K_prime |= sys.apply(i, K)
+    K_prime = frozenset(np.flatnonzero(sys.translate_counts(K, -k_prime, k_prime)).tolist())
     if markers is None:
         cert = greedy_markers(sys, m, K_prime, d)
     else:
@@ -284,7 +282,7 @@ def build_tower_family(
     partition = build_partition(sys, supports, m, k_prime, K_prime)
     return TowerFamily(
         sys=sys, d=d, k=k, m=m, eps=eps, K=K, k_prime=k_prime,
-        K_prime=frozenset(K_prime), supports=supports, points=partition.points,
+        K_prime=K_prime, supports=supports, points=partition.points,
         num=_window_sum(partition.num, k_prime), den=partition.den * (2 * k_prime + 1),
     )
 

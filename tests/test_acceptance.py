@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from rokhlin.approx import (
+    assemble_and_verify,
     derive_params,
     quasicentral_unit,
     quotient_approx,
     run_approximation,
-    verify_quotient_corner,
 )
 from rokhlin.cstar import (
     CrossedElement,
@@ -216,7 +216,7 @@ def test_criterion_8_quotient_approximation():
     equnit = quasicentral_unit(sys, params.split, F)
     # with the whole system short and the default cutoff, the corner error is
     # exactly the raw hat-interpolation error on the quotient
-    rep = verify_quotient_corner(quotient, F, equnit, norm_tol=1e-3)
+    rep = assemble_and_verify(params, quotient, None, equnit, norm_tol=1e-3).quotient_corner
     raw_error = rep.max_measured
     elapsed = time.monotonic() - start
     ok = (

@@ -6,16 +6,24 @@ import pytest
 
 from rokhlin.approx import (
     ApproxError,
+    IdealSide,
+    QuotientSide,
+    assemble_and_verify,
     derive_params,
     ideal_approx,
     make_ledger,
     quasicentral_unit,
     quotient_approx,
     run_approximation,
-    verify_ideal_corner,
-    verify_quotient_corner,
 )
-from rokhlin.cstar import CrossedElement, norm
+from rokhlin.cstar import (
+    CombinedFiber,
+    CrossedElement,
+    ElementOrbitFiber,
+    InterpolationFiber,
+    fiber_sup_norm,
+    norm,
+)
 from rokhlin.dynsys import make_cycle_system
 from rokhlin.towers import build_tower_family
 
@@ -145,7 +153,7 @@ class TestQuotientSide:
         p = derive_params([u], 0.1, sys)
         q = quotient_approx(p.split, [u], 0.1, sys)
         equnit = quasicentral_unit(sys, p.split, [u])
-        rep = verify_quotient_corner(q, [u], equnit, norm_tol=1e-4)
+        rep = assemble_and_verify(p, q, None, equnit, norm_tol=1e-4).quotient_corner
         assert q.order_zero_colors == 2
         assert rep.max_measured <= 0.1
 
@@ -155,18 +163,14 @@ class TestQuotientSide:
         p = derive_params([one], 0.1, sys)
         q = quotient_approx(p.split, [one], 0.1, sys)
         equnit = quasicentral_unit(sys, p.split, [one])
-        rep = verify_quotient_corner(q, [one], equnit, norm_tol=1e-6)
+        rep = assemble_and_verify(p, q, None, equnit, norm_tol=1e-6).quotient_corner
         assert rep.max_measured < 1e-9  # hat weights sum to one
 
     def test_empty_short_part_gives_zero_error(self):
         sys = make_cycle_system([60])
-        u = unit(sys)
-        p = derive_params([u], "3/2", sys)
-        q = quotient_approx(p.split, [u], p.eps, sys)
-        equnit = quasicentral_unit(sys, p.split, [u])
-        rep = verify_quotient_corner(q, [u], equnit)
-        assert q.cycles == ()
-        assert rep.max_measured == 0.0
+        run = run_approximation(sys, [unit(sys)], "3/2")
+        assert run.quotient.cycles == ()
+        assert run.factorization.quotient_corner.max_measured == 0.0
 
     def test_node_counts_even_and_large_enough(self):
         sys = make_cycle_system([3, 5])
@@ -204,12 +208,19 @@ class TestQuotientSide:
         p = derive_params(F, 0.1, sys)
         q = quotient_approx(p.split, F, 0.1, sys)
         equnit = quasicentral_unit(sys, p.split, F)
-        rep = verify_quotient_corner(q, F, equnit, norm_tol=1e-3)
+        rep = assemble_and_verify(p, q, None, equnit, norm_tol=1e-3).quotient_corner
         assert q.order_zero_colors == 2
         assert rep.max_measured <= 0.1
-        # the raw per-element measurement agrees with the corner report here
-        # (nothing lives off the short part)
-        raw_err = max(q.measure_error(b, 1e-3).value for b in F)
+        # the raw per-element interpolation error agrees with the corner
+        # report here (nothing lives off the short part)
+        raw_err = max(
+            fiber_sup_norm(sys, [
+                CombinedFiber([InterpolationFiber(cyc, q.sample(b)[cyc.base]), ElementOrbitFiber(b, cyc)],
+                              [1.0, -1.0])
+                for cyc in q.cycles
+            ], 1e-3).value
+            for b in F
+        )
         assert raw_err == pytest.approx(rep.max_measured, abs=1e-12)
 
 
@@ -307,7 +318,8 @@ class TestIdealSide:
             assert self.ideal.summing_norm(l, b) <= norm(b, 1e-3).upper + 1e-9
 
     def test_sqrt_step_strict(self):
-        rep, info = verify_ideal_corner(self.ideal, self.F, self.run.equnit)
+        info = self.run.factorization.sqrt_step
+        assert info["sqrt_step"] == self.ideal.sqrt_step_sup()
         assert info["strict"]
         assert info["sqrt_step"] < info["sqrt_step_bound"]
 
@@ -408,3 +420,80 @@ class TestLedger:
     def test_summand_count_formula(self):
         for d in range(4):
             assert (d + 2) + (2 * d + 3) == 3 * d + 5
+
+
+def claims_from_scratch(run, norm_tol):
+    """The three claims measured field by field from scratch: the quotient
+    corner against (1-e)^{1/2} b (1-e)^{1/2} on every orbit, the ideal corner
+    as a whole-element norm, and the final defect against b itself."""
+    params, quotient, ideal, equnit = run.params, run.quotient, run.ideal, run.equnit
+    sys = params.sys
+    long_cycles = [c for c in sys.orbits().cycles if c.base in params.split.complement]
+
+    def short_fields(b, target):
+        blocks = quotient.sample(b)
+        return [
+            CombinedFiber([InterpolationFiber(cyc, blocks[cyc.base]), ElementOrbitFiber(target, cyc)],
+                          [1.0, -1.0])
+            for cyc in quotient.cycles
+        ]
+
+    def long_fields(a):
+        return [f for f in (ElementOrbitFiber(a, c) for c in long_cycles) if f.bands]
+
+    def sup(fibers):
+        return fiber_sup_norm(sys, fibers, norm_tol).value if fibers else 0.0
+
+    q, i, f = [], [], []
+    for b in params.F:
+        target = b.compressed(equnit.cosqrt())
+        q.append(sup(short_fields(b, target) + long_fields(target)))
+        corner = b.compressed(equnit.sqrt())
+        i.append(norm(ideal.composite(corner) - corner, norm_tol).value)
+        f.append(sup(short_fields(b, b) + long_fields(ideal.composite(corner) - b)))
+    return tuple(q), tuple(i), tuple(f)
+
+
+def cutoff(sys, kind):
+    """Cutoff functions on the long cycles of a (3, 60, 60) system."""
+    if kind == "default":
+        return None
+    first = [c for c in sys.orbits().cycles if c.length == 60][0]
+    e = np.zeros(sys.n)
+    for pos, x in enumerate(first.order):
+        if kind == "ramped":
+            e[x] = min(1.0, 2.0 * min(pos, 60 - pos) / 30.0)
+        elif kind == "half":  # a projection, but not invariant
+            e[x] = 1.0 if pos < 30 else 0.0
+        elif kind == "one-cycle":  # central, zero on the second long cycle
+            e[x] = 1.0
+    return e
+
+
+class TestMeasureOnce:
+    def test_each_element_sampled_and_composed_once(self, monkeypatch):
+        calls = {"sample": 0, "composite": 0}
+        for cls, name in ((QuotientSide, "sample"), (IdealSide, "composite")):
+            original = getattr(cls, name)
+
+            def counted(self, b, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(self, b)
+
+            monkeypatch.setattr(cls, name, counted)
+        sys, F, run = small_run()
+        assert run.ideal is not None and run.quotient.cycles
+        assert calls == {"sample": len(F), "composite": len(F)}
+
+    @pytest.mark.parametrize("kind", ["default", "ramped", "half", "one-cycle"])
+    def test_claims_equal_independent_measurements(self, kind):
+        sys = make_cycle_system([3, 60, 60], d=0)
+        F = [unit(sys), bump(sys, 3), bump(sys, 60) * unit(sys)]
+        e = cutoff(sys, kind)
+        run = run_approximation(sys, F, "3/2", e_values=e, norm_tol=1e-3)
+        assert run.equnit.is_central_projection == (kind in ("default", "one-cycle"))
+        fz = run.factorization
+        q, i, f = claims_from_scratch(run, 1e-3)
+        assert fz.quotient_corner.measured == q
+        assert fz.ideal_corner.measured == i
+        assert fz.final.measured == f

@@ -181,3 +181,50 @@ class TestApproxScenario:
         assert all(a["pass"] for a in rep["assertions"])
         assert rep["ledger"]["closed_form_bound"] == 4
         assert rep["ledger"]["total_declared"] == 5
+
+    def test_sqrt_step_row_follows_library_rule(self, monkeypatch):
+        # a step exactly at eps/(2k+1) fails: the row and the library agree
+        from rokhlin.approx import IdealSide, run_approximation
+
+        monkeypatch.setattr(
+            IdealSide, "sqrt_step_sup", lambda self: float(self.params.eps) / (2 * self.params.k + 1)
+        )
+        doc = json.loads((SCENARIOS / "approx_small.json").read_text())
+        rep = run_scenario(SCENARIOS / "approx_small.json")
+        row = next(a for a in rep["assertions"] if a["name"] == "sqrt_step")
+        assert row["measured"] == row["bound"]
+        sys = load_system((SCENARIOS / doc["system"]).read_text())
+        run = run_approximation(
+            sys, [parse_element(sys, lit) for lit in doc["elements"]], doc["epsilon"], norm_tol=doc["tol"]
+        )
+        assert not run.factorization.sqrt_step["strict"]
+        assert not row["pass"] and not run.passed()
+
+
+class TestMalformedApproxScenarios:
+    @pytest.mark.parametrize("change, message", [
+        ({"e": {"c1p00": float("nan")}}, "e at 'c1p00' must be a finite number"),
+        ({"e": [1.0]}, "'e' must map point labels"),
+        ({"e": {"c1p00": [0.5]}}, "e at 'c1p00' must be a finite number"),
+        ({"elements": None}, "needs 'elements'"),
+        ({"epsilon": None}, "needs 'epsilon'"),
+        ({"N": "x"}, "'N' must be an integer"),
+        ({"tol": [1e-3]}, "'tol' must be a number"),
+    ], ids=["nan-e", "list-e", "pair-e-value", "no-elements", "no-epsilon", "string-N", "list-tol"])
+    def test_exit_two_with_error_object(self, tmp_path, capsys, change, message):
+        doc = json.loads((SCENARIOS / "approx_small.json").read_text())
+        doc["system"] = str(SCENARIOS / doc["system"])
+        for key, value in change.items():
+            if value is None:
+                del doc[key]
+            else:
+                doc[key] = value
+        scen = tmp_path / "bad.json"
+        scen.write_text(json.dumps(doc))
+        rc = main(["approx", "--scenario", str(scen)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        rep = json.loads(captured.out)
+        assert message in rep["error"]["message"]
+        assert not rep["assertions"][0]["pass"]
+        assert "Traceback" not in captured.err

@@ -425,3 +425,15 @@ class TestFibers:
         arc = np.abs(np.angle(probe / np.roll(probe, 1)))
         for i in range(50):
             assert np.linalg.norm(vals[i] - ref[i], 2) <= lip * arc[i] + 1e-9
+
+
+class TestNonFiniteFibers:
+    @pytest.mark.parametrize("L", [10, 40], ids=["dense", "lanczos"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_refused_with_orbit_label(self, L, bad):
+        sys = make_cycle_system([3, L])
+        cyc = [c for c in sys.orbits().cycles if c.length == L][0]
+        coeff = np.full(sys.n, 0.5, dtype=np.complex128)
+        coeff[cyc.order[5]] = bad
+        with pytest.raises(ValueError, match=f"orbit of '{sys.labels[cyc.base]}' is not finite"):
+            norm(CrossedElement(sys, {1: coeff}), 1e-3)

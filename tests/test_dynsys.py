@@ -196,6 +196,23 @@ class TestOrbitsAndSplit:
             assert {int(sys.perm[x]) for x in part} == set(part)
             assert {int(sys.perm_inv[x]) for x in part} == set(part)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 9), min_size=1, max_size=4),
+        st.data(),
+        st.integers(-12, 12),
+        st.integers(0, 24),
+    )
+    def test_translate_counts_match_apply(self, lengths, data, lo, width):
+        # reference: one image per exponent through apply (power_perm)
+        sys = make_cycle_system(lengths)
+        subset = data.draw(st.frozensets(st.integers(0, sys.n - 1)))
+        expected = np.zeros(sys.n, dtype=np.int64)
+        for i in range(lo, lo + width + 1):
+            for x in sys.apply(i, subset):
+                expected[x] += 1
+        assert np.array_equal(sys.translate_counts(subset, lo, lo + width), expected)
+
 
 class TestQuotientReport:
     def test_two_five(self):
