@@ -1,5 +1,15 @@
-"""Command-line front end: loads systems and scenario files, runs the
-pipelines, and emits deterministic machine-readable reports.
+"""Command-line front end: one table of commands, one dispatch path.
+
+Every command is a runner plus the fields it reads (``COMMANDS``).  A request
+becomes a document of those fields: ``orbits``, ``markers``, ``towers``,
+``periodic`` and ``verify-all`` build it from their flags, one flag per field,
+with paths relative to the working directory; ``norm`` and ``approx`` load it
+from ``--scenario`` and overlay ``--tol``/``--N``; ``run_scenario`` (and so
+``verify-all``) loads it from a scenario file, whose relative paths resolve
+against the file's directory.  Every document passes one field check before
+its runner runs: an unknown field, a missing required field or a value of the
+wrong kind is a ``ScenarioError`` naming the field, reported as a structured
+error with exit status 2.
 
 Reports are JSON with sorted keys and fixed 17-significant-digit float
 formatting, so identical runs produce byte-identical files.  The exit status
@@ -30,7 +40,7 @@ from .cstar import (
 )
 from .dynsys import FiniteDynamicalSystem, load_system, quotient_report
 from .markers import greedy_markers
-from .towers import TowerFamily, build_tower_family, verify_tower
+from .towers import TowerFamily, as_fraction, build_tower_family, verify_tower
 
 DEFAULT_SEED = 20260809
 
@@ -156,13 +166,20 @@ def parse_element(sys: FiniteDynamicalSystem, literal) -> CrossedElement:
     return CrossedElement(sys, coeffs)
 
 
+def _ratio_float(value) -> float:
+    """A number or fraction string as a float; NaN is left to the solver's check."""
+    return float(as_fraction(value)) if isinstance(value, str) else float(value)
+
+
 # ---------------------------------------------------------------------------
-# command handlers (each returns a report dict)
+# runners: each takes the checked fields and the document as given, and
+# returns a report dict; its docstring is the command's help line
 
 
-def cmd_orbits(args) -> dict:
-    sys = _read_system(args.system)
-    rep = _report_shell("orbits", {"system": str(args.system)})
+def run_orbits(args: dict, doc: dict) -> dict:
+    """orbit decomposition and quotient summary"""
+    sys = _read_system(args["system"])
+    rep = _report_shell("orbits", args)
     orbs = sys.orbits()
     q = quotient_report(sys)
     rep["orbits"] = {
@@ -182,11 +199,12 @@ def cmd_orbits(args) -> dict:
     return rep
 
 
-def cmd_markers(args) -> dict:
-    sys = _read_system(args.system)
-    rep = _report_shell("markers", {"system": str(args.system), "m": args.m, "d": args.d})
-    d = args.d if args.d is not None else sys.declared_dim
-    cert = greedy_markers(sys, args.m, range(sys.n), d)
+def run_markers(args: dict, doc: dict) -> dict:
+    """greedy marker certificate"""
+    sys = _read_system(args["system"])
+    rep = _report_shell("markers", args)
+    d = args["d"] if args["d"] is not None else sys.declared_dim
+    cert = greedy_markers(sys, args["m"], range(sys.n), d)
     rep["markers"] = {
         "positions": sorted(sys.labels[x] for x in cert.markers),
         "count": len(cert.markers),
@@ -220,14 +238,13 @@ def _rung_values(family: TowerFamily, l: int) -> dict:
     return out
 
 
-def cmd_towers(args) -> dict:
-    sys = _read_system(args.system)
-    d = args.d if args.d is not None else sys.declared_dim
-    rep = _report_shell(
-        "towers",
-        {"system": str(args.system), "d": d, "k": args.k, "m": args.m, "epsilon": args.epsilon},
-    )
-    family = build_tower_family(sys, d, args.k, args.m, args.epsilon, range(sys.n))
+def run_towers(args: dict, doc: dict) -> dict:
+    """tower pipeline and verification"""
+    sys = _read_system(args["system"])
+    d = args["d"] if args["d"] is not None else sys.declared_dim
+    eps = str(args["epsilon"])
+    rep = _report_shell("towers", dict(args, d=d, epsilon=eps))
+    family = build_tower_family(sys, d, args["k"], args["m"], eps, range(sys.n))
     tower = verify_tower(family)
     rep["towers"] = {
         "levels": family.levels,
@@ -247,13 +264,12 @@ def cmd_towers(args) -> dict:
     return rep
 
 
-def cmd_periodic(args) -> dict:
-    sys = _read_system(args.system)
-    rep = _report_shell(
-        "periodic", {"system": str(args.system), "lambda_grid": args.lambda_grid, "seed": args.seed}
-    )
-    emb = periodic_embedding(sys, args.lambda_grid)
-    rng = np.random.default_rng(args.seed)
+def run_periodic(args: dict, doc: dict) -> dict:
+    """periodic embedding and spectrum checks"""
+    sys = _read_system(args["system"])
+    rep = _report_shell("periodic", args)
+    emb = periodic_embedding(sys, args["lambda_grid"])
+    rng = np.random.default_rng(args["seed"])
     f = rng.standard_normal(sys.n)
     spec = primitive_spectrum(sys)
     rep["periodic"] = {
@@ -279,37 +295,16 @@ def cmd_periodic(args) -> dict:
     return rep
 
 
-def _load_scenario(path: str | Path) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ScenarioError(f"scenario file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario {p} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "command" not in doc:
-        raise ScenarioError(f"scenario {p} must be an object with a 'command' field")
-    doc["_dir"] = p.parent
-    return doc
-
-
-def _resolve(doc: dict, key: str) -> Path:
-    return Path(doc["_dir"]) / doc[key]
-
-
-def _tol(doc: dict) -> float:
-    tol = doc.get("tol", 1e-3)
-    if not isinstance(tol, (int, float, str)) or isinstance(tol, bool):
-        raise ScenarioError(f"'tol' must be a number, got {tol!r}")
-    return float(tol)
-
-
-def run_norm_scenario(doc: dict) -> dict:
-    sys = _read_system(_resolve(doc, "system"))
-    rep = _report_shell("norm", {k: v for k, v in doc.items() if k != "_dir"})
-    tol = _tol(doc)
-    a = parse_element(sys, doc["element"])
-    result = norm(a, tol)
+def run_norm(args: dict, doc: dict) -> dict:
+    """certified norm of an element scenario"""
+    for name, bound in args["expect"].items():
+        if name not in ("value_at_most", "value_at_least"):
+            raise ScenarioError(f"unknown norm expectation {name!r}")
+        _finite_number(bound, f"expect {name!r}")
+    sys = _read_system(args["system"])
+    rep = _report_shell("norm", doc)
+    a = parse_element(sys, args["element"])
+    result = norm(a, _ratio_float(args["tol"]))
     rep["norm"] = {
         "value": result.value,
         "upper": result.upper,
@@ -321,44 +316,27 @@ def run_norm_scenario(doc: dict) -> dict:
         },
         "coefficient_bound": a.coefficient_bound(),
     }
-    for name, bound in doc.get("expect", {}).items():
+    for name, bound in args["expect"].items():
         if name == "value_at_most":
             rep["assertions"].append(_assertion("norm_value", result.value, float(bound)))
-        elif name == "value_at_least":
-            rep["assertions"].append(_assertion("norm_lower_defect", float(bound) - result.upper, 0.0))
         else:
-            raise ScenarioError(f"unknown norm expectation {name!r}")
+            rep["assertions"].append(_assertion("norm_lower_defect", float(bound) - result.upper, 0.0))
     return rep
 
 
-def run_approx_scenario(doc: dict) -> dict:
-    """Approx scenario: ``elements`` (a list of element literals) and
-    ``epsilon`` (a number or a fraction string) are required; ``N`` must be an
-    integer and ``e`` an object mapping point labels to finite numbers in
-    [0, 1]."""
-    for key in ("elements", "epsilon"):
-        if key not in doc:
-            raise ScenarioError(f"approx scenario needs {key!r}")
-    if not isinstance(doc["elements"], list):
-        raise ScenarioError("'elements' must be a list of element literals")
-    if not isinstance(doc["epsilon"], (int, float, str)) or isinstance(doc["epsilon"], bool):
-        raise ScenarioError(f"'epsilon' must be a number or a fraction string, got {doc['epsilon']!r}")
-    N = doc.get("N")
-    if N is not None and (not isinstance(N, int) or isinstance(N, bool)):
-        raise ScenarioError(f"'N' must be an integer, got {N!r}")
-    if "e" in doc and not isinstance(doc["e"], dict):
-        raise ScenarioError("'e' must map point labels to numbers")
-    sys = _read_system(_resolve(doc, "system"))
-    rep = _report_shell("approx", {k: v for k, v in doc.items() if k != "_dir"})
-    tol = _tol(doc)
-    F = [parse_element(sys, lit) for lit in doc["elements"]]
+def run_approx(args: dict, doc: dict) -> dict:
+    """full approximation scenario"""
+    sys = _read_system(args["system"])
+    rep = _report_shell("approx", doc)
+    F = [parse_element(sys, lit) for lit in args["elements"]]
     e_values = None
-    if "e" in doc:
+    if args["e"] is not None:
         e_values = np.zeros(sys.n)
-        for lab, v in doc["e"].items():
+        for lab, v in args["e"].items():
             e_values[_labels_to_indices(sys, [lab])[0]] = _finite_number(v, f"e at {lab!r}")
     run = run_approximation(
-        sys, F, doc["epsilon"], N_override=N, e_values=e_values, norm_tol=tol,
+        sys, F, args["epsilon"], N_override=args["N"], e_values=e_values,
+        norm_tol=_ratio_float(args["tol"]),
     )
     fz = run.factorization
     p = run.params
@@ -398,79 +376,137 @@ def run_approx_scenario(doc: dict) -> dict:
     return rep
 
 
-def _ns(**kw) -> argparse.Namespace:
-    return argparse.Namespace(**kw)
-
-
-def run_orbits_scenario(doc: dict) -> dict:
-    return cmd_orbits(_ns(system=_resolve(doc, "system")))
-
-
-def run_markers_scenario(doc: dict) -> dict:
-    return cmd_markers(_ns(system=_resolve(doc, "system"), m=int(doc["m"]), d=doc.get("d")))
-
-
-def run_towers_scenario(doc: dict) -> dict:
-    return cmd_towers(
-        _ns(system=_resolve(doc, "system"), d=doc.get("d"), k=int(doc["k"]),
-            m=int(doc["m"]), epsilon=str(doc["epsilon"]))
-    )
-
-
-def run_periodic_scenario(doc: dict) -> dict:
-    return cmd_periodic(
-        _ns(system=_resolve(doc, "system"), lambda_grid=int(doc.get("lambda_grid", 64)),
-            seed=int(doc.get("seed", DEFAULT_SEED)))
-    )
-
-
-_SCENARIO_RUNNERS = {
-    "norm": run_norm_scenario,
-    "approx": run_approx_scenario,
-    "orbits": run_orbits_scenario,
-    "markers": run_markers_scenario,
-    "towers": run_towers_scenario,
-    "periodic": run_periodic_scenario,
-}
-
-
-def run_scenario(path: str | Path) -> dict:
-    """Dispatch a scenario file to its command runner."""
-    doc = _load_scenario(path)
-    command = doc["command"]
-    if command not in _SCENARIO_RUNNERS:
-        raise ScenarioError(f"unknown scenario command {command!r}")
-    return _SCENARIO_RUNNERS[command](doc)
-
-
-def cmd_scenario_file(args, command: str) -> dict:
-    doc = _load_scenario(args.scenario)
-    if doc["command"] != command:
-        raise ScenarioError(f"scenario {args.scenario} has command {doc['command']!r}, expected {command!r}")
-    if getattr(args, "tol", None) is not None:
-        doc["tol"] = args.tol
-    if getattr(args, "N", None) is not None:
-        doc["N"] = args.N
-    return _SCENARIO_RUNNERS[command](doc)
-
-
-def cmd_verify_all(args) -> dict:
-    suite_path = Path(args.suite)
+def run_suite(args: dict, doc: dict) -> dict:
+    """run every scenario in a suite"""
+    suite_path = Path(args["suite"])
     if not suite_path.exists():
         raise ScenarioError(f"suite file not found: {suite_path}")
-    doc = json.loads(suite_path.read_text())
-    if not isinstance(doc, dict) or not isinstance(doc.get("scenarios"), list):
+    suite = json.loads(suite_path.read_text())
+    if not isinstance(suite, dict) or not isinstance(suite.get("scenarios"), list):
         raise ScenarioError("suite must be an object with a 'scenarios' array")
-    rep = _report_shell("verify-all", {"suite": str(args.suite)})
+    for name in suite:
+        if name != "scenarios":
+            raise ScenarioError(f"suite has unknown field {name!r}")
+    for rel in suite["scenarios"]:
+        if not isinstance(rel, str):
+            raise ScenarioError(f"suite 'scenarios' entries must be paths, got {rel!r}")
+    rep = _report_shell("verify-all", args)
     summary = []
-    for rel in doc["scenarios"]:
-        spath = suite_path.parent / rel
-        sub = run_scenario(spath)
+    for rel in suite["scenarios"]:
+        sub = run_scenario(suite_path.parent / rel)
         ok = all(a["pass"] for a in sub["assertions"])
-        summary.append({"scenario": str(rel), "assertions": len(sub["assertions"]), "pass": ok})
+        summary.append({"scenario": rel, "assertions": len(sub["assertions"]), "pass": ok})
         rep["assertions"].append(_assertion(f"scenario:{rel}", 0 if ok else 1, 0))
     rep["summary"] = summary
     return rep
+
+
+# ---------------------------------------------------------------------------
+# the command table and its one field check
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_ratio(value) -> bool:
+    if isinstance(value, str):
+        try:
+            as_fraction(value)
+        except (ValueError, ZeroDivisionError):
+            return False
+        return True
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# kind -> (test, what a value of that kind must do)
+_KINDS = {
+    "path": (lambda v: isinstance(v, str), "be a path"),
+    "count": (lambda v: _is_int(v) and v >= 0, "be an integer >= 0"),
+    "positive": (lambda v: _is_int(v) and v >= 1, "be an integer >= 1"),
+    "ratio": (_is_ratio, "be a number or a fraction string"),
+    "list": (lambda v: isinstance(v, list), "be a list"),
+    "object": (lambda v: isinstance(v, dict), "be an object"),
+    "labels": (lambda v: isinstance(v, dict), "map point labels to numbers"),
+}
+REQUIRED = object()  # the default of a field that must be given
+
+# command -> (runner, {field: (kind, default)}); a field whose default is None
+# also accepts an explicit null
+COMMANDS = {
+    "orbits": (run_orbits, {"system": ("path", REQUIRED)}),
+    "markers": (run_markers, {
+        "system": ("path", REQUIRED), "m": ("positive", REQUIRED), "d": ("count", None),
+    }),
+    "towers": (run_towers, {
+        "system": ("path", REQUIRED), "d": ("count", None), "k": ("count", REQUIRED),
+        "m": ("positive", REQUIRED), "epsilon": ("ratio", REQUIRED),
+    }),
+    "periodic": (run_periodic, {
+        "system": ("path", REQUIRED), "lambda_grid": ("positive", 64), "seed": ("count", DEFAULT_SEED),
+    }),
+    "norm": (run_norm, {
+        "system": ("path", REQUIRED), "element": ("list", REQUIRED), "tol": ("ratio", 1e-3),
+        "expect": ("object", {}),
+    }),
+    "approx": (run_approx, {
+        "system": ("path", REQUIRED), "elements": ("list", REQUIRED), "epsilon": ("ratio", REQUIRED),
+        "tol": ("ratio", 1e-3), "N": ("positive", None), "e": ("labels", None),
+    }),
+    "verify-all": (run_suite, {"suite": ("path", REQUIRED)}),
+}
+# commands that read their document from --scenario: the flags that override it
+_SCENARIO_FLAGS = {"norm": {"tol": float}, "approx": {"tol": float, "N": int}}
+
+
+def _check(command: str, doc: dict, base: Path | None) -> dict:
+    """Every field of ``command``, taken from ``doc`` or its default and
+    checked against its kind.  Paths resolve against ``base``; None keeps them
+    relative to the working directory."""
+    fields = COMMANDS[command][1]
+    for name in doc:
+        if name != "command" and name not in fields:
+            raise ScenarioError(f"{command} scenario has unknown field {name!r}")
+    args = {}
+    for name, (kind, default) in fields.items():
+        value = doc.get(name, default)
+        if value is REQUIRED:
+            raise ScenarioError(f"{command} scenario needs {name!r}")
+        test, must = _KINDS[kind]
+        if not (test(value) or (value is None and default is None)):
+            raise ScenarioError(f"{command} field {name!r} must {must}, got {value!r}")
+        args[name] = str(base / value) if kind == "path" and base is not None else value
+    return args
+
+
+def _run(command: str, doc: dict, base: Path | None) -> dict:
+    return COMMANDS[command][0](_check(command, doc, base), doc)
+
+
+def _load_scenario(path: str | Path, expected: str | None = None) -> tuple[dict, Path]:
+    """A scenario document and the directory its relative paths resolve against."""
+    p = Path(path)
+    if not p.exists():
+        raise ScenarioError(f"scenario file not found: {p}")
+    try:
+        doc = json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"scenario {p} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or "command" not in doc:
+        raise ScenarioError(f"scenario {p} must be an object with a 'command' field")
+    command = doc["command"]
+    if expected is not None and command != expected:
+        raise ScenarioError(f"scenario {p} has command {command!r}, expected {expected!r}")
+    # a suite does not nest
+    if not isinstance(command, str) or command not in COMMANDS or command == "verify-all":
+        raise ScenarioError(f"unknown scenario command {command!r}")
+    return doc, p.parent
+
+
+def run_scenario(path: str | Path) -> dict:
+    """Run a scenario file; its relative paths resolve against its directory."""
+    doc, base = _load_scenario(path)
+    return _run(doc["command"], doc, base)
 
 
 # ---------------------------------------------------------------------------
@@ -478,79 +514,40 @@ def cmd_verify_all(args) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subcommand per command; its flags are its fields, except for the
+    commands that read a scenario file."""
     parser = argparse.ArgumentParser(
         prog="rokhlin",
         description="Finite-scale markers, towers, crossed-product norms and CP approximations.",
     )
     parser.add_argument("--version", action="version", version=f"rokhlin {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (runner, fields) in COMMANDS.items():
+        p = sub.add_parser(command, help=runner.__doc__)
+        if command in _SCENARIO_FLAGS:
+            p.add_argument("--scenario", required=True)
+            for name, type_ in _SCENARIO_FLAGS[command].items():
+                p.add_argument(f"--{name}", type=type_, help=f"override the scenario's {name!r}")
+        else:
+            for name, (kind, default) in fields.items():
+                p.add_argument(f"--{name.replace('_', '-')}", required=default is REQUIRED,
+                               type=str if kind in ("path", "ratio") else int)
         p.add_argument("--out", type=str, default=None, help="write the JSON report here")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--timing", action="store_true", help="print wall time to stderr")
-
-    p = sub.add_parser("orbits", help="orbit decomposition and quotient summary")
-    p.add_argument("--system", required=True)
-    common(p)
-
-    p = sub.add_parser("markers", help="greedy marker certificate")
-    p.add_argument("--system", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("towers", help="tower pipeline and verification")
-    p.add_argument("--system", required=True)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--epsilon", type=str, required=True)
-    common(p)
-
-    p = sub.add_parser("periodic", help="periodic embedding and spectrum checks")
-    p.add_argument("--system", required=True)
-    p.add_argument("--lambda-grid", type=int, default=64)
-    common(p)
-
-    p = sub.add_parser("norm", help="certified norm of an element scenario")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--tol", type=float, default=None, help="override the scenario tolerance")
-    common(p)
-
-    p = sub.add_parser("approx", help="full approximation scenario")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--tol", type=float, default=None, help="override the scenario tolerance")
-    p.add_argument("--N", type=int, default=None, help="override the orbit-length split")
-    common(p)
-
-    p = sub.add_parser("verify-all", help="run every scenario in a suite")
-    p.add_argument("--suite", required=True)
-    common(p)
-
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.monotonic()
+    flags = _SCENARIO_FLAGS.get(args.command, COMMANDS[args.command][1])
     try:
-        if args.command == "orbits":
-            report = cmd_orbits(args)
-        elif args.command == "markers":
-            report = cmd_markers(args)
-        elif args.command == "towers":
-            report = cmd_towers(args)
-        elif args.command == "periodic":
-            report = cmd_periodic(args)
-        elif args.command == "norm":
-            report = cmd_scenario_file(args, "norm")
-        elif args.command == "approx":
-            report = cmd_scenario_file(args, "approx")
-        elif args.command == "verify-all":
-            report = cmd_verify_all(args)
-        else:  # pragma: no cover
-            raise ScenarioError(f"unknown command {args.command!r}")
+        if args.command in _SCENARIO_FLAGS:
+            doc, base = _load_scenario(args.scenario, args.command)
+        else:
+            doc, base = {}, None
+        doc.update((name, getattr(args, name)) for name in flags if getattr(args, name) is not None)
+        report = _run(args.command, doc, base)
     except (ScenarioError, ValueError, OSError) as exc:
         error = {
             "tool": {"name": "rokhlin", "version": __version__},

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rokhlin.cli import emit_report, main, parse_element, run_scenario
+from rokhlin.cli import COMMANDS, REQUIRED, emit_report, main, parse_element, run_scenario
 from rokhlin.dynsys import load_system
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -228,3 +232,123 @@ class TestMalformedApproxScenarios:
         assert message in rep["error"]["message"]
         assert not rep["assertions"][0]["pass"]
         assert "Traceback" not in captured.err
+
+
+def _shipped(name: str) -> dict:
+    """A shipped scenario with its system path made absolute."""
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    doc["system"] = str(SCENARIOS / doc["system"])
+    return doc
+
+
+def _verify_one(directory: Path, doc) -> tuple[int, str, str]:
+    """``verify-all`` on a suite holding only ``doc``: (exit code, stdout, stderr)."""
+    (directory / "scenario.json").write_text(json.dumps(doc))
+    (directory / "suite.json").write_text(json.dumps({"scenarios": ["scenario.json"]}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["verify-all", "--suite", str(directory / "suite.json")])
+    return rc, out.getvalue(), err.getvalue()
+
+
+_DROP = object()
+
+
+class TestMalformedScenarios:
+    @pytest.mark.parametrize("name, change, field", [
+        ("markers_100", {"m": _DROP}, "m"),
+        ("towers_100", {"epsilon": _DROP}, "epsilon"),
+        ("orbits_3_10", {"system": _DROP}, "system"),
+        ("norm_unitary", {"element": _DROP}, "element"),
+        ("markers_100", {"m": [2]}, "m"),
+        ("towers_100", {"d": "x"}, "d"),
+        ("markers_100", {"d": "1"}, "d"),
+        ("orbits_3_10", {"system": 7}, "system"),
+        ("orbits_3_10", {"system": None}, "system"),
+        ("norm_unitary", {"expect": [1]}, "expect"),
+        ("norm_unitary", {"expect": {"value_at_most": None}}, "value_at_most"),
+        ("suite", None, "scenarios"),
+        ("markers_100", {"m": 2.7}, "m"),
+        ("periodic_2_3_4", {"seed": 1.5}, "seed"),
+        ("towers_100", {"d": -1}, "d"),
+    ], ids=[
+        "no-m", "no-epsilon", "no-system", "no-element", "list-m", "string-d-towers",
+        "string-d-markers", "int-system", "null-system", "list-expect", "null-expect-bound",
+        "non-string-suite-entry", "float-m", "float-seed", "negative-d",
+    ])
+    def test_exit_two_naming_the_field(self, tmp_path, name, change, field):
+        if name == "suite":
+            (tmp_path / "suite.json").write_text(json.dumps({"scenarios": [1]}))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["verify-all", "--suite", str(tmp_path / "suite.json")])
+            out, err = out.getvalue(), err.getvalue()
+        else:
+            doc = _shipped(name)
+            for key, value in change.items():
+                if value is _DROP:
+                    del doc[key]
+                else:
+                    doc[key] = value
+            rc, out, err = _verify_one(tmp_path, doc)
+        assert rc == 2
+        rep = json.loads(out)
+        assert f"'{field}'" in rep["error"]["message"]
+        assert not rep["assertions"][0]["pass"]
+        assert "Traceback" not in err
+
+    def test_unknown_field_rejected(self, tmp_path, capsys):
+        rc, out, _ = _verify_one(tmp_path, dict(_shipped("orbits_3_10"), bogus=1))
+        assert rc == 2
+        assert "'bogus'" in json.loads(out)["error"]["message"]
+        (tmp_path / "suite.json").write_text(json.dumps({"scenarios": [], "bogus": 1}))
+        assert main(["verify-all", "--suite", str(tmp_path / "suite.json")]) == 2
+        assert "'bogus'" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+
+@pytest.mark.parametrize("name", ["orbits_3_10", "markers_100", "towers_100", "periodic_2_3_4"])
+def test_flags_and_scenario_files_are_one_path(name, capsys):
+    doc = _shipped(name)
+    argv = [doc.pop("command")]
+    for key, value in doc.items():
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == emit_report(run_scenario(SCENARIOS / f"{name}.json"), None)
+
+
+# every shipped small scenario; approx_acceptance is left out for time
+_FUZZ_BASES = ["approx_small", "markers_100", "norm_unitary", "orbits_3_10", "periodic_2_3_4", "towers_100"]
+_FUZZ_VALUES = [None, True, -1, 0, 2.5, "x", float("nan"), [], {}, [1]]
+
+
+@st.composite
+def _malformed(draw):
+    doc = _shipped(draw(st.sampled_from(_FUZZ_BASES)))
+    action = draw(st.sampled_from(["drop", "add", "replace"]))
+    if action == "add":
+        doc["bogus"] = draw(st.sampled_from(_FUZZ_VALUES))
+        return doc
+    key = draw(st.sampled_from(sorted(doc)))
+    if action == "drop":
+        del doc[key]
+    else:
+        doc[key] = draw(st.sampled_from(_FUZZ_VALUES))
+    return doc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(doc=_malformed())
+def test_malformed_documents_never_crash(tmp_path_factory, doc):
+    rc, out, err = _verify_one(tmp_path_factory.mktemp("fuzz"), doc)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert "error" in json.loads(out)
+    assert "Traceback" not in err
+
+
+def test_readme_lists_every_field():
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    for command, (_, fields) in COMMANDS.items():
+        for name, (kind, default) in fields.items():
+            shown = "required" if default is REQUIRED else f"`{json.dumps(default)}`"
+            assert f"| `{command}` | `{name}` | {kind} | {shown} |" in readme
