@@ -329,6 +329,18 @@ class IdealSide:
     def window_dim(self) -> int:
         return 2 * self.params.m + 1
 
+    def _windowed(self, l: int, b: CrossedElement):
+        """Per band i of b that fits the window: (i, cols, vals) with vals[s, c]
+        = sqrt(mu_j) f_i (sqrt(mu_{j-i}) o alpha_{-i}) at alpha_j of anchor s,
+        for the rungs j = cols[c] - m."""
+        m = self.params.m
+        points, root = self.family.points[l], self.root[l]
+        for i, f in b.coeffs.items():
+            if abs(i) > 2 * m:
+                continue
+            cols = np.arange(max(0, i), min(2 * m, 2 * m + i) + 1)
+            yield i, cols, f[points[:, cols]] * root[:, cols] * root[:, cols - i]
+
     def summing(self, l: int, b: CrossedElement) -> dict[tuple[int, int], dict[int, complex]]:
         """Windowed compression of b at level l, as sparse block functions.
 
@@ -336,14 +348,9 @@ class IdealSide:
         alpha_j of each anchor, pulled back to the anchor.
         """
         m = self.params.m
-        points, root = self.family.points[l], self.root[l]
-        anchors = points[:, m]
+        anchors = self.family.points[l, :, m]
         blocks: dict[tuple[int, int], dict[int, complex]] = {}
-        for i, f in b.coeffs.items():
-            if abs(i) > 2 * m:
-                continue
-            cols = np.arange(max(0, i), min(2 * m, 2 * m + i) + 1)  # rung j = col - m
-            vals = f[points[:, cols]] * root[:, cols] * root[:, cols - i]
+        for i, cols, vals in self._windowed(l, b):
             for col, column in zip(cols.tolist(), vals.T):
                 nz = np.flatnonzero(column)
                 if nz.size:
@@ -357,16 +364,25 @@ class IdealSide:
         for (j, jp), fn in blocks.items():
             power = j - jp
             arr = coeffs.setdefault(power, np.zeros(sys.n, dtype=np.complex128))
-            back = sys.power_perm(j)
-            for x, v in fn.items():
-                arr[int(back[x])] += v  # (f o alpha_{-j}) at alpha_j(x)
+            # (f o alpha_{-j}) at alpha_j(x); alpha_j is a permutation, so no
+            # index repeats within a block
+            at = sys.power_perm(j)[np.fromiter(fn, dtype=np.int64, count=len(fn))]
+            arr[at] += np.fromiter(fn.values(), dtype=np.complex128, count=len(fn))
         return CrossedElement(sys, coeffs)
 
     def composite(self, b: CrossedElement) -> CrossedElement:
-        """Sum over levels of (return o summing)(b)."""
-        out = CrossedElement.zero(self.params.sys)
+        """Sum over levels of (return o summing)(b), straight from tower
+        coordinates: block (j, j - i) at anchor s returns to power i at
+        alpha_j(s) = points[l, s, j + m], and the translates of a level are
+        disjoint, so no point repeats within a band."""
+        sys = self.params.sys
+        out = CrossedElement.zero(sys)
         for l in range(self.levels):
-            out = out + self.returning(self.summing(l, b))
+            coeffs: dict[int, np.ndarray] = {}
+            for i, cols, vals in self._windowed(l, b):
+                coeffs[i] = np.zeros(sys.n, dtype=np.complex128)
+                coeffs[i][self.family.points[l][:, cols]] += vals
+            out = out + CrossedElement(sys, coeffs)
         return out
 
     def sqrt_step_sup(self) -> float:

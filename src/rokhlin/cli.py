@@ -9,12 +9,13 @@ from ``--scenario`` and overlay ``--tol``/``--N``; ``run_scenario`` (and so
 against the file's directory.  Every document passes one field check before
 its runner runs: an unknown field, a missing required field or a value of the
 wrong kind is a ``ScenarioError`` naming the field, reported as a structured
-error with exit status 2.
+error with exit status 2.  ``verify-all`` reports such an error as the failed
+summary row of its scenario, runs the others, and exits 2.
 
 Reports are JSON with sorted keys and fixed 17-significant-digit float
-formatting, so identical runs produce byte-identical files.  The exit status
-is 0 exactly when every assertion row passes.  Wall-clock timing goes to
-stderr, never into the report bytes.
+formatting, so identical runs produce byte-identical files.  Otherwise the
+exit status is 0 exactly when every assertion row passes.  Wall-clock timing
+goes to stderr, never into the report bytes.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ DEFAULT_SEED = 20260809
 
 class ScenarioError(ValueError):
     """A scenario file is malformed or references missing inputs."""
+
+
+# what malformed or missing input raises: a structured error and exit 2
+_INPUT_ERRORS = (ScenarioError, ValueError, OSError)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +99,10 @@ def _assertion(name: str, measured: float, bound: float, passed: bool | None = N
         "bound": float(bound),
         "pass": bool(measured <= bound if passed is None else passed),
     }
+
+
+def _error(exc: Exception) -> dict:
+    return {"type": type(exc).__name__, "message": str(exc)}
 
 
 def _report_shell(command: str, scenario: dict) -> dict:
@@ -167,7 +176,7 @@ def parse_element(sys: FiniteDynamicalSystem, literal) -> CrossedElement:
 
 
 def _ratio_float(value) -> float:
-    """A number or fraction string as a float; NaN is left to the solver's check."""
+    """A number or fraction string as a float."""
     return float(as_fraction(value)) if isinstance(value, str) else float(value)
 
 
@@ -393,7 +402,12 @@ def run_suite(args: dict, doc: dict) -> dict:
     rep = _report_shell("verify-all", args)
     summary = []
     for rel in suite["scenarios"]:
-        sub = run_scenario(suite_path.parent / rel)
+        try:
+            sub = run_scenario(suite_path.parent / rel)
+        except _INPUT_ERRORS as exc:  # fails this row only; main exits 2
+            summary.append({"scenario": rel, "assertions": 0, "pass": False, "error": _error(exc)})
+            rep["assertions"].append(_assertion(f"scenario:{rel}", 1, 0))
+            continue
         ok = all(a["pass"] for a in sub["assertions"])
         summary.append({"scenario": rel, "assertions": len(sub["assertions"]), "pass": ok})
         rep["assertions"].append(_assertion(f"scenario:{rel}", 0 if ok else 1, 0))
@@ -410,13 +424,12 @@ def _is_int(value) -> bool:
 
 
 def _is_ratio(value) -> bool:
-    if isinstance(value, str):
-        try:
-            as_fraction(value)
-        except (ValueError, ZeroDivisionError):
-            return False
-        return True
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return False
+    try:
+        return math.isfinite(_ratio_float(value))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return False
 
 
 # kind -> (test, what a value of that kind must do)
@@ -424,7 +437,7 @@ _KINDS = {
     "path": (lambda v: isinstance(v, str), "be a path"),
     "count": (lambda v: _is_int(v) and v >= 0, "be an integer >= 0"),
     "positive": (lambda v: _is_int(v) and v >= 1, "be an integer >= 1"),
-    "ratio": (_is_ratio, "be a number or a fraction string"),
+    "ratio": (_is_ratio, "be a number or a fraction string with a finite value"),
     "list": (lambda v: isinstance(v, list), "be a list"),
     "object": (lambda v: isinstance(v, dict), "be an object"),
     "labels": (lambda v: isinstance(v, dict), "map point labels to numbers"),
@@ -548,11 +561,11 @@ def main(argv=None) -> int:
             doc, base = {}, None
         doc.update((name, getattr(args, name)) for name in flags if getattr(args, name) is not None)
         report = _run(args.command, doc, base)
-    except (ScenarioError, ValueError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         error = {
             "tool": {"name": "rokhlin", "version": __version__},
             "command": args.command,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
+            "error": _error(exc),
             "assertions": [{"name": "error", "measured": 1.0, "bound": 0.0, "pass": False}],
         }
         print(emit_report(error, args.out), end="")
@@ -565,8 +578,11 @@ def main(argv=None) -> int:
     if args.command == "verify-all":
         lines = ["scenario".ljust(40) + "assertions  pass"]
         for row in report["summary"]:
-            lines.append(f"{row['scenario']:<40}{row['assertions']:>10}  {row['pass']}")
+            status = f"error: {row['error']['message']}" if "error" in row else row["pass"]
+            lines.append(f"{row['scenario']:<40}{row['assertions']:>10}  {status}")
         print("\n".join(lines), file=_sys.stderr)
+        if any("error" in row for row in report["summary"]):
+            return 2
     return 0 if all(a["pass"] for a in report["assertions"]) else 1
 
 

@@ -13,10 +13,13 @@ chosen from an explicit Lipschitz bound, so the reported value is certified
 from below and value + tol from above.
 
 Fiber spectral norms come from a dense Hermitian eigensolver on cycles of at
-most 32 points and on fibers given only by matrices, and otherwise from one
-lockstep Lanczos run on a(lam)*a(lam) over all grid points of a chunk.  Its top
-Ritz value grows with the step count (interlacing) and, even without
-reorthogonalization, stays below the top eigenvalue up to roundoff (Paige).
+most 32 points and on fibers given only by matrices, and otherwise from
+Lanczos on a(lam)*a(lam): grid point 0 alone from a fixed-seed random vector,
+then every other point, in lockstep chunks, from point 0's top Ritz vector.
+The fiber's top singular vector moves little with lam, so the warm start
+settles in a few steps.  A top Ritz value grows with the step count
+(interlacing) and, from any start and even without reorthogonalization, stays
+below the top eigenvalue up to roundoff (Paige).
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ _UNIT_TOL = 1e-12
 _DENSE_MAX_L = 32
 _LANCZOS_SEED = 0x5EED
 # random banded elements on cycles of 48-300 points settle to _REL_TOL within
-# 20-40 steps; points still moving at the cap count as NormResult.unconverged
+# 20-40 steps from the seed vector and mostly within 8 from a warm start;
+# points still moving at the cap count as NormResult.unconverged
 _LANCZOS_MAX_STEPS = 256
 _RITZ_EVERY = 4
 _BISECT_STEPS = 50
@@ -414,12 +418,12 @@ class CombinedFiber:
         return out
 
 
-def _sigma_max_dense(fiber, lams: np.ndarray) -> tuple[np.ndarray, int]:
+def _sigma_max_dense(fiber, lams: np.ndarray) -> np.ndarray:
     mats = fiber.matrices(lams)
     if mats.shape[1] == 1:
-        return np.abs(mats[:, 0, 0]), 0
+        return np.abs(mats[:, 0, 0])
     gram = mats.conj().transpose(0, 2, 1) @ mats
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0)), 0
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
 
 def _top_ritz(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -445,21 +449,33 @@ def _top_ritz(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return lo
 
 
-def _sigma_max_lanczos(fiber: ElementOrbitFiber, lams: np.ndarray) -> tuple[np.ndarray, int]:
+def _sigma_max_lanczos(fiber: ElementOrbitFiber, lams: np.ndarray, start: np.ndarray | None = None):
     """Largest singular value per lam by Lanczos on a*a, in lockstep over all
-    lams, from one fixed-seed start vector and without reorthogonalization.
-    Top Ritz values are recomputed every _RITZ_EVERY steps (every k/4 once
-    longer); a lam whose estimate moved by at most _REL_TOL relative since the
-    last check leaves the batch.  Returns the estimates and the number of
-    lams still moving at the step cap."""
-    re, im = np.random.default_rng(_LANCZOS_SEED).standard_normal((2, fiber.L))
-    q = np.tile((re + 1j * im) / np.linalg.norm(re + 1j * im), (len(lams), 1))
+    lams, from one start vector (``start``, normalized, or else a fixed-seed
+    random one) and without reorthogonalization.  Top Ritz values are
+    recomputed every _RITZ_EVERY steps (every k/4 once longer); a lam whose
+    estimate moved by at most _REL_TOL relative since the last check leaves
+    the batch.  Any start gives lower bounds: a Ritz value never exceeds the
+    top eigenvalue, up to roundoff.
+
+    Returns the estimates, the number of lams still moving at the step cap,
+    the number of Lanczos steps summed over the lams, and, for a single lam,
+    its top Ritz vector Q y (Q the Lanczos basis, y the top eigenvector of
+    the tridiagonal), else None."""
+    if start is None or not np.linalg.norm(start) > 0:  # a fiber vanishing at the seed point
+        re, im = np.random.default_rng(_LANCZOS_SEED).standard_normal((2, fiber.L))
+        start = re + 1j * im
+    q = np.tile(start / np.linalg.norm(start), (len(lams), 1))
     q_prev = np.zeros_like(q)
     alpha, beta = np.zeros((2, _LANCZOS_MAX_STEPS, len(lams)))
     est, active = np.zeros(len(lams)), np.arange(len(lams))
     apply, apply_adj = fiber.matvec_pair(lams)
-    check = _RITZ_EVERY
+    basis = [] if len(lams) == 1 else None
+    check, steps = _RITZ_EVERY, 0
     for k in range(1, _LANCZOS_MAX_STEPS + 1):
+        steps += len(active)
+        if basis is not None:
+            basis.append(q[0])
         w = apply_adj(apply(q))
         alpha[k - 1] = np.vecdot(q, w).real
         w -= alpha[k - 1, :, None] * q + beta[k - 2, :, None] * q_prev  # q_prev = 0 at k = 1
@@ -478,7 +494,12 @@ def _sigma_max_lanczos(fiber: ElementOrbitFiber, lams: np.ndarray) -> tuple[np.n
                 break
             q, q_prev, alpha, beta = q[keep], q_prev[keep], alpha[:, keep], beta[:, keep]
             apply, apply_adj = fiber.matvec_pair(lams[active])
-    return est, len(active)
+    ritz = None
+    if basis is not None:
+        k = len(basis)
+        tri = np.diag(alpha[:k, 0]) + np.diag(beta[: k - 1, 0], 1) + np.diag(beta[: k - 1, 0], -1)
+        ritz = np.linalg.eigh(tri)[1][:, -1] @ np.array(basis)
+    return est, len(active), steps, ritz
 
 
 @dataclass(frozen=True)
@@ -488,8 +509,9 @@ class NormResult:
     The true norm lies in [value, value + tol]; ``argmax`` records the orbit
     base label and circle point attaining the reported value, ``grids`` the
     per-orbit grid sizes, ``per_orbit`` the per-orbit maxima with their
-    attaining circle points, and ``unconverged`` the number of grid points
-    whose Lanczos estimate was still moving at the step cap.
+    attaining circle points, ``unconverged`` the number of grid points
+    whose Lanczos estimate was still moving at the step cap, and
+    ``lanczos_steps`` the Lanczos steps summed over all grid points.
     """
 
     value: float
@@ -498,6 +520,7 @@ class NormResult:
     grids: dict[str, int]
     per_orbit: dict[str, tuple[float, complex]] = None
     unconverged: int = 0
+    lanczos_steps: int = 0
 
     @property
     def upper(self) -> float:
@@ -513,7 +536,7 @@ def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float) -> 
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    value, argmax, unconverged = 0.0, None, 0
+    value, argmax, unconverged, lanczos_steps = 0.0, None, 0, 0
     grids: dict[str, int] = {}
     per_orbit: dict[str, tuple[float, complex]] = {}
     for fiber in fibers:
@@ -525,20 +548,24 @@ def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float) -> 
         grids[label] = n
         lanczos = isinstance(fiber, ElementOrbitFiber) and fiber.L > _DENSE_MAX_L
         chunk = min(_GRID_CHUNK, max(64, int(2e7 / (fiber.L * fiber.L))))
-        full = _grid(n)
-        best, best_lam = 0.0, complex(1.0)
-        for start in range(0, n, chunk):
-            lams = full[start : start + chunk]
-            sig, stuck = (_sigma_max_lanczos if lanczos else _sigma_max_dense)(fiber, lams)
-            unconverged += stuck
-            j = int(np.argmax(sig))
-            if sig[j] > best:
-                best, best_lam = float(sig[j]), complex(lams[j])
+        full, sig = _grid(n), np.empty(n)
+        if lanczos:
+            # grid point 0 from the fixed seed; its top Ritz vector starts the rest
+            sig[:1], stuck, steps, ritz = _sigma_max_lanczos(fiber, full[:1])
+            unconverged, lanczos_steps = unconverged + stuck, lanczos_steps + steps
+            for lo in range(1, n, chunk):
+                sig[lo : lo + chunk], stuck, steps, _ = _sigma_max_lanczos(fiber, full[lo : lo + chunk], ritz)
+                unconverged, lanczos_steps = unconverged + stuck, lanczos_steps + steps
+        else:
+            for lo in range(0, n, chunk):
+                sig[lo : lo + chunk] = _sigma_max_dense(fiber, full[lo : lo + chunk])
+        j = int(np.argmax(sig))
+        best, best_lam = float(sig[j]), complex(full[j])
         per_orbit[label] = (best, best_lam)
         if best > value:
             value, argmax = best, (label, best_lam)
     return NormResult(value=value, tol=float(tol), argmax=argmax, grids=grids,
-                      per_orbit=per_orbit, unconverged=unconverged)
+                      per_orbit=per_orbit, unconverged=unconverged, lanczos_steps=lanczos_steps)
 
 
 def norm(a: CrossedElement, tol: float = 1e-3) -> NormResult:

@@ -291,6 +291,22 @@ class TestIdealSide:
             expected = weight * b.coefficient(1)
             assert np.abs(out.coefficient(1) - expected).max() < 1e-12
 
+    def test_composite_is_return_of_summing(self):
+        # composite works from tower coordinates; the block path
+        # returning(summing(l, b)) summed over levels is its reference, bit
+        # for bit, on a random element with bands inside and outside the window
+        sys, ideal = self.sys, self.ideal
+        rng = np.random.default_rng(6)
+        powers = (-2 * ideal.params.m - 1, -3, -1, 0, 1, 2, 2 * ideal.params.m)
+        b = CrossedElement(sys, {i: rng.standard_normal(sys.n) + 1j * rng.standard_normal(sys.n) for i in powers})
+        for a in (b, *self.F):
+            ref = CrossedElement.zero(sys)
+            for l in range(ideal.levels):
+                ref = ref + ideal.returning(ideal.summing(l, a))
+            out = ideal.composite(a)
+            assert out.support == ref.support and ref.support
+            assert all(np.array_equal(out.coefficient(i), ref.coefficient(i)) for i in ref.support)
+
     def test_diagonal_units_return_functions(self):
         # f (x) E_{ii} with f on the support returns a power-zero element
         ideal = self.ideal

@@ -155,7 +155,7 @@ class TestMalformedNormScenarios:
         ([{"power": 0, "coefficients": {"c0p0": [float("nan"), 0.0]}}], 1e-3, "'c0p0' at power 0"),
         ([{"power": 1, "coefficients": {"c1p3": [1.0, float("inf")]}}], 1e-3, "'c1p3' at power 1"),
         ([{"power": -1, "constant": [1.0]}], 1e-3, "constant at power -1"),
-        (VALID, float("nan"), "tol must be finite"),
+        (VALID, float("nan"), "norm field 'tol' must be a number or a fraction string with a finite value"),
     ], ids=["nan-coefficient", "inf-coefficient", "one-element-constant", "nan-tol"])
     def test_exit_two_with_error_object(self, tmp_path, capsys, element, tol, message):
         spath = write_system(tmp_path)
@@ -214,7 +214,10 @@ class TestMalformedApproxScenarios:
         ({"epsilon": None}, "needs 'epsilon'"),
         ({"N": "x"}, "'N' must be an integer"),
         ({"tol": [1e-3]}, "'tol' must be a number"),
-    ], ids=["nan-e", "list-e", "pair-e-value", "no-elements", "no-epsilon", "string-N", "list-tol"])
+        ({"epsilon": float("nan")}, "approx field 'epsilon' must be a number or a fraction string with a finite value"),
+        ({"tol": float("-inf")}, "approx field 'tol' must be a number or a fraction string with a finite value"),
+    ], ids=["nan-e", "list-e", "pair-e-value", "no-elements", "no-epsilon", "string-N", "list-tol", "nan-epsilon",
+            "minus-inf-tol"])
     def test_exit_two_with_error_object(self, tmp_path, capsys, change, message):
         doc = json.loads((SCENARIOS / "approx_small.json").read_text())
         doc["system"] = str(SCENARIOS / doc["system"])
@@ -241,14 +244,25 @@ def _shipped(name: str) -> dict:
     return doc
 
 
-def _verify_one(directory: Path, doc) -> tuple[int, str, str]:
-    """``verify-all`` on a suite holding only ``doc``: (exit code, stdout, stderr)."""
-    (directory / "scenario.json").write_text(json.dumps(doc))
-    (directory / "suite.json").write_text(json.dumps({"scenarios": ["scenario.json"]}))
+def _verify(directory: Path, docs: dict) -> tuple[int, dict, str]:
+    """``verify-all`` on a suite of the scenario files ``docs`` (name ->
+    document): (exit code, report, stderr)."""
+    for name, doc in docs.items():
+        (directory / name).write_text(json.dumps(doc))
+    (directory / "suite.json").write_text(json.dumps({"scenarios": list(docs)}))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(["verify-all", "--suite", str(directory / "suite.json")])
-    return rc, out.getvalue(), err.getvalue()
+    return rc, json.loads(out.getvalue()), err.getvalue()
+
+
+def _verify_one(directory: Path, doc) -> tuple[int, dict | None, str]:
+    """``verify-all`` on a suite holding only ``doc``: (exit code, the error
+    of its summary row or None, stderr)."""
+    rc, rep, err = _verify(directory, {"scenario.json": doc})
+    (row,) = rep["summary"]
+    assert row["pass"] == rep["assertions"][0]["pass"]
+    return rc, row.get("error"), err
 
 
 _DROP = object()
@@ -282,7 +296,9 @@ class TestMalformedScenarios:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 rc = main(["verify-all", "--suite", str(tmp_path / "suite.json")])
-            out, err = out.getvalue(), err.getvalue()
+            rep, err = json.loads(out.getvalue()), err.getvalue()
+            assert not rep["assertions"][0]["pass"]
+            error = rep["error"]
         else:
             doc = _shipped(name)
             for key, value in change.items():
@@ -290,17 +306,27 @@ class TestMalformedScenarios:
                     del doc[key]
                 else:
                     doc[key] = value
-            rc, out, err = _verify_one(tmp_path, doc)
+            rc, error, err = _verify_one(tmp_path, doc)
         assert rc == 2
-        rep = json.loads(out)
-        assert f"'{field}'" in rep["error"]["message"]
-        assert not rep["assertions"][0]["pass"]
+        assert f"'{field}'" in error["message"]
         assert "Traceback" not in err
 
-    def test_unknown_field_rejected(self, tmp_path, capsys):
-        rc, out, _ = _verify_one(tmp_path, dict(_shipped("orbits_3_10"), bogus=1))
+    def test_bad_entry_does_not_hide_the_others(self, tmp_path):
+        bad = dict(_shipped("markers_100"), m=0)
+        rc, rep, err = _verify(tmp_path, {"bad.json": bad, "good.json": _shipped("orbits_3_10")})
         assert rc == 2
-        assert "'bogus'" in json.loads(out)["error"]["message"]
+        assert [row["scenario"] for row in rep["summary"]] == ["bad.json", "good.json"]
+        bad_row, good_row = rep["summary"]
+        assert not bad_row["pass"] and bad_row["assertions"] == 0
+        assert bad_row["error"]["type"] == "ScenarioError" and "'m'" in bad_row["error"]["message"]
+        assert good_row["pass"] and good_row["assertions"] > 0 and "error" not in good_row
+        assert [a["pass"] for a in rep["assertions"]] == [False, True]
+        assert "error: markers field 'm'" in err and "Traceback" not in err
+
+    def test_unknown_field_rejected(self, tmp_path, capsys):
+        rc, error, _ = _verify_one(tmp_path, dict(_shipped("orbits_3_10"), bogus=1))
+        assert rc == 2
+        assert "'bogus'" in error["message"]
         (tmp_path / "suite.json").write_text(json.dumps({"scenarios": [], "bogus": 1}))
         assert main(["verify-all", "--suite", str(tmp_path / "suite.json")]) == 2
         assert "'bogus'" in json.loads(capsys.readouterr().out)["error"]["message"]
@@ -339,10 +365,9 @@ def _malformed(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(doc=_malformed())
 def test_malformed_documents_never_crash(tmp_path_factory, doc):
-    rc, out, err = _verify_one(tmp_path_factory.mktemp("fuzz"), doc)
+    rc, error, err = _verify_one(tmp_path_factory.mktemp("fuzz"), doc)
     assert rc in (0, 1, 2)
-    if rc == 2:
-        assert "error" in json.loads(out)
+    assert (rc == 2) == (error is not None)
     assert "Traceback" not in err
 
 

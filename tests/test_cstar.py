@@ -6,6 +6,8 @@ from rokhlin.cstar import (
     ElementOrbitFiber,
     HostMismatchError,
     InterpolationFiber,
+    _grid,
+    _sigma_max_lanczos,
     holonomy,
     norm,
     orbit_isomorphism,
@@ -361,21 +363,18 @@ class TestOracleAgreement:
         # its top two singular values lie 3.7% apart, so power iteration
         # gains only a factor 0.93 per step and 100 steps leave it up to
         # 2e-7 (relative) short on the norm's 256-point grid, worst at point 45
-        rng = np.random.default_rng(20261017)
-        rng.standard_normal(16 * (48 + 96 + 128))  # the pool's earlier draws
-        bands = {}
-        for power in (-1, 0, 1):
-            z = rng.standard_normal(192) + 1j * rng.standard_normal(192)
-            bands[power] = z / np.abs(z).max() / 3
-        sys = make_cycle_system([192])
-        cyc = sys.orbits().cycles[0]
-        slots = [cyc.order[(-r) % 192] for r in range(192)]
-        coeffs = {}
-        for power, z in bands.items():
-            coeffs[power] = np.zeros(192, dtype=np.complex128)
-            coeffs[power][slots] = z
-        fib = ElementOrbitFiber(CrossedElement(sys, coeffs), cyc)
+        _, fib = _close_top_pair_element()
         self._assert_matches_svd(fib, np.exp(2j * np.pi * np.array([13, 45, 88, 89]) / 256))
+
+    def test_warm_start_at_most_halves_the_steps(self):
+        # every grid point after the first starts from point 0's Ritz vector;
+        # the count is exact, so it repeats
+        a, fib = _close_top_pair_element()
+        result = norm(a, 1e-2)
+        assert result.grids == {a.sys.labels[0]: 256}
+        _, _, cold, _ = _sigma_max_lanczos(fib, _grid(256))
+        assert 256 * 8 <= result.lanczos_steps <= cold / 2
+        assert norm(a, 1e-2).lanczos_steps == result.lanczos_steps
 
     def test_unconverged_counts_points_at_the_cap(self):
         # u + 1/2 on a 300-cycle: the top of a*a is a cluster of width
@@ -389,13 +388,95 @@ class TestOracleAgreement:
 
     @staticmethod
     def _assert_matches_svd(fib, lams):
-        from rokhlin.cstar import _sigma_max_lanczos
-
-        fast, unconverged = _sigma_max_lanczos(fib, lams)
+        fast, unconverged, _, _ = _sigma_max_lanczos(fib, lams)
         exact = np.array([np.linalg.svd(m, compute_uv=False)[0] for m in fib.matrices(lams)])
         assert unconverged == 0
         assert np.abs(fast - exact).max() <= 1e-10 * exact.max()
         assert np.all(fast <= exact * (1 + 1e-12))
+
+
+def _close_top_pair_element():
+    """The radius-1 element on a 192-cycle of the benchmark pool, with its fiber."""
+    rng = np.random.default_rng(20261017)
+    rng.standard_normal(16 * (48 + 96 + 128))  # the pool's earlier draws
+    bands = {}
+    for power in (-1, 0, 1):
+        z = rng.standard_normal(192) + 1j * rng.standard_normal(192)
+        bands[power] = z / np.abs(z).max() / 3
+    sys = make_cycle_system([192])
+    a = _element_on_slots(sys, bands)
+    return a, ElementOrbitFiber(a, sys.orbits().cycles[0])
+
+
+def _element_on_slots(sys, bands):
+    """Element of a one-cycle system from band values in fiber slot order."""
+    L = sys.n
+    cyc = sys.orbits().cycles[0]
+    slots = [cyc.order[(-r) % L] for r in range(L)]
+    coeffs = {}
+    for power, z in bands.items():
+        coeffs[power] = np.zeros(L, dtype=np.complex128)
+        coeffs[power][slots] = z
+    return CrossedElement(sys, coeffs)
+
+
+def _seam_element(L):
+    """c = 1/2 on the slots L-1 and 0 next to the seam, coupled by u and u*
+    through the lam corner, and zero elsewhere: the fiber norm is 3/2 at
+    every lam, but the top singular vector turns with lam, and at lam = -1 it
+    is orthogonal to the one at lam = 1."""
+    bands = {power: np.zeros(L, dtype=np.complex128) for power in (-1, 0, 1)}
+    bands[0][[L - 1, 0]] = 0.5
+    bands[1][L - 1] = bands[-1][0] = 1.0
+    return _element_on_slots(make_cycle_system([L]), bands)
+
+
+class TestWarmStart:
+    """Norms on the Lanczos path, where every grid point after the first
+    starts from point 0's top Ritz vector, against a dense eigensolve over
+    the same grid."""
+
+    @staticmethod
+    def _assert_matches_dense(a):
+        fib = ElementOrbitFiber(a, a.sys.orbits().cycles[0])
+        # a 32-point grid keeps the dense side cheap on the longer cycles
+        result = norm(a, fib.lip() * np.pi / 24 if fib.lip() > 0 else 1e-3)
+        (n,) = result.grids.values()
+        mats = fib.matrices(_grid(n))
+        dense = np.sqrt(np.linalg.eigvalsh(mats.conj().transpose(0, 2, 1) @ mats)[:, -1].max())
+        assert result.unconverged == 0
+        assert abs(result.value - dense) <= 1e-10 * dense
+        assert result.value <= dense * (1 + 1e-12)
+        return result
+
+    @pytest.mark.parametrize("L", [33, 48, 97, 150, 300])
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    def test_random_element(self, L, radius):
+        rng = np.random.default_rng(40 + 11 * L + radius)
+        result = self._assert_matches_dense(random_element(make_cycle_system([L]), radius, rng, scale=0.3))
+        assert sum(result.grids.values()) == (32 if radius else 1)
+
+    @pytest.mark.parametrize("L", [33, 97, 150])
+    def test_weight_next_to_the_seam(self, L):
+        a = _seam_element(L)
+        assert self._assert_matches_dense(a).value == pytest.approx(1.5, rel=1e-14)
+        # point by point as well, from a start orthogonal to the top vector
+        fib = ElementOrbitFiber(a, a.sys.orbits().cycles[0])
+        lams = _grid(32)
+        _, _, _, ritz = _sigma_max_lanczos(fib, lams[:1])
+        warm, unconverged, _, _ = _sigma_max_lanczos(fib, lams[1:], ritz)
+        _, sv, vh = np.linalg.svd(fib.matrices(lams[1:]))
+        overlap = np.abs(vh[:, 0] @ ritz) / np.linalg.norm(ritz)
+        assert unconverged == 0 and overlap[15] < 1e-12  # lam = -1
+        assert np.abs(warm - sv[:, 0]).max() <= 1e-10 * sv[:, 0].max()
+
+
+    def test_fiber_vanishing_at_the_first_point(self):
+        # 1 - u^40 on a 40-cycle is (1 - lam) times the identity: point 0
+        # leaves a zero Ritz vector, and the other points fall back to the seed
+        sys = make_cycle_system([40])
+        a = CrossedElement.from_function(sys, np.ones(40)) - CrossedElement.unitary(sys, 40)
+        assert self._assert_matches_dense(a).value == pytest.approx(2.0, rel=1e-14)
 
 
 class TestFibers:
