@@ -58,20 +58,44 @@ _INPUT_ERRORS = (ScenarioError, ValueError, OSError)
 # deterministic JSON
 
 
-def _dump(obj, indent: int = 0) -> str:
-    pad = "  " * indent
+_escape = json.encoder.encode_basestring_ascii  # what json.dumps(str) calls
+
+
+def _texts(values, pad: str) -> list[str]:
+    """The JSON text of each value; when the values share one exact type it
+    is checked once, for the whole container."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        return [f"{v:.17g}" for v in values]
+    if kind is str:
+        return list(map(_escape, values))
+    return [_text(v, pad) for v in values]
+
+
+def _text(obj, pad: str) -> str:
+    """The JSON text of one value whose line starts with ``pad``."""
+    kind = type(obj)
+    if kind is float:
+        return f"{obj:.17g}"
+    if kind is str:
+        return _escape(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = []
-        for key in sorted(obj):
-            items.append(f'{pad}  {json.dumps(str(key))}: {_dump(obj[key], indent + 1)}')
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+        keys = sorted(obj)
+        inner = pad + "  "
+        names = map(_escape, map(str, keys))
+        items = [f"{n}: {t}" for n, t in zip(names, _texts([obj[key] for key in keys], inner))]
+        return "{\n" + inner + (",\n" + inner).join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{pad}  {_dump(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        inner = pad + "  "
+        return "[\n" + inner + (",\n" + inner).join(_texts(obj, inner)) + f"\n{pad}]"
+    if kind is int:
+        return str(obj)
+    # numpy scalars, complex numbers and subclasses
     if isinstance(obj, bool) or obj is None or isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
@@ -79,13 +103,13 @@ def _dump(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return format(float(obj), ".17g")
     if isinstance(obj, complex):
-        return _dump([obj.real, obj.imag], indent)
+        return _text([obj.real, obj.imag], pad)
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def emit_report(report: dict, path: str | Path | None) -> str:
     """Serialize a report deterministically; write it if a path is given."""
-    text = _dump(report) + "\n"
+    text = _text(report, "") + "\n"
     if path is not None:
         Path(path).write_text(text)
     return text
@@ -235,15 +259,21 @@ def run_markers(args: dict, doc: dict) -> dict:
     return rep
 
 
-def _rung_values(family: TowerFamily, l: int) -> dict:
-    """Nonzero tower values of level l keyed by rung, then by point label."""
+def _rung_values(family: TowerFamily, l: int, rank: np.ndarray) -> dict:
+    """Nonzero tower values of level l keyed by rung, then by point label.
+
+    ``rank[x]`` is the place of point x's label in sorted order; each rung's
+    table is built in that order, so the encoder's sort finds it sorted.
+    """
+    labels = family.sys.labels
     out = {}
     for col in range(2 * family.m + 1):
         nz = np.flatnonzero(family.num[l, :, col])
         if nz.size:
-            points = family.points[l, nz, col].tolist()
-            values = (family.num[l, nz, col] / family.den).tolist()
-            out[str(col - family.m)] = {family.sys.labels[x]: v for x, v in zip(points, values)}
+            points = family.points[l, nz, col]
+            order = np.argsort(rank[points])
+            values = (family.num[l, nz[order], col] / family.den).tolist()
+            out[str(col - family.m)] = {labels[x]: v for x, v in zip(points[order].tolist(), values)}
     return out
 
 
@@ -255,6 +285,8 @@ def run_towers(args: dict, doc: dict) -> dict:
     rep = _report_shell("towers", dict(args, d=d, epsilon=eps))
     family = build_tower_family(sys, d, args["k"], args["m"], eps, range(sys.n))
     tower = verify_tower(family)
+    rank = np.empty(sys.n, dtype=np.intp)
+    rank[sorted(range(sys.n), key=sys.labels.__getitem__)] = np.arange(sys.n)
     rep["towers"] = {
         "levels": family.levels,
         "k_prime": family.k_prime,
@@ -262,7 +294,7 @@ def run_towers(args: dict, doc: dict) -> dict:
         "step_bound": tower.step_bound,
         "step_measured": tower.step_measured,
         "conservation_exact": tower.conservation_exact,
-        "values": [_rung_values(family, l) for l in range(family.levels)],
+        "values": [_rung_values(family, l, rank) for l in range(family.levels)],
     }
     rep["assertions"].append(_assertion("conservation_error", tower.conservation_error, 1e-12))
     rep["assertions"].append(_assertion("step_measured", tower.step_measured, tower.step_bound))

@@ -68,6 +68,8 @@ _RITZ_EVERY = 4
 _BISECT_STEPS = 50
 _REL_TOL = 1e-13
 _GRID_CHUNK = 4096
+# largest (points, grid, n, n) complex array a periodic embedding may need
+_EMBED_MAX_BYTES = 2 * 2**30
 
 
 class HostMismatchError(ValueError):
@@ -686,25 +688,36 @@ class PeriodicEmbedding:
     """
 
     def __init__(self, sys: FiniteDynamicalSystem, grid: int, n: int | None = None):
-        lengths = [c.length for c in sys.orbits().cycles]
-        period = int(np.lcm.reduce(lengths)) if lengths else 1
+        period = math.lcm(*(c.length for c in sys.orbits().cycles)) if n is None else int(n)
+        # refuse before anything of that size is allocated: embed's image
+        # is the largest array
+        shape = (sys.n, int(grid), period, period)
+        size = math.prod(shape) * np.dtype(np.complex128).itemsize
+        if size > _EMBED_MAX_BYTES:
+            raise ValueError(
+                f"periodic embedding of period {period} needs a {shape} complex array of "
+                f"{size} bytes, over the limit of {_EMBED_MAX_BYTES} bytes"
+            )
         if n is None:
             n = period
-        else:
-            if not np.array_equal(sys.power_perm(n), sys.power_perm(0)):
-                raise ValueError(f"{n} is not a period of the system")
+        elif not np.array_equal(sys.power_perm(n), sys.power_perm(0)):
+            raise ValueError(f"{n} is not a period of the system")
         self.sys = sys
         self.n = int(n)
         self.grid = int(grid)
         self.lams = _grid(self.grid)
         self.u_matrices = np.stack([_shift_matrix(self.n, lam) for lam in self.lams])
 
+    def _diagonal(self, values) -> np.ndarray:
+        """(points, n) diagonal of ``beta(values)``."""
+        vals = np.asarray(values, dtype=np.complex128)
+        return np.stack([vals[self.sys.power_perm(-j)] for j in range(self.n)], axis=1)
+
     def beta(self, values) -> np.ndarray:
         """(points, n, n) diagonal embedding of a function (constant in lam)."""
-        vals = np.asarray(values, dtype=np.complex128)
         out = np.zeros((self.sys.n, self.n, self.n), dtype=np.complex128)
-        for j in range(self.n):
-            out[:, j, j] = vals[self.sys.power_perm(-j)]
+        idx = np.arange(self.n)
+        out[:, idx, idx] = self._diagonal(values)
         return out
 
     def embed(self, a: CrossedElement) -> np.ndarray:
@@ -720,8 +733,9 @@ class PeriodicEmbedding:
                     upow[i] = power(i + 1) @ self.u_matrices.conj().transpose(0, 2, 1)
             return upow[i]
 
+        # beta(f) is diagonal, so beta(f) @ u^i scales row a of u^i by f's a-th entry
         for i, f in a.coeffs.items():
-            out += np.einsum("xab,gbc->xgac", self.beta(f), power(i))
+            out += self._diagonal(f)[:, None, :, None] * power(i)
         return out
 
     def unitarity_residual(self) -> float:
@@ -733,7 +747,8 @@ class PeriodicEmbedding:
         """max over grid and points of |u beta(f) u* - beta(f o forward^{-1})|."""
         b = self.beta(values)
         rolled = self.beta(np.asarray(values)[self.sys.power_perm(-1)])
-        res = np.einsum("gab,xbc,gdc->xgad", self.u_matrices, b, self.u_matrices.conj()) - rolled[:, None]
+        ub = np.einsum("gab,xbc->xgac", self.u_matrices, b)
+        res = np.einsum("xgac,gdc->xgad", ub, self.u_matrices.conj()) - rolled[:, None]
         return float(np.abs(res).max())
 
     def expectation_residual(self, a: CrossedElement) -> float:
@@ -762,7 +777,7 @@ class PrimSpectrumReport:
 
 def primitive_spectrum(sys: FiniteDynamicalSystem) -> PrimSpectrumReport:
     lengths = [c.length for c in sys.orbits().cycles]
-    period = int(np.lcm.reduce(lengths)) if lengths else 1
+    period = math.lcm(*lengths)
     counts: dict[int, int] = {}
     for L in lengths:
         counts[L] = counts.get(L, 0) + 1

@@ -1,14 +1,20 @@
 import contextlib
 import io
 import json
+import math
+import random
+import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rokhlin.cli import COMMANDS, REQUIRED, emit_report, main, parse_element, run_scenario
 from rokhlin.dynsys import load_system
+from rokhlin.towers import build_tower_family
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -377,3 +383,142 @@ def test_readme_lists_every_field():
         for name, (kind, default) in fields.items():
             shown = "required" if default is REQUIRED else f"`{json.dumps(default)}`"
             assert f"| `{command}` | `{name}` | {kind} | {shown} |" in readme
+
+
+def test_periodic_refuses_an_oversized_embedding(tmp_path, capsys):
+    spath = write_system(tmp_path, lengths=(7, 11, 13))  # period 1001
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        rc = main(["periodic", "--system", str(spath)])
+        elapsed = time.monotonic() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rep = json.loads(capsys.readouterr().out)
+    assert rc == 2
+    assert elapsed < 1.0 and peak < 2**24
+    assert rep["error"]["type"] == "ValueError"
+    assert f"{31 * 64 * 1001**2 * 16} bytes" in rep["error"]["message"]
+
+
+# ---------------------------------------------------------------------------
+# the report encoder against the recursive one it replaced
+
+
+def reference_dump(obj, indent: int = 0) -> str:
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key in sorted(obj):
+            items.append(f'{pad}  {json.dumps(str(key))}: {reference_dump(obj[key], indent + 1)}')
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{pad}  {reference_dump(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    if isinstance(obj, complex):
+        return reference_dump([obj.real, obj.imag], indent)
+    raise TypeError(f"cannot serialize {type(obj)}")
+
+
+_texts = st.text(st.sampled_from(list('az"\\/\n\t\x00\x1f\x7fé€Ω😀 ')), max_size=6)
+_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf, 0.1, 1 / 3]),
+)
+_scalars = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    _floats,
+    _floats.map(np.float64),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    _texts,
+)
+
+
+def _containers(children):
+    # homogeneous containers take the encoder's one-type-per-container path
+    items = st.one_of(children, _floats, _texts)
+    return st.one_of(
+        st.lists(items, max_size=5),
+        st.lists(items, max_size=5).map(tuple),
+        st.lists(_floats, max_size=5),
+        st.lists(_texts, max_size=5),
+        st.dictionaries(_texts, items, max_size=5),
+        st.dictionaries(st.integers(), items, max_size=5),
+        st.dictionaries(_texts, _floats, max_size=5),
+    )
+
+
+_documents = st.recursive(_scalars, _containers, max_leaves=40)
+
+
+class TestReportEncoding:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(doc=_documents)
+    def test_equals_reference(self, doc):
+        assert emit_report(doc, None) == reference_dump(doc) + "\n"
+
+    @pytest.mark.parametrize("value", [np.bool_(True), {1, 2}], ids=["numpy-bool", "set"])
+    @pytest.mark.parametrize("where", ["alone", "in-list", "in-dict", "among-floats"])
+    def test_same_type_error(self, value, where):
+        doc = {
+            "alone": value, "in-list": [value], "in-dict": {"k": value}, "among-floats": [1.0, value],
+        }[where]
+        with pytest.raises(TypeError) as expected:
+            reference_dump(doc)
+        with pytest.raises(TypeError) as got:
+            emit_report(doc, None)
+        assert str(got.value) == str(expected.value)
+
+    def test_towers_report_with_shuffled_labels(self, tmp_path, capsys):
+        rng = random.Random(5)
+        lengths = (83, 89, 97)
+        words = sorted({"".join(rng.choices("aZé_Ωq-", k=rng.randint(1, 4))) for _ in range(1000)})
+        labels = rng.sample(words, sum(lengths))
+        forward, start = {}, 0
+        for length in lengths:
+            cyc = labels[start:start + length]
+            start += length
+            forward.update({lab: cyc[(j + 1) % length] for j, lab in enumerate(cyc)})
+        (tmp_path / "sys.json").write_text(
+            json.dumps({"points": rng.sample(labels, len(labels)), "map": forward, "dimension": 1})
+        )
+        scen = {"command": "towers", "system": "sys.json", "d": 1, "k": 1, "m": 10, "epsilon": "1/2"}
+        (tmp_path / "towers.json").write_text(json.dumps(scen))
+        rep = run_scenario(tmp_path / "towers.json")
+        text = emit_report(rep, None)
+        assert text == reference_dump(rep) + "\n"
+        argv = ["towers", "--system", str(tmp_path / "sys.json")]
+        assert main(argv + ["--d", "1", "--k", "1", "--m", "10", "--epsilon", "1/2"]) == 0
+        assert capsys.readouterr().out == text
+
+        # each rung's table holds the family's values and is built in sorted-label order
+        sys = load_system((tmp_path / "sys.json").read_text())
+        family = build_tower_family(sys, 1, 1, 10, "1/2", range(sys.n))
+        tables = rep["towers"]["values"]
+        assert len(tables) == family.levels and any(tables)
+        for l, table in enumerate(tables):
+            expected = {}
+            for col in range(2 * family.m + 1):
+                nz = np.flatnonzero(family.num[l, :, col])
+                if nz.size:
+                    values = (family.num[l, nz, col] / family.den).tolist()
+                    expected[str(col - family.m)] = {
+                        sys.labels[x]: v for x, v in zip(family.points[l, nz, col].tolist(), values)
+                    }
+            assert table == expected
+            for rung in table.values():
+                assert list(rung) == sorted(rung)

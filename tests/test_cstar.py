@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -270,6 +272,51 @@ class TestPeriodicEmbedding:
         for radius in (1, 2, 5):
             a = random_element(sys, radius, rng)
             assert emb.expectation_residual(a) < 1e-9
+
+    def test_matches_einsum_reference(self):
+        sys = make_cycle_system([2, 3, 4])
+        emb = periodic_embedding(sys, 16)
+        u, rng = emb.u_matrices, np.random.default_rng(13)
+
+        def power(i):
+            if i == 0:
+                return np.broadcast_to(np.eye(emb.n), u.shape)
+            step = u if i > 0 else u.conj().transpose(0, 2, 1)
+            return np.linalg.matrix_power(step, abs(i))
+
+        f = rng.standard_normal(sys.n)
+        b = emb.beta(f)
+        rolled = emb.beta(f[sys.power_perm(-1)])
+        res = np.einsum("gab,xbc,gdc->xgad", u, b, u.conj()) - rolled[:, None]
+        assert emb.covariance_residual(f) == float(np.abs(res).max())
+        # real coefficients, as the CLI draws them: bit for bit
+        real = CrossedElement(sys, {i: rng.standard_normal(sys.n) for i in (-2, -1, 0, 1, 2)})
+        complex_ = random_element(sys, 2, rng)
+        for a, tol in ((real, 0.0), (complex_, 1e-15)):
+            image = sum(np.einsum("xab,gbc->xgac", emb.beta(f), power(i)) for i, f in a.coeffs.items())
+            assert np.abs(emb.embed(a) - image).max() <= tol
+
+    @pytest.mark.parametrize("n", [None, 2002])
+    def test_oversized_embedding_refused_before_allocating(self, n):
+        sys = make_cycle_system([7, 11, 13])
+        period = n or 1001
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                periodic_embedding(sys, 64, n=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"period {period} needs a (31, 64, {period}, {period})" in str(err.value)
+        assert f"{31 * 64 * period**2 * 16} bytes" in str(err.value)
+        assert peak < 2**24
+
+    def test_period_beyond_int64_is_exact(self):
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+        period = int(np.prod(primes, dtype=object))
+        assert period > 2**63
+        with pytest.raises(ValueError, match=f"period {period} needs"):
+            periodic_embedding(make_cycle_system(primes), 1)
 
 
 class TestPrimSpectrum:
