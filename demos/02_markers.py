@@ -30,7 +30,7 @@ print("free locus for window {0,1,2,3}:", len(free_locus(sys, {0, 1, 2, 3})), "p
 
 sys = make_cycle_system([100])
 cert = greedy_markers(sys, m=2, K=range(100))
-positions = sorted(sys.orbits().position[x][1] for x in cert.markers)
+positions = sorted(sys.orbits().pos[list(cert.markers)].tolist())
 print(f"\n100-cycle, m=2: markers at positions {positions[:6]}... "
       f"({len(positions)} total)")
 print(f"disjointness: {cert.flag_disjoint}, covering: {cert.flag_cover}")

@@ -366,7 +366,7 @@ class IdealSide:
             arr = coeffs.setdefault(power, np.zeros(sys.n, dtype=np.complex128))
             # (f o alpha_{-j}) at alpha_j(x); alpha_j is a permutation, so no
             # index repeats within a block
-            at = sys.power_perm(j)[np.fromiter(fn, dtype=np.int64, count=len(fn))]
+            at = sys.orbits().iterate(j, np.fromiter(fn, dtype=np.int64, count=len(fn)))
             arr[at] += np.fromiter(fn.values(), dtype=np.complex128, count=len(fn))
         return CrossedElement(sys, coeffs)
 

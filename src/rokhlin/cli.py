@@ -296,12 +296,13 @@ def run_towers(args: dict, doc: dict) -> dict:
         "conservation_exact": tower.conservation_exact,
         "values": [_rung_values(family, l, rank) for l in range(family.levels)],
     }
-    rep["assertions"].append(_assertion("conservation_error", tower.conservation_error, 1e-12))
-    rep["assertions"].append(_assertion("step_measured", tower.step_measured, tower.step_bound))
-    rep["assertions"].append(_assertion("step_bound_vs_epsilon", tower.step_bound, float(family.eps)))
-    rep["assertions"].append(
-        _assertion("support_disjointness_violations", 0 if tower.supports_disjoint else 1, 0)
-    )
+    rep["assertions"] += [  # each row passes by the rule TowerReport.ok() applies to its field
+        _assertion("conservation_error", tower.conservation_error, 1e-12, tower.conservation_exact),
+        _assertion("step_measured", tower.step_measured, tower.step_bound),
+        _assertion("step_bound_vs_epsilon", tower.step_bound, float(family.eps), tower.step_below_eps),
+        _assertion("support_disjointness_violations", int(not tower.supports_disjoint), 0,
+                   tower.supports_disjoint),
+    ]
     return rep
 
 

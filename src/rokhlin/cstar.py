@@ -68,7 +68,7 @@ _RITZ_EVERY = 4
 _BISECT_STEPS = 50
 _REL_TOL = 1e-13
 _GRID_CHUNK = 4096
-# largest (points, grid, n, n) complex array a periodic embedding may need
+# peak bytes a periodic embedding may use: three (points, grid, n, n) images
 _EMBED_MAX_BYTES = 2 * 2**30
 
 
@@ -201,8 +201,7 @@ class CrossedElement:
 
 def _rep_points(sys: FiniteDynamicalSystem, cycle: Cycle) -> np.ndarray:
     """Point index of diagonal slot r: the (-r)-th iterate of the base point."""
-    L = cycle.length
-    return np.array([cycle.order[(-r) % L] for r in range(L)], dtype=np.int64)
+    return sys.orbits().iterate(-np.arange(cycle.length), cycle.base)
 
 
 def _shift_matrix(L: int, lam: complex, phases: Sequence[complex] | None = None) -> np.ndarray:
@@ -256,7 +255,7 @@ class OrbitFiberRep:
     def covariance_residual(self, values) -> float:
         """sup norm of u beta(f) u* - beta(f o forward^{-1})."""
         beta = self.function_matrix(values)
-        rolled = self.function_matrix(np.asarray(values)[self.sys.power_perm(-1)])
+        rolled = self.function_matrix(np.asarray(values)[self.sys.perm_inv])
         diff = self.u_matrix @ beta @ self.u_matrix.conj().T - rolled
         return float(np.abs(diff).max())
 
@@ -689,18 +688,18 @@ class PeriodicEmbedding:
 
     def __init__(self, sys: FiniteDynamicalSystem, grid: int, n: int | None = None):
         period = math.lcm(*(c.length for c in sys.orbits().cycles)) if n is None else int(n)
-        # refuse before anything of that size is allocated: embed's image
-        # is the largest array
+        # refuse before allocating: the residuals hold up to three images at once
         shape = (sys.n, int(grid), period, period)
         size = math.prod(shape) * np.dtype(np.complex128).itemsize
-        if size > _EMBED_MAX_BYTES:
+        if 3 * size > _EMBED_MAX_BYTES:
             raise ValueError(
                 f"periodic embedding of period {period} needs a {shape} complex array of "
-                f"{size} bytes, over the limit of {_EMBED_MAX_BYTES} bytes"
+                f"{size} bytes and a peak of {3 * size} bytes, over the limit of "
+                f"{_EMBED_MAX_BYTES} bytes"
             )
         if n is None:
             n = period
-        elif not np.array_equal(sys.power_perm(n), sys.power_perm(0)):
+        elif np.any(n % sys.orbits().length):
             raise ValueError(f"{n} is not a period of the system")
         self.sys = sys
         self.n = int(n)
@@ -711,7 +710,7 @@ class PeriodicEmbedding:
     def _diagonal(self, values) -> np.ndarray:
         """(points, n) diagonal of ``beta(values)``."""
         vals = np.asarray(values, dtype=np.complex128)
-        return np.stack([vals[self.sys.power_perm(-j)] for j in range(self.n)], axis=1)
+        return vals[self.sys.orbits().iterate(-np.arange(self.n), np.arange(self.sys.n)[:, None])]
 
     def beta(self, values) -> np.ndarray:
         """(points, n, n) diagonal embedding of a function (constant in lam)."""
@@ -746,9 +745,10 @@ class PeriodicEmbedding:
     def covariance_residual(self, values) -> float:
         """max over grid and points of |u beta(f) u* - beta(f o forward^{-1})|."""
         b = self.beta(values)
-        rolled = self.beta(np.asarray(values)[self.sys.power_perm(-1)])
+        rolled = self.beta(np.asarray(values)[self.sys.perm_inv])
         ub = np.einsum("gab,xbc->xgac", self.u_matrices, b)
-        res = np.einsum("xgac,gdc->xgad", ub, self.u_matrices.conj()) - rolled[:, None]
+        res = np.einsum("xgac,gdc->xgad", ub, self.u_matrices.conj())
+        res -= rolled[:, None]
         return float(np.abs(res).max())
 
     def expectation_residual(self, a: CrossedElement) -> float:

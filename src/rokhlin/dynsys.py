@@ -103,7 +103,6 @@ class FiniteDynamicalSystem:
             _audit_metric(metric, labels, full_triangle=not _skip_metric_audit and n <= _TRIANGLE_AUDIT_LIMIT)
         self.metric = metric
 
-        self._perm_pow_cache: dict[int, np.ndarray] = {0: np.arange(n, dtype=np.int64)}
         self._orbits: OrbitDecomposition | None = None
 
     @property
@@ -112,23 +111,11 @@ class FiniteDynamicalSystem:
 
     def power_perm(self, i: int) -> np.ndarray:
         """Index array of the i-th forward iterate (negative i gives the inverse)."""
-        cache = self._perm_pow_cache
-        if i in cache:
-            return cache[i]
-        step, base = (self.perm, 1) if i > 0 else (self.perm_inv, -1)
-        # walk from the nearest cached exponent with the same sign
-        k = max((j for j in cache if j * base > 0 and abs(j) < abs(i)), key=abs, default=0)
-        cur = cache[k]
-        while k != i:
-            cur = step[cur]
-            k += base
-            cache[k] = cur
-        return cache[i]
+        return self.orbits().iterate(i, slice(None))
 
     def apply(self, i: int, subset: Iterable[int]) -> frozenset[int]:
         """Image of a point subset under the i-th forward iterate."""
-        p = self.power_perm(i)
-        return frozenset(int(p[x]) for x in subset)
+        return frozenset(self.orbits().iterate(i, np.fromiter(subset, dtype=np.int64)).tolist())
 
     def translate_counts(self, subset: Iterable[int], lo: int, hi: int) -> np.ndarray:
         """counts[x] = number of i in [lo, hi] with x in alpha_i(subset), for a
@@ -197,16 +184,26 @@ class Cycle:
 
 @dataclass(frozen=True)
 class OrbitDecomposition:
-    """Partition of the point set into cycles, with a point -> (cycle, position) index."""
+    """Partition of the point set into cycles, with each point's cycle coordinates.
+
+    ``order`` concatenates the cycles' orders; point x lies on the cycle
+    ``order[start[x] : start[x] + length[x]]`` at position ``pos[x]``, so
+    alpha_i(x) = ``order[start[x] + (pos[x] + i) % length[x]]``.
+    """
 
     cycles: tuple[Cycle, ...]
-    position: dict[int, tuple[int, int]]
+    order: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+    pos: np.ndarray
 
     def lengths(self) -> list[int]:
         return [c.length for c in self.cycles]
 
-    def cycle_of(self, point: int) -> Cycle:
-        return self.cycles[self.position[point][0]]
+    def iterate(self, i, points) -> np.ndarray:
+        """alpha_i of ``points`` (an index array, or ``slice(None)`` for all);
+        ``i`` and ``points`` broadcast against each other."""
+        return self.order[self.start[points] + (self.pos[points] + i) % self.length[points]]
 
 
 @dataclass(frozen=True)
@@ -222,7 +219,6 @@ def orbit_decomposition(sys: FiniteDynamicalSystem) -> OrbitDecomposition:
     """Decompose the point set into cycles, each anchored at its least label."""
     seen = np.zeros(sys.n, dtype=bool)
     cycles: list[Cycle] = []
-    position: dict[int, tuple[int, int]] = {}
     for lab in sorted(sys.labels):
         start = sys.index[lab]
         if seen[start]:
@@ -234,11 +230,14 @@ def orbit_decomposition(sys: FiniteDynamicalSystem) -> OrbitDecomposition:
             seen[x] = True
             order.append(x)
             x = int(sys.perm[x])
-        cid = len(cycles)
         cycles.append(Cycle(base=start, length=len(order), order=tuple(order)))
-        for pos, pt in enumerate(order):
-            position[pt] = (cid, pos)
-    return OrbitDecomposition(cycles=tuple(cycles), position=position)
+    lengths = np.array([c.length for c in cycles], dtype=np.int64)
+    order = np.fromiter((x for c in cycles for x in c.order), dtype=np.int64, count=sys.n)
+    slot_start = np.repeat(np.cumsum(lengths) - lengths, lengths)  # per slot of order
+    start, length, pos = (np.empty(sys.n, dtype=np.int64) for _ in range(3))
+    start[order], length[order] = slot_start, np.repeat(lengths, lengths)
+    pos[order] = np.arange(sys.n) - slot_start
+    return OrbitDecomposition(cycles=tuple(cycles), order=order, start=start, length=length, pos=pos)
 
 
 def invariant_split(sys: FiniteDynamicalSystem, N: int) -> InvariantSplit:

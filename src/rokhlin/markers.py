@@ -386,9 +386,10 @@ def cover_extension_step(
         raise MarkerError("U is not (F,1)-disjoint")
     if not is_disjoint_family(sys, V, Minv_perms, 1):
         raise MarkerError("V is not (M^{-1},1)-disjoint")
-    boundary_ok = is_disjoint_family(sys, finite_boundary(sys, U), [action(g) for g in M_elems], d)
+    M_perms = [action(g) for g in M_elems]
+    boundary_ok = is_disjoint_family(sys, finite_boundary(sys, U), M_perms, d)
 
-    translated_U = [sorted(frozenset(int(action(g)[x]) for x in U)) for g in M_elems]
+    translated_U = [sorted({int(p[x]) for x in U}) for p in M_perms]
     covered_by_U: set[int] = set().union(*map(set, translated_U)) if U else set()
     R = sorted(V - covered_by_U)
     if not R:
@@ -450,9 +451,7 @@ def cover_extension_step(
 def _verify_extension(sys, U, V, W, window, action) -> None:
     if not U <= W:
         raise MarkerError("postcondition failed: U not contained in W")
-    covered: set[int] = set()
-    for g in window.M():
-        covered |= {int(action(g)[x]) for x in W}
+    covered = {int(p[x]) for p in map(action, window.M()) for x in W}
     if not V <= covered:
         missing = sorted(V - covered)[0]
         raise MarkerError(f"postcondition failed: {sys.labels[missing]!r} not absorbed")
@@ -487,10 +486,10 @@ def local_marker(
     if action is None:
         action = integer_action(sys)
     K = frozenset(K)
-    Minv = sorted(window.M_inverse(), key=repr)
+    Minv_perms = [action(g) for g in sorted(window.M_inverse(), key=repr)]
     for x in sorted(K):
-        images = {int(action(g)[x]) for g in Minv}
-        if len(images) != len(Minv):
+        images = {int(p[x]) for p in Minv_perms}
+        if len(images) != len(Minv_perms):
             raise MarkerError(f"point {sys.labels[x]!r} is not free for the inverse window")
 
     W: frozenset[int] = frozenset()
@@ -499,9 +498,7 @@ def local_marker(
         W = cover_extension_step(sys, W, frozenset({x}), window, action).W
         steps += 1
 
-    covered: set[int] = set()
-    for g in window.M():
-        covered |= {int(action(g)[x]) for x in W}
+    covered = {int(p[x]) for p in map(action, window.M()) for x in W}
     flag_cover = K <= covered
     flag_disjoint = is_disjoint_family(sys, W, [action(g) for g in window.F], 1)
     return LocalMarkerResult(markers=W, window=window, flag_disjoint=flag_disjoint,

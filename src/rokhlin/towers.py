@@ -72,7 +72,7 @@ def _tower_points(
 ) -> np.ndarray:
     """points[l, s, j + m] = alpha_j(s-th smallest point of support l), |j| <= m."""
     anchors = np.array([sorted(sup) for sup in supports], dtype=np.int64)
-    return np.stack([sys.power_perm(j)[anchors] for j in range(-m, m + 1)], axis=-1)
+    return sys.orbits().iterate(np.arange(-m, m + 1), anchors[..., None])
 
 
 def _overlapping_level(points: np.ndarray) -> int | None:
@@ -367,7 +367,7 @@ class CyclicTower:
         worst = 0.0
         for j in range(-self.m, self.m + 1):
             # (f o alpha_{-1})(x) = f(alpha_{-1} x)
-            stepped = self.f(j)[self.sys.power_perm(-1)]
+            stepped = self.f(j)[self.sys.perm_inv]
             worst = max(worst, _sup(self.f(j + 1) - stepped))
         return worst
 
@@ -393,7 +393,7 @@ class DecayingTower:
     def measured_step(self) -> float:
         worst = 0.0
         for j in range(-self.m, self.m):
-            stepped = self.f(j)[self.sys.power_perm(-1)]
+            stepped = self.f(j)[self.sys.perm_inv]
             worst = max(worst, _sup(self.f(j + 1) - stepped))
         return worst
 
@@ -450,6 +450,6 @@ def decaying_to_cyclic(tower: DecayingTower) -> tuple[CyclicTower, dict]:
     step tolerance plus both measured end norms.
     """
     lo, hi = tower.end_norms()
-    wrap = _sup(tower.f(-tower.m) - tower.f(tower.m)[tower.sys.power_perm(-1)])
+    wrap = _sup(tower.f(-tower.m) - tower.f(tower.m)[tower.sys.perm_inv])
     out = CyclicTower(sys=tower.sys, values=tower.values, m=tower.m, eps=tower.eps + lo + hi)
     return out, {"wrap_step": wrap, "end_norms": (lo, hi), "tolerance": out.eps}

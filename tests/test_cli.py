@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from rokhlin.cli import COMMANDS, REQUIRED, emit_report, main, parse_element, run_scenario
 from rokhlin.dynsys import load_system
-from rokhlin.towers import build_tower_family
+from rokhlin.towers import build_tower_family, verify_tower
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -209,6 +210,36 @@ class TestApproxScenario:
         )
         assert not run.factorization.sqrt_step["strict"]
         assert not row["pass"] and not run.passed()
+
+
+class TestTowerRows:
+    def test_rows_follow_the_exact_flags(self, monkeypatch, capsys):
+        # towers_100 over D >= 1e12 with one numerator off by one: the float
+        # conservation error 1/D reads <= 1e-12, the exact check fails
+        import rokhlin.cli as cli
+
+        families = []
+
+        def off_by_one(*args, **kwargs):
+            family = build_tower_family(*args, **kwargs)
+            scale = -(-10**12 // family.den)
+            num = family.num * scale
+            num[0, 0, family.m] += 1
+            families.append(dataclasses.replace(family, num=num, den=family.den * scale))
+            return families[-1]
+
+        monkeypatch.setattr(cli, "build_tower_family", off_by_one)
+        doc = json.loads((SCENARIOS / "towers_100.json").read_text())
+        argv = ["towers", "--system", str(SCENARIOS / doc["system"])]
+        for name in ("d", "k", "m", "epsilon"):
+            argv += [f"--{name}", str(doc[name])]
+        rc = main(argv)
+        rep = json.loads(capsys.readouterr().out)
+        tower = verify_tower(families[0])
+        assert not tower.conservation_exact and not tower.ok()
+        row = next(a for a in rep["assertions"] if a["name"] == "conservation_error")
+        assert row["measured"] <= row["bound"] and not row["pass"]
+        assert rc == 1
 
 
 class TestMalformedApproxScenarios:

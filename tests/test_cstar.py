@@ -308,8 +308,27 @@ class TestPeriodicEmbedding:
         finally:
             tracemalloc.stop()
         assert f"period {period} needs a (31, 64, {period}, {period})" in str(err.value)
-        assert f"{31 * 64 * period**2 * 16} bytes" in str(err.value)
+        image = 31 * 64 * period**2 * 16
+        assert f"{image} bytes and a peak of {3 * image} bytes" in str(err.value)
         assert peak < 2**24
+
+    @pytest.mark.parametrize("lengths, grid", [([3, 10], 128), ([2, 3, 4], 64)])
+    def test_residuals_peak_within_three_images(self, lengths, grid):
+        # the pre-flight refuses when three (points, grid, n, n) images exceed the limit
+        sys = make_cycle_system(lengths)
+        emb = periodic_embedding(sys, grid)
+        image = sys.n * grid * emb.n**2 * 16
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal(sys.n)
+        a = CrossedElement(sys, {i: rng.standard_normal(sys.n) for i in (-2, -1, 0, 1, 2)})
+        for residual in (lambda: emb.covariance_residual(f), lambda: emb.expectation_residual(a)):
+            tracemalloc.start()
+            try:
+                residual()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * image
 
     def test_period_beyond_int64_is_exact(self):
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rokhlin.dynsys import (
+    FiniteDynamicalSystem,
     MetricError,
     SystemFormatError,
     invariant_split,
@@ -157,10 +159,13 @@ class TestOrbitsAndSplit:
     def test_decomposition_positions(self):
         sys = make_cycle_system([3, 10])
         dec = orbit_decomposition(sys)
-        for cid, cyc in enumerate(dec.cycles):
+        offset = 0
+        for cyc in dec.cycles:
             for pos, pt in enumerate(cyc.order):
-                assert dec.position[pt] == (cid, pos)
+                assert (dec.start[pt], dec.length[pt], dec.pos[pt]) == (offset, cyc.length, pos)
+                assert dec.order[offset + pos] == pt
                 assert int(sys.perm[pt]) == cyc.order[(pos + 1) % cyc.length]
+            offset += cyc.length
 
     def test_base_is_least_label(self):
         sys = make_cycle_system([4, 4])
@@ -237,3 +242,45 @@ class TestQuotientReport:
         rep = quotient_report(empty)
         assert rep.rows == ()
         assert rep.quotient_size == 0
+
+
+@st.composite
+def shuffled_cycle_systems(draw):
+    """Cycles whose labels, and so whose point indices, come in a random order."""
+    lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    labels = draw(st.permutations([f"q{i}" for i in range(sum(lengths))]))
+    forward, offset = {}, 0
+    for L in lengths:
+        cyc = labels[offset : offset + L]
+        forward.update((cyc[j], cyc[(j + 1) % L]) for j in range(L))
+        offset += L
+    points = draw(st.permutations(labels))
+    return FiniteDynamicalSystem(points, forward)
+
+
+class TestCycleCoordinates:
+    @settings(max_examples=60, deadline=None)
+    @given(shuffled_cycle_systems(), st.data())
+    def test_power_perm_and_apply_match_stepping(self, sys, data):
+        subset = data.draw(st.frozensets(st.integers(0, sys.n - 1)))
+        for step, sign in ((sys.perm, 1), (sys.perm_inv, -1)):
+            cur = np.arange(sys.n)
+            for k in range(3 * sys.n + 1):
+                i = sign * k
+                assert np.array_equal(sys.power_perm(i), cur)
+                assert sys.apply(i, subset) == frozenset(int(cur[x]) for x in subset)
+                cur = step[cur]
+
+    def test_power_perm_keeps_nothing(self):
+        sys = make_cycle_system([3, 7, 1000])
+        sys.power_perm(1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(-1000, 1001):
+                sys.power_perm(i)
+            del i  # the loop variable outlives the loop
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after == before

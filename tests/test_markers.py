@@ -92,14 +92,14 @@ class TestGreedyMarkers:
     def test_hundred_cycle(self):
         sys = make_cycle_system([100])
         cert = greedy_markers(sys, 2, range(100))
-        positions = sorted(sys.orbits().position[x][1] for x in cert.markers)
+        positions = sorted(sys.orbits().pos[x] for x in cert.markers)
         assert positions == list(range(0, 100, 5))
         assert cert.flag_disjoint and cert.flag_cover
 
     def test_twelve_cycle_remainder(self):
         sys = make_cycle_system([12])
         cert = greedy_markers(sys, 2, range(12))
-        positions = sorted(sys.orbits().position[x][1] for x in cert.markers)
+        positions = sorted(sys.orbits().pos[x] for x in cert.markers)
         assert positions == [0, 6]
         assert cert.ok()
 
@@ -134,7 +134,7 @@ class TestGreedyMarkers:
             assert cert.flag_disjoint and cert.flag_cover
             dec = sys.orbits()
             for cyc in dec.cycles:
-                pos = sorted(dec.position[x][1] for x in cert.markers if x in set(cyc.order))
+                pos = sorted(dec.pos[x] for x in cert.markers if x in set(cyc.order))
                 gaps = [pos[i + 1] - pos[i] for i in range(len(pos) - 1)]
                 gaps.append(cyc.length - pos[-1] + pos[0])
                 assert all(2 * m + 1 <= g <= 4 * m + 1 for g in gaps)

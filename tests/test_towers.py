@@ -22,6 +22,7 @@ from rokhlin.towers import (
     verify_tower,
     _common_denominator,
     _tent,
+    _tower_points,
     _window_sum,
 )
 
@@ -62,6 +63,29 @@ class TestSupports:
         cert = greedy_markers(sys, 3, range(100))
         with pytest.raises(TowerError, match="built for m"):
             tower_supports(sys, cert, d=0, k=1, m=5)
+
+
+def stepped_powers(sys, m):
+    """alpha_j as index arrays for |j| <= m, by stepping perm and perm_inv."""
+    powers = {0: np.arange(sys.n)}
+    for j in range(1, m + 1):
+        powers[j] = sys.perm[powers[j - 1]]
+        powers[-j] = sys.perm_inv[powers[1 - j]]
+    return powers
+
+
+class TestTowerPoints:
+    def test_acceptance_points_match_per_rung_stack(self):
+        # the acceptance run's towers: cycles [3, 7, 1500], k = 1, eps' = 1/100, m = 300
+        sys = make_cycle_system([3, 7, 1500])
+        long_cycle = max(sys.orbits().cycles, key=lambda c: c.length)
+        m = 300
+        family = build_tower_family(sys, 0, 1, m, Fraction(1, 100), long_cycle.order)
+        anchors = np.array([sorted(sup) for sup in family.supports], dtype=np.int64)
+        powers = stepped_powers(sys, m)
+        reference = np.stack([powers[j][anchors] for j in range(-m, m + 1)], axis=-1)
+        assert np.array_equal(_tower_points(sys, family.supports, m), reference)
+        assert np.array_equal(family.points, reference)
 
 
 class TestPartition:
