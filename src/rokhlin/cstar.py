@@ -20,6 +20,16 @@ The fiber's top singular vector moves little with lam, so the warm start
 settles in a few steps.  A top Ritz value grows with the step count
 (interlacing) and, from any start and even without reorthogonalization, stays
 below the top eigenvalue up to roundoff (Paige).
+
+Each top Ritz value is certified from below by a Sturm count on the Lanczos
+tridiagonal: the count says whether an eigenvalue lies at or above a point.
+Small batches estimate the top eigenvalue with one dense eigensolve, and one
+Sturm sweep tests a few points a few ulps of the Gershgorin scale below the
+estimate, with a guard above it; columns where none passes or the guard
+finds an eigenvalue, and batches too large for a cheap eigensolve, bisect
+with Sturm counts instead (counted in NormResult.ritz_bisections).  Every
+value is the largest diagonal entry or a point that passed the Sturm test
+(Rump, "Verification methods", Acta Numerica 2010).
 """
 
 from __future__ import annotations
@@ -65,10 +75,20 @@ _LANCZOS_SEED = 0x5EED
 # points still moving at the cap count as NormResult.unconverged
 _LANCZOS_MAX_STEPS = 256
 _RITZ_EVERY = 4
+# one dense eigensolve of m tridiagonals of size k, with one Sturm sweep,
+# beats Sturm bisection while m k^2 is at most this (one BLAS thread, 2-vCPU
+# Xeon: 0.7 against 18 ms at m = 1, k = 64; 7.6 against 58 ms at m = 1,
+# k = 256; 4.4 against 5.8 ms at m = 256, k = 16; bisection wins at m = 512,
+# k = 16, 7.8 against 8.8 ms, and at m = 512, k = 256, 0.12 against 2.5 s)
+_RITZ_DENSE_MAX = 2**16
+# ulps of the Gershgorin scale below a dense estimate at which a Sturm count
+# may certify it, first passing first; the widest one also bounds how far the
+# top eigenvalue may lie above the estimate
+_RITZ_BACKOFF = (2, 32, 512)
 _BISECT_STEPS = 50
 _REL_TOL = 1e-13
 _GRID_CHUNK = 4096
-# peak bytes a periodic embedding may use: three (points, grid, n, n) images
+# peak bytes a periodic embedding may use (see _embedding_bytes)
 _EMBED_MAX_BYTES = 2 * 2**30
 
 
@@ -341,12 +361,12 @@ class ElementOrbitFiber:
             out[:, rows, cols] += diag[None, :] * lams[:, None] ** wraps[None, :]
         return out
 
-    def matvec_pair(self, lams: np.ndarray):
-        """(apply, apply_adjoint) closures acting on (n_lams, L) vector stacks.
+    def twists(self, lams: np.ndarray):
+        """(shift, weights) terms of the fiber and of its adjoint for a lam batch.
 
-        Both sum weighted cyclic shifts w[:, r] * v[:, (r + s) % L], taken as
-        views of one doubled copy of v; the twist weights (band values times
-        the wrap power of lam) are precomputed once per lam batch.
+        Each applies as a weighted cyclic shift w[:, r] * v[:, (r + shift) % L]
+        (see _shifted_sum); the weights are the band values times the wrap
+        power of lam, one row per lam, so a sub-batch takes their rows.
         """
         L = self.L
         terms, adj_terms = [], []
@@ -354,17 +374,18 @@ class ElementOrbitFiber:
             w = diag[None, :] * lams[:, None] ** ((np.arange(L) + i) // L)[None, :]
             terms.append((i % L, w))
             adj_terms.append((-i % L, np.roll(np.conj(w), i, axis=1)))
+        return terms, adj_terms
 
-        def shifted_sum(terms):
-            def act(v):
-                doubled = np.concatenate([v, v], axis=1)
-                out = np.zeros_like(v)
-                for s, w in terms:
-                    out += w * doubled[:, s : s + L]
-                return out
-            return act
 
-        return shifted_sum(terms), shifted_sum(adj_terms)
+def _shifted_sum(terms, v: np.ndarray) -> np.ndarray:
+    """Sum of weighted cyclic shifts of an (n_lams, L) vector stack, taken as
+    views of one doubled copy of v."""
+    L = v.shape[1]
+    doubled = np.concatenate([v, v], axis=1)
+    out = np.zeros_like(v)
+    for s, w in terms:
+        out += w * doubled[:, s : s + L]
+    return out
 
 
 class InterpolationFiber:
@@ -386,7 +407,7 @@ class InterpolationFiber:
 
     def lip(self) -> float:
         diffs = self.nodes - np.roll(self.nodes, -1, axis=0)
-        step = max(float(np.linalg.norm(d, 2)) for d in diffs)
+        step = float(np.linalg.svd(diffs, compute_uv=False).max())
         return step / (2 * math.pi / self.s)
 
     def matrices(self, lams: np.ndarray) -> np.ndarray:
@@ -427,27 +448,61 @@ def _sigma_max_dense(fiber, lams: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
 
-def _top_ritz(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Top eigenvalue of each symmetric tridiagonal (one per column: diagonal
-    alpha, subdiagonal beta >= 0) by Sturm-count bisection, from the largest
-    diagonal entry up to that plus twice the largest beta (Gershgorin).  The
-    lower end always has an eigenvalue at or above it, so the result is a
-    lower bound, short by at most 2^-_BISECT_STEPS of the starting bracket."""
-    lo, b2 = alpha.max(axis=0), beta * beta
-    hi = lo + 2 * beta.max(axis=0, initial=0.0)
+def _sturm_above(alpha: np.ndarray, b2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Whether the symmetric tridiagonal with diagonal alpha and squared
+    subdiagonal b2 (one per column) has an eigenvalue at or above x, by a
+    Sturm count; x holds one point per column, or rows of them."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # T - x has a pivot >= 0 in its LDL^T iff T has an eigenvalue >= x;
+        # pivots after the first such one do not matter (fmax skips NaN)
+        d = alpha[0] - x
+        top = d.copy()
+        for a, bb in zip(alpha[1:], b2):
+            d = (a - x) - bb / d
+            np.fmax(top, d, out=top)
+    return top >= 0
+
+
+def _top_ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, int]:
+    """Certified lower bound on the top eigenvalue of each symmetric
+    tridiagonal (one per column: diagonal alpha, subdiagonal beta >= 0), and
+    the number of columns that took bisection.
+
+    While m k^2 <= _RITZ_DENSE_MAX, one batched eigensolve estimates each top
+    eigenvalue est.  One Sturm sweep then tests the candidates est minus
+    _RITZ_BACKOFF ulps of the Gershgorin scale (max|alpha| + 2 max beta),
+    clamped at max alpha, and the guard est plus the widest back-off; the
+    first candidate with an eigenvalue at or above it is the result, unless an
+    eigenvalue lies at or above the guard (the estimate is too low to give a
+    close bound; eigvalsh loses accuracy over a wide dynamic range).  Those
+    columns, the ones with no passing candidate and larger batches bisect
+    with Sturm counts from max alpha up to max alpha + 2 max beta
+    (Gershgorin), _BISECT_STEPS times.  Max alpha always has an eigenvalue at
+    or above it, so every result is a lower bound."""
+    k, m = alpha.shape
+    lo, b2, bmax = alpha.max(axis=0), beta * beta, beta.max(axis=0, initial=0.0)
+    out, todo = lo.copy(), np.arange(m)
+    if m * k * k <= _RITZ_DENSE_MAX:
+        tri, i = np.zeros((m, k, k)), np.arange(k)
+        tri[:, i, i] = alpha.T
+        tri[:, i[1:], i[:-1]] = beta.T  # eigvalsh reads the lower triangle
+        est = np.linalg.eigvalsh(tri)[:, -1]
+        ulp = np.spacing(np.abs(alpha).max(axis=0) + 2 * bmax)
+        back = np.array(_RITZ_BACKOFF, dtype=float)[:, None] * ulp
+        points = np.vstack([np.maximum(est - back, lo), est + back[-1]])
+        above = _sturm_above(alpha, b2, points)
+        passed = above[:-1].any(axis=0) & ~above[-1]
+        out[passed] = points[above[:-1].argmax(axis=0), todo][passed]
+        todo = todo[~passed]
+    if todo.size:
+        alpha, b2, lo = alpha[:, todo], b2[:, todo], lo[todo]
+        hi = lo + 2 * bmax[todo]
         for _ in range(_BISECT_STEPS):
             x = 0.5 * (lo + hi)
-            # T - x has a pivot >= 0 in its LDL^T iff T has an eigenvalue >= x;
-            # pivots after the first such one do not matter (fmax skips NaN)
-            d = alpha[0] - x
-            top = d.copy()
-            for a, bb in zip(alpha[1:], b2):
-                d = (a - x) - bb / d
-                np.fmax(top, d, out=top)
-            above = top >= 0
+            above = _sturm_above(alpha, b2, x)
             lo, hi = np.where(above, x, lo), np.where(above, hi, x)
-    return lo
+        out[todo] = lo
+    return out, int(todo.size)
 
 
 def _sigma_max_lanczos(fiber: ElementOrbitFiber, lams: np.ndarray, start: np.ndarray | None = None):
@@ -460,9 +515,10 @@ def _sigma_max_lanczos(fiber: ElementOrbitFiber, lams: np.ndarray, start: np.nda
     top eigenvalue, up to roundoff.
 
     Returns the estimates, the number of lams still moving at the step cap,
-    the number of Lanczos steps summed over the lams, and, for a single lam,
-    its top Ritz vector Q y (Q the Lanczos basis, y the top eigenvector of
-    the tridiagonal), else None."""
+    the number of Lanczos steps summed over the lams, the number of checks
+    (one per lam) whose Ritz value took bisection, and, for a single lam, its
+    top Ritz vector Q y (Q the Lanczos basis, y the top eigenvector of the
+    tridiagonal), else None."""
     if start is None or not np.linalg.norm(start) > 0:  # a fiber vanishing at the seed point
         re, im = np.random.default_rng(_LANCZOS_SEED).standard_normal((2, fiber.L))
         start = re + 1j * im
@@ -470,14 +526,14 @@ def _sigma_max_lanczos(fiber: ElementOrbitFiber, lams: np.ndarray, start: np.nda
     q_prev = np.zeros_like(q)
     alpha, beta = np.zeros((2, _LANCZOS_MAX_STEPS, len(lams)))
     est, active = np.zeros(len(lams)), np.arange(len(lams))
-    apply, apply_adj = fiber.matvec_pair(lams)
+    terms, adj_terms = fiber.twists(lams)
     basis = [] if len(lams) == 1 else None
-    check, steps = _RITZ_EVERY, 0
+    check, steps, bisections = _RITZ_EVERY, 0, 0
     for k in range(1, _LANCZOS_MAX_STEPS + 1):
         steps += len(active)
         if basis is not None:
             basis.append(q[0])
-        w = apply_adj(apply(q))
+        w = _shifted_sum(adj_terms, _shifted_sum(terms, q))
         alpha[k - 1] = np.vecdot(q, w).real
         w -= alpha[k - 1, :, None] * q + beta[k - 2, :, None] * q_prev  # q_prev = 0 at k = 1
         beta[k - 1] = np.linalg.norm(w, axis=1)
@@ -486,7 +542,8 @@ def _sigma_max_lanczos(fiber: ElementOrbitFiber, lams: np.ndarray, start: np.nda
         if k < min(check, _LANCZOS_MAX_STEPS):
             continue
         check += max(_RITZ_EVERY, k // 4)
-        new = np.sqrt(np.maximum(_top_ritz(alpha[:k], beta[: k - 1]), 0.0))
+        top, bisected = _top_ritz(alpha[:k], beta[: k - 1])
+        new, bisections = np.sqrt(np.maximum(top, 0.0)), bisections + bisected
         keep = np.abs(new - est[active]) > _REL_TOL * new
         est[active] = new
         if not keep.all():
@@ -494,13 +551,14 @@ def _sigma_max_lanczos(fiber: ElementOrbitFiber, lams: np.ndarray, start: np.nda
             if not active.size:
                 break
             q, q_prev, alpha, beta = q[keep], q_prev[keep], alpha[:, keep], beta[:, keep]
-            apply, apply_adj = fiber.matvec_pair(lams[active])
+            terms = [(s, t[keep]) for s, t in terms]
+            adj_terms = [(s, t[keep]) for s, t in adj_terms]
     ritz = None
     if basis is not None:
         k = len(basis)
         tri = np.diag(alpha[:k, 0]) + np.diag(beta[: k - 1, 0], 1) + np.diag(beta[: k - 1, 0], -1)
         ritz = np.linalg.eigh(tri)[1][:, -1] @ np.array(basis)
-    return est, len(active), steps, ritz
+    return est, len(active), steps, bisections, ritz
 
 
 @dataclass(frozen=True)
@@ -511,8 +569,11 @@ class NormResult:
     base label and circle point attaining the reported value, ``grids`` the
     per-orbit grid sizes, ``per_orbit`` the per-orbit maxima with their
     attaining circle points, ``unconverged`` the number of grid points
-    whose Lanczos estimate was still moving at the step cap, and
-    ``lanczos_steps`` the Lanczos steps summed over all grid points.
+    whose Lanczos estimate was still moving at the step cap,
+    ``lanczos_steps`` the Lanczos steps summed over all grid points, and
+    ``ritz_bisections`` the grid-point checks whose top Ritz value was
+    certified by bisection rather than by a dense estimate and one Sturm
+    sweep.
     """
 
     value: float
@@ -522,6 +583,7 @@ class NormResult:
     per_orbit: dict[str, tuple[float, complex]] = None
     unconverged: int = 0
     lanczos_steps: int = 0
+    ritz_bisections: int = 0
 
     @property
     def upper(self) -> float:
@@ -537,7 +599,7 @@ def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float) -> 
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    value, argmax, unconverged, lanczos_steps = 0.0, None, 0, 0
+    value, argmax, counts = 0.0, None, np.zeros(3, dtype=np.int64)
     grids: dict[str, int] = {}
     per_orbit: dict[str, tuple[float, complex]] = {}
     for fiber in fibers:
@@ -552,11 +614,11 @@ def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float) -> 
         full, sig = _grid(n), np.empty(n)
         if lanczos:
             # grid point 0 from the fixed seed; its top Ritz vector starts the rest
-            sig[:1], stuck, steps, ritz = _sigma_max_lanczos(fiber, full[:1])
-            unconverged, lanczos_steps = unconverged + stuck, lanczos_steps + steps
+            sig[:1], *first, ritz = _sigma_max_lanczos(fiber, full[:1])
+            counts += first
             for lo in range(1, n, chunk):
-                sig[lo : lo + chunk], stuck, steps, _ = _sigma_max_lanczos(fiber, full[lo : lo + chunk], ritz)
-                unconverged, lanczos_steps = unconverged + stuck, lanczos_steps + steps
+                sig[lo : lo + chunk], *more, _ = _sigma_max_lanczos(fiber, full[lo : lo + chunk], ritz)
+                counts += more
         else:
             for lo in range(0, n, chunk):
                 sig[lo : lo + chunk] = _sigma_max_dense(fiber, full[lo : lo + chunk])
@@ -565,8 +627,9 @@ def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float) -> 
         per_orbit[label] = (best, best_lam)
         if best > value:
             value, argmax = best, (label, best_lam)
-    return NormResult(value=value, tol=float(tol), argmax=argmax, grids=grids,
-                      per_orbit=per_orbit, unconverged=unconverged, lanczos_steps=lanczos_steps)
+    unconverged, lanczos_steps, ritz_bisections = map(int, counts)
+    return NormResult(value=value, tol=float(tol), argmax=argmax, grids=grids, per_orbit=per_orbit,
+                      unconverged=unconverged, lanczos_steps=lanczos_steps, ritz_bisections=ritz_bisections)
 
 
 def norm(a: CrossedElement, tol: float = 1e-3) -> NormResult:
@@ -676,6 +739,19 @@ def orbit_isomorphism(sys: FiniteDynamicalSystem, cycle: Cycle, grid_size: int) 
 # periodic systems: embedding, spectrum
 
 
+def _embedding_bytes(points: int, grid: int, n: int) -> tuple[int, int]:
+    """Bytes of one (points, grid, n, n) complex image, and a bound on the
+    peak of the embedding with its residuals: three images, five (grid, n, n)
+    arrays and two (points, n, n) arrays.  The image is summed beside a
+    product temporary, u's image, the lam grid and the running power of each
+    sign; forming the next power adds the adjoint step and the new power; the
+    residuals hold at most three image-sized arrays and two diagonal
+    embeddings."""
+    item = np.dtype(np.complex128).itemsize
+    image = points * grid * n * n * item
+    return image, 3 * image + 5 * grid * n * n * item + 2 * points * n * n * item
+
+
 class PeriodicEmbedding:
     """Covariant embedding of the crossed product of a periodic system into
     n x n matrix functions on the circle.
@@ -688,13 +764,13 @@ class PeriodicEmbedding:
 
     def __init__(self, sys: FiniteDynamicalSystem, grid: int, n: int | None = None):
         period = math.lcm(*(c.length for c in sys.orbits().cycles)) if n is None else int(n)
-        # refuse before allocating: the residuals hold up to three images at once
+        # refuse before allocating
         shape = (sys.n, int(grid), period, period)
-        size = math.prod(shape) * np.dtype(np.complex128).itemsize
-        if 3 * size > _EMBED_MAX_BYTES:
+        size, peak = _embedding_bytes(*shape[:3])
+        if peak > _EMBED_MAX_BYTES:
             raise ValueError(
                 f"periodic embedding of period {period} needs a {shape} complex array of "
-                f"{size} bytes and a peak of {3 * size} bytes, over the limit of "
+                f"{size} bytes and a peak of {peak} bytes, over the limit of "
                 f"{_EMBED_MAX_BYTES} bytes"
             )
         if n is None:
@@ -705,7 +781,11 @@ class PeriodicEmbedding:
         self.n = int(n)
         self.grid = int(grid)
         self.lams = _grid(self.grid)
-        self.u_matrices = np.stack([_shift_matrix(self.n, lam) for lam in self.lams])
+        # the shift with lam in the corner at every grid point
+        idx = np.arange(self.n)
+        self.u_matrices = np.zeros((self.grid, self.n, self.n), dtype=np.complex128)
+        self.u_matrices[:, idx[:-1], idx[1:]] = 1.0
+        self.u_matrices[:, -1, 0] = self.lams
 
     def _diagonal(self, values) -> np.ndarray:
         """(points, n) diagonal of ``beta(values)``."""
@@ -722,19 +802,20 @@ class PeriodicEmbedding:
     def embed(self, a: CrossedElement) -> np.ndarray:
         """(points, grid, n, n) matrix image of a crossed element."""
         out = np.zeros((self.sys.n, self.grid, self.n, self.n), dtype=np.complex128)
-        upow: dict[int, np.ndarray] = {0: np.broadcast_to(np.eye(self.n), self.u_matrices.shape).copy()}
-
-        def power(i: int) -> np.ndarray:
-            if i not in upow:
-                if i > 0:
-                    upow[i] = power(i - 1) @ self.u_matrices
-                else:
-                    upow[i] = power(i + 1) @ self.u_matrices.conj().transpose(0, 2, 1)
-            return upow[i]
-
-        # beta(f) is diagonal, so beta(f) @ u^i scales row a of u^i by f's a-th entry
+        eye = np.broadcast_to(np.eye(self.n), self.u_matrices.shape)
+        # one running power of each sign: u^i = u^(i-1) @ u and u^-i = u^(1-i) @ u*
+        # from the identity up; an exponent below the running one starts again
+        running = {1: (0, eye), -1: (0, eye)}
         for i, f in a.coeffs.items():
-            out += self._diagonal(f)[:, None, :, None] * power(i)
+            sign = -1 if i < 0 else 1
+            e, power = running.pop(sign)
+            if e > abs(i):
+                e, power = 0, eye
+            for _ in range(abs(i) - e):
+                power = power @ (self.u_matrices if sign > 0 else self.u_matrices.conj().transpose(0, 2, 1))
+            running[sign] = (abs(i), power)
+            # beta(f) is diagonal, so beta(f) @ u^i scales row a of u^i by f's a-th entry
+            out += self._diagonal(f)[:, None, :, None] * power
         return out
 
     def unitarity_residual(self) -> float:
@@ -753,12 +834,9 @@ class PeriodicEmbedding:
 
     def expectation_residual(self, a: CrossedElement) -> float:
         """Commuting square defect: embed(E(a)) vs diagonal grid average of embed(a)."""
-        image = self.embed(a)
-        averaged = image.mean(axis=1)
-        diag_avg = np.zeros_like(averaged)
         idx = np.arange(self.n)
-        diag_avg[:, idx, idx] = averaged[:, idx, idx]
-        return float(np.abs(diag_avg - self.beta(a.expectation())).max())
+        averaged = self.embed(a).mean(axis=1)[:, idx, idx]
+        return float(np.abs(averaged - self._diagonal(a.expectation())).max())
 
 
 def periodic_embedding(sys: FiniteDynamicalSystem, grid: int, n: int | None = None) -> PeriodicEmbedding:

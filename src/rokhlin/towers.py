@@ -75,10 +75,11 @@ def _tower_points(
     return sys.orbits().iterate(np.arange(-m, m + 1), anchors[..., None])
 
 
-def _overlapping_level(points: np.ndarray) -> int | None:
-    """First level whose translates share a point, or None when all are disjoint."""
+def _overlapping_level(points: np.ndarray, n: int) -> int | None:
+    """First level whose translates share a point, or None when all are
+    disjoint; ``points`` index a system of n points."""
     for l, level in enumerate(points):
-        if np.unique(level).size < level.size:
+        if np.bincount(level.ravel(), minlength=n).max(initial=0) > 1:
             return l
     return None
 
@@ -132,7 +133,7 @@ def tower_supports(
         sys.apply((2 * (m - k) + 1) * l + (m - k) + 1, Z) for l in range(2 * d + 3)
     )
     points = _tower_points(sys, supports, m)
-    overlap = _overlapping_level(points)
+    overlap = _overlapping_level(points, sys.n)
     if overlap is not None:
         raise TowerError(f"translates of support {overlap} are not pairwise disjoint")
     covered = np.zeros(sys.n, dtype=bool)
@@ -332,7 +333,7 @@ def verify_tower(family: TowerFamily) -> TowerReport:
         step_measured=int(rung_step(num, family.k)) / den,
         step_bound=float(bound),
         step_below_eps=(bound < family.eps),
-        supports_disjoint=_overlapping_level(points) is None,
+        supports_disjoint=_overlapping_level(points, family.sys.n) is None,
         supports_contain=np.array_equal(points, _tower_points(family.sys, family.supports, family.m)),
         vanishes_outside=num.shape[-1] == 2 * family.m + 1,
         values_in_unit_interval=bool(((num >= 0) & (num <= den)).all()),

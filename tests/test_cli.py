@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -553,3 +554,30 @@ class TestReportEncoding:
             assert table == expected
             for rung in table.values():
                 assert list(rung) == sorted(rung)
+
+
+# sha256 of each shipped scenario's report and of verify-all on the shipped
+# suite, run from the repository root (reports name the system path as
+# given).  Any change to a pin is a change to the program's output and is
+# explained in CHANGES.md.
+_REPORT_SHA256 = {
+    "approx_acceptance": "f2e1757e4b5bf1e6c19627f5ea8d9ebe0500325c35b624d357cc5d1ecd850ad7",
+    "approx_small": "298ca8ca1969751621fb92245bd35114928e52f214aa8d6a3533b8eec6ea6f7a",
+    "markers_100": "2a8d4a60ae3181bae8684dc04a60ea3a95494e49eb6b9db9b373e8b7f94c5492",
+    "norm_unitary": "0ce92f0aaec0ad6e8a2ada38f07106b1ee6fcae80598d6963080d375ba1389bd",
+    "orbits_3_10": "56a04782ffb03a9227805e96ec41e6b86fdd5a353c7a32efc3a34012c71d7ca0",
+    "periodic_2_3_4": "1e7095c7a27c009c0b63c2af855237cfc97eb6f8d361d7610c4c33627ec6104e",
+    "towers_100": "a740049cdff477a295fdf49316ae874e4d42a2f6a9cdb2137c08fa0ca0088a55",
+    "verify-all": "044351be4f9e6f137a0f4b9519cbfbf9d4da224f6ce19537c85c242e6ae54709",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPORT_SHA256))
+def test_shipped_report_bytes_are_pinned(name, monkeypatch, capsys):
+    monkeypatch.chdir(SCENARIOS.parent)
+    if name == "verify-all":
+        assert main(["verify-all", "--suite", "scenarios/suite.json"]) == 0
+        text = capsys.readouterr().out
+    else:
+        text = emit_report(run_scenario(f"scenarios/{name}.json"), None)
+    assert hashlib.sha256(text.encode()).hexdigest() == _REPORT_SHA256[name]

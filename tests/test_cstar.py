@@ -1,15 +1,21 @@
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rokhlin.cstar import (
     CrossedElement,
     ElementOrbitFiber,
     HostMismatchError,
     InterpolationFiber,
+    _embedding_bytes,
     _grid,
     _sigma_max_lanczos,
+    _sturm_above,
+    _top_ritz,
     holonomy,
     norm,
     orbit_isomorphism,
@@ -309,7 +315,9 @@ class TestPeriodicEmbedding:
             tracemalloc.stop()
         assert f"period {period} needs a (31, 64, {period}, {period})" in str(err.value)
         image = 31 * 64 * period**2 * 16
-        assert f"{image} bytes and a peak of {3 * image} bytes" in str(err.value)
+        # three images, five (grid, n, n) arrays and two (points, n, n) arrays
+        stated = 3 * image + (5 * 64 + 2 * 31) * period**2 * 16
+        assert f"{image} bytes and a peak of {stated} bytes" in str(err.value)
         assert peak < 2**24
 
     @pytest.mark.parametrize("lengths, grid", [([3, 10], 128), ([2, 3, 4], 64)])
@@ -329,6 +337,22 @@ class TestPeriodicEmbedding:
             finally:
                 tracemalloc.stop()
             assert peak <= 3 * image
+
+    @pytest.mark.parametrize("lengths, grid", [([1], 4096), ([2], 4096), ([5], 512), ([3, 10], 128)])
+    def test_peak_within_the_stated_peak(self, lengths, grid):
+        # on few points the u-powers are as large as the image itself
+        sys = make_cycle_system(lengths)
+        rng = np.random.default_rng(5)
+        a = CrossedElement(sys, {i: rng.standard_normal(sys.n) for i in (-2, -1, 0, 1, 2)})
+        tracemalloc.start()
+        try:
+            emb = periodic_embedding(sys, grid)
+            emb.covariance_residual(a.coefficient(0))
+            emb.expectation_residual(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _embedding_bytes(sys.n, grid, emb.n)[1]
 
     def test_period_beyond_int64_is_exact(self):
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
@@ -438,9 +462,11 @@ class TestOracleAgreement:
         a, fib = _close_top_pair_element()
         result = norm(a, 1e-2)
         assert result.grids == {a.sys.labels[0]: 256}
-        _, _, cold, _ = _sigma_max_lanczos(fib, _grid(256))
+        _, _, cold, _, _ = _sigma_max_lanczos(fib, _grid(256))
         assert 256 * 8 <= result.lanczos_steps <= cold / 2
         assert norm(a, 1e-2).lanczos_steps == result.lanczos_steps
+        # every check certified its dense estimate with a Sturm sweep
+        assert result.ritz_bisections == 0
 
     def test_unconverged_counts_points_at_the_cap(self):
         # u + 1/2 on a 300-cycle: the top of a*a is a cluster of width
@@ -451,10 +477,13 @@ class TestOracleAgreement:
         result = norm(a, 0.05)
         assert 0 < result.unconverged <= result.grids[sys.labels[0]]
         assert 1.5 - result.tol <= result.value <= 1.5 * (1 + 1e-12)
+        # checks of many points at long Lanczos runs are too large for the
+        # dense estimate and bisect
+        assert result.ritz_bisections > 0
 
     @staticmethod
     def _assert_matches_svd(fib, lams):
-        fast, unconverged, _, _ = _sigma_max_lanczos(fib, lams)
+        fast, unconverged, _, _, _ = _sigma_max_lanczos(fib, lams)
         exact = np.array([np.linalg.svd(m, compute_uv=False)[0] for m in fib.matrices(lams)])
         assert unconverged == 0
         assert np.abs(fast - exact).max() <= 1e-10 * exact.max()
@@ -529,8 +558,8 @@ class TestWarmStart:
         # point by point as well, from a start orthogonal to the top vector
         fib = ElementOrbitFiber(a, a.sys.orbits().cycles[0])
         lams = _grid(32)
-        _, _, _, ritz = _sigma_max_lanczos(fib, lams[:1])
-        warm, unconverged, _, _ = _sigma_max_lanczos(fib, lams[1:], ritz)
+        *_, ritz = _sigma_max_lanczos(fib, lams[:1])
+        warm, unconverged, *_ = _sigma_max_lanczos(fib, lams[1:], ritz)
         _, sv, vh = np.linalg.svd(fib.matrices(lams[1:]))
         overlap = np.abs(vh[:, 0] @ ritz) / np.linalg.norm(ritz)
         assert unconverged == 0 and overlap[15] < 1e-12  # lam = -1
@@ -545,6 +574,137 @@ class TestWarmStart:
         assert self._assert_matches_dense(a).value == pytest.approx(2.0, rel=1e-14)
 
 
+@st.composite
+def _tridiagonals(draw):
+    """(k, m) diagonals >= 0 and (k - 1, m) subdiagonals >= 0, as Lanczos on
+    a*a produces, over a wide dynamic range, with tiny and zero couplings."""
+    k, m = draw(st.integers(1, 64)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([0, 3, 40, 150]))
+    alpha = rng.random((k, m)) * 10.0 ** rng.uniform(-spread, spread, (k, m))
+    beta = rng.random((k - 1, m)) * 10.0 ** rng.uniform(-spread, spread, (k - 1, m))
+    beta[rng.random(beta.shape) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 1e-300
+    beta[rng.random(beta.shape) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
+    return alpha, beta
+
+
+def _top_in_long_double(alpha, beta):
+    """Reference top eigenvalues: bisection on the classic Sturm count (the
+    number of negative LDL^T pivots of T - x is the number of eigenvalues
+    below x) in long double, which resolves them far below a double ulp
+    where long double is wider.  (eigvalsh is no reference: it is off by up
+    to ~15 ulps of the scale on these matrices, and by up to 4e-3 relative
+    over a 1e+-150 range.)"""
+    alpha, beta = alpha.astype(np.longdouble), beta.astype(np.longdouble)
+    lo = alpha.max(axis=0)
+    hi = lo + 2 * beta.max(axis=0, initial=0)
+    with np.errstate(divide="ignore", over="ignore"):
+        for _ in range(120):
+            x = (lo + hi) / 2
+            d = alpha[0] - x
+            negatives = (d < 0).astype(int)
+            for a, b in zip(alpha[1:], beta):
+                d = (a - x) - b * b / np.where(d == 0, np.finfo(np.longdouble).tiny, d)
+                negatives += d < 0
+            above = negatives < len(alpha)
+            lo, hi = np.where(above, x, lo), np.where(above, hi, x)
+    return lo.astype(float)
+
+
+class TestRitzCertificate:
+    """``_top_ritz``: a lower bound on the top eigenvalue of each tridiagonal
+    that passes the Sturm test and lies within 1e-12 relative of it."""
+
+    @staticmethod
+    def _assert_certified(alpha, beta, value):
+        top = _top_in_long_double(alpha, beta)
+        scale = np.abs(alpha).max(axis=0) + 2 * beta.max(axis=0, initial=0.0)
+        assert np.all(value <= top + 4 * np.spacing(scale))
+        assert np.all(np.abs(value - top) <= 1e-12 * top)
+        assert _sturm_above(alpha, beta * beta, value).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_tridiagonals())
+    def test_certified_lower_bound(self, tri):
+        alpha, beta = tri
+        value, bisections = _top_ritz(alpha, beta)
+        self._assert_certified(alpha, beta, value)
+        assert 0 <= bisections <= alpha.shape[1]
+
+    @pytest.mark.parametrize("error", [1e-6, -1e-6], ids=["above", "below"])
+    def test_poor_estimate_falls_back_to_bisection(self, monkeypatch, error):
+        # an estimate far above the top eigenvalue fails every Sturm step;
+        # one far below it trips the guard
+        rng = np.random.default_rng(31)
+        alpha, beta = rng.random((20, 8)), rng.random((19, 8))
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) * (1 + error))
+        value, bisections = _top_ritz(alpha, beta)
+        # and through a norm on the Lanczos path
+        a, fib = _close_top_pair_element()
+        result = norm(a, 1e-2)
+        monkeypatch.undo()
+        assert bisections == 8
+        self._assert_certified(alpha, beta, value)
+        assert result.ritz_bisections > 0
+        mats = fib.matrices(np.array([result.argmax[1]]))
+        exact = np.linalg.svd(mats[0], compute_uv=False)[0]
+        assert exact * (1 - 1e-10) <= result.value <= exact * (1 + 1e-12)
+
+
+class _RebuiltOnSlice(np.ndarray):
+    """Twist weights whose keep-mask slices are rebuilt from the kept lams."""
+
+    def __getitem__(self, key):
+        rebuild = getattr(self, "rebuild", None)
+        if rebuild is not None and isinstance(key, np.ndarray) and key.dtype == bool:
+            return rebuild(key)
+        return super().__getitem__(key)
+
+
+class TestTwists:
+    @pytest.mark.parametrize("L, radius", [(40, 1), (48, 2), (33, 45)])
+    def test_slices_equal_rebuilt_weights(self, L, radius):
+        sys = make_cycle_system([L])
+        rng = np.random.default_rng(L + radius)
+        fib = ElementOrbitFiber(random_element(sys, radius, rng), sys.orbits().cycles[0])
+        lams = np.exp(2j * np.pi * rng.random(50))
+        keep = rng.random(50) < 0.5
+        for full, kept in zip(fib.twists(lams), fib.twists(lams[keep])):
+            assert [s for s, _ in full] == [s for s, _ in kept]
+            assert all(np.array_equal(w[keep], v) for (_, w), (_, v) in zip(full, kept))
+
+    def test_lanczos_output_equals_rebuilding(self):
+        # rebuilding the weights for the remaining lams each time the batch
+        # shrinks gives the same floats as slicing them; a warm start lets
+        # the lams of this fiber leave at different checks
+        sys = make_cycle_system([48])
+        rng = np.random.default_rng(48)
+        fib = ElementOrbitFiber(random_element(sys, 2, rng, scale=0.3), sys.orbits().cycles[0])
+        lams = _grid(64)
+        *_, ritz = _sigma_max_lanczos(fib, lams[:1])
+        rebuilt = []
+
+        def twists(lams):
+            sides = ElementOrbitFiber.twists(fib, lams)
+            for side, terms in enumerate(sides):
+                for j, (s, w) in enumerate(terms):
+                    w = w.view(_RebuiltOnSlice)
+                    w.rebuild = functools.partial(rebuild, lams, side, j)
+                    terms[j] = (s, w)
+            return sides
+
+        def rebuild(lams, side, j, keep):
+            rebuilt.append(int(keep.sum()))
+            return twists(lams[keep])[side][j][1]
+
+        est, stuck, steps, bisections, _ = _sigma_max_lanczos(fib, lams[1:], ritz)
+        fib.twists = twists
+        again = _sigma_max_lanczos(fib, lams[1:], ritz)
+        assert rebuilt and np.array_equal(again[0], est)
+        assert again[1:4] == (stuck, steps, bisections)
+
+
 class TestFibers:
     def test_interpolation_hits_nodes(self):
         sys = make_cycle_system([4])
@@ -556,6 +716,15 @@ class TestFibers:
         nodes = ElementOrbitFiber(a, cyc).matrices(lams)
         interp = InterpolationFiber(cyc, nodes)
         assert np.abs(interp.matrices(lams) - nodes).max() < 1e-12
+
+    @pytest.mark.parametrize("L, s", [(1, 8), (3, 32), (7, 64)])
+    def test_interp_lip_equals_per_node_norms(self, L, s):
+        rng = np.random.default_rng(19 + L)
+        nodes = rng.standard_normal((s, L, L)) + 1j * rng.standard_normal((s, L, L))
+        interp = InterpolationFiber(make_cycle_system([L]).orbits().cycles[0], nodes)
+        diffs = nodes - np.roll(nodes, -1, axis=0)
+        step = max(float(np.linalg.norm(d, 2)) for d in diffs)
+        assert interp.lip() == step / (2 * np.pi / s)
 
     def test_interp_lip_bounds_variation(self):
         sys = make_cycle_system([3])

@@ -21,6 +21,7 @@ from rokhlin.towers import (
     tower_supports,
     verify_tower,
     _common_denominator,
+    _overlapping_level,
     _tent,
     _tower_points,
     _window_sum,
@@ -86,6 +87,37 @@ class TestTowerPoints:
         reference = np.stack([powers[j][anchors] for j in range(-m, m + 1)], axis=-1)
         assert np.array_equal(_tower_points(sys, family.supports, m), reference)
         assert np.array_equal(family.points, reference)
+
+
+def _overlapping_level_by_unique(points):
+    """Reference: the first level with a repeated point, by np.unique."""
+    for l, level in enumerate(points):
+        if np.unique(level).size < level.size:
+            return l
+    return None
+
+
+class TestOverlappingLevel:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("collision", [None, "within_anchor", "across_anchors"])
+    def test_matches_unique_reference(self, seed, collision):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(16, 400))
+        anchors = int(rng.integers(2, 6))
+        rungs = int(rng.integers(2, n // anchors + 1))
+        levels = int(rng.integers(3, 8))
+        # each level: anchors x rungs distinct points of an n-point system
+        points = np.stack([rng.permutation(n)[: anchors * rungs].reshape(anchors, rungs) for _ in range(levels)])
+        mid = levels // 2
+        if collision == "within_anchor":
+            a, (j, j2) = rng.integers(anchors), rng.choice(rungs, 2, replace=False)
+            points[mid, a, j2] = points[mid, a, j]
+        elif collision == "across_anchors":
+            a, a2 = rng.choice(anchors, 2, replace=False)
+            points[mid, a2, rng.integers(rungs)] = points[mid, a, rng.integers(rungs)]
+        expected = _overlapping_level_by_unique(points)
+        assert expected == (None if collision is None else mid)
+        assert _overlapping_level(points, n) == expected
 
 
 class TestPartition:
