@@ -215,29 +215,48 @@ class InvariantSplit:
     complement: frozenset[int]
 
 
+def _base_rank_and_position(sys: FiniteDynamicalSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, the least label rank on its cycle and its distance from the
+    point holding that rank (its base), by pointer doubling over perm and
+    perm_inv: array operations only, no per-point walk."""
+    n = sys.n
+    by_label = np.fromiter(map(sys.index.__getitem__, sorted(sys.labels)), dtype=np.int64, count=n)
+    low = np.empty(n, dtype=np.int64)
+    low[by_label] = np.arange(n)
+    hop = sys.perm
+    while True:
+        # the minimum over the next 2^(r+1) iterates equals the one over 2^r
+        # everywhere only once it is constant on each cycle: the cycle minimum
+        nxt = np.minimum(low, low[hop])
+        if np.array_equal(nxt, low):
+            break
+        low, hop = nxt, hop[hop]
+    base = by_label[low]
+    is_base = base == np.arange(n)
+    # list ranking along perm_inv; a base points at itself with distance 0
+    pos, back = (~is_base).astype(np.int64), np.where(is_base, np.arange(n), sys.perm_inv)
+    while not np.array_equal(back, base):
+        pos, back = pos + pos[back], back[back]
+    return low, pos
+
+
 def orbit_decomposition(sys: FiniteDynamicalSystem) -> OrbitDecomposition:
-    """Decompose the point set into cycles, each anchored at its least label."""
-    seen = np.zeros(sys.n, dtype=bool)
-    cycles: list[Cycle] = []
-    for lab in sorted(sys.labels):
-        start = sys.index[lab]
-        if seen[start]:
-            continue
-        order = [start]
-        seen[start] = True
-        x = int(sys.perm[start])
-        while x != start:
-            seen[x] = True
-            order.append(x)
-            x = int(sys.perm[x])
-        cycles.append(Cycle(base=start, length=len(order), order=tuple(order)))
-    lengths = np.array([c.length for c in cycles], dtype=np.int64)
-    order = np.fromiter((x for c in cycles for x in c.order), dtype=np.int64, count=sys.n)
-    slot_start = np.repeat(np.cumsum(lengths) - lengths, lengths)  # per slot of order
-    start, length, pos = (np.empty(sys.n, dtype=np.int64) for _ in range(3))
-    start[order], length[order] = slot_start, np.repeat(lengths, lengths)
-    pos[order] = np.arange(sys.n) - slot_start
-    return OrbitDecomposition(cycles=tuple(cycles), order=order, start=start, length=length, pos=pos)
+    """Decompose the point set into cycles, each anchored at its least label.
+
+    Cycles come in the order of their bases' labels, each starting at its
+    base (see _base_rank_and_position).
+    """
+    low, pos = _base_rank_and_position(sys)
+    sizes = np.bincount(low, minlength=sys.n)  # cycle length, indexed by its base's rank
+    offsets = np.cumsum(sizes) - sizes
+    start, length = offsets[low], sizes[low]
+    order = np.empty(sys.n, dtype=np.int64)
+    order[start + pos] = np.arange(sys.n)
+    bounds = zip(offsets[sizes > 0].tolist(), sizes[sizes > 0].tolist())
+    del low, sizes, offsets  # freed before the Python ints below are made
+    flat = order.tolist()
+    cycles = tuple(Cycle(base=flat[a], length=size, order=tuple(flat[a : a + size])) for a, size in bounds)
+    return OrbitDecomposition(cycles=cycles, order=order, start=start, length=length, pos=pos)
 
 
 def invariant_split(sys: FiniteDynamicalSystem, N: int) -> InvariantSplit:

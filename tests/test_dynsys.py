@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rokhlin.dynsys import (
+    Cycle,
     FiniteDynamicalSystem,
     MetricError,
     SystemFormatError,
@@ -35,6 +36,55 @@ def brute_orbit_lengths(sys):
                 break
         lengths.append(steps)
     return sorted(lengths)
+
+
+def walk_decomposition(sys):
+    """The per-point orbit walk that orbit_decomposition replaced: cycles in
+    label order of their least label, each walked forward from it."""
+    seen = np.zeros(sys.n, dtype=bool)
+    cycles = []
+    for lab in sorted(sys.labels):
+        start = sys.index[lab]
+        if seen[start]:
+            continue
+        order = [start]
+        seen[start] = True
+        x = int(sys.perm[start])
+        while x != start:
+            seen[x] = True
+            order.append(x)
+            x = int(sys.perm[x])
+        cycles.append(Cycle(base=start, length=len(order), order=tuple(order)))
+    order = np.array([x for c in cycles for x in c.order], dtype=np.int64)
+    start, length, pos = (np.empty(sys.n, dtype=np.int64) for _ in range(3))
+    offset = 0
+    for c in cycles:
+        for p, x in enumerate(c.order):
+            start[x], length[x], pos[x] = offset, c.length, p
+        offset += c.length
+    return tuple(cycles), order, start, length, pos
+
+
+@st.composite
+def permutation_systems(draw):
+    """A system on shuffled labels whose map has fixed points, short cycles
+    and one long cycle."""
+    fixed = draw(st.integers(0, 6))
+    short = draw(st.lists(st.integers(2, 9), max_size=5))
+    long_ = draw(st.sampled_from([0, 37, 64, 300]))
+    lengths = [1] * fixed + short + ([long_] if long_ else [])
+    n = sum(lengths)
+    if n == 0:
+        lengths, n = [1], 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells, forward, offset = rng.permutation(n), {}, 0
+    labels = [f"p{v:04d}" for v in rng.permutation(n)]
+    for L in lengths:
+        cyc = cells[offset : offset + L]
+        for j in range(L):
+            forward[labels[cyc[j]]] = labels[cyc[(j + 1) % L]]
+        offset += L
+    return FiniteDynamicalSystem(labels, forward)
 
 
 def doc_for(points, mapping, **extra):
@@ -166,6 +216,16 @@ class TestOrbitsAndSplit:
                 assert dec.order[offset + pos] == pt
                 assert int(sys.perm[pt]) == cyc.order[(pos + 1) % cyc.length]
             offset += cyc.length
+
+    @settings(max_examples=80, deadline=None)
+    @given(permutation_systems())
+    def test_decomposition_matches_the_walk(self, sys):
+        cycles, order, start, length, pos = walk_decomposition(sys)
+        dec = orbit_decomposition(sys)
+        assert dec.cycles == cycles
+        for name, want in (("order", order), ("start", start), ("length", length), ("pos", pos)):
+            got = getattr(dec, name)
+            assert got.dtype == np.int64 and np.array_equal(got, want), name
 
     def test_base_is_least_label(self):
         sys = make_cycle_system([4, 4])
