@@ -76,10 +76,18 @@ print(f"\nround trip through the matrix-function picture: "
 
 # -- periodic systems -------------------------------------------------------------------
 
-per = make_cycle_system([2, 3])
-emb = periodic_embedding(per, grid=64)
-print(f"\nperiod {emb.n} embedding: unitarity {emb.unitarity_residual():.1e}, "
-      f"covariance {emb.covariance_residual(rng.standard_normal(per.n)):.1e}")
+# the embedding is held in band form (at most 2k + 1 weighted diagonals for
+# radius k) and its residuals stream the circle grid in chunks, so period 1001
+# runs in a few tens of MB where a dense image would take 31.8 GB
+print()
+for lengths in ([2, 3], [7, 11, 13]):
+    per = make_cycle_system(lengths)
+    emb = periodic_embedding(per, grid=64)
+    a = CrossedElement(per, {i: rng.standard_normal(per.n) for i in range(-2, 3)})
+    print(f"cycles {lengths}, period {emb.n}, {min(emb.chunk, emb.grid)} grid points a chunk: "
+          f"unitarity {emb.unitarity_residual():.1e}, "
+          f"covariance {emb.covariance_residual(rng.standard_normal(per.n)):.1e}, "
+          f"expectation {emb.expectation_residual(a):.1e}")
 spec = primitive_spectrum(make_cycle_system([2, 2, 5]))
 print(f"spectrum counts {spec.counts}, max irreducible dimension "
       f"{spec.max_irreducible_dim} <= period {spec.period}")

@@ -583,8 +583,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first main() call, not at import, and reused by every later one
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     start = time.monotonic()
     flags = _SCENARIO_FLAGS.get(args.command, COMMANDS[args.command][1])
     try:

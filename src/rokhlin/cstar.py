@@ -108,8 +108,10 @@ _SCREEN_MARGIN = 1 + 1e-9
 # 2-vCPU Xeon) u on a 10-cycle takes 12.7/8.9/12.0 ms at blocks of
 # 16/256/4096, and a random L = 32 fiber peaks at 70/76/256 MiB traced
 _SCREEN_BLOCK = 256
-# peak bytes a periodic embedding may use (see _embedding_bytes)
-_EMBED_MAX_BYTES = 2 * 2**30
+# bytes of per-grid-point arrays one streamed grid chunk of a periodic
+# embedding may hold (see PeriodicEmbedding); a system whose single grid
+# point needs more is refused before anything is allocated
+_EMBED_CHUNK_BYTES = 2**25
 
 
 class HostMismatchError(ValueError):
@@ -376,9 +378,8 @@ class ElementOrbitFiber:
         out = np.zeros((len(lams), L, L), dtype=np.complex128)
         rows = np.arange(L)
         for i, diag in self.bands.items():
-            cols = (rows + i) % L
-            wraps = (rows + i) // L
-            out[:, rows, cols] += diag[None, :] * lams[:, None] ** wraps[None, :]
+            shift, w = _twist(diag, i, lams)
+            out[:, rows, (rows + shift) % L] += w
         return out
 
     def twists(self, lams: np.ndarray):
@@ -388,13 +389,53 @@ class ElementOrbitFiber:
         (see _shifted_sum); the weights are the band values times the wrap
         power of lam, one row per lam, so a sub-batch takes their rows.
         """
-        L = self.L
-        terms, adj_terms = [], []
-        for i, diag in self.bands.items():
-            w = diag[None, :] * lams[:, None] ** ((np.arange(L) + i) // L)[None, :]
-            terms.append((i % L, w))
-            adj_terms.append((-i % L, np.roll(np.conj(w), i, axis=1)))
-        return terms, adj_terms
+        terms = [_twist(diag, i, lams) for i, diag in self.bands.items()]
+        return terms, _band_adjoint(terms)
+
+
+# Band form: a list of (shift, weights) terms, each the matrix with
+# weights[..., r] at (r, (r + shift) % n) and zeros elsewhere; terms may share
+# a shift, and leading axes of the weights index points and lams.
+
+
+def _twist(diag: np.ndarray, i: int, lams: np.ndarray) -> tuple[int, np.ndarray]:
+    """diag(diag) S^i(lam) for each lam, where S(lam) is the cyclic shift with
+    lam in the corner: the band values times lam to their wrap power, with an
+    axis of lams before the last (diag may carry leading axes).  The wraps
+    take at most two values; each power is taken once per lam, a negative one as a
+    power of conj(lam), since u^-1 = u*."""
+    n = diag.shape[-1]
+    lo = i // n
+    powers = np.stack([(np.conj(lams) if k < 0 else lams) ** abs(k) for k in (lo, lo + 1)], axis=-1)
+    # take, unlike powers[:, idx], keeps the lam axis outer (C order)
+    return i % n, diag[..., None, :] * np.take(powers, (np.arange(n) + i) // n - lo, axis=1)
+
+
+def _band_adjoint(terms):
+    """(s, w)* is the shift -s with weights roll(conj(w), s)."""
+    return [(-s % w.shape[-1], np.roll(np.conj(w), s, axis=-1)) for s, w in terms]
+
+
+def _band_product(x, y):
+    """(s, v)(t, w) is the shift s + t with weights v * roll(w, -s); terms are
+    summed by shift."""
+    out: dict[int, np.ndarray] = {}
+    for s, v in x:
+        for t, w in y:
+            key = (s + t) % v.shape[-1]
+            term = v * np.roll(w, -s, axis=-1)
+            out[key] = out[key] + term if key in out else term
+    return list(out.items())
+
+
+def _band_residual(x, y) -> float:
+    """Largest entry of |x - y| for two band forms."""
+    diff: dict[int, np.ndarray] = {}
+    for s, w in x:
+        diff[s] = diff[s] + w if s in diff else w
+    for s, w in y:
+        diff[s] = diff[s] - w if s in diff else -w
+    return max(float(np.abs(w).max()) for w in diff.values())
 
 
 def _shifted_sum(terms, v: np.ndarray) -> np.ndarray:
@@ -815,104 +856,106 @@ def orbit_isomorphism(sys: FiniteDynamicalSystem, cycle: Cycle, grid_size: int) 
 # periodic systems: embedding, spectrum
 
 
-def _embedding_bytes(points: int, grid: int, n: int) -> tuple[int, int]:
-    """Bytes of one (points, grid, n, n) complex image, and a bound on the
-    peak of the embedding with its residuals: three images, five (grid, n, n)
-    arrays and two (points, n, n) arrays.  The image is summed beside a
-    product temporary, u's image, the lam grid and the running power of each
-    sign; forming the next power adds the adjoint step and the new power; the
-    residuals hold at most three image-sized arrays and two diagonal
-    embeddings."""
-    item = np.dtype(np.complex128).itemsize
-    image = points * grid * n * n * item
-    return image, 3 * image + 5 * grid * n * n * item + 2 * points * n * n * item
-
-
 class PeriodicEmbedding:
     """Covariant embedding of the crossed product of a periodic system into
-    n x n matrix functions on the circle.
+    n x n matrix functions on the circle, held in band form.
 
-    Functions embed as diagonals of their first n backward iterates; the
-    unitary embeds as the shift with the circle coordinate in the corner.
-    Injectivity is checked numerically by a commuting square with the
-    canonical expectation (grid average of the diagonal).
+    At a point x and circle parameter lam, u is the shift 1 with weights
+    (1, ..., 1, lam); a function f is the diagonal (f(alpha_{-r}(x)))_r of
+    its first n backward iterates; so a crossed element sum_i f_i u^i is
+    sum_i diag(f_i o alpha_{-r}) S^i(lam), at most 2k + 1 weighted diagonals
+    for support radius k (see _twist).  No n x n matrix is formed.  The
+    residuals stream the lam grid in chunks of ``chunk`` points, holding at
+    most ``point_bytes`` per grid point of the chunk, so their memory is
+    O(points * chunk * n); a system whose single grid point needs more than
+    _EMBED_CHUNK_BYTES is refused before anything is allocated.  Injectivity
+    is checked numerically by a commuting square with the canonical
+    expectation (grid average of the diagonal).
     """
 
     def __init__(self, sys: FiniteDynamicalSystem, grid: int, n: int | None = None):
-        period = math.lcm(*(c.length for c in sys.orbits().cycles)) if n is None else int(n)
-        # refuse before allocating
-        shape = (sys.n, int(grid), period, period)
-        size, peak = _embedding_bytes(*shape[:3])
-        if peak > _EMBED_MAX_BYTES:
-            raise ValueError(
-                f"periodic embedding of period {period} needs a {shape} complex array of "
-                f"{size} bytes and a peak of {peak} bytes, over the limit of "
-                f"{_EMBED_MAX_BYTES} bytes"
-            )
+        if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 1:
+            raise ValueError(f"grid must be an integer >= 1, got grid = {grid!r}")
+        lengths = {c.length for c in sys.orbits().cycles}
         if n is None:
-            n = period
-        elif np.any(n % sys.orbits().length):
-            raise ValueError(f"{n} is not a period of the system")
+            n = math.lcm(*lengths)
+        elif isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n must be an integer >= 1, got n = {n!r}")
+        elif any(n % length for length in lengths):
+            raise ValueError(f"n = {n} is not a period of the system (cycle lengths {sorted(lengths)})")
+        n = int(n)
+        # per grid point a residual holds at most three (points, n) and six
+        # (n,) complex arrays; refuse before allocating
+        point_bytes = 16 * n * (3 * sys.n + 6)
+        if point_bytes > _EMBED_CHUNK_BYTES:
+            raise ValueError(
+                f"periodic embedding of period {n} needs {point_bytes} bytes per grid point "
+                f"on {sys.n} points, over the limit of {_EMBED_CHUNK_BYTES} bytes per grid chunk"
+            )
         self.sys = sys
-        self.n = int(n)
+        self.n = n
         self.grid = int(grid)
+        self.point_bytes = point_bytes
+        self.chunk = _EMBED_CHUNK_BYTES // point_bytes
         self.lams = _grid(self.grid)
-        # the shift with lam in the corner at every grid point
-        idx = np.arange(self.n)
-        self.u_matrices = np.zeros((self.grid, self.n, self.n), dtype=np.complex128)
-        self.u_matrices[:, idx[:-1], idx[1:]] = 1.0
-        self.u_matrices[:, -1, 0] = self.lams
+        # (points, n) index of the first n backward iterates of each point
+        self._backward = sys.orbits().iterate(-np.arange(n), np.arange(sys.n)[:, None])
+
+    @property
+    def peak_bytes(self) -> int:
+        """Bound on the traced peak of one residual: a full chunk, the lam
+        grid, fixed (points, n) arrays worth at most two grid points, and
+        64 KiB of interpreter objects."""
+        return (min(self.chunk, self.grid) + 2) * self.point_bytes + 16 * self.grid + 2**16
+
+    def _chunks(self):
+        """The lam grid, one streamed chunk at a time."""
+        return (self.lams[s : s + self.chunk] for s in range(0, self.grid, self.chunk))
 
     def _diagonal(self, values) -> np.ndarray:
         """(points, n) diagonal of ``beta(values)``."""
-        vals = np.asarray(values, dtype=np.complex128)
-        return vals[self.sys.orbits().iterate(-np.arange(self.n), np.arange(self.sys.n)[:, None])]
+        return np.asarray(values, dtype=np.complex128)[self._backward]
 
-    def beta(self, values) -> np.ndarray:
-        """(points, n, n) diagonal embedding of a function (constant in lam)."""
-        out = np.zeros((self.sys.n, self.n, self.n), dtype=np.complex128)
-        idx = np.arange(self.n)
-        out[:, idx, idx] = self._diagonal(values)
-        return out
+    def u(self, lams: np.ndarray):
+        """Band form of u at each lam: the shift 1 with weights (1, ..., 1, lam)."""
+        return [_twist(np.ones(self.n), 1, lams)]
 
-    def embed(self, a: CrossedElement) -> np.ndarray:
-        """(points, grid, n, n) matrix image of a crossed element."""
-        out = np.zeros((self.sys.n, self.grid, self.n, self.n), dtype=np.complex128)
-        eye = np.broadcast_to(np.eye(self.n), self.u_matrices.shape)
-        # one running power of each sign: u^i = u^(i-1) @ u and u^-i = u^(1-i) @ u*
-        # from the identity up; an exponent below the running one starts again
-        running = {1: (0, eye), -1: (0, eye)}
-        for i, f in a.coeffs.items():
-            sign = -1 if i < 0 else 1
-            e, power = running.pop(sign)
-            if e > abs(i):
-                e, power = 0, eye
-            for _ in range(abs(i) - e):
-                power = power @ (self.u_matrices if sign > 0 else self.u_matrices.conj().transpose(0, 2, 1))
-            running[sign] = (abs(i), power)
-            # beta(f) is diagonal, so beta(f) @ u^i scales row a of u^i by f's a-th entry
-            out += self._diagonal(f)[:, None, :, None] * power
-        return out
+    def beta(self, values):
+        """Band form of a function: its (points, 1, n) diagonal, constant in lam."""
+        return [(0, self._diagonal(values)[:, None, :])]
+
+    def embed(self, a: CrossedElement, lams: np.ndarray):
+        """Band form of a crossed element at each lam: one term per power,
+        with (points, len(lams), n) weights."""
+        return [_twist(self._diagonal(f), i, lams) for i, f in a.coeffs.items()]
 
     def unitarity_residual(self) -> float:
-        eye = np.eye(self.n)
-        res = self.u_matrices @ self.u_matrices.conj().transpose(0, 2, 1) - eye
-        return float(np.abs(res).max())
+        """max over the grid of |u u* - 1|."""
+        eye = [(0, np.ones(self.n))]
+        return max(
+            _band_residual(_band_product(u, _band_adjoint(u)), eye) for u in map(self.u, self._chunks())
+        )
 
     def covariance_residual(self, values) -> float:
         """max over grid and points of |u beta(f) u* - beta(f o forward^{-1})|."""
-        b = self.beta(values)
+        beta = self.beta(values)
         rolled = self.beta(np.asarray(values)[self.sys.perm_inv])
-        ub = np.einsum("gab,xbc->xgac", self.u_matrices, b)
-        res = np.einsum("xgac,gdc->xgad", ub, self.u_matrices.conj())
-        res -= rolled[:, None]
-        return float(np.abs(res).max())
+        return max(
+            _band_residual(_band_product(_band_product(u, beta), _band_adjoint(u)), rolled)
+            for u in map(self.u, self._chunks())
+        )
 
     def expectation_residual(self, a: CrossedElement) -> float:
         """Commuting square defect: embed(E(a)) vs diagonal grid average of embed(a)."""
-        idx = np.arange(self.n)
-        averaged = self.embed(a).mean(axis=1)[:, idx, idx]
-        return float(np.abs(averaged - self._diagonal(a.expectation())).max())
+        # only the powers divisible by n reach the diagonal
+        on_diagonal = {i: f for i, f in a.coeffs.items() if i % self.n == 0}
+        total = np.zeros((self.sys.n, self.n), dtype=np.complex128)
+        for lams in self._chunks() if on_diagonal else ():
+            diagonal = sum(_twist(self._diagonal(f), i, lams)[1] for i, f in on_diagonal.items())
+            # one grid point at a time in grid order, the order of a dense mean
+            for column in diagonal.transpose(1, 0, 2):
+                total += column
+        return float(np.abs(total / self.grid - self._diagonal(a.expectation())).max())
 
 
 def periodic_embedding(sys: FiniteDynamicalSystem, grid: int, n: int | None = None) -> PeriodicEmbedding:

@@ -70,27 +70,30 @@ class FiniteDynamicalSystem:
         _skip_metric_audit: bool = False,
     ):
         labels = tuple(points)
-        if len(set(labels)) != len(labels):
+        n = len(labels)
+        index = dict(zip(labels, range(n)))
+        if len(index) != n:
             raise SystemFormatError("duplicate point labels")
         self.labels = labels
-        self.index = {lab: i for i, lab in enumerate(labels)}
-        n = len(labels)
+        self.index = index
 
-        if set(forward.keys()) != set(labels):
+        if forward.keys() != index.keys():
             missing = sorted(set(labels) - set(forward.keys()))
             extra = sorted(set(forward.keys()) - set(labels))
             raise SystemFormatError(f"map domain mismatch: missing={missing} extra={extra}")
-        perm = np.empty(n, dtype=np.int64)
-        for lab, target in forward.items():
-            if target not in self.index:
-                raise SystemFormatError(f"map target {target!r} is not a point")
-            perm[self.index[lab]] = self.index[target]
+        # one C-level lookup pass: the index of each point's target
+        try:
+            perm = np.fromiter(map(index.__getitem__, map(forward.__getitem__, labels)), np.int64, n)
+        except KeyError:
+            target = next(t for t in forward.values() if t not in index)
+            raise SystemFormatError(f"map target {target!r} is not a point") from None
         hits = np.bincount(perm, minlength=n)
         if n and hits.max(initial=0) > 1:
             dups = [labels[t] for t in np.nonzero(hits > 1)[0]]
             raise SystemFormatError(f"map is not injective: targets {dups} have multiple preimages")
         self.perm = perm
-        self.perm_inv = np.argsort(perm) if n else perm.copy()
+        self.perm_inv = np.empty_like(perm)
+        self.perm_inv[perm] = np.arange(n)
 
         if int(declared_dim) != declared_dim or declared_dim < 0:
             raise SystemFormatError(f"dimension must be a nonnegative integer, got {declared_dim}")

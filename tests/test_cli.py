@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rokhlin import cli
 from rokhlin.cli import COMMANDS, REQUIRED, emit_report, main, parse_element, run_scenario
 from rokhlin.dynsys import load_system
 from rokhlin.towers import build_tower_family, verify_tower
@@ -61,6 +62,21 @@ class TestDeterminism:
         assert main(["orbits", "--system", str(spath), "--out", str(out1)]) == 0
         assert main(["orbits", "--system", str(spath), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_parser_built_once_and_reused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+        spath = write_system(tmp_path)
+        out = tmp_path / "r.json"
+        assert main(["orbits", "--system", str(spath), "--out", str(out)]) == 0
+        first = capsys.readouterr().out
+        out.unlink()
+        # no flag of the first call carries over to the second
+        assert main(["orbits", "--system", str(spath)]) == 0
+        assert capsys.readouterr().out == first and not out.exists()
+        assert len(built) == 1
 
     def test_seeded_periodic_deterministic(self, tmp_path):
         spath = write_system(tmp_path, lengths=(2, 3))
@@ -418,7 +434,8 @@ def test_readme_lists_every_field():
 
 
 def test_periodic_refuses_an_oversized_embedding(tmp_path, capsys):
-    spath = write_system(tmp_path, lengths=(7, 11, 13))  # period 1001
+    # period 1001 on 713 points: one grid point needs more than a whole chunk
+    spath = write_system(tmp_path, lengths=(7, 11, 13) * 23)
     tracemalloc.start()
     start = time.monotonic()
     try:
@@ -431,7 +448,23 @@ def test_periodic_refuses_an_oversized_embedding(tmp_path, capsys):
     assert rc == 2
     assert elapsed < 1.0 and peak < 2**24
     assert rep["error"]["type"] == "ValueError"
-    assert f"{31 * 64 * 1001**2 * 16} bytes" in rep["error"]["message"]
+    assert f"period 1001 needs {16 * 1001 * (3 * 713 + 6)} bytes per grid point" in rep["error"]["message"]
+
+
+def test_periodic_runs_period_1001(tmp_path, capsys):
+    spath = write_system(tmp_path, lengths=(7, 11, 13))
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        rc = main(["periodic", "--system", str(spath)])
+        elapsed = time.monotonic() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rep = json.loads(capsys.readouterr().out)
+    assert rc == 0 and rep["periodic"]["period"] == 1001
+    assert all(row["pass"] for row in rep["assertions"])
+    assert elapsed < 1.0 and peak < 2**26
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +599,7 @@ _REPORT_SHA256 = {
     "markers_100": "2a8d4a60ae3181bae8684dc04a60ea3a95494e49eb6b9db9b373e8b7f94c5492",
     "norm_unitary": "0ce92f0aaec0ad6e8a2ada38f07106b1ee6fcae80598d6963080d375ba1389bd",
     "orbits_3_10": "56a04782ffb03a9227805e96ec41e6b86fdd5a353c7a32efc3a34012c71d7ca0",
-    "periodic_2_3_4": "1e7095c7a27c009c0b63c2af855237cfc97eb6f8d361d7610c4c33627ec6104e",
+    "periodic_2_3_4": "80be2704a678696a1e1b9e8825bb525e76c9378c331e2eecd147d0f7e4d6e25e",
     "towers_100": "a740049cdff477a295fdf49316ae874e4d42a2f6a9cdb2137c08fa0ca0088a55",
     "verify-all": "044351be4f9e6f137a0f4b9519cbfbf9d4da224f6ce19537c85c242e6ae54709",
 }

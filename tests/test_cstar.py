@@ -1,17 +1,22 @@
 import functools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rokhlin import cstar
+from rokhlin.cli import run_scenario
 from rokhlin.cstar import (
     CrossedElement,
     ElementOrbitFiber,
     HostMismatchError,
     InterpolationFiber,
-    _embedding_bytes,
+    _EMBED_CHUNK_BYTES,
+    _band_adjoint,
+    _band_product,
     _grid,
     _sigma_max_lanczos,
     _sturm_above,
@@ -26,6 +31,8 @@ from rokhlin.cstar import (
     regular_window_norm,
 )
 from rokhlin.dynsys import make_cycle_system
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def random_element(sys, radius, rng, scale=1.0):
@@ -245,6 +252,57 @@ class TestOrbitIsomorphism:
             orbit_isomorphism(sys, sys.orbits().cycles[0], 100)
 
 
+def _dense(terms):
+    """The (..., n, n) matrices of a band form."""
+    shape = np.broadcast_shapes(*(w.shape for _, w in terms))
+    rows = np.arange(shape[-1])
+    out = np.zeros(shape + shape[-1:], dtype=np.complex128)
+    for s, w in terms:
+        out[..., rows, (rows + s) % shape[-1]] += np.broadcast_to(w, shape)
+    return out
+
+
+class _DenseEmbedding:
+    """The dense (points, grid, n, n) embedding the band form replaced: u is
+    the (grid, n, n) shift with lam in the corner, u^-i a power of u*, and
+    beta(f) the (points, n, n) diagonal; the reference for the band form."""
+
+    def __init__(self, emb):
+        self.emb = emb
+        idx = np.arange(emb.n)
+        self.u = np.zeros((emb.grid, emb.n, emb.n), dtype=np.complex128)
+        self.u[:, idx[:-1], idx[1:]] = 1.0
+        self.u[:, -1, 0] = emb.lams
+
+    def beta(self, values):
+        idx = np.arange(self.emb.n)
+        out = np.zeros((self.emb.sys.n, self.emb.n, self.emb.n), dtype=np.complex128)
+        out[:, idx, idx] = self.emb._diagonal(values)
+        return out
+
+    def power(self, i):
+        if i == 0:
+            return np.broadcast_to(np.eye(self.emb.n), self.u.shape)
+        step = self.u if i > 0 else self.u.conj().transpose(0, 2, 1)
+        return np.linalg.matrix_power(step, abs(i))
+
+    def embed(self, a):
+        return sum(np.einsum("xab,gbc->xgac", self.beta(f), self.power(i)) for i, f in a.coeffs.items())
+
+    def unitarity_residual(self):
+        return float(np.abs(self.u @ self.u.conj().transpose(0, 2, 1) - np.eye(self.emb.n)).max())
+
+    def covariance_residual(self, values):
+        rolled = self.beta(np.asarray(values)[self.emb.sys.perm_inv])
+        res = np.einsum("gab,xbc,gdc->xgad", self.u, self.beta(values), self.u.conj()) - rolled[:, None]
+        return float(np.abs(res).max())
+
+    def expectation_residual(self, a):
+        idx = np.arange(self.emb.n)
+        averaged = self.embed(a).mean(axis=1)[:, idx, idx]
+        return float(np.abs(averaged - self.emb._diagonal(a.expectation())).max())
+
+
 class TestPeriodicEmbedding:
     def test_identity_map_period_one(self):
         sys = make_cycle_system([1, 1])
@@ -279,32 +337,85 @@ class TestPeriodicEmbedding:
             a = random_element(sys, radius, rng)
             assert emb.expectation_residual(a) < 1e-9
 
+    @pytest.mark.parametrize("n", [0, -6, 6.0])
+    def test_explicit_period_must_be_a_positive_integer(self, n):
+        sys = make_cycle_system([2, 3])
+        with pytest.raises(ValueError, match=f"n = {n!r}"):
+            periodic_embedding(sys, 16, n=n)
+
+    @pytest.mark.parametrize("grid", [0, 16.0])
+    def test_grid_must_be_a_positive_integer(self, grid):
+        with pytest.raises(ValueError, match=f"grid = {grid!r}"):
+            periodic_embedding(make_cycle_system([2, 3]), grid)
+
     def test_matches_einsum_reference(self):
         sys = make_cycle_system([2, 3, 4])
         emb = periodic_embedding(sys, 16)
-        u, rng = emb.u_matrices, np.random.default_rng(13)
-
-        def power(i):
-            if i == 0:
-                return np.broadcast_to(np.eye(emb.n), u.shape)
-            step = u if i > 0 else u.conj().transpose(0, 2, 1)
-            return np.linalg.matrix_power(step, abs(i))
+        dense, rng = _DenseEmbedding(emb), np.random.default_rng(13)
+        u = emb.u(emb.lams)
+        eps = np.finfo(float).eps
 
         f = rng.standard_normal(sys.n)
-        b = emb.beta(f)
-        rolled = emb.beta(f[sys.power_perm(-1)])
-        res = np.einsum("gab,xbc,gdc->xgad", u, b, u.conj()) - rolled[:, None]
-        assert emb.covariance_residual(f) == float(np.abs(res).max())
+        ubu = _dense(_band_product(_band_product(u, emb.beta(f)), _band_adjoint(u)))
+        ref = np.einsum("gab,xbc,gdc->xgad", dense.u, dense.beta(f), dense.u.conj())
+        # numpy's complex multiply fuses a multiply-add that einsum rounds
+        # twice, so the two products agree to an ulp of the scale
+        assert np.abs(ubu - ref).max() <= eps * np.abs(f).max()
+        assert abs(emb.covariance_residual(f) - dense.covariance_residual(f)) <= eps * np.abs(f).max()
+        assert abs(emb.unitarity_residual() - dense.unitarity_residual()) <= eps
         # real coefficients, as the CLI draws them: bit for bit
         real = CrossedElement(sys, {i: rng.standard_normal(sys.n) for i in (-2, -1, 0, 1, 2)})
         complex_ = random_element(sys, 2, rng)
         for a, tol in ((real, 0.0), (complex_, 1e-15)):
-            image = sum(np.einsum("xab,gbc->xgac", emb.beta(f), power(i)) for i, f in a.coeffs.items())
-            assert np.abs(emb.embed(a) - image).max() <= tol
+            assert np.abs(_dense(emb.embed(a, emb.lams)) - dense.embed(a)).max() <= tol
+        assert emb.expectation_residual(real) == dense.expectation_residual(real)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.sampled_from([1, 2, 3, 4, 6, 12]), min_size=1, max_size=3),
+        st.integers(1, 9),
+        st.integers(0, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_band_image_equals_the_dense_image(self, lengths, grid, radius, seed):
+        sys = make_cycle_system(lengths)
+        emb = periodic_embedding(sys, grid)
+        assert emb.n <= 12
+        a = random_element(sys, radius, np.random.default_rng(seed))
+        terms = emb.embed(a, emb.lams)
+        assert len(terms) == 2 * radius + 1
+        # powers past n multiply lam in a different order than matrix_power
+        scale = max(np.abs(f).max() for f in a.coeffs.values())
+        assert np.abs(_dense(terms) - _DenseEmbedding(emb).embed(a)).max() <= 4 * np.finfo(float).eps * scale
+
+    # each mutation of the band form must fail the periodic scenario's
+    # unitarity and covariance rows
+    def _assert_residuals_fail(self):
+        rows = {row["name"]: row for row in run_scenario(SCENARIOS / "periodic_2_3_4.json")["assertions"]}
+        for name in ("unitarity_residual", "covariance_residual"):
+            assert rows[name]["measured"] > rows[name]["bound"] and not rows[name]["pass"]
+
+    def test_mutated_corner_weight_fails(self, monkeypatch):
+        monkeypatch.setattr(cstar.PeriodicEmbedding, "u",
+                            lambda emb, lams: [cstar._twist(np.ones(emb.n), 1, lams * (1 + 1e-9))])
+        self._assert_residuals_fail()
+
+    def test_mutated_adjoint_without_conj_fails(self, monkeypatch):
+        monkeypatch.setattr(cstar, "_band_adjoint",
+                            lambda terms: [(-s % w.shape[-1], np.roll(w, s, axis=-1)) for s, w in terms])
+        self._assert_residuals_fail()
+
+    def test_mutated_product_roll_direction_fails(self, monkeypatch):
+        monkeypatch.setattr(cstar, "_band_product", lambda x, y: [
+            ((s + t) % v.shape[-1], v * np.roll(w, s, axis=-1)) for s, v in x for t, w in y
+        ])
+        self._assert_residuals_fail()
 
     @pytest.mark.parametrize("n", [None, 2002])
     def test_oversized_embedding_refused_before_allocating(self, n):
-        sys = make_cycle_system([7, 11, 13])
+        # 23 copies of cycles 7, 11, 13: period 1001 on 713 points, so one
+        # grid point needs more than a whole chunk
+        sys = make_cycle_system([7, 11, 13] * 23)
         period = n or 1001
         tracemalloc.start()
         try:
@@ -313,16 +424,28 @@ class TestPeriodicEmbedding:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert f"period {period} needs a (31, 64, {period}, {period})" in str(err.value)
-        image = 31 * 64 * period**2 * 16
-        # three images, five (grid, n, n) arrays and two (points, n, n) arrays
-        stated = 3 * image + (5 * 64 + 2 * 31) * period**2 * 16
-        assert f"{image} bytes and a peak of {stated} bytes" in str(err.value)
+        # three (points, n) and six (n,) complex arrays per grid point
+        point_bytes = 16 * period * (3 * 713 + 6)
+        assert point_bytes > _EMBED_CHUNK_BYTES
+        assert f"period {period} needs {point_bytes} bytes per grid point on 713 points" in str(err.value)
         assert peak < 2**24
+
+    def test_period_1001_streams_in_chunks(self):
+        # refused by the dense embedding, whose image needed 31.8 GB
+        sys = make_cycle_system([7, 11, 13])
+        emb = periodic_embedding(sys, 64)
+        assert emb.n == 1001 and emb.chunk < emb.grid
+        rng = np.random.default_rng(5)
+        a = CrossedElement(sys, {i: rng.standard_normal(sys.n) for i in (-2, -1, 0, 1, 2)})
+        assert emb.unitarity_residual() < 1e-12
+        assert emb.covariance_residual(a.coefficient(0).real) < 1e-12
+        assert emb.expectation_residual(a) < 1e-9
 
     @pytest.mark.parametrize("lengths, grid", [([3, 10], 128), ([2, 3, 4], 64)])
     def test_residuals_peak_within_three_images(self, lengths, grid):
-        # the pre-flight refuses when three (points, grid, n, n) images exceed the limit
+        # the dense embedding held up to three (points, grid, n, n) images;
+        # the band form holds at most one chunk of (points, n) rows per grid
+        # point, whatever the grid
         sys = make_cycle_system(lengths)
         emb = periodic_embedding(sys, grid)
         image = sys.n * grid * emb.n**2 * 16
@@ -336,23 +459,42 @@ class TestPeriodicEmbedding:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 3 * image
+            assert peak <= min(3 * image, emb.peak_bytes)
 
     @pytest.mark.parametrize("lengths, grid", [([1], 4096), ([2], 4096), ([5], 512), ([3, 10], 128)])
     def test_peak_within_the_stated_peak(self, lengths, grid):
-        # on few points the u-powers are as large as the image itself
+        # on few points the (grid, n) arrays are as large as the rows
         sys = make_cycle_system(lengths)
         rng = np.random.default_rng(5)
         a = CrossedElement(sys, {i: rng.standard_normal(sys.n) for i in (-2, -1, 0, 1, 2)})
         tracemalloc.start()
         try:
             emb = periodic_embedding(sys, grid)
+            emb.unitarity_residual()
             emb.covariance_residual(a.coefficient(0))
             emb.expectation_residual(a)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _embedding_bytes(sys.n, grid, emb.n)[1]
+        assert peak <= emb.peak_bytes
+
+    def test_peak_does_not_grow_with_the_grid(self):
+        sys = make_cycle_system([7, 11, 13])
+        rng = np.random.default_rng(5)
+        a = CrossedElement(sys, {i: rng.standard_normal(sys.n) for i in (-2, -1, 0, 1, 2)})
+        peaks = []
+        for grid in (64, 256):
+            emb = periodic_embedding(sys, grid)
+            tracemalloc.start()
+            try:
+                emb.covariance_residual(a.coefficient(0))
+                emb.expectation_residual(a)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the lam grid itself is 16 bytes a point
+        assert peaks[1] <= peaks[0] + 16 * 256 + 2**16
+        assert peaks[1] <= emb.peak_bytes < 2**26
 
     def test_period_beyond_int64_is_exact(self):
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]

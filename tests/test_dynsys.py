@@ -101,6 +101,21 @@ class TestLoadSystem:
         with pytest.raises(SystemFormatError, match="not injective"):
             load_system(doc_for(["a", "b"], {"a": "b", "b": "b"}))
 
+    @pytest.mark.parametrize("points, mapping, message", [
+        (["a", "a"], {"a": "a"}, "duplicate point labels"),
+        (["a", "b"], {"a": "b", "c": "a"}, r"map domain mismatch: missing=\['b'\] extra=\['c'\]"),
+        # the first bad target in the map's own order, not in point order
+        (["a", "b", "c"], {"c": "yy", "a": "b", "b": "zz"}, "map target 'yy' is not a point"),
+    ], ids=["duplicate", "domain", "target"])
+    def test_format_errors_name_the_fault(self, points, mapping, message):
+        with pytest.raises(SystemFormatError, match=f"^{message}$"):
+            load_system(doc_for(points, mapping))
+
+    def test_perm_and_inverse_follow_the_labels(self):
+        sys = FiniteDynamicalSystem(["c", "a", "b"], {"a": "b", "b": "c", "c": "a"})
+        assert sys.perm.tolist() == [1, 2, 0] and sys.perm_inv.tolist() == [2, 0, 1]
+        assert sys.perm.dtype == sys.perm_inv.dtype == np.int64
+
     def test_ten_cycle_with_arc_metric_passes_triangle_audit(self):
         q = 10
         points = [f"p{j}" for j in range(q)]
