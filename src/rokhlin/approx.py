@@ -10,12 +10,16 @@ target tolerance eps, the pipeline
    default is the indicator of that part, which is an exactly central
    projection because the part is an invariant clopen union of cycles;
 3. approximates the quotient side by sampling orbit fibers at hat-function
-   nodes on the circle (two order-zero colors by arc parity);
+   nodes on the circle (two order-zero colors by arc parity).  Only the node
+   counts are kept: an entry of a fiber that does not wrap around its cycle
+   is constant on the circle, so interp(sample(b)) - b lives on the seam
+   corner of at most 2k x 2k entries and is measured there, straight from b's
+   coefficients;
 4. approximates the ideal side through matrix algebras over the tower
    supports, compressing by the coordinate window and the tower functions;
 5. measures, in one pass per element b, the quotient corner, the ideal corner
    and the final defect ||phi(psi(b)) - b|| against their stated multiples of
-   eps: b is sampled and its e-corner composed once, and each fiber field is
+   eps: b's seam corners are built and its e-corner composed once, and each fiber field is
    measured once.  For a central projection e the algebra splits as a direct
    sum, so the final defect is read off orbit by orbit as the larger corner
    defect; the dimension ledger is emitted alongside.
@@ -34,14 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cstar import (
-    CombinedFiber,
-    CrossedElement,
-    ElementOrbitFiber,
-    InterpolationFiber,
-    fiber_sup_norm,
-    norm,
-)
+from .cstar import CornerFiber, CrossedElement, ElementOrbitFiber, fiber_sup_norm, norm
 from .dynsys import Cycle, FiniteDynamicalSystem, InvariantSplit, invariant_split
 from .towers import TowerFamily, as_fraction, build_tower_family, rung_step, verify_tower
 
@@ -225,16 +222,23 @@ def quasicentral_unit(
 # quotient side
 
 
+# node matrices of the CP checks are built this many bytes at a time
+_NODE_CHUNK_BYTES = 2**24
+
+
 @dataclass
 class QuotientSide:
-    """Hat-node sampling of the short-orbit fibers with a two-color pullback.
+    """Hat-node approximation of the short-orbit fibers with a two-color pullback.
 
     For each short cycle of length L the circle is divided into an even
-    number s >= 2 pi L k / eps of arcs; the summing map evaluates fibers at
-    the arc endpoints, and the return map blends the sampled matrices with
-    the subordinate hat functions (piecewise-linear interpolation).  Arc
-    parity splits the hats into two families with disjoint supports, giving
-    two order-zero summands.
+    number s >= 2 pi L k / eps of arcs (``node_count``); the summing map
+    evaluates fibers at the arc endpoints, and the return map blends the
+    node matrices with the subordinate hat functions (piecewise-linear
+    interpolation).  Arc parity splits the hats into two families with
+    disjoint supports, giving two order-zero summands.  Only the node counts
+    are stored: interp(sample(b)) - b is measured on its seam corner
+    (``corner_fibers``), and the CP-property checks build node matrices on
+    demand, a chunk of at most _NODE_CHUNK_BYTES at a time.
     """
 
     sys: FiniteDynamicalSystem
@@ -243,34 +247,36 @@ class QuotientSide:
     k: int
     cycles: tuple[Cycle, ...]
     node_count: dict[int, int]
-    nodes_lam: dict[int, np.ndarray]
 
     @property
     def order_zero_colors(self) -> int:
         return 2 if self.cycles else 0
 
-    def sample(self, b: CrossedElement) -> dict[int, np.ndarray]:
-        """Node matrices of the short-orbit restriction of b, keyed by cycle base."""
-        out = {}
-        for cyc in self.cycles:
-            out[cyc.base] = ElementOrbitFiber(b, cyc).matrices(self.nodes_lam[cyc.base])
-        return out
+    def corner_fibers(self, b: CrossedElement) -> list[CornerFiber]:
+        """interp(sample(b)) - b on the seam corner of each short cycle where
+        it can be nonzero (b has a band other than u^0 there)."""
+        fibers = (CornerFiber(b, cyc, self.node_count[cyc.base]) for cyc in self.cycles)
+        return [fib for fib in fibers if fib.L]
 
-    def interp_fiber(self, cyc: Cycle, blocks: dict[int, np.ndarray]) -> InterpolationFiber:
-        return InterpolationFiber(cyc, blocks[cyc.base])
+    def _node_matrices(self, b: CrossedElement):
+        """b's fiber at the nodes of each short cycle, streamed in chunks."""
+        for cyc in self.cycles:
+            s, fib = self.node_count[cyc.base], ElementOrbitFiber(b, cyc)
+            step = max(1, _NODE_CHUNK_BYTES // (16 * cyc.length**2))
+            for lo in range(0, s, step):
+                yield fib.matrices(np.exp(2j * np.pi * np.arange(lo, min(lo + step, s)) / s))
 
     def positivity_defect(self, b: CrossedElement) -> float:
         """Most negative eigenvalue of the summing map applied to b* b (>= 0 ideally)."""
-        worst = 0.0
-        for cyc in self.cycles:
-            mats = ElementOrbitFiber(b.adjoint() * b, cyc).matrices(self.nodes_lam[cyc.base])
-            worst = min(worst, float(np.linalg.eigvalsh(mats).min()))
-        return worst
+        return min(
+            (float(np.linalg.eigvalsh(mats).min()) for mats in self._node_matrices(b.adjoint() * b)),
+            default=0.0,
+        )
 
     def summing_norm(self, b: CrossedElement) -> float:
-        blocks = self.sample(b)
+        """Largest norm of a node matrix of b."""
         return max(
-            (float(np.linalg.svd(m, compute_uv=False)[0]) for mats in blocks.values() for m in mats),
+            (float(np.linalg.svd(mats, compute_uv=False)[:, 0].max()) for mats in self._node_matrices(b)),
             default=0.0,
         )
 
@@ -286,17 +292,11 @@ def quotient_approx(
     k = max(1, max((b.support_radius() for b in F), default=1))
     cycles = tuple(c for c in sys.orbits().cycles if c.base in split.y_part)
     node_count: dict[int, int] = {}
-    nodes: dict[int, np.ndarray] = {}
     for cyc in cycles:
         s = math.ceil(2 * math.pi * cyc.length * k / float(eps))
         s += s % 2  # arc parity needs an even arc count for two colors
-        s = max(s, 2)
-        node_count[cyc.base] = s
-        nodes[cyc.base] = np.exp(2j * np.pi * np.arange(s) / s)
-    return QuotientSide(
-        sys=sys, split=split, eps=eps, k=k, cycles=cycles,
-        node_count=node_count, nodes_lam=nodes,
-    )
+        node_count[cyc.base] = max(s, 2)
+    return QuotientSide(sys=sys, split=split, eps=eps, k=k, cycles=cycles, node_count=node_count)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +591,8 @@ def assemble_and_verify(
     the samples and maps the windowed blocks back.  Each fiber field is
     measured once:
 
-    - short cycles: interp(sample(b)) - b, read by the quotient corner and
-      the final claim (e vanishes there);
+    - short cycles: interp(sample(b)) - b on its seam corner, read by the
+      quotient corner and the final claim (e vanishes there);
     - long cycles: (1-e)^{1/2} b (1-e)^{1/2}, the rest of the quotient corner
       (no fields for the default e);
     - long cycles: composite(corner) - corner with corner = e^{1/2} b e^{1/2},
@@ -615,11 +615,7 @@ def assemble_and_verify(
     root, coroot = equnit.sqrt(), equnit.cosqrt()
     quotient_measured, ideal_measured, final_measured = [], [], []
     for b in params.F:
-        blocks = quotient.sample(b)
-        short = _sup(sys, [
-            CombinedFiber([quotient.interp_fiber(cyc, blocks), ElementOrbitFiber(b, cyc)], [1.0, -1.0])
-            for cyc in quotient.cycles
-        ], norm_tol)
+        short = _sup(sys, quotient.corner_fibers(b), norm_tol)
         quotient_err = max(short, _sup(sys, _long_fields(params, b.compressed(coroot)), norm_tol))
         final = quotient_err if equnit.is_central_projection else short
         if ideal is not None:

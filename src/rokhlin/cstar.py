@@ -13,17 +13,17 @@ chosen from an explicit Lipschitz bound, so the reported value is certified
 from below and value + tol from above.
 
 Fiber spectral norms come from a dense Hermitian eigensolver on cycles of at
-most 32 points and on fibers given only by matrices, and otherwise from
-Lanczos on a(lam)*a(lam).  The dense path screens each chunk of grid points
-by Frobenius norm, which bounds sigma from above: it solves the chunk's
-largest-Frobenius point first, then only the points whose Frobenius norm
-(with a 1e-9 relative margin) reaches the best sigma so far.  A skipped
-point can neither exceed nor tie the maximum, so values and argmax points
-are those of a solve at every point.  Where squares underflow (a squared
-Frobenius norm below the smallest normal float t) the bound is 2 L sqrt(t),
-which covers any sigma such entries give.  Dense values are eigvalsh
-estimates with no Sturm certificate: there "value is a lower bound" holds
-only up to eigvalsh's rounding, a few ulps of the Gram matrix's scale.
+most 32 points and on the seam corners of the quotient side (CornerFiber),
+and otherwise from Lanczos on a(lam)*a(lam).  The dense path screens each
+chunk of grid points by Frobenius norm, which bounds sigma from above: it
+solves the chunk's largest-Frobenius point first, then only the points whose
+Frobenius norm (with a 1e-9 relative margin) reaches the best sigma so far.
+A skipped point can neither exceed nor tie the maximum, so values and argmax
+points are those of a solve at every point.  Where squares underflow (a
+squared Frobenius norm below the smallest normal float t) the bound is
+2 L sqrt(t), which covers any sigma such entries give.  Dense values are
+eigvalsh estimates with no Sturm certificate: there "value is a lower bound"
+holds only up to eigvalsh's rounding, a few ulps of the Gram matrix's scale.
 
 Lanczos runs grid point 0 alone from a fixed-seed random vector, then every
 other point, in lockstep chunks, from point 0's top Ritz vector.
@@ -70,8 +70,7 @@ __all__ = [
     "norm",
     "fiber_sup_norm",
     "ElementOrbitFiber",
-    "InterpolationFiber",
-    "CombinedFiber",
+    "CornerFiber",
     "regular_window_norm",
 ]
 
@@ -99,6 +98,13 @@ _RITZ_BACKOFF = (2, 32, 512)
 _BISECT_STEPS = 50
 _REL_TOL = 1e-13
 _GRID_CHUNK = 4096
+# a dense-path grid chunk holds at most this many matrix entries a stack
+# (all of _GRID_CHUNK points up to L = 32)
+_DENSE_CHUNK_ENTRIES = 2**22
+# a fiber whose grid (lam and sigma, 24 bytes a point) would pass this is
+# refused before allocating: at most 2^23 points, 128 times the largest grid
+# the tests reach (2^16; the shipped scenarios and benchmark workloads 2^13)
+_GRID_MAX_BYTES = 2**28
 # a dense-path point is solved only if its Frobenius norm times this reaches
 # the best sigma so far; the margin is far wider than eigvalsh's rounding
 # (a few ulps of the scale), so a skipped point cannot tie the maximum
@@ -401,14 +407,19 @@ class ElementOrbitFiber:
 def _twist(diag: np.ndarray, i: int, lams: np.ndarray) -> tuple[int, np.ndarray]:
     """diag(diag) S^i(lam) for each lam, where S(lam) is the cyclic shift with
     lam in the corner: the band values times lam to their wrap power, with an
-    axis of lams before the last (diag may carry leading axes).  The wraps
-    take at most two values; each power is taken once per lam, a negative one as a
-    power of conj(lam), since u^-1 = u*."""
+    axis of lams before the last (diag may carry leading axes)."""
     n = diag.shape[-1]
-    lo = i // n
+    return i % n, _wrap_weights(diag, (np.arange(n) + i) // n, i // n, lams)
+
+
+def _wrap_weights(vals: np.ndarray, wraps: np.ndarray, lo: int, lams: np.ndarray) -> np.ndarray:
+    """vals times lam to the power wraps, with an axis of lams before the
+    last; the wraps take the two values lo and lo + 1 (those of one band).
+    Each power is taken once per lam, a negative one as a power of conj(lam),
+    since u^-1 = u*."""
     powers = np.stack([(np.conj(lams) if k < 0 else lams) ** abs(k) for k in (lo, lo + 1)], axis=-1)
     # take, unlike powers[:, idx], keeps the lam axis outer (C order)
-    return i % n, diag[..., None, :] * np.take(powers, (np.arange(n) + i) // n - lo, axis=1)
+    return vals[..., None, :] * np.take(powers, wraps - lo, axis=1)
 
 
 def _band_adjoint(terms):
@@ -449,69 +460,71 @@ def _shifted_sum(terms, v: np.ndarray) -> np.ndarray:
     return out
 
 
-class InterpolationFiber:
-    """Piecewise-linear (in arc angle) interpolation through node matrices.
+class CornerFiber:
+    """Fiber field of interp(sample(b)) - b over one cycle, on its seam corner.
 
-    Nodes sit at the s-th roots of unity in index order; evaluation at an
-    arbitrary circle point blends the two adjacent nodes, which is exactly a
-    hat-function combination subordinate to the arcs.
+    sample(b) is b's fiber at the s hat nodes, the s-th roots of unity in
+    index order, and interp blends the two nodes adjacent to a circle point
+    (a hat-function combination subordinate to the arcs).  An entry of b's
+    fiber that does not wrap around the cycle is constant in lam, so interp
+    reproduces it: the field vanishes off S x S, where S holds the rows and
+    columns within r of the seam, r the largest |i| of b's bands on the cycle
+    (|S| = min(2r, L); ``seam`` lists S in cycle order).  ``L`` is the order
+    |S| of its matrices, and ``matrices`` evaluates the S x S block from the
+    band coefficients at the two nodes and at lam, entry by entry as the
+    dense blend would, so no node stack and no L x L matrix is formed and the
+    cost per grid point does not depend on the cycle length or on s.
     """
 
-    def __init__(self, cycle: Cycle, nodes: np.ndarray):
+    def __init__(self, a: CrossedElement, cycle: Cycle, s: int):
+        bands = ElementOrbitFiber(a, cycle).bands
         self.cycle = cycle
-        nodes = np.asarray(nodes, dtype=np.complex128)
-        if nodes.ndim != 3 or nodes.shape[1] != nodes.shape[2]:
-            raise ValueError("nodes must be a stack of square matrices")
-        self.nodes = nodes
-        self.s = nodes.shape[0]
-        self.L = nodes.shape[1]
+        self.s = s
+        n = cycle.length
+        r = max((abs(i) for i in bands), default=0)
+        seam = np.arange(n) if 2 * r >= n else np.r_[0:r, n - r : n]
+        self.seam = seam
+        self.L = len(seam)
+        at = np.full(n, -1)
+        at[seam] = np.arange(self.L)
+        # per band, the entries inside S x S: (rows, cols, values, wraps, i // n)
+        self.entries = []
+        for i, diag in bands.items():
+            cols = at[(seam + i) % n]
+            rows = seam[cols >= 0]
+            self.entries.append((at[rows], cols[cols >= 0], diag[rows], (rows + i) // n, i // n))
 
     def lip(self) -> float:
-        diffs = self.nodes - np.roll(self.nodes, -1, axis=0)
-        step = float(np.linalg.svd(diffs, compute_uv=False).max())
-        return step / (2 * math.pi / self.s)
+        """Arc-Lipschitz bound: the node step over the arc 2 pi / s plus the
+        seam entries' own bound.  A band moves an entry f lam^w by |f| |w| per
+        unit arc and by |f| |1 - exp(2 pi i w / s)| from node to node; its
+        entries form a weighted partial permutation, whose norm is the largest
+        weight."""
+        step = seam = 0.0
+        for _, _, vals, wraps, _ in self.entries:
+            size = np.abs(vals)
+            step += float(np.max(size * np.abs(2 * np.sin(np.pi * wraps / self.s)), initial=0.0))
+            seam += float(np.max(size * np.abs(wraps), initial=0.0))
+        return step / (2 * math.pi / self.s) + seam
+
+    def _block(self, lams: np.ndarray, scale=None) -> np.ndarray:
+        """The S x S block of b's fiber at each lam, times scale in place."""
+        out = np.zeros((len(lams), self.L, self.L), dtype=np.complex128)
+        for rows, cols, vals, wraps, lo in self.entries:
+            out[:, rows, cols] += _wrap_weights(vals, wraps, lo, lams)
+        return out if scale is None else np.multiply(scale, out, out=out)
+
+    def _arcs(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Index of the node before each lam and lam's fraction of the arc."""
+        pos = np.mod(np.angle(lams), 2 * math.pi) * self.s / (2 * math.pi)
+        return np.floor(pos).astype(int) % self.s, (pos - np.floor(pos))[:, None, None]
 
     def matrices(self, lams: np.ndarray) -> np.ndarray:
-        theta = np.mod(np.angle(lams), 2 * math.pi)
-        pos = theta * self.s / (2 * math.pi)
-        j0 = np.floor(pos).astype(int) % self.s
-        frac = (pos - np.floor(pos))[:, None, None]
-        j1 = (j0 + 1) % self.s
-        # (1 - frac) * node j0 + frac * node j1, blended in place in two arrays
-        out = self.nodes[j0]
-        np.multiply(1.0 - frac, out, out=out)
-        right = self.nodes[j1]
-        np.multiply(frac, right, out=right)
-        out += right
-        return out
-
-
-class CombinedFiber:
-    """Signed sum of fiber fields over the same cycle."""
-
-    def __init__(self, parts: Sequence, signs: Sequence[float] | None = None):
-        if not parts:
-            raise ValueError("need at least one part")
-        self.parts = list(parts)
-        self.signs = list(signs) if signs is not None else [1.0] * len(parts)
-        self.L = parts[0].L
-        self.cycle = parts[0].cycle
-
-    def lip(self) -> float:
-        return float(sum(abs(s) * p.lip() for s, p in zip(self.signs, self.parts)))
-
-    def matrices(self, lams: np.ndarray) -> np.ndarray:
-        out = None
-        for s, p in zip(self.signs, self.parts):
-            mats = p.matrices(lams)
-            if out is None:
-                out = mats if s == 1.0 else np.multiply(s, mats, out=mats)
-            elif s == 1.0:
-                out += mats
-            elif s == -1.0:
-                out -= mats
-            else:
-                out += np.multiply(s, mats, out=mats)
+        j0, frac = self._arcs(lams)
+        # (1 - frac) * node j0 + frac * node j1 - b(lam), one block at a time
+        out = self._block(np.exp(2j * np.pi * j0 / self.s), 1.0 - frac)
+        out += self._block(np.exp(2j * np.pi * ((j0 + 1) % self.s) / self.s), frac)
+        out -= self._block(lams)
         return out
 
 
@@ -707,24 +720,40 @@ class NormResult:
 def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float) -> NormResult:
     """Sup of fiber spectral norms over per-orbit circle grids with certified slack.
 
-    Grid sizes are powers of two with arc spacing such that lip * (pi / grid)
-    <= tol for each fiber's arc-Lipschitz bound.  A fiber whose bound is not
-    finite (a NaN or infinite coefficient) is refused: nothing certifies it.
+    A fiber has a ``cycle``, the order ``L`` of its matrices, an arc-Lipschitz
+    bound ``lip()`` and ``matrices(lams)``.  Grid sizes are powers of two with
+    arc spacing such that lip * (pi / grid) <= tol.  A fiber whose bound is
+    not finite (a NaN or infinite coefficient) is refused: nothing certifies
+    it.  So is a fiber whose grid would hold more than _GRID_MAX_BYTES (16
+    bytes a point for lam and 8 for sigma); both are refused before any grid
+    is allocated.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    value, argmax, counts = 0.0, None, np.zeros(4, dtype=np.int64)
-    grids: dict[str, int] = {}
-    per_orbit: dict[str, tuple[float, complex]] = {}
+    plan = []
     for fiber in fibers:
         lip = fiber.lip()
         label = sys.labels[fiber.cycle.base]
         if not math.isfinite(lip):
             raise ValueError(f"fiber over the orbit of {label!r} is not finite (Lipschitz bound {lip})")
-        n = _next_pow2(lip * math.pi / tol) if lip > 0 else 1
+        points = lip * math.pi / tol
+        n = (_next_pow2(points) if math.isfinite(points) else math.inf) if lip > 0 else 1
+        if 24 * n > _GRID_MAX_BYTES:
+            raise ValueError(
+                f"fiber over the orbit of {label!r} needs a grid of {n} points, {24 * n} bytes "
+                f"(Lipschitz bound {lip}, tol {tol}), over the limit of {_GRID_MAX_BYTES} bytes"
+            )
+        plan.append((fiber, label, n))
+    value, argmax, counts = 0.0, None, np.zeros(4, dtype=np.int64)
+    grids: dict[str, int] = {}
+    per_orbit: dict[str, tuple[float, complex]] = {}
+    for fiber, label, n in plan:
         grids[label] = n
         lanczos = isinstance(fiber, ElementOrbitFiber) and fiber.L > _DENSE_MAX_L
-        chunk = min(_GRID_CHUNK, max(64, int(2e7 / (fiber.L * fiber.L))))
+        if lanczos:
+            chunk = min(_GRID_CHUNK, max(64, int(2e7 / (fiber.L * fiber.L))))
+        else:
+            chunk = min(_GRID_CHUNK, max(1, _DENSE_CHUNK_ENTRIES // (fiber.L * fiber.L)))
         full, sig = _grid(n), np.empty(n)
         if lanczos:
             # grid point 0 from the fixed seed; its top Ritz vector starts the rest

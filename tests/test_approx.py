@@ -1,8 +1,13 @@
 import math
+import time
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rokhlin.approx import (
     ApproxError,
@@ -16,16 +21,12 @@ from rokhlin.approx import (
     quotient_approx,
     run_approximation,
 )
-from rokhlin.cstar import (
-    CombinedFiber,
-    CrossedElement,
-    ElementOrbitFiber,
-    InterpolationFiber,
-    fiber_sup_norm,
-    norm,
-)
-from rokhlin.dynsys import make_cycle_system
+from rokhlin.cli import run_scenario
+from rokhlin.cstar import CornerFiber, CrossedElement, ElementOrbitFiber, _grid, _sigma_exact, fiber_sup_norm, norm
+from rokhlin.dynsys import invariant_split, make_cycle_system
 from rokhlin.towers import build_tower_family
+
+from dense_reference import dense_quotient_fiber, dense_quotient_fibers
 
 
 def unit(sys, power=1):
@@ -213,15 +214,156 @@ class TestQuotientSide:
         assert rep.max_measured <= 0.1
         # the raw per-element interpolation error agrees with the corner
         # report here (nothing lives off the short part)
-        raw_err = max(
-            fiber_sup_norm(sys, [
-                CombinedFiber([InterpolationFiber(cyc, q.sample(b)[cyc.base]), ElementOrbitFiber(b, cyc)],
-                              [1.0, -1.0])
-                for cyc in q.cycles
-            ], 1e-3).value
-            for b in F
-        )
+        raw_err = max(fiber_sup_norm(sys, dense_quotient_fibers(q, b), 1e-3).value for b in F)
         assert raw_err == pytest.approx(rep.max_measured, abs=1e-12)
+
+
+# a dense reference node stack holds at most this many entries (32 MiB)
+_DENSE_STACK_ENTRIES = 2**21
+
+
+@st.composite
+def corner_cases(draw):
+    """(b, cycle, node count) on one cycle of 1-64 points, with complex
+    coefficients of radius 0-3 scaled to coefficient bound one; short cycles
+    are drawn often, so that 2k >= L and k >= L both occur.  eps is the
+    smallest of 1/2, 3/2 and 4 whose dense node stack fits the cap."""
+    L = draw(st.one_of(st.integers(1, 6), st.integers(7, 64)))
+    radius = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sys = make_cycle_system([L])
+    coeffs = {i: rng.standard_normal(L) + 1j * rng.standard_normal(L) for i in range(-radius, radius + 1)}
+    b = CrossedElement(sys, coeffs)
+    b = (1.0 / b.coefficient_bound()) * b
+    for eps in ("1/2", "3/2", "4"):
+        q = quotient_approx(invariant_split(sys, L), [b], eps, sys)
+        s = q.node_count[sys.orbits().cycles[0].base]
+        if s * L * L <= _DENSE_STACK_ENTRIES:
+            return b, q
+    raise AssertionError("eps = 4 fits every case")
+
+
+def corner_deviation(corner, dense, lams) -> float:
+    """Largest gap between the corner's and the dense field's sigma at lams."""
+    got = _sigma_exact(corner.matrices(lams)) if corner is not None else np.zeros(len(lams))
+    return float(np.abs(got - _sigma_exact(dense.matrices(lams))).max())
+
+
+def roundoff(L: int) -> float:
+    """Bound on that gap for coefficient bound one: the dense field keeps a
+    rounding error of a few ulps in each entry off the seam corner, where
+    the corner has exact zeros."""
+    return 4 * L * np.finfo(float).eps
+
+
+class TestCornerFiber:
+    """The seam corner against the dense interp(sample(b)) - b field."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(corner_cases())
+    def test_equals_the_dense_field(self, case):
+        b, q = case
+        cyc = q.cycles[0]
+        s = q.node_count[cyc.base]
+        dense = dense_quotient_fiber(b, cyc, s)
+        corners = q.corner_fibers(b)
+        corner = corners[0] if corners else None
+        rng = np.random.default_rng(s)
+        lams = np.concatenate([np.exp(2j * np.pi * np.arange(s) / s)[:64], _grid(256),
+                               np.exp(2j * np.pi * rng.random(64))])
+        assert corner_deviation(corner, dense, lams) <= roundoff(cyc.length)
+        if corner is None:  # b is constant on the circle there
+            assert set(ElementOrbitFiber(b, cyc).bands) <= {0}
+            return
+        # the corner is S x S for S within k of the seam, or everything
+        k = max(abs(i) for i in ElementOrbitFiber(b, cyc).bands)
+        assert corner.L == min(cyc.length, 2 * k)
+        assert corner.lip() >= dense.parts[0].lip()
+        # the sup on the corner's grid, and the two certified intervals
+        res, ref = fiber_sup_norm(q.sys, corners, 1e-2), fiber_sup_norm(q.sys, [dense], 1e-2)
+        n = res.grids[q.sys.labels[cyc.base]]
+        assert abs(res.value - _sigma_exact(dense.matrices(_grid(n))).max()) <= roundoff(cyc.length)
+        assert res.value <= ref.upper + roundoff(cyc.length)
+        assert ref.value <= res.upper + roundoff(cyc.length)
+
+    def mutation_case(self):
+        sys = make_cycle_system([9])
+        rng = np.random.default_rng(41)
+        b = CrossedElement(sys, {i: rng.standard_normal(9) + 1j * rng.standard_normal(9) for i in (-2, -1, 0, 1, 2)})
+        b = (1.0 / b.coefficient_bound()) * b
+        q = quotient_approx(invariant_split(sys, 9), [b], "1/2", sys)
+        cyc = q.cycles[0]
+        return b, q, dense_quotient_fiber(b, cyc, q.node_count[cyc.base]), _grid(512)
+
+    def assert_caught(self, monkeypatch, mutate):
+        b, q, dense, lams = self.mutation_case()
+        assert corner_deviation(q.corner_fibers(b)[0], dense, lams) <= roundoff(9)
+        original = CornerFiber.__init__
+
+        def mutated(fib, *args):
+            original(fib, *args)
+            fib.entries = mutate(fib)
+
+        monkeypatch.setattr(CornerFiber, "__init__", mutated)
+        assert corner_deviation(q.corner_fibers(b)[0], dense, lams) > 1e3 * roundoff(9)
+
+    def test_mutated_wrap_power_is_caught(self, monkeypatch):
+        self.assert_caught(monkeypatch, lambda fib: [
+            (rows, cols, vals, wraps + 1, lo + 1) for rows, cols, vals, wraps, lo in fib.entries
+        ])
+
+    def test_dropped_seam_row_is_caught(self, monkeypatch):
+        self.assert_caught(monkeypatch, lambda fib: [
+            (rows[keep], cols[keep], vals[keep], wraps[keep], lo)
+            for rows, cols, vals, wraps, lo in fib.entries
+            for keep in [rows != fib.L - 1]
+        ])
+
+
+def best_time(fn, repeats=3) -> float:
+    """Fastest of a few calls, in seconds."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestShortCyclesBelowN:
+    """Short cycles of any length below N = 1201 (eps = 3/10, k = 1): the
+    quotient side keeps node counts only, so a 1200-cycle (25,134 nodes)
+    costs what a 7-cycle does."""
+
+    @pytest.mark.parametrize("L", [200, 1200])
+    def test_every_claim_passes_within_twice_the_acceptance_pass(self, L):
+        sys = make_cycle_system([3, 7, L, 1500])
+        u = unit(sys)
+        run = run_approximation(sys, [u], "3/10")
+        assert run.passed() and L in {c.length for c in run.quotient.cycles}
+        acceptance = Path(__file__).resolve().parent.parent / "scenarios" / "approx_acceptance.json"
+        limit = 2 * best_time(lambda: run_scenario(acceptance))
+        assert best_time(lambda: run_approximation(sys, [u], "3/10")) < limit
+
+    def test_peak_does_not_grow_with_the_cycle(self):
+        # what grows is per point of the system (coefficients, the cutoff),
+        # at most 128 bytes for each of the 1000 added points; one 1200 x 1200
+        # complex matrix would be 23 MB
+        peaks = []
+        for L in (200, 1200):
+            sys = make_cycle_system([3, 7, L, 1500])
+            run_approximation(sys, [unit(sys)], "3/10")  # fills the orbit cache
+            peaks.append(traced_peak(lambda: run_approximation(sys, [unit(sys)], "3/10")))
+        assert peaks[1] - peaks[0] <= 128 * 1000, peaks
 
 
 def small_run(eps="3/2", lengths=(3, 60), with_bump=True):
@@ -447,12 +589,7 @@ def claims_from_scratch(run, norm_tol):
     long_cycles = [c for c in sys.orbits().cycles if c.base in params.split.complement]
 
     def short_fields(b, target):
-        blocks = quotient.sample(b)
-        return [
-            CombinedFiber([InterpolationFiber(cyc, blocks[cyc.base]), ElementOrbitFiber(target, cyc)],
-                          [1.0, -1.0])
-            for cyc in quotient.cycles
-        ]
+        return dense_quotient_fibers(quotient, b, target)
 
     def long_fields(a):
         return [f for f in (ElementOrbitFiber(a, c) for c in long_cycles) if f.bands]
@@ -488,8 +625,8 @@ def cutoff(sys, kind):
 
 class TestMeasureOnce:
     def test_each_element_sampled_and_composed_once(self, monkeypatch):
-        calls = {"sample": 0, "composite": 0}
-        for cls, name in ((QuotientSide, "sample"), (IdealSide, "composite")):
+        calls = {"corner_fibers": 0, "composite": 0}
+        for cls, name in ((QuotientSide, "corner_fibers"), (IdealSide, "composite")):
             original = getattr(cls, name)
 
             def counted(self, b, _original=original, _name=name):
@@ -499,7 +636,7 @@ class TestMeasureOnce:
             monkeypatch.setattr(cls, name, counted)
         sys, F, run = small_run()
         assert run.ideal is not None and run.quotient.cycles
-        assert calls == {"sample": len(F), "composite": len(F)}
+        assert calls == {"corner_fibers": len(F), "composite": len(F)}
 
     @pytest.mark.parametrize("kind", ["default", "ramped", "half", "one-cycle"])
     def test_claims_equal_independent_measurements(self, kind):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rokhlin import cli
+from rokhlin import cli, cstar
 from rokhlin.cli import COMMANDS, REQUIRED, emit_report, main, parse_element, run_scenario
 from rokhlin.dynsys import load_system
 from rokhlin.towers import build_tower_family, verify_tower
@@ -589,6 +589,68 @@ class TestReportEncoding:
                 assert list(rung) == sorted(rung)
 
 
+_UNITARY = [{"power": 1, "constant": [1.0, 0.0]}]
+
+
+def _timed_main(argv, capsys):
+    """Exit code, report, seconds and traced peak of one CLI call."""
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        rc = main(argv)
+        elapsed = time.monotonic() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return rc, json.loads(capsys.readouterr().out), elapsed, peak
+
+
+# norm grids past cstar._GRID_MAX_BYTES used to fail allocating the grid
+# (numpy's _ArrayMemoryError, a traceback and exit 1)
+_OVERSIZED_GRIDS = {
+    "tol 1e-9": ("norm", "system_3_10.json", {"element": _UNITARY, "tol": 1e-9}, 2**32, "1.0"),
+    "u^1000000": ("norm", "system_3_10.json", {"element": [{"power": 1000000, "constant": [1, 0]}]}, 2**30,
+                  "333334.0"),
+    "approx tol 1e-12": ("approx", "system_3_60.json", {"elements": [_UNITARY], "epsilon": "3/2", "tol": 1e-12},
+                         2**43, "1.99"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERSIZED_GRIDS))
+def test_oversized_norm_grid_refused_before_allocating(case, tmp_path, capsys):
+    command, system, fields, n, lip = _OVERSIZED_GRIDS[case]
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(dict(fields, command=command, system=str(SCENARIOS / system))))
+    rc, rep, elapsed, peak = _timed_main([command, "--scenario", str(scen)], capsys)
+    assert rc == 2 and elapsed < 1.0 and peak < 2**24
+    message = rep["error"]["message"]
+    assert rep["error"]["type"] == "ValueError"
+    assert message.startswith("fiber over the orbit of 'c0p")
+    assert f"needs a grid of {n} points, {24 * n} bytes (Lipschitz bound {lip}" in message
+    assert message.endswith(f"over the limit of {cstar._GRID_MAX_BYTES} bytes")
+
+
+# short orbits whose node stacks used to be allocated whole: (s, L, L) of
+# 20.2 GiB, 1.97 TiB and 13.5 GiB (a traceback and exit 1)
+_SHORT_ORBIT_REQUESTS = {
+    "eps 1/1000": ([_UNITARY], "1/1000"),
+    "eps 1/100000": ([_UNITARY], "1/100000"),
+    "u^1000 on every short cycle": ([[{"power": 1000, "constant": [0.001, 0]}]], "3/2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHORT_ORBIT_REQUESTS))
+def test_short_orbits_of_any_node_count_pass(case, tmp_path, capsys):
+    elements, eps = _SHORT_ORBIT_REQUESTS[case]
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps({"command": "approx", "system": str(SCENARIOS / "system_3_60.json"),
+                                "elements": elements, "epsilon": eps}))
+    rc, rep, elapsed, peak = _timed_main(["approx", "--scenario", str(scen)], capsys)
+    assert rc == 0 and all(row["pass"] for row in rep["assertions"])
+    assert rep["parameters"]["long_part_size"] == 0
+    assert elapsed < 5.0 and peak < 2**26
+
+
 # sha256 of each shipped scenario's report and of verify-all on the shipped
 # suite, run from the repository root (reports name the system path as
 # given).  Any change to a pin is a change to the program's output and is
@@ -596,6 +658,7 @@ class TestReportEncoding:
 _REPORT_SHA256 = {
     "approx_acceptance": "f2e1757e4b5bf1e6c19627f5ea8d9ebe0500325c35b624d357cc5d1ecd850ad7",
     "approx_small": "298ca8ca1969751621fb92245bd35114928e52f214aa8d6a3533b8eec6ea6f7a",
+    "approx_short_1200": "e3d932275bd21acee2b93b1570ad891a8fdf9f6a126c124c271fc001f89a92f1",
     "markers_100": "2a8d4a60ae3181bae8684dc04a60ea3a95494e49eb6b9db9b373e8b7f94c5492",
     "norm_unitary": "0ce92f0aaec0ad6e8a2ada38f07106b1ee6fcae80598d6963080d375ba1389bd",
     "orbits_3_10": "56a04782ffb03a9227805e96ec41e6b86fdd5a353c7a32efc3a34012c71d7ca0",

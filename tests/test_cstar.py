@@ -13,7 +13,6 @@ from rokhlin.cstar import (
     CrossedElement,
     ElementOrbitFiber,
     HostMismatchError,
-    InterpolationFiber,
     _EMBED_CHUNK_BYTES,
     _band_adjoint,
     _band_product,
@@ -31,6 +30,8 @@ from rokhlin.cstar import (
     regular_window_norm,
 )
 from rokhlin.dynsys import make_cycle_system
+
+from dense_reference import InterpolationFiber
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -220,6 +221,74 @@ class TestNorm:
         res = norm(random_element(sys, 3, rng), 1e-2)
         for g in res.grids.values():
             assert g & (g - 1) == 0
+
+
+def circle_max(coeffs: dict[int, complex]) -> float:
+    """max over |z| = 1 of |sum_i c_i z^i|: every local maximum of a fine
+    grid, polished by Newton steps on d|p|^2/dtheta."""
+    powers = np.array(sorted(coeffs), dtype=float)
+    c = np.array([coeffs[i] for i in sorted(coeffs)], dtype=np.complex128)
+    theta = 2 * np.pi * np.arange(2**14) / 2**14
+    vals = np.abs(np.exp(1j * np.outer(theta, powers)) @ c)
+    best = float(vals.max())
+    for t in theta[(vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))]:
+        for _ in range(40):
+            e = np.exp(1j * t * powers)
+            p, dp, d2p = c @ e, (1j * powers * c) @ e, (-powers * powers * c) @ e
+            grad = 2 * (np.conj(p) * dp).real
+            curv = 2 * (abs(dp) ** 2 + (np.conj(p) * d2p).real)
+            if not curv < 0 or grad == 0:
+                break
+            t -= grad / curv
+        best = max(best, float(abs(c @ np.exp(1j * t * powers))))
+    return best
+
+
+@st.composite
+def constant_bands(draw, lengths):
+    """A constant-band element sum_i c_i u^i of radius 0-3 with complex
+    coefficients, scaled to coefficient bound one, on one cycle."""
+    L = draw(lengths)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radius = draw(st.integers(0, 3))
+    c = rng.standard_normal(2 * radius + 1) + 1j * rng.standard_normal(2 * radius + 1)
+    c /= np.abs(c).sum()
+    sys = make_cycle_system([L])
+    coeffs = dict(zip(range(-radius, radius + 1), c))
+    return CrossedElement(sys, {i: np.full(L, ci) for i, ci in coeffs.items()}), coeffs
+
+
+class TestConstantBandOracle:
+    """A constant-band element's fibers are lam-twisted circulants, and the
+    L-th roots of lam cover the circle as lam runs over it, so on every
+    cycle ||sum_i c_i u^i|| = max over |z| = 1 of |sum_i c_i z^i|."""
+
+    @staticmethod
+    def check(a, coeffs, tol):
+        oracle, res = circle_max(coeffs), norm(a, tol)
+        scale = sum(abs(ci) for ci in coeffs.values())
+        assert res.value <= oracle + 8 * np.spacing(scale), (res.value, oracle)
+        assert oracle <= res.upper, (oracle, res.upper)
+        return res
+
+    def test_u_plus_half(self):
+        for L in (1, 7, 40):
+            sys = make_cycle_system([L])
+            a = CrossedElement(sys, {0: np.full(L, 0.5), 1: np.ones(L)})
+            assert circle_max({0: 0.5, 1: 1.0}) == 1.5
+            self.check(a, {0: 0.5, 1: 1.0}, 1e-2)
+
+    @settings(max_examples=15, deadline=None)
+    @given(constant_bands(st.integers(1, 32)))
+    def test_dense_cycles(self, case):
+        res = self.check(*case, 1e-2)
+        assert res.dense_points > 0 or res.value == 0
+
+    @settings(max_examples=3, deadline=None)
+    @given(constant_bands(st.just(48)))
+    def test_lanczos_cycle(self, case):
+        res = self.check(*case, 5e-2)
+        assert res.dense_points == 0
 
 
 class TestOrbitIsomorphism:

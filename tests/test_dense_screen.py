@@ -2,13 +2,15 @@
 
 The references below are the formulas the program used before the screen:
 the interpolated and combined builders as they were (the element builder is
-unchanged), and an eigensolve at every grid point.  The screened norm must
-agree with them bit for bit.
+unchanged; a seam corner is the S x S block of the dense interpolated field),
+and an eigensolve at every grid point.  The screened norm must agree with
+them bit for bit.
 """
 
 import json
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -21,16 +23,20 @@ from rokhlin import cstar
 from rokhlin.approx import quotient_approx
 from rokhlin.cli import main
 from rokhlin.cstar import (
-    CombinedFiber,
+    CornerFiber,
     CrossedElement,
     ElementOrbitFiber,
-    InterpolationFiber,
     _grid,
     _next_pow2,
     fiber_sup_norm,
     norm,
 )
 from rokhlin.dynsys import invariant_split, make_cycle_system
+
+from dense_reference import CombinedFiber, InterpolationFiber, dense_quotient_fiber
+
+# the dense interp(sample(b)) - b field whose seam block each corner fiber is
+_DENSE = weakref.WeakKeyDictionary()
 
 
 def random_coeffs(sys, radius, rng, sparse=False):
@@ -49,6 +55,8 @@ def random_coeffs(sys, radius, rng, sparse=False):
 def reference_matrices(fiber, lams):
     if isinstance(fiber, ElementOrbitFiber):
         return fiber.matrices(lams)
+    if isinstance(fiber, CornerFiber):
+        return reference_matrices(_DENSE[fiber], lams)[:, fiber.seam][:, :, fiber.seam]
     if isinstance(fiber, InterpolationFiber):
         theta = np.mod(np.angle(lams), 2 * math.pi)
         pos = theta * fiber.s / (2 * math.pi)
@@ -100,15 +108,13 @@ def assert_bit_identical(result, sys, fibers, tol):
 
 def quotient_fibers(lengths, b_coeffs, eps):
     """interp(sample(b)) - b on every cycle, built as assemble_and_verify
-    builds it."""
+    builds it: seam corners, each tied to the dense field it is a block of."""
     sys = make_cycle_system(lengths)
     b = b_coeffs(sys)
     q = quotient_approx(invariant_split(sys, max(lengths)), [b], eps, sys)
-    blocks = q.sample(b)
-    fibers = [
-        CombinedFiber([q.interp_fiber(cyc, blocks), ElementOrbitFiber(b, cyc)], [1.0, -1.0])
-        for cyc in q.cycles
-    ]
+    fibers = q.corner_fibers(b)
+    for fib in fibers:
+        _DENSE[fib] = dense_quotient_fiber(b, fib.cycle, fib.s)
     return sys, fibers
 
 
@@ -145,7 +151,7 @@ class TestBuilders:
         sys, fibers = quotient_fibers([3, 7], lambda sys: CrossedElement.unitary(sys), Fraction(3, 10))
         lams = _grid(8192)
         for fib in fibers:
-            got, want = fib.matrices(lams), reference_matrices(fib, lams)
+            got, want = fib.matrices(lams), np.ascontiguousarray(reference_matrices(fib, lams))
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -341,7 +347,18 @@ class TestScreenMemory:
             sys = make_cycle_system([10])
             fibers = [ElementOrbitFiber(CrossedElement.unitary(sys), sys.orbits().cycles[0])]
         else:
-            sys, fibers = quotient_fibers([3, 7], lambda sys: CrossedElement.unitary(sys), Fraction(3, 10))
+            # the full L x L fields, as the screen first measured them
+            sys, corners = quotient_fibers([3, 7], lambda sys: CrossedElement.unitary(sys), Fraction(3, 10))
+            fibers = [_DENSE[fib] for fib in corners]
         screened = traced_peak(lambda: fiber_sup_norm(sys, fibers, 1e-3))
         unscreened = traced_peak(lambda: unscreened_path(sys, fibers, 1e-3))
         assert screened <= unscreened, (screened, unscreened)
+
+    def test_corners_peak_below_the_dense_fields(self):
+        # the acceptance quotient fields on their seam corners against the
+        # same fields as full L x L matrices: the same value, in less memory
+        sys, corners = quotient_fibers([3, 7], lambda sys: CrossedElement.unitary(sys), Fraction(3, 10))
+        dense = [_DENSE[fib] for fib in corners]
+        peaks = [traced_peak(lambda f=f: fiber_sup_norm(sys, f, 1e-3)) for f in (corners, dense)]
+        assert fiber_sup_norm(sys, corners, 1e-3).value == fiber_sup_norm(sys, dense, 1e-3).value
+        assert 2 * peaks[0] < peaks[1], peaks
