@@ -19,10 +19,10 @@ target tolerance eps, the pipeline
    supports, compressing by the coordinate window and the tower functions;
 5. measures, in one pass per element b, the quotient corner, the ideal corner
    and the final defect ||phi(psi(b)) - b|| against their stated multiples of
-   eps: b's seam corners are built and its e-corner composed once, and each fiber field is
-   measured once.  For a central projection e the algebra splits as a direct
-   sum, so the final defect is read off orbit by orbit as the larger corner
-   defect; the dimension ledger is emitted alongside.
+   eps: b's seam corners are built and its e-corner composed once, and each
+   fiber field is measured once.  For a central projection e the algebra
+   splits as a direct sum, so the final defect is read off orbit by orbit as
+   the larger corner defect; the dimension ledger is emitted alongside.
 
 Norms are certified through :mod:`rokhlin.cstar`; every assertion carries the
 norm tolerance on its right-hand side so floating-point slack cannot produce
