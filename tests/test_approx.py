@@ -224,7 +224,7 @@ _DENSE_STACK_ENTRIES = 2**21
 
 @st.composite
 def corner_cases(draw):
-    """(b, cycle, node count) on one cycle of 1-64 points, with complex
+    """(b, quotient side) on one cycle of 1-64 points, with complex
     coefficients of radius 0-3 scaled to coefficient bound one; short cycles
     are drawn often, so that 2k >= L and k >= L both occur.  eps is the
     smallest of 1/2, 3/2 and 4 whose dense node stack fits the cap."""
