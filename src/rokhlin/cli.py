@@ -25,6 +25,7 @@ import json
 import math
 import sys as _sys
 import time
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -63,13 +64,25 @@ _escape = json.encoder.encode_basestring_ascii  # what json.dumps(str) calls
 
 def _texts(values, pad: str) -> list[str]:
     """The JSON text of each value; when the values share one exact type it
-    is checked once, for the whole container."""
+    is checked once, for the whole container.
+
+    Floats that repeat are formatted once per distinct value, unless a zero
+    is among them (0.0 == -0.0 would give both zeros one text); a NaN object
+    is its own key, so NaNs never merge either.  A container of [re, im]
+    pairs of floats writes each pair with one format."""
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is float:
+        distinct = set(values)
+        if len(distinct) < len(values) and 0.0 not in distinct:
+            text = {v: f"{v:.17g}" for v in distinct}
+            return list(map(text.__getitem__, values))
         return [f"{v:.17g}" for v in values]
     if kind is str:
         return list(map(_escape, values))
+    if kind is list and set(map(len, values)) == {2} and set(map(type, chain.from_iterable(values))) == {float}:
+        inner = pad + "  "
+        return [f"[\n{inner}{re:.17g},\n{inner}{im:.17g}\n{pad}]" for re, im in values]
     return [_text(v, pad) for v in values]
 
 
@@ -85,8 +98,8 @@ def _text(obj, pad: str) -> str:
             return "{}"
         keys = sorted(obj)
         inner = pad + "  "
-        names = map(_escape, map(str, keys))
-        items = [f"{n}: {t}" for n, t in zip(names, _texts([obj[key] for key in keys], inner))]
+        names = map(_escape, keys if set(map(type, keys)) == {str} else map(str, keys))
+        items = [f"{n}: {t}" for n, t in zip(names, _texts(list(map(obj.__getitem__, keys)), inner))]
         return "{\n" + inner + (",\n" + inner).join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -172,28 +185,61 @@ def _finite_pair(value, where: str) -> complex:
     return complex(_finite_number(value[0], where), _finite_number(value[1], where))
 
 
+def _table_values(sys: FiniteDynamicalSystem, table: dict) -> tuple[np.ndarray, np.ndarray] | None:
+    """The point indices and complex values of a coefficients table whose
+    every entry passes the checks, read as arrays; None when some entry
+    fails one (the per-entry loop then names the first)."""
+    pairs = list(table.values())
+    if pairs and not (set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}
+                      and set(map(type, chain.from_iterable(pairs))) <= {int, float}):
+        return None
+    try:
+        points = np.fromiter(map(sys.index.__getitem__, table), np.intp, len(table))
+        parts = np.array(pairs, dtype=float).reshape(len(pairs), 2)
+    except (KeyError, OverflowError):
+        return None
+    if not np.isfinite(parts).all():
+        return None
+    values = np.empty(len(pairs), dtype=np.complex128)
+    values.real, values.imag = parts[:, 0], parts[:, 1]
+    return points, values
+
+
 def parse_element(sys: FiniteDynamicalSystem, literal) -> CrossedElement:
     """Element literal: list of band entries {power, coefficients|constant}.
 
-    ``coefficients`` maps point labels to [re, im] pairs (missing points are
-    zero); ``constant`` applies one [re, im] value to every point.  Every
-    value must be a pair of finite numbers.
+    Each entry has an integer ``power`` and exactly one of ``coefficients``
+    and ``constant``, and no other key.  ``coefficients`` maps point labels
+    to [re, im] pairs (missing points are zero); ``constant`` applies one
+    [re, im] value to every point.  Every value must be a pair of finite
+    numbers.
     """
     if not isinstance(literal, list):
         raise ScenarioError("element literal must be a list of band entries")
     coeffs: dict[int, np.ndarray] = {}
     for entry in literal:
-        if not isinstance(entry, dict) or not isinstance(entry.get("power"), int):
-            raise ScenarioError(f"bad band entry {entry!r}")
+        if not isinstance(entry, dict) or not _is_int(entry.get("power")):
+            raise ScenarioError(f"bad band entry {entry!r}: 'power' must be an integer")
         i = entry["power"]
+        for key in entry:
+            if key not in ("power", "coefficients", "constant"):
+                raise ScenarioError(f"band entry at power {i} has unknown key {key!r}")
+        if "constant" in entry and "coefficients" in entry:
+            raise ScenarioError(f"band entry at power {i} has both 'constant' and 'coefficients'")
         arr = coeffs.setdefault(i, np.zeros(sys.n, dtype=np.complex128))
         if "constant" in entry:
             arr += _finite_pair(entry["constant"], f"constant at power {i}")
         elif isinstance(entry.get("coefficients"), dict):
-            for lab, value in entry["coefficients"].items():
-                if lab not in sys.index:
-                    raise ScenarioError(f"unknown point label {lab!r}")
-                arr[sys.index[lab]] += _finite_pair(value, f"coefficient of {lab!r} at power {i}")
+            table = entry["coefficients"]
+            checked = _table_values(sys, table)
+            if checked is not None:
+                points, values = checked
+                arr[points] += values  # labels are distinct, so no point repeats
+            else:
+                for lab, value in table.items():
+                    if lab not in sys.index:
+                        raise ScenarioError(f"unknown point label {lab!r}")
+                    arr[sys.index[lab]] += _finite_pair(value, f"coefficient of {lab!r} at power {i}")
         else:
             raise ScenarioError(f"band entry {entry!r} needs 'coefficients' or 'constant'")
     return CrossedElement(sys, coeffs)
@@ -259,21 +305,26 @@ def run_markers(args: dict, doc: dict) -> dict:
     return rep
 
 
-def _rung_values(family: TowerFamily, l: int, rank: np.ndarray) -> dict:
+def _rung_values(family: TowerFamily, l: int, rank: np.ndarray, labels: np.ndarray) -> dict:
     """Nonzero tower values of level l keyed by rung, then by point label.
 
-    ``rank[x]`` is the place of point x's label in sorted order; each rung's
-    table is built in that order, so the encoder's sort finds it sorted.
+    ``rank[x]`` is the place of point x's label in sorted order and
+    ``labels`` the labels as an object array.  The level is put in that
+    order rung by rung with one sort and one gather, so each rung's table is
+    built sorted and the encoder's sort finds it so.
     """
-    labels = family.sys.labels
-    out = {}
-    for col in range(2 * family.m + 1):
-        nz = np.flatnonzero(family.num[l, :, col])
-        if nz.size:
-            points = family.points[l, nz, col]
-            order = np.argsort(rank[points])
-            values = (family.num[l, nz[order], col] / family.den).tolist()
-            out[str(col - family.m)] = {labels[x]: v for x, v in zip(points[order].tolist(), values)}
+    points = family.points[l].T  # (rung, anchor); a rung holds distinct points
+    order = np.argsort(rank[points], axis=1)
+    points = np.take_along_axis(points, order, axis=1)
+    num = np.take_along_axis(family.num[l].T, order, axis=1)
+    keep = num != 0
+    names = labels[points[keep]].tolist()
+    values = (num[keep] / family.den).tolist()
+    out, start = {}, 0
+    for col, count in enumerate(keep.sum(axis=1).tolist()):
+        if count:
+            out[str(col - family.m)] = dict(zip(names[start:start + count], values[start:start + count]))
+            start += count
     return out
 
 
@@ -285,8 +336,7 @@ def run_towers(args: dict, doc: dict) -> dict:
     rep = _report_shell("towers", dict(args, d=d, epsilon=eps))
     family = build_tower_family(sys, d, args["k"], args["m"], eps, range(sys.n))
     tower = verify_tower(family)
-    rank = np.empty(sys.n, dtype=np.intp)
-    rank[sorted(range(sys.n), key=sys.labels.__getitem__)] = np.arange(sys.n)
+    rank, labels = sys.orbits().rank, np.array(sys.labels, dtype=object)
     rep["towers"] = {
         "levels": family.levels,
         "k_prime": family.k_prime,
@@ -294,7 +344,7 @@ def run_towers(args: dict, doc: dict) -> dict:
         "step_bound": tower.step_bound,
         "step_measured": tower.step_measured,
         "conservation_exact": tower.conservation_exact,
-        "values": [_rung_values(family, l, rank) for l in range(family.levels)],
+        "values": [_rung_values(family, l, rank, labels) for l in range(family.levels)],
     }
     rep["assertions"] += [  # each row passes by the rule TowerReport.ok() applies to its field
         _assertion("conservation_error", tower.conservation_error, 1e-12, tower.conservation_exact),

@@ -191,7 +191,8 @@ class OrbitDecomposition:
 
     ``order`` concatenates the cycles' orders; point x lies on the cycle
     ``order[start[x] : start[x] + length[x]]`` at position ``pos[x]``, so
-    alpha_i(x) = ``order[start[x] + (pos[x] + i) % length[x]]``.
+    alpha_i(x) = ``order[start[x] + (pos[x] + i) % length[x]]``.  ``rank[x]``
+    is the place of point x's label in sorted label order.
     """
 
     cycles: tuple[Cycle, ...]
@@ -199,6 +200,7 @@ class OrbitDecomposition:
     start: np.ndarray
     length: np.ndarray
     pos: np.ndarray
+    rank: np.ndarray
 
     def lengths(self) -> list[int]:
         return [c.length for c in self.cycles]
@@ -218,15 +220,15 @@ class InvariantSplit:
     complement: frozenset[int]
 
 
-def _base_rank_and_position(sys: FiniteDynamicalSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Per point, the least label rank on its cycle and its distance from the
-    point holding that rank (its base), by pointer doubling over perm and
-    perm_inv: array operations only, no per-point walk."""
+def _base_rank_and_position(sys: FiniteDynamicalSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per point, its label rank, the least label rank on its cycle and its
+    distance from the point holding that rank (its base), by pointer doubling
+    over perm and perm_inv: array operations only, no per-point walk."""
     n = sys.n
     by_label = np.fromiter(map(sys.index.__getitem__, sorted(sys.labels)), dtype=np.int64, count=n)
-    low = np.empty(n, dtype=np.int64)
-    low[by_label] = np.arange(n)
-    hop = sys.perm
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_label] = np.arange(n)
+    low, hop = rank, sys.perm
     while True:
         # the minimum over the next 2^(r+1) iterates equals the one over 2^r
         # everywhere only once it is constant on each cycle: the cycle minimum
@@ -240,7 +242,7 @@ def _base_rank_and_position(sys: FiniteDynamicalSystem) -> tuple[np.ndarray, np.
     pos, back = (~is_base).astype(np.int64), np.where(is_base, np.arange(n), sys.perm_inv)
     while not np.array_equal(back, base):
         pos, back = pos + pos[back], back[back]
-    return low, pos
+    return rank, low, pos
 
 
 def orbit_decomposition(sys: FiniteDynamicalSystem) -> OrbitDecomposition:
@@ -249,7 +251,7 @@ def orbit_decomposition(sys: FiniteDynamicalSystem) -> OrbitDecomposition:
     Cycles come in the order of their bases' labels, each starting at its
     base (see _base_rank_and_position).
     """
-    low, pos = _base_rank_and_position(sys)
+    rank, low, pos = _base_rank_and_position(sys)
     sizes = np.bincount(low, minlength=sys.n)  # cycle length, indexed by its base's rank
     offsets = np.cumsum(sizes) - sizes
     start, length = offsets[low], sizes[low]
@@ -259,7 +261,7 @@ def orbit_decomposition(sys: FiniteDynamicalSystem) -> OrbitDecomposition:
     del low, sizes, offsets  # freed before the Python ints below are made
     flat = order.tolist()
     cycles = tuple(Cycle(base=flat[a], length=size, order=tuple(flat[a : a + size])) for a, size in bounds)
-    return OrbitDecomposition(cycles=cycles, order=order, start=start, length=length, pos=pos)
+    return OrbitDecomposition(cycles=cycles, order=order, start=start, length=length, pos=pos, rank=rank)
 
 
 def invariant_split(sys: FiniteDynamicalSystem, N: int) -> InvariantSplit:

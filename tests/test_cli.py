@@ -8,6 +8,7 @@ import random
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from rokhlin import cli, cstar
 from rokhlin.cli import COMMANDS, REQUIRED, emit_report, main, parse_element, run_scenario
-from rokhlin.dynsys import load_system
+from rokhlin.dynsys import load_system, make_cycle_system
 from rokhlin.towers import build_tower_family, verify_tower
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -172,6 +173,71 @@ class TestElementLiterals:
             parse_element(sys, [{"coefficients": {}}])
 
 
+_SYSTEM_3_10 = make_cycle_system([3, 10])
+_PART = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0.0, -0.0, 0, 2**53 + 1, -(2**63) - 1]),
+)
+
+
+@st.composite
+def _band_entries(draw):
+    """Band entries on the 3+10 cycle system: powers repeat across entries,
+    tables mix ints with floats and carry -0.0 parts."""
+    labels = _SYSTEM_3_10.labels
+    entries = []
+    for _ in range(draw(st.integers(0, 6))):
+        power = draw(st.integers(-2, 2))
+        if draw(st.integers(0, 4)) == 0:
+            entries.append({"power": power, "constant": [draw(_PART), draw(_PART)]})
+        else:
+            table = draw(st.dictionaries(st.sampled_from(labels), st.lists(_PART, min_size=2, max_size=2)))
+            entries.append({"power": power, "coefficients": table})
+    return entries
+
+
+def _per_value_parse(literal):
+    """parse_element with the array path of coefficient tables turned off."""
+    with mock.patch.object(cli, "_table_values", return_value=None):
+        return parse_element(_SYSTEM_3_10, literal)
+
+
+def _bits(el) -> dict:
+    return {i: el.coefficient(i).view(np.int64).tolist() for i in el.support}
+
+
+class TestCoefficientTables:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(literal=_band_entries())
+    def test_array_path_gives_the_per_value_bits(self, literal):
+        assert _bits(parse_element(_SYSTEM_3_10, literal)) == _bits(_per_value_parse(literal))
+
+    # each bad entry sits after valid ones, alone or before a second bad entry
+    @pytest.mark.parametrize("second", [False, True], ids=["alone", "before-another"])
+    @pytest.mark.parametrize("bad, message", [
+        ([math.nan, 0.0], "coefficient of 'c1p5' at power 1 must be a finite number, got nan"),
+        ([0.0, math.inf], "coefficient of 'c1p5' at power 1 must be a finite number, got inf"),
+        ([True, 0.0], "coefficient of 'c1p5' at power 1 must be a finite number, got True"),
+        ([10**400, 0], f"coefficient of 'c1p5' at power 1 must be a finite number, got {10**400}"),
+        ([1.0], "coefficient of 'c1p5' at power 1 must be a pair of finite numbers [re, im], got [1.0]"),
+        (None, "unknown point label 'nope'"),
+    ], ids=["nan", "inf", "true", "10**400", "one-element", "unknown-label"])
+    def test_first_bad_entry_is_named(self, bad, message, second):
+        from rokhlin.cli import ScenarioError
+
+        table = {"c0p0": [1.0, 0.5], "c1p0": [2, -0.0]}
+        table.update({"nope": [1.0, 0.0]} if bad is None else {"c1p5": bad})
+        if second:
+            table["c1p7"] = [math.nan, math.nan]
+        literal = [{"power": 0, "constant": [1, 0]}, {"power": 1, "coefficients": table}]
+        with pytest.raises(ScenarioError) as got:
+            parse_element(_SYSTEM_3_10, literal)
+        with pytest.raises(ScenarioError) as per_value:
+            _per_value_parse(literal)
+        assert str(got.value) == str(per_value.value) == message
+
+
 class TestMalformedNormScenarios:
     VALID = [{"power": 1, "constant": [0.5, 0.0]}]
 
@@ -180,7 +246,14 @@ class TestMalformedNormScenarios:
         ([{"power": 1, "coefficients": {"c1p3": [1.0, float("inf")]}}], 1e-3, "'c1p3' at power 1"),
         ([{"power": -1, "constant": [1.0]}], 1e-3, "constant at power -1"),
         (VALID, float("nan"), "norm field 'tol' must be a number or a fraction string with a finite value"),
-    ], ids=["nan-coefficient", "inf-coefficient", "one-element-constant", "nan-tol"])
+        ([{"power": True, "constant": [1.0, 0.0]}], 1e-3,
+         "bad band entry {'power': True, 'constant': [1.0, 0.0]}: 'power' must be an integer"),
+        ([{"power": 1, "constant": [1, 0], "coefficients": {"c0p0": [5, 0]}}], 1e-3,
+         "band entry at power 1 has both 'constant' and 'coefficients'"),
+        ([{"power": 1, "constant": [1, 0]}, {"power": 2, "constant": [1, 0], "bogus": 3}], 1e-3,
+         "band entry at power 2 has unknown key 'bogus'"),
+    ], ids=["nan-coefficient", "inf-coefficient", "one-element-constant", "nan-tol", "bool-power",
+            "constant-and-coefficients", "unknown-key"])
     def test_exit_two_with_error_object(self, tmp_path, capsys, element, tol, message):
         spath = write_system(tmp_path)
         scen = tmp_path / "bad.json"
@@ -529,12 +602,59 @@ def _containers(children):
 
 _documents = st.recursive(_scalars, _containers, max_leaves=40)
 
+# long containers whose floats repeat: the encoder formats each distinct value
+# once, except where a zero is among them; NaN comes both as one shared object
+# and as a new object per draw
+_SHARED_NAN = float("nan")
+_REPEATS = [0.5, 1 / 3, -2.0, math.inf, -math.inf, _SHARED_NAN]
+_pooled = st.sampled_from([_REPEATS, _REPEATS + [0.0], _REPEATS + [-0.0], _REPEATS + [0.0, -0.0]]).flatmap(
+    lambda pool: st.one_of(st.sampled_from(pool), st.builds(float, st.just("nan")))
+)
+_repeated_floats = st.one_of(
+    st.lists(_pooled, min_size=16, max_size=64),
+    st.dictionaries(_texts, _pooled, min_size=16, max_size=64),
+)
+
+# containers of [re, im] pairs, the encoder's one-format-per-pair path, and the
+# same with one odd member that must take the general path
+_pair = st.lists(_floats, min_size=2, max_size=2)
+_odd_member = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.tuples(_floats, st.integers()).map(list),
+    st.tuples(st.booleans(), _floats).map(list),
+    st.tuples(_floats, _floats.map(np.float64)).map(list),
+    st.lists(_floats, min_size=1, max_size=1),
+    st.lists(_floats, min_size=3, max_size=3),
+    st.tuples(_floats, _floats),
+)
+
+
+@st.composite
+def _pairs(draw):
+    pairs = draw(st.lists(_pair, min_size=1, max_size=20))
+    if draw(st.booleans()):
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(_odd_member))
+    if draw(st.booleans()):
+        return dict(zip(draw(st.lists(_texts, min_size=len(pairs), max_size=len(pairs), unique=True)), pairs))
+    return pairs
+
 
 class TestReportEncoding:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(doc=_documents)
     def test_equals_reference(self, doc):
         assert emit_report(doc, None) == reference_dump(doc) + "\n"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(doc=_repeated_floats)
+    def test_repeated_floats_equal_reference(self, doc):
+        assert emit_report(doc, None) == reference_dump(doc) + "\n"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(doc=_pairs())
+    def test_pairs_equal_reference(self, doc):
+        assert emit_report({"pairs": doc}, None) == reference_dump({"pairs": doc}) + "\n"
 
     @pytest.mark.parametrize("value", [np.bool_(True), {1, 2}], ids=["numpy-bool", "set"])
     @pytest.mark.parametrize("where", ["alone", "in-list", "in-dict", "among-floats"])

@@ -236,9 +236,11 @@ class TestOrbitsAndSplit:
     @given(permutation_systems())
     def test_decomposition_matches_the_walk(self, sys):
         cycles, order, start, length, pos = walk_decomposition(sys)
+        rank = np.empty(sys.n, dtype=np.int64)
+        rank[sorted(range(sys.n), key=sys.labels.__getitem__)] = np.arange(sys.n)
         dec = orbit_decomposition(sys)
         assert dec.cycles == cycles
-        for name, want in (("order", order), ("start", start), ("length", length), ("pos", pos)):
+        for name, want in (("order", order), ("start", start), ("length", length), ("pos", pos), ("rank", rank)):
             got = getattr(dec, name)
             assert got.dtype == np.int64 and np.array_equal(got, want), name
 
