@@ -309,22 +309,17 @@ def _rung_values(family: TowerFamily, l: int, rank: np.ndarray, labels: np.ndarr
     """Nonzero tower values of level l keyed by rung, then by point label.
 
     ``rank[x]`` is the place of point x's label in sorted order and
-    ``labels`` the labels as an object array.  The level is put in that
-    order rung by rung with one sort and one gather, so each rung's table is
-    built sorted and the encoder's sort finds it so.
+    ``labels`` the labels as an object array; each rung's table is built in
+    that order with one gather, so the encoder's sort finds it sorted.
     """
-    points = family.points[l].T  # (rung, anchor); a rung holds distinct points
-    order = np.argsort(rank[points], axis=1)
-    points = np.take_along_axis(points, order, axis=1)
-    num = np.take_along_axis(family.num[l].T, order, axis=1)
-    keep = num != 0
-    names = labels[points[keep]].tolist()
-    values = (num[keep] / family.den).tolist()
-    out, start = {}, 0
-    for col, count in enumerate(keep.sum(axis=1).tolist()):
-        if count:
-            out[str(col - family.m)] = dict(zip(names[start:start + count], values[start:start + count]))
-            start += count
+    out = {}
+    for col in range(2 * family.m + 1):
+        nz = np.flatnonzero(family.num[l, :, col])
+        if nz.size:
+            points = family.points[l, nz, col]
+            order = np.argsort(rank[points])
+            values = (family.num[l, nz[order], col] / family.den).tolist()
+            out[str(col - family.m)] = dict(zip(labels[points[order]].tolist(), values))
     return out
 
 
