@@ -187,15 +187,16 @@ def _finite_pair(value, where: str) -> complex:
 
 def _table_values(sys: FiniteDynamicalSystem, table: dict) -> tuple[np.ndarray, np.ndarray] | None:
     """The point indices and complex values of a coefficients table whose
-    every entry passes the checks, read as arrays; None when some entry
-    fails one (the per-entry loop then names the first)."""
+    every entry passes the checks, read as arrays; None when the table is
+    empty or some entry fails a check (the per-entry loop then names the
+    first)."""
     pairs = list(table.values())
-    if pairs and not (set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}
-                      and set(map(type, chain.from_iterable(pairs))) <= {int, float}):
+    if not (set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}
+            and set(map(type, chain.from_iterable(pairs))) <= {int, float}):
         return None
     try:
         points = np.fromiter(map(sys.index.__getitem__, table), np.intp, len(table))
-        parts = np.array(pairs, dtype=float).reshape(len(pairs), 2)
+        parts = np.array(pairs, dtype=float)
     except (KeyError, OverflowError):
         return None
     if not np.isfinite(parts).all():

@@ -607,12 +607,17 @@ _documents = st.recursive(_scalars, _containers, max_leaves=40)
 # and as a new object per draw
 _SHARED_NAN = float("nan")
 _REPEATS = [0.5, 1 / 3, -2.0, math.inf, -math.inf, _SHARED_NAN]
-_pooled = st.sampled_from([_REPEATS, _REPEATS + [0.0], _REPEATS + [-0.0], _REPEATS + [0.0, -0.0]]).flatmap(
-    lambda pool: st.one_of(st.sampled_from(pool), st.builds(float, st.just("nan")))
-)
-_repeated_floats = st.one_of(
-    st.lists(_pooled, min_size=16, max_size=64),
-    st.dictionaries(_texts, _pooled, min_size=16, max_size=64),
+
+
+def _drawn_from(pool):
+    return st.one_of(st.sampled_from(pool), st.builds(float, st.just("nan")))
+
+
+_repeated_floats = st.sampled_from([_REPEATS, _REPEATS + [0.0], _REPEATS + [-0.0], _REPEATS + [0.0, -0.0]]).flatmap(
+    lambda pool: st.one_of(
+        st.lists(_drawn_from(pool), min_size=16, max_size=64),
+        st.dictionaries(_texts, _drawn_from(pool), min_size=16, max_size=64),
+    )
 )
 
 # containers of [re, im] pairs, the encoder's one-format-per-pair path, and the
