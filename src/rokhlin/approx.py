@@ -16,7 +16,10 @@ target tolerance eps, the pipeline
    corner of at most 2k x 2k entries and is measured there, straight from b's
    coefficients;
 4. approximates the ideal side through matrix algebras over the tower
-   supports, compressing by the coordinate window and the tower functions;
+   supports, compressing by the coordinate window and the tower functions.
+   The summing map is kept in one form, band arrays in tower coordinates
+   (``IdealSide.summing``), which ``IdealSide.composite`` returns straight
+   to the crossed product;
 5. measures, in one pass per element b, the quotient corner, the ideal corner
    and the final defect ||phi(psi(b)) - b|| against their stated multiples of
    eps: b's seam corners are built and its e-corner composed once, and each
@@ -185,13 +188,12 @@ def quasicentral_unit(
     e_values: np.ndarray | None = None,
     norm_tol: float = 1e-3,
 ) -> QuasicentralReport:
-    comp = sorted(split.complement)
+    long_part = sys.orbits().length > split.N
     if e_values is None:
         # indicator of the invariant clopen long-orbit part: a central
         # projection, so the commutator and corner-splitting defects vanish
         # exactly and the compressed condition reduces to the quotient error
-        e = np.zeros(sys.n)
-        e[comp] = 1.0
+        e = long_part.astype(float)
         return QuasicentralReport(
             e=e, is_central_projection=True, commutator_error=0.0,
             corner_errors=tuple(0.0 for _ in F),
@@ -201,8 +203,8 @@ def quasicentral_unit(
         raise ApproxError(f"e must have one value per point, got shape {e.shape}")
     if not np.all((e >= 0) & (e <= 1)):  # NaN fails both comparisons
         raise ApproxError("e must take values in [0, 1]")
-    outside = [x for x in range(sys.n) if e[x] != 0 and x not in split.complement]
-    if outside:
+    outside = np.flatnonzero((e != 0) & ~long_part)
+    if outside.size:
         raise ApproxError(f"e is supported outside the long-orbit part at {sys.labels[outside[0]]!r}")
 
     root, coroot = np.sqrt(e), np.sqrt(1.0 - e)
@@ -222,10 +224,6 @@ def quasicentral_unit(
 # quotient side
 
 
-# node matrices of the CP checks are built this many bytes at a time
-_NODE_CHUNK_BYTES = 2**24
-
-
 @dataclass
 class QuotientSide:
     """Hat-node approximation of the short-orbit fibers with a two-color pullback.
@@ -236,15 +234,14 @@ class QuotientSide:
     node matrices with the subordinate hat functions (piecewise-linear
     interpolation).  Arc parity splits the hats into two families with
     disjoint supports, giving two order-zero summands.  Only the node counts
-    are stored: interp(sample(b)) - b is measured on its seam corner
-    (``corner_fibers``), and the CP-property checks build node matrices on
-    demand, a chunk of at most _NODE_CHUNK_BYTES at a time.
+    are stored: the node matrices of b on a cycle are
+    ``ElementOrbitFiber(b, cycle).matrices`` at the ``node_count`` roots of
+    unity, and interp(sample(b)) - b is measured on its seam corner
+    (``corner_fibers``) straight from b's coefficients.
     """
 
     sys: FiniteDynamicalSystem
-    split: InvariantSplit
     eps: Fraction
-    k: int
     cycles: tuple[Cycle, ...]
     node_count: dict[int, int]
 
@@ -257,28 +254,6 @@ class QuotientSide:
         it can be nonzero (b has a band other than u^0 there)."""
         fibers = (CornerFiber(b, cyc, self.node_count[cyc.base]) for cyc in self.cycles)
         return [fib for fib in fibers if fib.L]
-
-    def _node_matrices(self, b: CrossedElement):
-        """b's fiber at the nodes of each short cycle, streamed in chunks."""
-        for cyc in self.cycles:
-            s, fib = self.node_count[cyc.base], ElementOrbitFiber(b, cyc)
-            step = max(1, _NODE_CHUNK_BYTES // (16 * cyc.length**2))
-            for lo in range(0, s, step):
-                yield fib.matrices(np.exp(2j * np.pi * np.arange(lo, min(lo + step, s)) / s))
-
-    def positivity_defect(self, b: CrossedElement) -> float:
-        """Most negative eigenvalue of the summing map applied to b* b (>= 0 ideally)."""
-        return min(
-            (float(np.linalg.eigvalsh(mats).min()) for mats in self._node_matrices(b.adjoint() * b)),
-            default=0.0,
-        )
-
-    def summing_norm(self, b: CrossedElement) -> float:
-        """Largest norm of a node matrix of b."""
-        return max(
-            (float(np.linalg.svd(mats, compute_uv=False)[:, 0].max()) for mats in self._node_matrices(b)),
-            default=0.0,
-        )
 
 
 def quotient_approx(
@@ -296,7 +271,7 @@ def quotient_approx(
         s = math.ceil(2 * math.pi * cyc.length * k / float(eps))
         s += s % 2  # arc parity needs an even arc count for two colors
         node_count[cyc.base] = max(s, 2)
-    return QuotientSide(sys=sys, split=split, eps=eps, k=k, cycles=cycles, node_count=node_count)
+    return QuotientSide(sys=sys, eps=eps, cycles=cycles, node_count=node_count)
 
 
 # ---------------------------------------------------------------------------
@@ -308,31 +283,29 @@ class IdealSide:
     """Tower-windowed approximation through matrix algebras over the supports.
 
     For each level l the summing map compresses an element to the coordinate
-    window [-m, m], weighted by the square roots of the tower functions; the
-    return map sends a windowed matrix unit f (x) E_{j j'} to the element
+    window [-m, m], weighted by the square roots of the tower functions, into
+    one (2m+1) x (2m+1) matrix per anchor of the level's support; the return
+    map sends a windowed matrix unit f (x) E_{j j'} to the element
     (f o alpha_{-j}) u^{j - j'} and is an exact *-homomorphism thanks to the
     disjointness of the support translates.  ``root`` holds sqrt(mu) in the
-    family's tower coordinates; a block function maps anchor points (the
-    support) to complex values.
+    family's tower coordinates.  ``summing`` yields the compression band by
+    band as arrays over (anchor, rung); ``composite`` applies the return map
+    to them directly.
     """
 
     params: ApproxParams
     family: TowerFamily
-    e: np.ndarray
     root: np.ndarray
 
     @property
     def levels(self) -> int:
         return len(self.root)
 
-    @property
-    def window_dim(self) -> int:
-        return 2 * self.params.m + 1
-
-    def _windowed(self, l: int, b: CrossedElement):
-        """Per band i of b that fits the window: (i, cols, vals) with vals[s, c]
-        = sqrt(mu_j) f_i (sqrt(mu_{j-i}) o alpha_{-i}) at alpha_j of anchor s,
-        for the rungs j = cols[c] - m."""
+    def summing(self, l: int, b: CrossedElement):
+        """Windowed compression of b at level l, per band i of b that fits the
+        window: (i, cols, vals) with vals[s, c] = sqrt(mu_j) f_i
+        (sqrt(mu_{j-i}) o alpha_{-i}) at alpha_j of anchor s, the entry of
+        block (j, j - i) at anchor s for the rung j = cols[c] - m."""
         m = self.params.m
         points, root = self.family.points[l], self.root[l]
         for i, f in b.coeffs.items():
@@ -340,35 +313,6 @@ class IdealSide:
                 continue
             cols = np.arange(max(0, i), min(2 * m, 2 * m + i) + 1)
             yield i, cols, f[points[:, cols]] * root[:, cols] * root[:, cols - i]
-
-    def summing(self, l: int, b: CrossedElement) -> dict[tuple[int, int], dict[int, complex]]:
-        """Windowed compression of b at level l, as sparse block functions.
-
-        Block (j, j - i) holds sqrt(mu_j) f_i (sqrt(mu_{j-i}) o alpha_{-i}) at
-        alpha_j of each anchor, pulled back to the anchor.
-        """
-        m = self.params.m
-        anchors = self.family.points[l, :, m]
-        blocks: dict[tuple[int, int], dict[int, complex]] = {}
-        for i, cols, vals in self._windowed(l, b):
-            for col, column in zip(cols.tolist(), vals.T):
-                nz = np.flatnonzero(column)
-                if nz.size:
-                    blocks[(col - m, col - m - i)] = dict(zip(anchors[nz].tolist(), column[nz]))
-        return blocks
-
-    def returning(self, blocks: dict[tuple[int, int], dict[int, complex]]) -> CrossedElement:
-        """Return map: f (x) E_{j j'} -> (f o alpha_{-j}) u^{j-j'}."""
-        sys = self.params.sys
-        coeffs: dict[int, np.ndarray] = {}
-        for (j, jp), fn in blocks.items():
-            power = j - jp
-            arr = coeffs.setdefault(power, np.zeros(sys.n, dtype=np.complex128))
-            # (f o alpha_{-j}) at alpha_j(x); alpha_j is a permutation, so no
-            # index repeats within a block
-            at = sys.orbits().iterate(j, np.fromiter(fn, dtype=np.int64, count=len(fn)))
-            arr[at] += np.fromiter(fn.values(), dtype=np.complex128, count=len(fn))
-        return CrossedElement(sys, coeffs)
 
     def composite(self, b: CrossedElement) -> CrossedElement:
         """Sum over levels of (return o summing)(b), straight from tower
@@ -379,7 +323,7 @@ class IdealSide:
         out = CrossedElement.zero(sys)
         for l in range(self.levels):
             coeffs: dict[int, np.ndarray] = {}
-            for i, cols, vals in self._windowed(l, b):
+            for i, cols, vals in self.summing(l, b):
                 coeffs[i] = np.zeros(sys.n, dtype=np.complex128)
                 coeffs[i][self.family.points[l][:, cols]] += vals
             out = out + CrossedElement(sys, coeffs)
@@ -389,63 +333,6 @@ class IdealSide:
         """sup over levels, |i| <= k and j of |sqrt(mu_{j-i}) o alpha_{-i} - sqrt(mu_j)|."""
         return float(rung_step(self.root, self.params.k))
 
-    def block_matrix_at(self, blocks: dict[tuple[int, int], dict[int, complex]], x: int) -> np.ndarray:
-        """Dense principal submatrix of a windowed block family at one point."""
-        idx = sorted({j for pair in blocks for j in pair})
-        pos = {j: r for r, j in enumerate(idx)}
-        mat = np.zeros((len(idx), len(idx)), dtype=np.complex128)
-        for (j, jp), fn in blocks.items():
-            if x in fn:
-                mat[pos[j], pos[jp]] = fn[x]
-        return mat
-
-    def positivity_defect(self, b: CrossedElement) -> float:
-        """Most negative pointwise eigenvalue of the summed compression of b* b."""
-        worst = 0.0
-        bb = b.adjoint() * b
-        for l in range(self.levels):
-            blocks = self.summing(l, bb)
-            pts = sorted({x for fn in blocks.values() for x in fn})
-            for x in pts:
-                mat = self.block_matrix_at(blocks, x)
-                worst = min(worst, float(np.linalg.eigvalsh(mat).min()))
-        return worst
-
-    def summing_norm(self, l: int, b: CrossedElement) -> float:
-        blocks = self.summing(l, b)
-        pts = sorted({x for fn in blocks.values() for x in fn})
-        return max(
-            (float(np.linalg.svd(self.block_matrix_at(blocks, x), compute_uv=False)[0]) for x in pts),
-            default=0.0,
-        )
-
-    def multiplicativity_residual(self, rng: np.random.Generator, trials: int = 12) -> float:
-        """Return-map homomorphism defect on random windowed matrix units."""
-        sys = self.params.sys
-        m = self.params.m
-        worst = 0.0
-        for _ in range(trials):
-            l = int(rng.integers(self.levels))
-            sup = sorted(self.family.supports[l])
-            if not sup:
-                continue
-            i1, j1, i2, j2 = (int(v) for v in rng.integers(-m, m + 1, size=4))
-            if rng.random() < 0.5:
-                i2 = j1  # exercise the nonvanishing branch half the time
-            f1 = {x: complex(rng.standard_normal(), rng.standard_normal()) for x in sup}
-            f2 = {x: complex(rng.standard_normal(), rng.standard_normal()) for x in sup}
-            x = {(i1, j1): f1}
-            y = {(i2, j2): f2}
-            prod: dict[tuple[int, int], dict[int, complex]] = {}
-            if j1 == i2:
-                prod[(i1, j2)] = {p: f1[p] * f2[p] for p in f1 if p in f2}
-            lhs = self.returning(x) * self.returning(y)
-            rhs = self.returning(prod)
-            worst = max(worst, (lhs - rhs).coefficient_bound())
-            adj = self.returning({(j1, i1): {p: np.conj(v) for p, v in f1.items()}})
-            worst = max(worst, (self.returning(x).adjoint() - adj).coefficient_bound())
-        return worst
-
 
 def ideal_approx(params: ApproxParams, family: TowerFamily, e: np.ndarray) -> IdealSide:
     """Assemble the windowed tower approximation for the long-orbit part."""
@@ -454,13 +341,11 @@ def ideal_approx(params: ApproxParams, family: TowerFamily, e: np.ndarray) -> Id
             f"tower family (d={family.d}, k={family.k}, m={family.m}) does not match "
             f"params (d={params.d}, k={params.k}, m={params.m})"
         )
-    support_e = {x for x in range(params.sys.n) if e[x] != 0}
-    if not support_e <= family.K:
+    in_K = np.zeros(params.sys.n, dtype=bool)
+    in_K[np.fromiter(family.K, dtype=np.int64, count=len(family.K))] = True
+    if np.any((e != 0) & ~in_K):
         raise ApproxError("tower family was not built on the support of e")
-    return IdealSide(
-        params=params, family=family, e=np.asarray(e, dtype=float),
-        root=np.sqrt(family.num / family.den),
-    )
+    return IdealSide(params=params, family=family, root=np.sqrt(family.num / family.den))
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +564,7 @@ def run_approximation(
     ideal = None
     tower_ok = True
     if not params.quotient_only:
-        K = frozenset(int(x) for x in np.nonzero(equnit.e)[0])
+        K = np.flatnonzero(equnit.e).tolist()
         family = build_tower_family(sys, params.d, params.k, params.m, params.eps_prime, K)
         tower_ok = verify_tower(family).ok()
         ideal = ideal_approx(params, family, equnit.e)

@@ -233,12 +233,6 @@ class CrossedElement:
         h = CrossedElement.from_function(self.sys, values)
         return h * self * h
 
-    def restricted(self, subset: Iterable[int]) -> "CrossedElement":
-        """Zero the coefficients outside an invariant point subset."""
-        mask = np.zeros(self.sys.n)
-        mask[list(subset)] = 1.0
-        return CrossedElement(self.sys, {i: arr * mask for i, arr in self.coeffs.items()})
-
     def __repr__(self) -> str:
         return f"CrossedElement(support={self.support})"
 

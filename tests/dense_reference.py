@@ -1,13 +1,20 @@
-"""Dense reference for the quotient side: hat-node interpolation through full
-node matrices, as the program measured interp(sample(b)) - b before it took
-the seam corner (rokhlin.cstar.CornerFiber).  Tests only."""
+"""Dense references, tests only.
+
+Quotient side: hat-node interpolation through full node matrices, as the
+program measured interp(sample(b)) - b before it took the seam corner
+(rokhlin.cstar.CornerFiber).
+
+Ideal side: the summing map of one tower level as an (anchor, j, j') array of
+window matrices, and the return map from that array back to the crossed
+product, computing alpha_j of each anchor from the orbit decomposition rather
+than from the family's tower coordinates."""
 
 import math
 from typing import Sequence
 
 import numpy as np
 
-from rokhlin.cstar import ElementOrbitFiber
+from rokhlin.cstar import CrossedElement, ElementOrbitFiber
 from rokhlin.dynsys import Cycle
 
 
@@ -91,3 +98,33 @@ def dense_quotient_fiber(b, cycle: Cycle, s: int, target=None) -> CombinedFiber:
 def dense_quotient_fibers(quotient, b, target=None) -> list[CombinedFiber]:
     """The dense field on every short cycle of a QuotientSide."""
     return [dense_quotient_fiber(b, cyc, quotient.node_count[cyc.base], target) for cyc in quotient.cycles]
+
+
+def ideal_anchors(ideal, l: int) -> np.ndarray:
+    """The points of support l in increasing order: anchor s is the s-th."""
+    return np.array(sorted(ideal.family.supports[l]), dtype=np.int64)
+
+
+def ideal_blocks(ideal, l: int, b) -> np.ndarray:
+    """summing(l, b) scattered into an (anchors, 2m+1, 2m+1) array: entry
+    [s, j + m, j' + m] is block (j, j') at anchor s."""
+    m = ideal.params.m
+    out = np.zeros((len(ideal.family.supports[l]), 2 * m + 1, 2 * m + 1), dtype=np.complex128)
+    for i, cols, vals in ideal.summing(l, b):
+        out[:, cols, cols - i] = vals
+    return out
+
+
+def ideal_return(ideal, l: int, blocks: np.ndarray) -> CrossedElement:
+    """Return map of level l on an (anchors, 2m+1, 2m+1) array: block (j, j')
+    at anchor s goes to power j - j' at alpha_j(s)."""
+    sys, m = ideal.params.sys, ideal.params.m
+    anchors = ideal_anchors(ideal, l)
+    coeffs: dict[int, np.ndarray] = {}
+    for j in range(-m, m + 1):
+        at = sys.orbits().iterate(j, anchors)
+        for jp in range(-m, m + 1):
+            vals = blocks[:, j + m, jp + m]
+            if np.any(vals):
+                coeffs.setdefault(j - jp, np.zeros(sys.n, dtype=np.complex128))[at] += vals
+    return CrossedElement(sys, coeffs)

@@ -26,7 +26,14 @@ from rokhlin.cstar import CornerFiber, CrossedElement, ElementOrbitFiber, _grid,
 from rokhlin.dynsys import invariant_split, make_cycle_system
 from rokhlin.towers import build_tower_family
 
-from dense_reference import dense_quotient_fiber, dense_quotient_fibers
+from dense_reference import (
+    dense_quotient_fiber,
+    dense_quotient_fibers,
+    ideal_anchors,
+    ideal_blocks,
+    ideal_return,
+    node_lams,
+)
 
 
 def unit(sys, power=1):
@@ -134,7 +141,12 @@ class TestQuasicentral:
         sys = make_cycle_system([3, 100])
         p = derive_params([unit(sys)], "3/2", sys, N_override=25)
         e = np.ones(sys.n)
-        with pytest.raises(ApproxError, match="supported outside"):
+        with pytest.raises(ApproxError, match=r"^e is supported outside the long-orbit part at 'c0p00'$"):
+            quasicentral_unit(sys, p.split, p.F, e_values=e)
+        # the first offending point in index order is named
+        e = np.zeros(sys.n)
+        e[[sys.index["c0p02"], sys.index["c1p05"], sys.index["c0p01"]]] = 0.5
+        with pytest.raises(ApproxError, match=r"^e is supported outside the long-orbit part at 'c0p01'$"):
             quasicentral_unit(sys, p.split, p.F, e_values=e)
 
     def test_e_range_checked(self):
@@ -189,12 +201,18 @@ class TestQuotientSide:
         u = unit(sys)
         p = derive_params([u], 0.1, sys)
         q = quotient_approx(p.split, [u], 0.1, sys)
+        assert q.cycles
         for _ in range(5):
             a = CrossedElement(
                 sys, {i: 0.3 * rng.standard_normal(sys.n) for i in (-1, 0, 1)}
             )
-            assert q.positivity_defect(a) >= -1e-10
-            assert q.summing_norm(a) <= norm(a, 1e-3).upper + 1e-9
+            # the summing map evaluates b's fiber at the hat nodes
+            for cyc in q.cycles:
+                lams = node_lams(q.node_count[cyc.base])
+                gram = ElementOrbitFiber(a.adjoint() * a, cyc).matrices(lams)
+                assert np.linalg.eigvalsh(gram).min() >= -1e-10
+                top = np.linalg.svd(ElementOrbitFiber(a, cyc).matrices(lams), compute_uv=False)[:, 0]
+                assert top.max() <= norm(a, 1e-3).upper + 1e-9
 
     def test_random_contractions_meet_bound(self):
         sys = make_cycle_system([3, 5])
@@ -395,25 +413,46 @@ class TestIdealSide:
         cyc = [c for c in sys.orbits().cycles if c.length == 60][0]
         f = bump(sys, 60)
         b = f * unit(sys)  # one band, i = 1
+        assert cyc.base in ideal.family.K
         for l in range(ideal.levels):
-            blocks = ideal.summing(l, b)
-            for (j, jp), fn in blocks.items():
-                i = j - jp
-                assert i == 1
-                for x, v in fn.items():
-                    # expected entry at window slot (j, j-i) over base point x:
-                    # sqrt(mu_j)(a_j x) f(a_j x) sqrt(mu_{j-i})(a_{j-i} x)
-                    aj = int(sys.power_perm(j)[x])
-                    aji = int(sys.power_perm(j - i)[x])
-                    mu_j = ideal.family.mu_array(l, j)[aj]
-                    mu_ji = ideal.family.mu_array(l, j - i)[aji]
-                    fval = f.coefficient(0)[aj]
-                    expected = math.sqrt(mu_j) * fval * math.sqrt(mu_ji)
-                    assert abs(v - expected) < 1e-12
+            blocks = ideal_blocks(ideal, l, b)
+            assert blocks.any()
+            for s, x in enumerate(ideal_anchors(ideal, l).tolist()):
+                for j in range(-m, m + 1):
+                    # expected row j over anchor x: only slot (j, j-1) is set,
+                    # to sqrt(mu_j)(a_j x) f(a_j x) sqrt(mu_{j-1})(a_{j-1} x)
+                    expected = np.zeros(2 * m + 1, dtype=np.complex128)
+                    if j - 1 >= -m:
+                        aj = int(sys.power_perm(j)[x])
+                        aji = int(sys.power_perm(j - 1)[x])
+                        mu_j = ideal.family.mu_array(l, j)[aj]
+                        mu_ji = ideal.family.mu_array(l, j - 1)[aji]
+                        fval = f.coefficient(0)[aj]
+                        expected[j - 1 + m] = math.sqrt(mu_j) * fval * math.sqrt(mu_ji)
+                    assert np.abs(blocks[s, j + m] - expected).max() < 1e-12
 
     def test_return_map_is_homomorphism(self):
+        # random windowed matrix units f (x) E_{j j'} with random functions f
+        # on the support; the product is taken anchor by anchor
+        ideal = self.ideal
+        m = ideal.params.m
         rng = np.random.default_rng(3)
-        assert self.ideal.multiplicativity_residual(rng, trials=20) < 1e-10
+        nonvanishing = 0
+        for _ in range(20):
+            l = int(rng.integers(ideal.levels))
+            i1, j1, i2, j2 = (int(v) + m for v in rng.integers(-m, m + 1, size=4))
+            if rng.random() < 0.5:
+                i2 = j1  # exercise the nonvanishing branch half the time
+            nonvanishing += i2 == j1
+            x, y = (np.zeros((len(ideal.family.supports[l]), 2 * m + 1, 2 * m + 1), dtype=np.complex128)
+                    for _ in range(2))
+            x[:, i1, j1] = rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))
+            y[:, i2, j2] = rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y))
+            lhs = ideal_return(ideal, l, x) * ideal_return(ideal, l, y)
+            assert (lhs - ideal_return(ideal, l, x @ y)).coefficient_bound() < 1e-10
+            adj = ideal_return(ideal, l, x.conj().transpose(0, 2, 1))
+            assert (ideal_return(ideal, l, x).adjoint() - adj).coefficient_bound() < 1e-10
+        assert nonvanishing
 
     def test_single_level_composite_telescopes(self):
         # (return o summing) of f u^i collapses to a weighted copy of f u^i,
@@ -423,7 +462,7 @@ class TestIdealSide:
         fam = ideal.family
         b = bump(sys, 60) * unit(sys)
         for l in range(ideal.levels):
-            out = ideal.returning(ideal.summing(l, b))
+            out = ideal_return(ideal, l, ideal_blocks(ideal, l, b))
             assert out.support in ((), (1,))
             weight = np.zeros(sys.n)
             for j in range(-ideal.params.m, ideal.params.m + 1):
@@ -434,9 +473,10 @@ class TestIdealSide:
             assert np.abs(out.coefficient(1) - expected).max() < 1e-12
 
     def test_composite_is_return_of_summing(self):
-        # composite works from tower coordinates; the block path
-        # returning(summing(l, b)) summed over levels is its reference, bit
-        # for bit, on a random element with bands inside and outside the window
+        # composite works from tower coordinates; the array view, returned
+        # through alpha_j of each anchor and summed over levels, is its
+        # reference, bit for bit, on a random element with bands inside and
+        # outside the window
         sys, ideal = self.sys, self.ideal
         rng = np.random.default_rng(6)
         powers = (-2 * ideal.params.m - 1, -3, -1, 0, 1, 2, 2 * ideal.params.m)
@@ -444,7 +484,7 @@ class TestIdealSide:
         for a in (b, *self.F):
             ref = CrossedElement.zero(sys)
             for l in range(ideal.levels):
-                ref = ref + ideal.returning(ideal.summing(l, a))
+                ref = ref + ideal_return(ideal, l, ideal_blocks(ideal, l, a))
             out = ideal.composite(a)
             assert out.support == ref.support and ref.support
             assert all(np.array_equal(out.coefficient(i), ref.coefficient(i)) for i in ref.support)
@@ -453,33 +493,62 @@ class TestIdealSide:
         # f (x) E_{ii} with f on the support returns a power-zero element
         ideal = self.ideal
         sys = self.sys
+        m = ideal.params.m
         sup = sorted(ideal.family.supports[0])
-        f = {x: 1.0 + 0j for x in sup}
-        out = ideal.returning({(3, 3): f})
+        blocks = np.zeros((len(sup), 2 * m + 1, 2 * m + 1), dtype=np.complex128)
+        blocks[:, 3 + m, 3 + m] = 1.0
+        out = ideal_return(ideal, 0, blocks)
         assert out.support == (0,)
         back = sys.power_perm(3)
         assert all(out.coefficient(0)[int(back[x])] == 1.0 for x in sup)
+        assert np.count_nonzero(out.coefficient(0)) == len(sup)
 
     def test_offdiagonal_disjoint_products_vanish(self):
         ideal = self.ideal
-        sup = sorted(ideal.family.supports[0])
-        f = {x: 1.0 + 0j for x in sup}
-        x = ideal.returning({(0, 1): f})
-        y = ideal.returning({(2, 3): f})  # 1 != 2: supports disjoint
+        m = ideal.params.m
+        units = np.zeros((2, len(ideal.family.supports[0]), 2 * m + 1, 2 * m + 1), dtype=np.complex128)
+        units[0][:, 0 + m, 1 + m] = 1.0
+        units[1][:, 2 + m, 3 + m] = 1.0  # 1 != 2: supports disjoint
+        x, y = (ideal_return(ideal, 0, u) for u in units)
+        assert not x.is_zero() and not y.is_zero()
         assert (x * y).coefficient_bound() < 1e-15
 
     def test_summing_positive_and_contractive(self):
-        rng = np.random.default_rng(4)
-        b = self.F[2]
-        assert self.ideal.positivity_defect(b) >= -1e-10
-        for l in range(self.ideal.levels):
-            assert self.ideal.summing_norm(l, b) <= norm(b, 1e-3).upper + 1e-9
+        # F[2] (bump * u) and seeded random elements with bands inside and
+        # outside the window, scaled to coefficient bound one
+        sys, ideal = self.sys, self.ideal
+        powers = (-2 * ideal.params.m - 1, -3, -1, 0, 1, 2, 2 * ideal.params.m)
+        elements = {"F[2]": self.F[2]}
+        for seed in (4, 5, 6):
+            rng = np.random.default_rng(seed)
+            b = CrossedElement(sys, {i: rng.standard_normal(sys.n) + 1j * rng.standard_normal(sys.n) for i in powers})
+            elements[f"seed {seed}"] = (1.0 / b.coefficient_bound()) * b
+        for name, b in elements.items():
+            bound = norm(b, 1e-3).upper + 1e-9
+            for l in range(ideal.levels):
+                gram = ideal_blocks(ideal, l, b.adjoint() * b)
+                assert np.abs(gram - gram.conj().transpose(0, 2, 1)).max() <= 1e-12, (name, l)
+                assert np.linalg.eigvalsh(gram).min() >= -1e-10, (name, l)
+                blocks = ideal_blocks(ideal, l, b)
+                assert blocks.any(), (name, l)
+                assert np.linalg.svd(blocks, compute_uv=False)[:, 0].max() <= bound, (name, l)
 
     def test_sqrt_step_strict(self):
         info = self.run.factorization.sqrt_step
         assert info["sqrt_step"] == self.ideal.sqrt_step_sup()
         assert info["strict"]
         assert info["sqrt_step"] < info["sqrt_step_bound"]
+
+    def test_family_off_the_support_of_e_rejected(self):
+        params, e = self.run.params, self.run.equnit.e
+        part = sorted(params.split.complement)[:30]
+        other = build_tower_family(self.sys, params.d, params.k, params.m, params.eps_prime, part)
+        with pytest.raises(ApproxError, match=r"^tower family was not built on the support of e$"):
+            ideal_approx(params, other, e)
+        # e supported inside the family's K is accepted
+        inside = np.zeros_like(e)
+        inside[part] = e[part]
+        assert ideal_approx(params, other, inside).family is other
 
     def test_family_parameter_mismatch_rejected(self):
         other = build_tower_family(self.sys, 0, 1, 14, "1/4", sorted(self.run.params.split.complement))
