@@ -26,11 +26,18 @@ eigvalsh estimates with no Sturm certificate: there "value is a lower bound"
 holds only up to eigvalsh's rounding, a few ulps of the Gram matrix's scale.
 
 Lanczos runs grid point 0 alone from a fixed-seed random vector, then every
-other point, in lockstep chunks, from point 0's top Ritz vector.
-The fiber's top singular vector moves little with lam, so the warm start
-settles in a few steps.  A top Ritz value grows with the step count
-(interlacing) and, from any start and even without reorthogonalization, stays
-below the top eigenvalue up to roundoff (Paige).
+other point, in lockstep chunks of at most _LANCZOS_CHUNK_BYTES, from point
+0's top Ritz vector x moved to its lam: the slots before a cut c, where x has
+the least weight within the band radius, take a factor conj(lam).  That is
+P(lam) x for a unitary P(lam) with P* a(lam) P carrying lam only on the
+entries that cross c, so where x has no weight near c it is the top vector
+at every lam.  Ritz values are checked at every step up to 8, so such a
+point stops after two.  Only the entries of a band that wrap around the
+cycle carry lam, so the banded matvec holds each band's values once and
+per-lam seam weights for those entries alone (see _seam_twist).  A top Ritz
+value grows with the step count (interlacing) and, from any start and even
+without reorthogonalization, stays below the top eigenvalue up to roundoff
+(Paige).
 
 Each top Ritz value is certified from below by a Sturm count on the Lanczos
 tridiagonal: the count says whether an eigenvalue lies at or above a point.
@@ -46,7 +53,7 @@ value is the largest diagonal entry or a point that passed the Sturm test
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -75,16 +82,23 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-12
+# norm solves an element whose largest coefficient entry c lies outside
+# [2^-_SCALE_EXP, 2^_SCALE_EXP] at a power-of-two scale inside it: squares of
+# entries within 2^-200 of c then stay normal floats, and L^2 sums of them
+# finite, for any cycle the grid limit admits
+_SCALE_EXP = 256
 # cycles up to this length use a dense eigensolver per fiber, longer ones the
 # banded Lanczos solver (over 256 grid points: equal cost at L = 32, Lanczos
 # 1.6x faster at L = 48 and 3-8x at L = 96)
 _DENSE_MAX_L = 32
 _LANCZOS_SEED = 0x5EED
 # random banded elements on cycles of 48-300 points settle to _REL_TOL within
-# 20-40 steps from the seed vector and mostly within 8 from a warm start;
-# points still moving at the cap count as NormResult.unconverged
+# 20-40 steps from the seed vector; from point 0's Ritz vector moved off the
+# cut, the 8 benchmark contractions (L = 48-192, radius 1-2) take 2.1 steps
+# a point over 256-point grids (the floor is 2: checks at steps 1 and 2),
+# one of them 5.6; points still moving at the cap count as
+# NormResult.unconverged
 _LANCZOS_MAX_STEPS = 256
-_RITZ_EVERY = 4
 # one dense eigensolve of m tridiagonals of size k, with one Sturm sweep,
 # beats Sturm bisection while m k^2 is at most this (one BLAS thread, 2-vCPU
 # Xeon: 0.7 against 18 ms at m = 1, k = 64; 7.6 against 58 ms at m = 1,
@@ -101,6 +115,9 @@ _GRID_CHUNK = 4096
 # a dense-path grid chunk holds at most this many matrix entries a stack
 # (all of _GRID_CHUNK points up to L = 32)
 _DENSE_CHUNK_ENTRIES = 2**22
+# a Lanczos grid chunk holds at most this many bytes of per-point arrays
+# (see _lanczos_point_bytes), and at least one point
+_LANCZOS_CHUNK_BYTES = 2**25
 # a fiber whose grid (lam and sigma, 24 bytes a point) would pass this is
 # refused before allocating: at most 2^23 points, 128 times the largest grid
 # the tests reach (2^16; the shipped scenarios and benchmark workloads 2^13)
@@ -382,15 +399,19 @@ class ElementOrbitFiber:
             out[:, rows, (rows + shift) % L] += w
         return out
 
-    def twists(self, lams: np.ndarray):
-        """(shift, weights) terms of the fiber and of its adjoint for a lam batch.
+    @property
+    def radius(self) -> int:
+        """The largest |i| of the fiber's bands."""
+        return max(map(abs, self.bands), default=0)
 
-        Each applies as a weighted cyclic shift w[:, r] * v[:, (r + shift) % L]
-        (see _shifted_sum); the weights are the band values times the wrap
-        power of lam, one row per lam, so a sub-batch takes their rows.
-        """
-        terms = [_twist(diag, i, lams) for i, diag in self.bands.items()]
-        return terms, _band_adjoint(terms)
+    def twists(self, lams: np.ndarray):
+        """Seam form (see _seam_twist) of the fiber and of its adjoint for a
+        lam batch.  Only the wrapped entries of a band carry a power of lam,
+        so each term holds the band's values, shared by every lam, and one
+        row of seam weights per lam; a sub-batch takes the rows of the seam
+        weights (those with two axes)."""
+        terms = [_seam_twist(diag, i, lams) for i, diag in self.bands.items()]
+        return terms, [_seam_adjoint(term) for term in terms]
 
 
 # Band form: a list of (shift, weights) terms, each the matrix with
@@ -443,14 +464,50 @@ def _band_residual(x, y) -> float:
     return max(float(np.abs(w).max()) for w in diff.values())
 
 
+# Seam form: a list of (shift, head, tail) terms, each the matrix with
+# weights head[..., r] at (r, r + shift) for r < n - shift and tail[..., r]
+# at (n - shift + r, r), the entries that wrap around the cycle.  A weight
+# array with a leading axis has one row per lam; one without is shared.
+
+
+def _seam_twist(diag: np.ndarray, i: int, lams: np.ndarray):
+    """diag(diag) S^i(lam) in seam form: the head carries lam to the power
+    i // n and the tail one power more, so for |i| < n one side is the band
+    values and the other (lams, |i|) seam weights, the same floats that
+    _twist gives those entries."""
+    n = len(diag)
+    s, lo = i % n, i // n
+
+    def part(vals: np.ndarray, k: int) -> np.ndarray:
+        if k == 0:
+            return vals
+        return vals * ((np.conj(lams) if k < 0 else lams) ** abs(k))[:, None]
+
+    return s, part(diag[: n - s], lo), part(diag[n - s :], lo + 1)
+
+
+def _seam_adjoint(term):
+    """(s, head, tail)* is the shift -s, whose head holds the conjugate tail
+    and whose tail the conjugate head (for s > 0)."""
+    s, head, tail = term
+    if s == 0:
+        return s, np.conj(head), np.conj(tail)
+    return head.shape[-1], np.conj(tail), np.conj(head)
+
+
+def _seam_rows(terms, keep: np.ndarray):
+    """The terms restricted to the lams of a keep mask."""
+    return [(s, *(w[keep] if w.ndim > 1 else w for w in sides)) for s, *sides in terms]
+
+
 def _shifted_sum(terms, v: np.ndarray) -> np.ndarray:
-    """Sum of weighted cyclic shifts of an (n_lams, L) vector stack, taken as
-    views of one doubled copy of v."""
+    """Sum of the seam-form terms applied to an (n_lams, L) vector stack."""
     L = v.shape[1]
-    doubled = np.concatenate([v, v], axis=1)
     out = np.zeros_like(v)
-    for s, w in terms:
-        out += w * doubled[:, s : s + L]
+    for s, head, tail in terms:
+        out[:, : L - s] += head * v[:, s:]
+        if s:
+            out[:, L - s :] += tail * v[:, :s]
     return out
 
 
@@ -471,11 +528,11 @@ class CornerFiber:
     """
 
     def __init__(self, a: CrossedElement, cycle: Cycle, s: int):
-        bands = ElementOrbitFiber(a, cycle).bands
+        fiber = ElementOrbitFiber(a, cycle)
+        bands, r = fiber.bands, fiber.radius
         self.cycle = cycle
         self.s = s
         n = cycle.length
-        r = max((abs(i) for i in bands), default=0)
         seam = np.arange(n) if 2 * r >= n else np.r_[0:r, n - r : n]
         self.seam = seam
         self.L = len(seam)
@@ -623,14 +680,40 @@ def _top_ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, int]:
     return out, int(todo.size)
 
 
+def _quiet_cut(start: np.ndarray, k: int) -> int:
+    """The slot c at which the start vector has the least weight within k
+    slots (those at c - k .. c + k - 1, counted circularly), the first such
+    one; 0 when k = 0 or the window covers the cycle."""
+    L = len(start)
+    if k == 0 or 2 * k >= L:
+        return 0
+    weight = np.abs(np.concatenate([start[L - k :], start, start[:k]])) ** 2
+    return int(np.argmin(np.convolve(weight, np.ones(2 * k), "valid")[:L]))
+
+
+def _lanczos_point_bytes(fiber: ElementOrbitFiber) -> int:
+    """Bytes _sigma_max_lanczos holds per point of a batch: seven (L,)
+    complex vectors (q, q_prev, w, the two shifted sums and a product), the
+    seam weights of the fiber and of its adjoint, and four float columns of
+    the step cap (alpha and beta, and their copies when a check bisects).
+    Traced peaks per point of 64-point batches from a random start (radius 1
+    and 3; L = 200, 1000 and 8000) came to six vectors plus 8-19 KiB."""
+    seam = sum(min(abs(i), fiber.L) for i in fiber.bands)
+    return 16 * (7 * fiber.L + 2 * seam) + 32 * _LANCZOS_MAX_STEPS
+
+
 def _sigma_max_lanczos(fiber: ElementOrbitFiber, lams: np.ndarray, start: np.ndarray | None = None):
     """Largest singular value per lam by Lanczos on a*a, in lockstep over all
-    lams, from one start vector (``start``, normalized, or else a fixed-seed
-    random one) and without reorthogonalization.  Top Ritz values are
-    recomputed every _RITZ_EVERY steps (every k/4 once longer); a lam whose
-    estimate moved by at most _REL_TOL relative since the last check leaves
-    the batch.  Any start gives lower bounds: a Ritz value never exceeds the
-    top eigenvalue, up to roundoff.
+    lams, without reorthogonalization, from one start vector x (``start``,
+    normalized, or else a fixed-seed random one) moved to each lam by P(lam)
+    = diag(conj(lam) on the slots r < c), c = _quiet_cut(x, radius).  P is
+    unitary and P* a(lam) P carries lam only on the entries that cross c, so
+    a top vector of a(1) with no weight near c starts every lam at its top
+    vector (P(1) = 1, and c = 0 leaves x as it is).  Top Ritz values are
+    recomputed at every step up to 8 and every k/4 steps after step k; a lam
+    whose estimate moved by at most _REL_TOL relative since the last check
+    leaves the batch.  Any start gives lower bounds: a Ritz value never
+    exceeds the top eigenvalue, up to roundoff.
 
     Returns the estimates, the number of lams still moving at the step cap,
     the number of Lanczos steps summed over the lams, the number of checks
@@ -641,12 +724,14 @@ def _sigma_max_lanczos(fiber: ElementOrbitFiber, lams: np.ndarray, start: np.nda
         re, im = np.random.default_rng(_LANCZOS_SEED).standard_normal((2, fiber.L))
         start = re + 1j * im
     q = np.tile(start / np.linalg.norm(start), (len(lams), 1))
+    cut = _quiet_cut(start, fiber.radius)
+    q[:, :cut] *= np.conj(lams)[:, None]
     q_prev = np.zeros_like(q)
     alpha, beta = np.zeros((2, _LANCZOS_MAX_STEPS, len(lams)))
     est, active = np.zeros(len(lams)), np.arange(len(lams))
     terms, adj_terms = fiber.twists(lams)
     basis = [] if len(lams) == 1 else None
-    check, steps, bisections = _RITZ_EVERY, 0, 0
+    check, steps, bisections = 1, 0, 0
     for k in range(1, _LANCZOS_MAX_STEPS + 1):
         steps += len(active)
         if basis is not None:
@@ -659,7 +744,7 @@ def _sigma_max_lanczos(fiber: ElementOrbitFiber, lams: np.ndarray, start: np.nda
         q_prev, q = q, w / np.where(beta[k - 1] > 0, beta[k - 1], 1.0)[:, None]
         if k < min(check, _LANCZOS_MAX_STEPS):
             continue
-        check += max(_RITZ_EVERY, k // 4)
+        check += max(1, k // 4)
         top, bisected = _top_ritz(alpha[:k], beta[: k - 1])
         new, bisections = np.sqrt(np.maximum(top, 0.0)), bisections + bisected
         keep = np.abs(new - est[active]) > _REL_TOL * new
@@ -669,8 +754,7 @@ def _sigma_max_lanczos(fiber: ElementOrbitFiber, lams: np.ndarray, start: np.nda
             if not active.size:
                 break
             q, q_prev, alpha, beta = q[keep], q_prev[keep], alpha[:, keep], beta[:, keep]
-            terms = [(s, t[keep]) for s, t in terms]
-            adj_terms = [(s, t[keep]) for s, t in adj_terms]
+            terms, adj_terms = _seam_rows(terms, keep), _seam_rows(adj_terms, keep)
     ritz = None
     if basis is not None:
         k = len(basis)
@@ -691,9 +775,10 @@ class NormResult:
     ``lanczos_steps`` the Lanczos steps summed over all grid points, and
     ``ritz_bisections`` the grid-point checks whose top Ritz value was
     certified by bisection rather than by a dense estimate and one Sturm
-    sweep, and ``dense_points`` the grid points that took a dense
-    eigensolve (the others on a dense-path fiber were screened out by their
-    Frobenius norm).
+    sweep, ``dense_points`` the grid points that took a dense eigensolve
+    (the others on a dense-path fiber were screened out by their Frobenius
+    norm), and ``solvers`` the solver of each orbit, ``"dense"`` or
+    ``"lanczos"``.
     """
 
     value: float
@@ -705,6 +790,7 @@ class NormResult:
     lanczos_steps: int = 0
     ritz_bisections: int = 0
     dense_points: int = 0
+    solvers: dict[str, str] = None
 
     @property
     def upper(self) -> float:
@@ -741,11 +827,13 @@ def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float) -> 
     value, argmax, counts = 0.0, None, np.zeros(4, dtype=np.int64)
     grids: dict[str, int] = {}
     per_orbit: dict[str, tuple[float, complex]] = {}
+    solvers: dict[str, str] = {}
     for fiber, label, n in plan:
         grids[label] = n
         lanczos = isinstance(fiber, ElementOrbitFiber) and fiber.L > _DENSE_MAX_L
+        solvers[label] = "lanczos" if lanczos else "dense"
         if lanczos:
-            chunk = min(_GRID_CHUNK, max(64, int(2e7 / (fiber.L * fiber.L))))
+            chunk = max(1, _LANCZOS_CHUNK_BYTES // _lanczos_point_bytes(fiber))
         else:
             chunk = min(_GRID_CHUNK, max(1, _DENSE_CHUNK_ENTRIES // (fiber.L * fiber.L)))
         full, sig = _grid(n), np.empty(n)
@@ -769,13 +857,33 @@ def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float) -> 
     unconverged, lanczos_steps, ritz_bisections, dense_points = map(int, counts)
     return NormResult(value=value, tol=float(tol), argmax=argmax, grids=grids, per_orbit=per_orbit,
                       unconverged=unconverged, lanczos_steps=lanczos_steps, ritz_bisections=ritz_bisections,
-                      dense_points=dense_points)
+                      dense_points=dense_points, solvers=solvers)
 
 
 def norm(a: CrossedElement, tol: float = 1e-3) -> NormResult:
-    """Certified operator norm of a crossed element (max over orbit fibers)."""
+    """Certified operator norm of a crossed element (max over orbit fibers).
+
+    An element whose largest coefficient entry lies outside [2^-_SCALE_EXP,
+    2^_SCALE_EXP] is solved as a 2^-e, with 2^(e-1) <= that entry < 2^e, at
+    tol 2^-e tol (kept within the positive floats), and value and per_orbit
+    are scaled back by 2^e.  Scaling by a power of two is exact (for every
+    entry above 2^-1021 times the largest), so the grids are those of a
+    itself; out of range, the squares the solvers form would overflow, or
+    underflow and report 0 below the true norm.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    top = max((float(np.abs(f).max()) for f in a.coeffs.values()), default=0.0)
+    e = math.frexp(top)[1] if 0 < top < 2.0**-_SCALE_EXP or 2.0**_SCALE_EXP < top < math.inf else 0
+    if e:
+        a = math.ldexp(1.0, -e) * a
     fibers = [ElementOrbitFiber(a, cyc) for cyc in a.sys.orbits().cycles]
-    return fiber_sup_norm(a.sys, [fib for fib in fibers if fib.bands], tol)
+    scaled = min(max(math.ldexp(tol, -e), math.ulp(0.0)), np.finfo(float).max)
+    result = fiber_sup_norm(a.sys, [fib for fib in fibers if fib.bands], scaled)
+    if not e:
+        return result
+    per_orbit = {label: (math.ldexp(v, e), lam) for label, (v, lam) in result.per_orbit.items()}
+    return replace(result, value=math.ldexp(result.value, e), tol=float(tol), per_orbit=per_orbit)
 
 
 def regular_window_norm(a: CrossedElement, cycle: Cycle, half_width: int,

@@ -313,6 +313,11 @@ class TestCornerFiber:
         cyc = q.cycles[0]
         return b, q, dense_quotient_fiber(b, cyc, q.node_count[cyc.base]), _grid(512)
 
+    def test_corner_norm_names_the_dense_solver(self):
+        b, q, _, _ = self.mutation_case()
+        res = fiber_sup_norm(q.sys, q.corner_fibers(b), 1e-2)
+        assert res.solvers == {q.sys.labels[q.cycles[0].base]: "dense"} and res.dense_points > 0
+
     def assert_caught(self, monkeypatch, mutate):
         b, q, dense, lams = self.mutation_case()
         assert corner_deviation(q.corner_fibers(b)[0], dense, lams) <= roundoff(9)

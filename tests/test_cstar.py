@@ -1,4 +1,6 @@
 import functools
+import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -17,6 +19,8 @@ from rokhlin.cstar import (
     _band_adjoint,
     _band_product,
     _grid,
+    _quiet_cut,
+    _seam_rows,
     _sigma_max_lanczos,
     _sturm_above,
     _top_ritz,
@@ -29,7 +33,7 @@ from rokhlin.cstar import (
     primitive_spectrum,
     regular_window_norm,
 )
-from rokhlin.dynsys import make_cycle_system
+from rokhlin.dynsys import FiniteDynamicalSystem, load_system, make_cycle_system
 
 from dense_reference import InterpolationFiber
 
@@ -215,6 +219,16 @@ class TestNorm:
             res = norm(a, 1e-3)
             assert np.abs(a.expectation()).max() <= res.upper + 1e-9
 
+    def test_solvers_name_each_orbit(self):
+        # norm_unitary's element u on the 3- and 10-cycles takes the dense
+        # path, a 48-cycle Lanczos; the report leaves the solvers out
+        sys = load_system((SCENARIOS / "system_3_10.json").read_text())
+        res = norm(CrossedElement.unitary(sys), 1e-3)
+        assert res.solvers == {sys.labels[c.base]: "dense" for c in sys.orbits().cycles}
+        assert "solvers" not in json.dumps(run_scenario(SCENARIOS / "norm_unitary.json"))
+        sys = make_cycle_system([48])
+        assert norm(CrossedElement.unitary(sys), 1e-3).solvers == {sys.labels[0]: "lanczos"}
+
     def test_grid_sizes_are_powers_of_two(self):
         sys = make_cycle_system([4])
         rng = np.random.default_rng(9)
@@ -289,6 +303,26 @@ class TestConstantBandOracle:
     def test_lanczos_cycle(self, case):
         res = self.check(*case, 5e-2)
         assert res.dense_points == 0
+
+    @pytest.mark.parametrize("exp", [660, -660])
+    @pytest.mark.parametrize("L", [20, 48], ids=["dense", "lanczos"])
+    def test_extreme_scales(self, L, exp):
+        # 2^exp (u + 1/2 + (1 - i)/4 u^-2): Gram entries near 2^(2 exp) leave
+        # the floats, so the norm solves at scale one; a power of two scales
+        # every float exactly, so value, per_orbit and grids are 2^exp times
+        # those at scale one, bit for bit
+        coeffs = {1: 1.0, 0: 0.5, -2: (1 - 1j) / 4}
+        sys = make_cycle_system([L])
+        label = sys.labels[0]
+        one = norm(CrossedElement(sys, {i: np.full(L, c) for i, c in coeffs.items()}), 1e-2)
+        res = norm(CrossedElement(sys, {i: np.full(L, math.ldexp(1.0, exp) * c) for i, c in coeffs.items()}),
+                   math.ldexp(1e-2, exp))
+        oracle = math.ldexp(circle_max(coeffs), exp)
+        assert res.value == math.ldexp(one.value, exp) and res.tol == math.ldexp(1e-2, exp)
+        assert res.value <= oracle * (1 + 1e-14) and oracle <= res.upper
+        assert res.grids == one.grids and res.argmax == one.argmax
+        assert res.per_orbit == {label: (res.value, one.per_orbit[label][1])}
+        assert res.solvers == {label: "dense" if L == 20 else "lanczos"}
 
 
 class TestOrbitIsomorphism:
@@ -668,13 +702,14 @@ class TestOracleAgreement:
         self._assert_matches_svd(fib, np.exp(2j * np.pi * np.array([13, 45, 88, 89]) / 256))
 
     def test_warm_start_at_most_halves_the_steps(self):
-        # every grid point after the first starts from point 0's Ritz vector;
-        # the count is exact, so it repeats
+        # every grid point after the first starts from point 0's Ritz vector,
+        # moved to its lam, and needs two steps at least (one check, then one
+        # that finds it still); the count is exact, so it repeats
         a, fib = _close_top_pair_element()
         result = norm(a, 1e-2)
         assert result.grids == {a.sys.labels[0]: 256}
         _, _, cold, _, _ = _sigma_max_lanczos(fib, _grid(256))
-        assert 256 * 8 <= result.lanczos_steps <= cold / 2
+        assert 256 * 2 <= result.lanczos_steps <= cold / 2
         assert norm(a, 1e-2).lanczos_steps == result.lanczos_steps
         # every check certified its dense estimate with a Sturm sweep
         assert result.ritz_bisections == 0
@@ -766,16 +801,27 @@ class TestWarmStart:
     def test_weight_next_to_the_seam(self, L):
         a = _seam_element(L)
         assert self._assert_matches_dense(a).value == pytest.approx(1.5, rel=1e-14)
-        # point by point as well, from a start orthogonal to the top vector
+        # point by point as well: the top vector turns with lam by a phase on
+        # slot 0, which the moved cut supplies, so point 0's Ritz vector
+        # starts every lam at its top vector
         fib = ElementOrbitFiber(a, a.sys.orbits().cycles[0])
         lams = _grid(32)
         *_, ritz = _sigma_max_lanczos(fib, lams[:1])
-        warm, unconverged, *_ = _sigma_max_lanczos(fib, lams[1:], ritz)
+        warm, unconverged, steps, *_ = _sigma_max_lanczos(fib, lams[1:], ritz)
         _, sv, vh = np.linalg.svd(fib.matrices(lams[1:]))
-        overlap = np.abs(vh[:, 0] @ ritz) / np.linalg.norm(ritz)
-        assert unconverged == 0 and overlap[15] < 1e-12  # lam = -1
+        assert unconverged == 0 and steps == 2 * 31
         assert np.abs(warm - sv[:, 0]).max() <= 1e-10 * sv[:, 0].max()
-
+        # from a start whose moved copy is orthogonal to the top vector at
+        # every lam (the slots below L/2, slot 0 among them, sign-flipped),
+        # roundoff still brings the top vector in
+        flipped = ritz.copy()
+        flipped[: L // 2] *= -1
+        moved = np.where(np.arange(L) < _quiet_cut(flipped, 1), np.conj(lams[1:, None]), 1) * flipped
+        overlap = np.abs(np.vecdot(vh[:, 0].conj(), moved)) / np.linalg.norm(flipped)
+        assert overlap.max() < 1e-12
+        warm, unconverged, *_ = _sigma_max_lanczos(fib, lams[1:], flipped)
+        assert unconverged == 0
+        assert np.abs(warm - sv[:, 0]).max() <= 1e-10 * sv[:, 0].max()
 
     def test_fiber_vanishing_at_the_first_point(self):
         # 1 - u^40 on a 40-cycle is (1 - lam) times the identity: point 0
@@ -783,6 +829,34 @@ class TestWarmStart:
         sys = make_cycle_system([40])
         a = CrossedElement.from_function(sys, np.ones(40)) - CrossedElement.unitary(sys, 40)
         assert self._assert_matches_dense(a).value == pytest.approx(2.0, rel=1e-14)
+
+
+class TestLanczosChunks:
+    def test_long_cycle_streams_the_grid(self):
+        # a radius-1 element on an 8000-cycle built from labels (no metric):
+        # its 64-point grid splits into chunks of _LANCZOS_CHUNK_BYTES, and
+        # the value is that of one chunk holding every point
+        L = 8000
+        labels = [f"p{j}" for j in range(L)]
+        sys = FiniteDynamicalSystem(labels, dict(zip(labels, labels[1:] + labels[:1])))
+        rng = np.random.default_rng(8000)
+        a = random_element(sys, 1, rng, scale=0.2)
+        fib = ElementOrbitFiber(a, sys.orbits().cycles[0])
+        tol = fib.lip() * np.pi / 60
+        chunk = cstar._LANCZOS_CHUNK_BYTES // cstar._lanczos_point_bytes(fib)
+        assert 1 <= chunk < 63
+        tracemalloc.start()
+        try:
+            result = norm(a, tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.grids == {sys.labels[0]: 64} and result.unconverged == 0
+        assert peak <= 40 * 2**20
+        lams = _grid(64)
+        first, *_, ritz = _sigma_max_lanczos(fib, lams[:1])
+        rest = _sigma_max_lanczos(fib, lams[1:], ritz)[0]
+        assert abs(result.value - max(first.max(), rest.max())) <= 1e-12 * result.value
 
 
 @st.composite
@@ -864,13 +938,23 @@ class TestRitzCertificate:
 
 
 class _RebuiltOnSlice(np.ndarray):
-    """Twist weights whose keep-mask slices are rebuilt from the kept lams."""
+    """Seam weights whose keep-mask slices are rebuilt from the kept lams."""
 
     def __getitem__(self, key):
         rebuild = getattr(self, "rebuild", None)
         if rebuild is not None and isinstance(key, np.ndarray) and key.dtype == bool:
             return rebuild(key)
         return super().__getitem__(key)
+
+
+def _seam_dense(terms, m, L):
+    """The (m, L, L) matrices of seam-form terms, entries summed in term order."""
+    out = np.zeros((m, L, L), dtype=np.complex128)
+    for s, head, tail in terms:
+        rows = np.arange(L - s)
+        out[:, rows, rows + s] += head
+        out[:, L - s + np.arange(s), np.arange(s)] += tail
+    return out
 
 
 class TestTwists:
@@ -881,14 +965,25 @@ class TestTwists:
         fib = ElementOrbitFiber(random_element(sys, radius, rng), sys.orbits().cycles[0])
         lams = np.exp(2j * np.pi * rng.random(50))
         keep = rng.random(50) < 0.5
-        for full, kept in zip(fib.twists(lams), fib.twists(lams[keep])):
-            assert [s for s, _ in full] == [s for s, _ in kept]
-            assert all(np.array_equal(w[keep], v) for (_, w), (_, v) in zip(full, kept))
+        sides = fib.twists(lams)
+        for full, kept in zip(sides, fib.twists(lams[keep])):
+            sliced = _seam_rows(full, keep)
+            assert [s for s, *_ in sliced] == [s for s, *_ in kept]
+            assert all(np.array_equal(w, v) for x, y in zip(sliced, kept) for w, v in zip(x[1:], y[1:]))
+        # only the wrapped entries of a band carry lam: its seam weights are
+        # (lams, |i|) for |i| < L, the rest are its values, shared
+        for (s, head, tail), i in zip(sides[0], fib.bands):
+            rows, widths = zip(*[w.shape for w in (head, tail) if w.ndim > 1] or [(50, 0)])
+            assert set(rows) == {50} and sum(widths) == min(abs(i), L)
+        # the seam form is the fiber and its adjoint, entry for entry
+        mats = fib.matrices(lams)
+        assert np.array_equal(_seam_dense(sides[0], 50, L), mats)
+        assert np.array_equal(_seam_dense(sides[1], 50, L), mats.conj().transpose(0, 2, 1))
 
     def test_lanczos_output_equals_rebuilding(self):
-        # rebuilding the weights for the remaining lams each time the batch
-        # shrinks gives the same floats as slicing them; a warm start lets
-        # the lams of this fiber leave at different checks
+        # rebuilding the seam weights for the remaining lams each time the
+        # batch shrinks gives the same floats as slicing them; a warm start
+        # lets the lams of this fiber leave at different checks
         sys = make_cycle_system([48])
         rng = np.random.default_rng(48)
         fib = ElementOrbitFiber(random_element(sys, 2, rng, scale=0.3), sys.orbits().cycles[0])
@@ -899,20 +994,22 @@ class TestTwists:
         def twists(lams):
             sides = ElementOrbitFiber.twists(fib, lams)
             for side, terms in enumerate(sides):
-                for j, (s, w) in enumerate(terms):
-                    w = w.view(_RebuiltOnSlice)
-                    w.rebuild = functools.partial(rebuild, lams, side, j)
-                    terms[j] = (s, w)
+                for j, (s, *parts) in enumerate(terms):
+                    for p, w in enumerate(parts):
+                        if w.ndim > 1:
+                            parts[p] = w.view(_RebuiltOnSlice)
+                            parts[p].rebuild = functools.partial(rebuild, lams, side, j, p)
+                    terms[j] = (s, *parts)
             return sides
 
-        def rebuild(lams, side, j, keep):
+        def rebuild(lams, side, j, p, keep):
             rebuilt.append(int(keep.sum()))
-            return twists(lams[keep])[side][j][1]
+            return twists(lams[keep])[side][j][1 + p]
 
         est, stuck, steps, bisections, _ = _sigma_max_lanczos(fib, lams[1:], ritz)
         fib.twists = twists
         again = _sigma_max_lanczos(fib, lams[1:], ritz)
-        assert rebuilt and np.array_equal(again[0], est)
+        assert len(set(rebuilt)) > 1 and np.array_equal(again[0], est)
         assert again[1:4] == (stuck, steps, bisections)
 
 
