@@ -8,16 +8,7 @@ requested tolerance, and the level sums conserve mass exactly on the compact
 set.
 """
 
-import numpy as np
-
-from rokhlin import (
-    CyclicTower,
-    build_tower_family,
-    cyclic_to_decaying,
-    decaying_to_cyclic,
-    make_cycle_system,
-    verify_tower,
-)
+from rokhlin import build_tower_family, make_cycle_system, verify_tower
 
 # -- build and verify a family ---------------------------------------------------
 
@@ -40,21 +31,3 @@ print(f"\neps = 1/4 gives k' = {fam2.k_prime} and bound {verify_tower(fam2).step
 
 ends = [family.end_sup(l) for l in range(family.levels)]
 print(f"\nend sups per level: {ends} (each <= 1/(2k'+1) = {1 / (2 * family.k_prime + 1):.3f})")
-
-# -- cyclic <-> decaying conversions ----------------------------------------------
-
-m = 5
-sys11 = make_cycle_system([2 * m + 1])
-constant = CyclicTower(sys=sys11, values=np.ones((2 * m + 1, sys11.n)), m=m, eps=0.1)
-first, second, conv = cyclic_to_decaying(constant)
-print(f"\nsplitting a cyclic tower: tolerance {conv['tolerance']:.3f}, "
-      f"end norms {conv['first_ends']}")
-
-back, wrap = decaying_to_cyclic(first)
-print(f"reading the first half cyclically again: wrap step {wrap['wrap_step']:.3f}, "
-      f"recorded tolerance {back.eps:.3f}")
-
-# tower functions from the family convert too
-dt = family.decaying_tower(0)
-print(f"\nlevel-0 family tower is decaying: ends {dt.end_norms()}, "
-      f"step {dt.measured_step():.3f}, verified {dt.verify()}")

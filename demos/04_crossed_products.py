@@ -3,8 +3,7 @@
 Elements are finite Laurent series sum f_i u^i with the moved-coefficient rule
 u g u* = g o forward^{-1}.  Over each cycle of length L the algebra is the
 L x L matrices over the circle; norms are computed fiberwise on a circle grid
-whose spacing carries an explicit Lipschitz certificate, and the sampled
-fibers invert back to coefficients by discrete Fourier inversion.
+whose spacing carries an explicit Lipschitz certificate.
 """
 
 import numpy as np
@@ -14,12 +13,10 @@ from rokhlin import (
     holonomy,
     make_cycle_system,
     norm,
-    orbit_isomorphism,
     orbit_rep,
     orbit_rep_with_phases,
     periodic_embedding,
     primitive_spectrum,
-    regular_window_norm,
 )
 
 # -- the algebra -----------------------------------------------------------------
@@ -58,23 +55,12 @@ result = norm(b, 1e-4)
 print(f"\n||1 + u|| on a fixed point: {result.value:.6f} (true value 2; "
       f"certified within {result.tol})")
 
-sysL = make_cycle_system([7])
-a = CrossedElement(sysL, {i: 0.4 * np.cos(np.arange(7) + i) for i in (-1, 0, 1)})
-certified = norm(a, 1e-3)
-oracle = regular_window_norm(a, sysL.orbits().cycles[0], 8 * (7 + 1))
-print(f"grid norm {certified.value:.6f} vs truncated-window oracle {oracle:.6f}")
-
-# -- Fourier inversion of sampled fibers ----------------------------------------------
-
-sys12 = make_cycle_system([12])
-iso = orbit_isomorphism(sys12, sys12.orbits().cycles[0], 256)
-rng = np.random.default_rng(0)
-el = CrossedElement(sys12, {i: rng.standard_normal(12) for i in range(-4, 5)})
-back = iso.reconstruct(iso.sample(el))
-print(f"\nround trip through the matrix-function picture: "
-      f"{(back - el).coefficient_bound():.1e}")
-
 # -- periodic systems -------------------------------------------------------------------
+
+# the residuals below are rounding errors of random data: the seed-0 stream
+# from its 109th draw on
+rng = np.random.default_rng(0)
+rng.standard_normal(108)
 
 # the embedding is held in band form (at most 2k + 1 weighted diagonals for
 # radius k) and its residuals stream the circle grid in chunks, so period 1001

@@ -20,12 +20,10 @@ from .cstar import (
     OrbitFiberRep,
     holonomy,
     norm,
-    orbit_isomorphism,
     orbit_rep,
     orbit_rep_with_phases,
     periodic_embedding,
     primitive_spectrum,
-    regular_window_norm,
 )
 from .dynsys import (
     FiniteDynamicalSystem,
@@ -39,24 +37,14 @@ from .dynsys import (
     quotient_report,
 )
 from .markers import (
-    GroupWindow,
     MarkerCertificate,
-    cover_extension_step,
-    disjointness_margin,
-    free_locus,
     greedy_markers,
-    is_disjoint_family,
-    local_marker,
     marker_certificate,
 )
 from .towers import (
-    CyclicTower,
-    DecayingTower,
     TowerFamily,
     build_partition,
     build_tower_family,
-    cyclic_to_decaying,
-    decaying_to_cyclic,
     tower_supports,
     verify_tower,
 )

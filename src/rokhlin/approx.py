@@ -341,9 +341,7 @@ def ideal_approx(params: ApproxParams, family: TowerFamily, e: np.ndarray) -> Id
             f"tower family (d={family.d}, k={family.k}, m={family.m}) does not match "
             f"params (d={params.d}, k={params.k}, m={params.m})"
         )
-    in_K = np.zeros(params.sys.n, dtype=bool)
-    in_K[np.fromiter(family.K, dtype=np.int64, count=len(family.K))] = True
-    if np.any((e != 0) & ~in_K):
+    if np.any((e != 0) & ~family.K):
         raise ApproxError("tower family was not built on the support of e")
     return IdealSide(params=params, family=family, root=np.sqrt(family.num / family.den))
 
@@ -427,7 +425,9 @@ class CPFactorization:
 
     ``sqrt_step`` holds the measured square-root step, its bound eps/(2k+1)
     and ``strict``, the one pass rule for it: the step must stay strictly
-    below the bound.
+    below the bound.  The declared summand count is an upper bound on the
+    order-zero colours, so the count passes when the actual count stays at or
+    below it (``summand_excess`` is 0).
     """
 
     params: ApproxParams
@@ -439,9 +439,14 @@ class CPFactorization:
     summands_declared: int
     ledger: DimensionLedger
 
+    @property
+    def summand_excess(self) -> int:
+        """How far the actual summand count exceeds the declared one, or 0."""
+        return max(0, self.summands_actual - self.summands_declared)
+
     def passed(self) -> bool:
         claims = [self.final, self.quotient_corner] + ([self.ideal_corner] if self.ideal_corner else [])
-        ok = all(c.passed for c in claims)
+        ok = all(c.passed for c in claims) and self.summand_excess == 0
         if self.sqrt_step is not None:
             ok = ok and self.sqrt_step["strict"]
         return ok and self.ledger.identities_hold()

@@ -453,10 +453,7 @@ def run_approx(args: dict, doc: dict) -> dict:
         rep["assertions"].append(
             _assertion("sqrt_step", step["sqrt_step"], step["sqrt_step_bound"], step["strict"])
         )
-    rep["assertions"].append(
-        _assertion("summand_count_defect", abs(fz.summands_actual - fz.summands_declared)
-                   if p.split.y_part and p.split.complement else 0, 0)
-    )
+    rep["assertions"].append(_assertion("summand_count_defect", fz.summand_excess, 0))
     rep["assertions"].append(
         _assertion("ledger_identity_violations", 0 if fz.ledger.identities_hold() else 1, 0)
     )

@@ -64,13 +64,11 @@ __all__ = [
     "CrossedElement",
     "HostMismatchError",
     "OrbitFiberRep",
-    "OrbitIsomorphism",
     "PeriodicEmbedding",
     "PrimSpectrumReport",
     "NormResult",
     "orbit_rep",
     "orbit_rep_with_phases",
-    "orbit_isomorphism",
     "periodic_embedding",
     "primitive_spectrum",
     "holonomy",
@@ -78,7 +76,6 @@ __all__ = [
     "fiber_sup_norm",
     "ElementOrbitFiber",
     "CornerFiber",
-    "regular_window_norm",
 ]
 
 _UNIT_TOL = 1e-12
@@ -797,7 +794,7 @@ class NormResult:
         return self.value + self.tol
 
 
-def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float) -> NormResult:
+def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float, *, scale_exp: int = 0) -> NormResult:
     """Sup of fiber spectral norms over per-orbit circle grids with certified slack.
 
     A fiber has a ``cycle``, the order ``L`` of its matrices, an arc-Lipschitz
@@ -806,7 +803,10 @@ def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float) -> 
     not finite (a NaN or infinite coefficient) is refused: nothing certifies
     it.  So is a fiber whose grid would hold more than _GRID_MAX_BYTES (16
     bytes a point for lam and 8 for sigma); both are refused before any grid
-    is allocated.
+    is allocated.  When the fibers and tol are those of a caller's element
+    and tol scaled by 2^-scale_exp (see norm), a refusal quotes the bound and
+    tol times 2^scale_exp: the caller's own numbers, unless norm had to clamp
+    the scaled tol into the positive floats.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -821,7 +821,8 @@ def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float) -> 
         if 24 * n > _GRID_MAX_BYTES:
             raise ValueError(
                 f"fiber over the orbit of {label!r} needs a grid of {n} points, {24 * n} bytes "
-                f"(Lipschitz bound {lip}, tol {tol}), over the limit of {_GRID_MAX_BYTES} bytes"
+                f"(Lipschitz bound {math.ldexp(lip, scale_exp)}, tol {math.ldexp(tol, scale_exp)}), "
+                f"over the limit of {_GRID_MAX_BYTES} bytes"
             )
         plan.append((fiber, label, n))
     value, argmax, counts = 0.0, None, np.zeros(4, dtype=np.int64)
@@ -879,108 +880,11 @@ def norm(a: CrossedElement, tol: float = 1e-3) -> NormResult:
         a = math.ldexp(1.0, -e) * a
     fibers = [ElementOrbitFiber(a, cyc) for cyc in a.sys.orbits().cycles]
     scaled = min(max(math.ldexp(tol, -e), math.ulp(0.0)), np.finfo(float).max)
-    result = fiber_sup_norm(a.sys, [fib for fib in fibers if fib.bands], scaled)
+    result = fiber_sup_norm(a.sys, [fib for fib in fibers if fib.bands], scaled, scale_exp=e)
     if not e:
         return result
     per_orbit = {label: (math.ldexp(v, e), lam) for label, (v, lam) in result.per_orbit.items()}
     return replace(result, value=math.ldexp(result.value, e), tol=float(tol), per_orbit=per_orbit)
-
-
-def regular_window_norm(a: CrossedElement, cycle: Cycle, half_width: int,
-                        max_iter: int = 2000, seed: int = 0xACE) -> float:
-    """Independent norm oracle: power iteration on a truncated shift-representation window.
-
-    The element acts on square-summable sequences over the orbit of the base
-    point; compressing to the coordinate window [-half_width, half_width]
-    gives a banded matrix whose largest singular value approaches the fiber
-    sup from below as the window grows.
-    """
-    L = cycle.length
-    size = 2 * half_width + 1
-    ns = np.arange(-half_width, half_width + 1)
-    mat = np.zeros((size, size), dtype=np.complex128)
-    for i, f in a.coeffs.items():
-        vals = f[[cycle.order[n % L] for n in ns]]
-        for r in range(size):
-            c = r - i
-            if 0 <= c < size:
-                mat[r, c] = vals[r]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    herm = mat.conj().T @ mat
-    for _ in range(max_iter):
-        w = herm @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0:
-            return 0.0
-        new = math.sqrt(nrm)
-        if abs(new - est) <= _REL_TOL * max(new, 1e-300):
-            est = new
-            break
-        est = new
-        v = w / nrm
-    return float(est)
-
-
-# ---------------------------------------------------------------------------
-# orbit isomorphism: sampled fibers <-> coefficients
-
-
-class OrbitIsomorphism:
-    """Concrete isomorphism between one orbit's crossed product and matrix
-    functions on the circle, realized on a power-of-two sample grid.
-
-    ``sample`` evaluates the fiber representation on the grid; ``reconstruct``
-    recovers Laurent coefficients from the sampled matrix entries by discrete
-    Fourier inversion in the circle variable.  Entry (r, c) of the fiber at
-    lam is the Laurent series sum_t f_{c-r+tL}(point_r) lam^t, so each matrix
-    entry determines one residue class of coefficients.
-    """
-
-    def __init__(self, sys: FiniteDynamicalSystem, cycle: Cycle, grid_size: int):
-        if grid_size < 1 or grid_size & (grid_size - 1):
-            raise ValueError(f"grid size must be a power of two, got {grid_size}")
-        self.sys = sys
-        self.cycle = cycle
-        self.grid_size = grid_size
-        self.lams = _grid(grid_size)
-
-    def _check_support(self, radius: int) -> None:
-        if self.grid_size < 2 * radius + self.cycle.length:
-            raise ValueError(
-                f"grid {self.grid_size} aliases support radius {radius} on a "
-                f"cycle of length {self.cycle.length}"
-            )
-
-    def sample(self, a: CrossedElement) -> np.ndarray:
-        self._check_support(a.support_radius())
-        return ElementOrbitFiber(a, self.cycle).matrices(self.lams)
-
-    def reconstruct(self, mats: np.ndarray) -> CrossedElement:
-        G, L = self.grid_size, self.cycle.length
-        if mats.shape != (G, L, L):
-            raise ValueError(f"expected shape {(G, L, L)}, got {mats.shape}")
-        # coefficient of lam^t in each entry series, for t in [-T, T]
-        hat = np.fft.fft(mats, axis=0) / G
-        imax = (G - L) // 2
-        pts = _rep_points(self.sys, self.cycle)
-        coeffs: dict[int, np.ndarray] = {}
-        for r in range(L):
-            for c in range(L):
-                base = c - r
-                tmin = math.ceil((-imax - base) / L)
-                tmax = math.floor((imax - base) / L)
-                for t in range(tmin, tmax + 1):
-                    i = base + t * L
-                    arr = coeffs.setdefault(i, np.zeros(self.sys.n, dtype=np.complex128))
-                    arr[pts[r]] = hat[t % G, r, c]
-        return CrossedElement(self.sys, coeffs)
-
-
-def orbit_isomorphism(sys: FiniteDynamicalSystem, cycle: Cycle, grid_size: int) -> OrbitIsomorphism:
-    return OrbitIsomorphism(sys, cycle, grid_size)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,16 @@
 """Finite dynamical systems: a labelled point set with an invertible forward map.
 
 Points carry opaque string labels; every algorithm works on integer indices
-against a stable label table.  Systems may carry a metric (symmetric, zero
-exactly on the diagonal, triangle inequality) and a declared covering
-dimension ``d``.  The dimension is caller-supplied metadata: a finite sample
-set is zero-dimensional, but the tower and bookkeeping formulas downstream
-must be exercised at the dimension of the space being sampled.
+against a stable label table.  Besides its labels and map a system holds
+only a declared covering dimension ``d``.  The dimension is caller-supplied
+metadata: a finite sample set is zero-dimensional, but the tower and
+bookkeeping formulas downstream must be exercised at the dimension of the
+space being sampled.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -24,7 +23,6 @@ __all__ = [
     "InvariantSplit",
     "QuotientReport",
     "SystemFormatError",
-    "MetricError",
     "load_system",
     "make_cycle_system",
     "make_rotation_system",
@@ -33,21 +31,9 @@ __all__ = [
     "quotient_report",
 ]
 
-# Cross-cycle distances default to ten times the largest intra-cycle distance:
-# balls used by the marker algorithms must never straddle cycles.
-CROSS_CYCLE_FACTOR = 10.0
-
-# Exhaustive triangle audits are cubic; constructors skip them above this size
-# (factory metrics are correct by construction, and file inputs are desk-scale).
-_TRIANGLE_AUDIT_LIMIT = 600
-
 
 class SystemFormatError(ValueError):
     """A system description violates the schema or the bijectivity invariant."""
-
-
-class MetricError(ValueError):
-    """A supplied metric violates symmetry, definiteness or the triangle inequality."""
 
 
 class FiniteDynamicalSystem:
@@ -56,19 +42,10 @@ class FiniteDynamicalSystem:
     Attributes:
         labels: tuple of point labels, in construction order.
         perm: ``perm[x]`` is the index of the forward image of point ``x``.
-        metric: optional ``(n, n)`` distance matrix.
         declared_dim: the covering dimension the system is standing in for.
     """
 
-    def __init__(
-        self,
-        points: Sequence[str],
-        forward: Mapping[str, str],
-        metric: np.ndarray | None = None,
-        declared_dim: int = 0,
-        *,
-        _skip_metric_audit: bool = False,
-    ):
+    def __init__(self, points: Sequence[str], forward: Mapping[str, str], declared_dim: int = 0):
         labels = tuple(points)
         n = len(labels)
         index = dict(zip(labels, range(n)))
@@ -99,13 +76,6 @@ class FiniteDynamicalSystem:
             raise SystemFormatError(f"dimension must be a nonnegative integer, got {declared_dim}")
         self.declared_dim = int(declared_dim)
 
-        if metric is not None:
-            metric = np.asarray(metric, dtype=float)
-            if metric.shape != (n, n):
-                raise MetricError(f"metric shape {metric.shape} does not match {n} points")
-            _audit_metric(metric, labels, full_triangle=not _skip_metric_audit and n <= _TRIANGLE_AUDIT_LIMIT)
-        self.metric = metric
-
         self._orbits: OrbitDecomposition | None = None
 
     @property
@@ -122,13 +92,13 @@ class FiniteDynamicalSystem:
 
     def translate_counts(self, subset: Iterable[int], lo: int, hi: int) -> np.ndarray:
         """counts[x] = number of i in [lo, hi] with x in alpha_i(subset), for a
-        set of distinct points.
+        set of distinct points (an iterable, or an index array used as it is).
 
         Steps the permutation one shift at a time, so a sweep over many
         exponents costs one gather per exponent and caches no power arrays.
         """
         counts = np.zeros(self.n, dtype=np.int64)
-        cur = np.fromiter(subset, dtype=np.int64)
+        cur = subset if isinstance(subset, np.ndarray) else np.fromiter(subset, dtype=np.int64)
         step = self.perm if lo > 0 else self.perm_inv
         for _ in range(abs(lo)):
             cur = step[cur]
@@ -137,43 +107,13 @@ class FiniteDynamicalSystem:
             cur = self.perm[cur]
         return counts
 
-    def min_distance(self) -> float:
-        """Smallest positive inter-point distance (requires a metric)."""
-        if self.metric is None:
-            raise MetricError("system has no metric")
-        off = self.metric[~np.eye(self.n, dtype=bool)]
-        return float(off.min()) if off.size else math.inf
-
     def orbits(self) -> "OrbitDecomposition":
         if self._orbits is None:
             self._orbits = orbit_decomposition(self)
         return self._orbits
 
     def __repr__(self) -> str:
-        return f"FiniteDynamicalSystem(n={self.n}, d={self.declared_dim}, metric={self.metric is not None})"
-
-
-def _audit_metric(metric: np.ndarray, labels: Sequence[str], full_triangle: bool) -> None:
-    n = len(labels)
-    diag = np.diagonal(metric)
-    if n and diag.max(initial=0.0) != 0.0:
-        bad = labels[int(np.argmax(diag != 0.0))]
-        raise MetricError(f"metric is nonzero on the diagonal at {bad!r}")
-    if not np.array_equal(metric, metric.T):
-        r, c = np.argwhere(metric != metric.T)[0]
-        raise MetricError(f"metric is not symmetric at ({labels[r]!r}, {labels[c]!r})")
-    off = metric[~np.eye(n, dtype=bool)]
-    if off.size and off.min() <= 0.0:
-        r, c = np.argwhere((metric <= 0.0) & ~np.eye(n, dtype=bool))[0]
-        raise MetricError(f"metric vanishes off the diagonal at ({labels[r]!r}, {labels[c]!r})")
-    if full_triangle:
-        for k in range(n):
-            slack = metric - (metric[:, k, None] + metric[None, k, :])
-            if slack.max(initial=0.0) > 1e-12:
-                r, c = np.argwhere(slack > 1e-12)[0]
-                raise MetricError(
-                    f"triangle inequality fails on ({labels[r]!r}, {labels[k]!r}, {labels[c]!r})"
-                )
+        return f"FiniteDynamicalSystem(n={self.n}, d={self.declared_dim})"
 
 
 @dataclass(frozen=True)
@@ -324,11 +264,8 @@ def _cycle_labels(ci: int, length: int, cw: int, pw: int) -> list[str]:
 
 
 def make_cycle_system(lengths: Sequence[int], d: int = 0) -> FiniteDynamicalSystem:
-    """Disjoint union of cycles with circular graph metric inside each cycle.
-
-    Cross-cycle distances are the large constant ``CROSS_CYCLE_FACTOR * max(1,
-    max intra-cycle distance)``, so metric balls never straddle cycles.
-    """
+    """Disjoint union of cycles; point j of cycle c is labelled ``c{c}p{j}``
+    (zero-padded) and steps to point j + 1 mod its cycle's length."""
     lengths = list(lengths)
     if not lengths:
         raise ValueError("lengths must be nonempty")
@@ -341,43 +278,29 @@ def make_cycle_system(lengths: Sequence[int], d: int = 0) -> FiniteDynamicalSyst
     for ci, L in enumerate(lengths):
         labs = _cycle_labels(ci, L, cw, pw)
         points.extend(labs)
-        for j, lab in enumerate(labs):
-            forward[lab] = labs[(j + 1) % L]
-    n = len(points)
-    cross = CROSS_CYCLE_FACTOR * max(1, max(L // 2 for L in lengths))
-    metric = np.full((n, n), cross, dtype=float)
-    offset = 0
-    for L in lengths:
-        j = np.arange(L)
-        diff = np.abs(j[:, None] - j[None, :])
-        metric[offset : offset + L, offset : offset + L] = np.minimum(diff, L - diff)
-        offset += L
-    return FiniteDynamicalSystem(points, forward, metric, d, _skip_metric_audit=True)
+        forward.update(zip(labs, labs[1:] + labs[:1]))
+    return FiniteDynamicalSystem(points, forward, d)
 
 
 def make_rotation_system(q: int, p: int, d: int = 1) -> FiniteDynamicalSystem:
-    """q equispaced circle points rotated by p steps, with arc-length metric."""
+    """q equispaced circle points rotated by p steps."""
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
     pw = len(str(q - 1))
     points = [f"t{j:0{pw}d}" for j in range(q)]
     forward = {points[j]: points[(j + p) % q] for j in range(q)}
-    j = np.arange(q)
-    diff = np.abs(j[:, None] - j[None, :])
-    metric = (2.0 * math.pi / q) * np.minimum(diff, q - diff)
-    return FiniteDynamicalSystem(points, forward, metric, d, _skip_metric_audit=True)
+    return FiniteDynamicalSystem(points, forward, d)
 
 
-_SCHEMA_KEYS = {"points", "map", "metric", "dimension"}
+_SCHEMA_KEYS = {"points", "map", "dimension"}
 
 
 def load_system(document: str) -> FiniteDynamicalSystem:
     """Parse and validate a JSON system description.
 
     Schema: ``points`` (array of strings), ``map`` (object point -> point),
-    optional ``metric`` (array of [p, q, distance] triples covering every
-    unordered pair), optional ``dimension`` (nonnegative integer).  Unknown
-    fields are rejected; all invariants are checked eagerly.
+    optional ``dimension`` (nonnegative integer).  Unknown fields are
+    rejected; all invariants are checked eagerly.
     """
     try:
         doc = json.loads(document)
@@ -396,39 +319,5 @@ def load_system(document: str) -> FiniteDynamicalSystem:
     fwd = doc["map"]
     if not isinstance(fwd, dict):
         raise SystemFormatError("'map' must be an object")
+    return FiniteDynamicalSystem(points, fwd, doc.get("dimension", 0))
 
-    metric = None
-    if "metric" in doc:
-        metric = _metric_from_triples(doc["metric"], points)
-    dim = doc.get("dimension", 0)
-    return FiniteDynamicalSystem(points, fwd, metric, dim)
-
-
-def _metric_from_triples(triples, points: Sequence[str]) -> np.ndarray:
-    if not isinstance(triples, list):
-        raise SystemFormatError("'metric' must be an array of [p, q, distance] triples")
-    n = len(points)
-    index = {lab: i for i, lab in enumerate(points)}
-    metric = np.full((n, n), np.nan)
-    np.fill_diagonal(metric, 0.0)
-    for entry in triples:
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise SystemFormatError(f"bad metric entry {entry!r}")
-        p, q, dist = entry
-        if p not in index or q not in index:
-            raise SystemFormatError(f"metric entry references unknown point in {entry!r}")
-        if not isinstance(dist, (int, float)) or dist < 0:
-            raise MetricError(f"distance must be a nonnegative number in {entry!r}")
-        i, j = index[p], index[q]
-        if i == j:
-            if dist != 0:
-                raise MetricError(f"nonzero self-distance for {p!r}")
-            continue
-        for a, b in ((i, j), (j, i)):
-            if not np.isnan(metric[a, b]) and metric[a, b] != dist:
-                raise MetricError(f"conflicting distances for pair ({p!r}, {q!r})")
-            metric[a, b] = dist
-    if np.isnan(metric).any():
-        r, c = np.argwhere(np.isnan(metric))[0]
-        raise MetricError(f"missing distance for pair ({points[r]!r}, {points[c]!r})")
-    return metric

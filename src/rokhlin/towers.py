@@ -37,16 +37,12 @@ __all__ = [
     "TowerFamily",
     "PartitionOfUnity",
     "TowerReport",
-    "CyclicTower",
-    "DecayingTower",
     "as_fraction",
     "tower_supports",
     "build_partition",
     "build_tower_family",
     "verify_tower",
     "rung_step",
-    "cyclic_to_decaying",
-    "decaying_to_cyclic",
 ]
 
 
@@ -209,7 +205,8 @@ class TowerFamily:
 
     ``num[l, s, j + m] / den`` is mu[l][j] at ``points[l, s, j + m]``, the
     j-th forward image of anchor s of support l; mu[l][j] vanishes at every
-    other point and for |j| > m.  By construction
+    other point and for |j| > m.  ``K`` is the compact set as a boolean mask
+    over the points.  By construction
     mu[l][j] = (2k'+1)^{-1} sum_{|i| <= k'} p[l][j+i] o alpha_i.
 
     Invariants (checked by ``verify_tower``): values in [0, 1], points equal
@@ -222,7 +219,7 @@ class TowerFamily:
     k: int
     m: int
     eps: Fraction
-    K: frozenset[int]
+    K: np.ndarray
     k_prime: int
     K_prime: frozenset[int]
     supports: tuple[frozenset[int], ...]
@@ -246,11 +243,6 @@ class TowerFamily:
     def end_sup(self, l: int) -> float:
         return int(self.num[l][:, [0, -1]].max(initial=0)) / self.den
 
-    def decaying_tower(self, l: int) -> "DecayingTower":
-        vals = np.zeros((2 * self.m + 1, self.sys.n))
-        vals[np.arange(2 * self.m + 1), self.points[l]] = self.num[l] / self.den
-        return DecayingTower(sys=self.sys, values=vals, m=self.m, eps=float(self.eps))
-
 
 def build_tower_family(
     sys: FiniteDynamicalSystem,
@@ -270,9 +262,11 @@ def build_tower_family(
     eps = as_fraction(eps)
     if eps <= 0:
         raise TowerError("eps must be positive")
-    K = frozenset(K)
+    in_K = np.zeros(sys.n, dtype=bool)
+    in_K[np.fromiter(K, dtype=np.int64)] = True
     k_prime = k * math.ceil(1 / eps)
-    K_prime = frozenset(np.flatnonzero(sys.translate_counts(K, -k_prime, k_prime)).tolist())
+    counts = sys.translate_counts(np.flatnonzero(in_K), -k_prime, k_prime)
+    K_prime = frozenset(np.flatnonzero(counts).tolist())
     if markers is None:
         cert = greedy_markers(sys, m, K_prime, d)
     else:
@@ -282,7 +276,7 @@ def build_tower_family(
     supports = tower_supports(sys, cert, d, k_prime, m)
     partition = build_partition(sys, supports, m, k_prime, K_prime)
     return TowerFamily(
-        sys=sys, d=d, k=k, m=m, eps=eps, K=K, k_prime=k_prime,
+        sys=sys, d=d, k=k, m=m, eps=eps, K=in_K, k_prime=k_prime,
         K_prime=K_prime, supports=supports, points=partition.points,
         num=_window_sum(partition.num, k_prime), den=partition.den * (2 * k_prime + 1),
     )
@@ -325,7 +319,7 @@ def verify_tower(family: TowerFamily) -> TowerReport:
     points, num, den = family.points, family.num, family.den
     totals = np.zeros(family.sys.n, dtype=np.int64)
     np.add.at(totals, points.ravel(), num.ravel())
-    cons_err = int(np.abs(totals[sorted(family.K)] - den).max(initial=0))
+    cons_err = int(np.abs(totals[family.K] - den).max(initial=0))
     bound = family.step_bound()
     return TowerReport(
         conservation_exact=(cons_err == 0),
@@ -339,118 +333,3 @@ def verify_tower(family: TowerFamily) -> TowerReport:
         values_in_unit_interval=bool(((num >= 0) & (num <= den)).all()),
     )
 
-
-# ---------------------------------------------------------------------------
-# cyclic <-> decaying conversions
-
-
-def _sup(values: np.ndarray) -> float:
-    return float(np.abs(values).max()) if values.size else 0.0
-
-
-@dataclass(frozen=True)
-class CyclicTower:
-    """Functions f_j, j in [-m, m], approximately permuted with cyclic wraparound.
-
-    The step condition compares f_{j+1} with f_j o alpha_{-1}, indices mod
-    2m+1; the declared eps must dominate every measured step.
-    """
-
-    sys: FiniteDynamicalSystem
-    values: np.ndarray  # (2m+1, n), row j+m holds f_j
-    m: int
-    eps: float
-
-    def f(self, j: int) -> np.ndarray:
-        return self.values[(j + self.m) % (2 * self.m + 1)]
-
-    def measured_step(self) -> float:
-        worst = 0.0
-        for j in range(-self.m, self.m + 1):
-            # (f o alpha_{-1})(x) = f(alpha_{-1} x)
-            stepped = self.f(j)[self.sys.perm_inv]
-            worst = max(worst, _sup(self.f(j + 1) - stepped))
-        return worst
-
-    def verify(self) -> bool:
-        return self.measured_step() <= self.eps + 1e-12 and float(np.abs(self.values).max()) <= 1 + 1e-12
-
-
-@dataclass(frozen=True)
-class DecayingTower:
-    """Functions f_j, j in [-m, m], with small ends instead of wraparound."""
-
-    sys: FiniteDynamicalSystem
-    values: np.ndarray
-    m: int
-    eps: float
-
-    def f(self, j: int) -> np.ndarray:
-        return self.values[j + self.m]
-
-    def end_norms(self) -> tuple[float, float]:
-        return _sup(self.f(-self.m)), _sup(self.f(self.m))
-
-    def measured_step(self) -> float:
-        worst = 0.0
-        for j in range(-self.m, self.m):
-            stepped = self.f(j)[self.sys.perm_inv]
-            worst = max(worst, _sup(self.f(j + 1) - stepped))
-        return worst
-
-    def verify(self) -> bool:
-        lo, hi = self.end_norms()
-        return (
-            max(lo, hi) < self.eps
-            and self.measured_step() <= self.eps + 1e-12
-            and float(np.abs(self.values).max()) <= 1 + 1e-12
-        )
-
-
-def _tent(j: int, m: int) -> float:
-    """Piecewise-linear bump of period 2m+2: one at 0, zero at +-(m+1)."""
-    period = 2 * m + 2
-    r = j % period
-    r = min(r, period - r)
-    return max(0.0, 1.0 - r / (m + 1))
-
-
-def cyclic_to_decaying(tower: CyclicTower) -> tuple[DecayingTower, DecayingTower, dict]:
-    """Split a cyclic tower into two decaying towers by tent-shaped damping.
-
-    The first tower damps rung j by the tent value at j; the second runs
-    through the rungs shifted by half a period (f extended periodically) so
-    its tent peaks mid-window.  Both carry tolerance eps + 1/(2m); measured
-    ends and steps are returned alongside.
-    """
-    m = tower.m
-    if m < 1:
-        raise TowerError("conversion needs m >= 1")
-    tol = tower.eps + 1.0 / (2 * m)
-    g = np.array([_tent(j, m) for j in range(-m, m + 1)])
-    first = DecayingTower(sys=tower.sys, values=g[:, None] * tower.values, m=m, eps=tol)
-    shifted = np.stack([tower.f(j + m + 1) for j in range(-m, m + 1)])
-    second = DecayingTower(sys=tower.sys, values=g[:, None] * shifted, m=m, eps=tol)
-    report = {
-        "tolerance": tol,
-        "first_ends": first.end_norms(),
-        "second_ends": second.end_norms(),
-        "first_step": first.measured_step(),
-        "second_step": second.measured_step(),
-        "first_ok": first.verify(),
-        "second_ok": second.verify(),
-    }
-    return first, second, report
-
-
-def decaying_to_cyclic(tower: DecayingTower) -> tuple[CyclicTower, dict]:
-    """Reinterpret a decaying tower cyclically.
-
-    The only new step is the wraparound from the top rung to the bottom one,
-    bounded by the sum of the end norms; the recorded tolerance is the input
-    step tolerance plus both measured end norms.
-    """
-    lo, hi = tower.end_norms()
-    wrap = _sup(tower.f(-tower.m) - tower.f(tower.m)[tower.sys.perm_inv])
-    out = CyclicTower(sys=tower.sys, values=tower.values, m=tower.m, eps=tower.eps + lo + hi)
-    return out, {"wrap_step": wrap, "end_norms": (lo, hi), "tolerance": out.eps}

@@ -7,15 +7,22 @@ program measured interp(sample(b)) - b before it took the seam corner
 Ideal side: the summing map of one tower level as an (anchor, j, j') array of
 window matrices, and the return map from that array back to the crossed
 product, computing alpha_j of each anchor from the orbit decomposition rather
-than from the family's tower coordinates."""
+than from the family's tower coordinates.
+
+Norms: power iteration on a truncated window of the shift representation,
+an oracle for rokhlin.cstar.norm that never forms a fiber.
+
+Fibers: the orbit isomorphism, which inverts sampled fibers
+(ElementOrbitFiber.matrices) back to Laurent coefficients by discrete
+Fourier inversion in the circle variable."""
 
 import math
 from typing import Sequence
 
 import numpy as np
 
-from rokhlin.cstar import CrossedElement, ElementOrbitFiber
-from rokhlin.dynsys import Cycle
+from rokhlin.cstar import CrossedElement, ElementOrbitFiber, _grid, _rep_points
+from rokhlin.dynsys import Cycle, FiniteDynamicalSystem
 
 
 class InterpolationFiber:
@@ -128,3 +135,96 @@ def ideal_return(ideal, l: int, blocks: np.ndarray) -> CrossedElement:
             if np.any(vals):
                 coeffs.setdefault(j - jp, np.zeros(sys.n, dtype=np.complex128))[at] += vals
     return CrossedElement(sys, coeffs)
+
+
+def regular_window_norm(a: CrossedElement, cycle: Cycle, half_width: int,
+                        max_iter: int = 2000, seed: int = 0xACE, rel_tol: float = 1e-13) -> float:
+    """Independent norm oracle: power iteration on a truncated shift-representation window.
+
+    The element acts on square-summable sequences over the orbit of the base
+    point; compressing to the coordinate window [-half_width, half_width]
+    gives a banded matrix whose largest singular value approaches the fiber
+    sup from below as the window grows.
+    """
+    L = cycle.length
+    size = 2 * half_width + 1
+    ns = np.arange(-half_width, half_width + 1)
+    mat = np.zeros((size, size), dtype=np.complex128)
+    for i, f in a.coeffs.items():
+        vals = f[[cycle.order[n % L] for n in ns]]
+        for r in range(size):
+            c = r - i
+            if 0 <= c < size:
+                mat[r, c] = vals[r]
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    v /= np.linalg.norm(v)
+    est = 0.0
+    herm = mat.conj().T @ mat
+    for _ in range(max_iter):
+        w = herm @ v
+        nrm = np.linalg.norm(w)
+        if nrm == 0:
+            return 0.0
+        new = math.sqrt(nrm)
+        if abs(new - est) <= rel_tol * max(new, 1e-300):
+            est = new
+            break
+        est = new
+        v = w / nrm
+    return float(est)
+
+
+class OrbitIsomorphism:
+    """Concrete isomorphism between one orbit's crossed product and matrix
+    functions on the circle, realized on a power-of-two sample grid.
+
+    ``sample`` evaluates the fiber representation on the grid; ``reconstruct``
+    recovers Laurent coefficients from the sampled matrix entries by discrete
+    Fourier inversion in the circle variable.  Entry (r, c) of the fiber at
+    lam is the Laurent series sum_t f_{c-r+tL}(point_r) lam^t, so each matrix
+    entry determines one residue class of coefficients.
+    """
+
+    def __init__(self, sys: FiniteDynamicalSystem, cycle: Cycle, grid_size: int):
+        if grid_size < 1 or grid_size & (grid_size - 1):
+            raise ValueError(f"grid size must be a power of two, got {grid_size}")
+        self.sys = sys
+        self.cycle = cycle
+        self.grid_size = grid_size
+        self.lams = _grid(grid_size)
+
+    def _check_support(self, radius: int) -> None:
+        if self.grid_size < 2 * radius + self.cycle.length:
+            raise ValueError(
+                f"grid {self.grid_size} aliases support radius {radius} on a "
+                f"cycle of length {self.cycle.length}"
+            )
+
+    def sample(self, a: CrossedElement) -> np.ndarray:
+        self._check_support(a.support_radius())
+        return ElementOrbitFiber(a, self.cycle).matrices(self.lams)
+
+    def reconstruct(self, mats: np.ndarray) -> CrossedElement:
+        G, L = self.grid_size, self.cycle.length
+        if mats.shape != (G, L, L):
+            raise ValueError(f"expected shape {(G, L, L)}, got {mats.shape}")
+        # coefficient of lam^t in each entry series, for t in [-T, T]
+        hat = np.fft.fft(mats, axis=0) / G
+        imax = (G - L) // 2
+        pts = _rep_points(self.sys, self.cycle)
+        coeffs: dict[int, np.ndarray] = {}
+        for r in range(L):
+            for c in range(L):
+                base = c - r
+                tmin = math.ceil((-imax - base) / L)
+                tmax = math.floor((imax - base) / L)
+                for t in range(tmin, tmax + 1):
+                    i = base + t * L
+                    arr = coeffs.setdefault(i, np.zeros(self.sys.n, dtype=np.complex128))
+                    arr[pts[r]] = hat[t % G, r, c]
+        return CrossedElement(self.sys, coeffs)
+
+
+def orbit_isomorphism(sys: FiniteDynamicalSystem, cycle: Cycle, grid_size: int) -> OrbitIsomorphism:
+    return OrbitIsomorphism(sys, cycle, grid_size)

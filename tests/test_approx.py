@@ -418,7 +418,7 @@ class TestIdealSide:
         cyc = [c for c in sys.orbits().cycles if c.length == 60][0]
         f = bump(sys, 60)
         b = f * unit(sys)  # one band, i = 1
-        assert cyc.base in ideal.family.K
+        assert ideal.family.K[cyc.base]
         for l in range(ideal.levels):
             blocks = ideal_blocks(ideal, l, b)
             assert blocks.any()

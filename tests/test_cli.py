@@ -23,14 +23,14 @@ from rokhlin.towers import build_tower_family, verify_tower
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def write_system(tmp_path, name="sys.json", lengths=(3, 10)):
+def write_system(tmp_path, name="sys.json", lengths=(3, 10), dimension=0):
     import rokhlin as rk
 
     sys = rk.make_cycle_system(list(lengths))
     doc = {
         "points": list(sys.labels),
         "map": {sys.labels[i]: sys.labels[int(sys.perm[i])] for i in range(sys.n)},
-        "dimension": 0,
+        "dimension": dimension,
     }
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -54,6 +54,20 @@ class TestOrbitsCommand:
         rep = json.loads(out)
         assert rep["error"]["type"] == "ScenarioError"
         assert not rep["assertions"][0]["pass"]
+
+    def test_metric_key_refused(self, tmp_path, capsys):
+        # a system is labels, a map and a dimension; a distance table is an
+        # unknown field
+        spath = tmp_path / "sys.json"
+        spath.write_text(json.dumps({"points": ["a", "b"], "map": {"a": "b", "b": "a"},
+                                     "metric": [["a", "b", 1.0]]}))
+        rc = main(["orbits", "--system", str(spath)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        rep = json.loads(captured.out)
+        assert rep["error"] == {"type": "SystemFormatError", "message": "unknown fields: ['metric']"}
+        assert not rep["assertions"][0]["pass"]
+        assert "Traceback" not in captured.err
 
 
 class TestDeterminism:
@@ -313,6 +327,43 @@ class TestApproxScenario:
         )
         assert not run.factorization.sqrt_step["strict"]
         assert not row["pass"] and not run.passed()
+
+
+    def test_two_sided_run_at_d1_passes_the_ledger(self, tmp_path, capsys):
+        # both sides at d = 1: 2 + (2d + 3) = 7 colours against 3d + 5 = 8 declared
+        spath = write_system(tmp_path, lengths=(3, 7, 6000), dimension=1)
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps({"command": "approx", "system": str(spath),
+                                    "elements": [_UNITARY], "epsilon": "3/10"}))
+        rc = main(["approx", "--scenario", str(scen)])
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["parameters"]["d"] == 1
+        assert rep["parameters"]["short_part_size"] and rep["parameters"]["long_part_size"]
+        row = next(a for a in rep["assertions"] if a["name"] == "summand_count_defect")
+        assert (row["measured"], row["bound"], row["pass"]) == (0.0, 0.0, True)
+        assert rc == 0 and all(a["pass"] for a in rep["assertions"])
+
+    def test_summands_over_the_ledger_fail(self, monkeypatch, capsys):
+        # one summand more than declared fails the library rule and the row
+        from rokhlin.approx import run_approximation
+
+        runs = []
+
+        def one_over(*args, **kwargs):
+            run = run_approximation(*args, **kwargs)
+            fz = run.factorization
+            runs.append(dataclasses.replace(
+                run, factorization=dataclasses.replace(fz, summands_actual=fz.summands_declared + 1)
+            ))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_approximation", one_over)
+        rc = main(["approx", "--scenario", str(SCENARIOS / "approx_small.json")])
+        rep = json.loads(capsys.readouterr().out)
+        row = next(a for a in rep["assertions"] if a["name"] == "summand_count_defect")
+        assert (row["measured"], row["bound"], row["pass"]) == (1.0, 0.0, False) and rc == 1
+        assert runs[0].factorization.summand_excess == 1
+        assert not runs[0].factorization.passed() and not runs[0].passed()
 
 
 class TestTowerRows:

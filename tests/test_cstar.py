@@ -26,16 +26,14 @@ from rokhlin.cstar import (
     _top_ritz,
     holonomy,
     norm,
-    orbit_isomorphism,
     orbit_rep,
     orbit_rep_with_phases,
     periodic_embedding,
     primitive_spectrum,
-    regular_window_norm,
 )
 from rokhlin.dynsys import FiniteDynamicalSystem, load_system, make_cycle_system
 
-from dense_reference import InterpolationFiber
+from dense_reference import InterpolationFiber, orbit_isomorphism, regular_window_norm
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -323,6 +321,15 @@ class TestConstantBandOracle:
         assert res.grids == one.grids and res.argmax == one.argmax
         assert res.per_orbit == {label: (res.value, one.per_orbit[label][1])}
         assert res.solvers == {label: "dense" if L == 20 else "lanczos"}
+
+    def test_refusal_at_extreme_scale_quotes_the_callers_numbers(self):
+        # 2^300 u is solved as u / 2, but an oversized grid is refused with
+        # the bound and tol of the element and tol as given
+        sys = make_cycle_system([48])
+        big = 2.0**300
+        with pytest.raises(ValueError, match="needs a grid of") as refused:
+            norm(big * CrossedElement.unitary(sys), big * 1e-8)
+        assert f"(Lipschitz bound {big}, tol {big * 1e-8})" in str(refused.value)
 
 
 class TestOrbitIsomorphism:

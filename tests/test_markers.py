@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from rokhlin.dynsys import make_cycle_system
-from rokhlin.markers import (
+from rokhlin.markers import MarkerError, greedy_markers, marker_certificate
+
+from metric_reference import (
     GroupWindow,
-    MarkerError,
     cover_extension_step,
+    cycle_metric,
     disjointness_margin,
     finite_boundary,
     free_locus,
-    greedy_markers,
     integer_action,
     is_disjoint_family,
     local_marker,
-    marker_certificate,
 )
 
 
@@ -186,36 +186,36 @@ class TestGroupWindow:
 class TestMargin:
     def test_unit_cycle_singleton(self):
         sys = make_cycle_system([10])
-        assert disjointness_margin(sys, {0}, [-1, 0, 1], 1) == 0.5
+        assert disjointness_margin(sys, cycle_metric([10]), {0}, [-1, 0, 1], 1) == 0.5
 
     def test_empty_set_gets_max_candidate(self):
         sys = make_cycle_system([10])
-        assert disjointness_margin(sys, set(), [-1, 0, 1], 1) == 2.5
+        assert disjointness_margin(sys, cycle_metric([10]), set(), [-1, 0, 1], 1) == 2.5
 
     def test_tight_packing_keeps_smallest_candidate(self):
         # alternating set with adjacent shifts: any enlargement past half the
         # minimal distance merges the images
         sys = make_cycle_system([10])
         E = {0, 2, 4, 6, 8}
-        assert disjointness_margin(sys, E, [0, 1], 1) == 0.5
+        assert disjointness_margin(sys, cycle_metric([10]), E, [0, 1], 1) == 0.5
         ball = {x for x in range(10)}
         assert not is_disjoint_family(sys, ball, [0, 1], 1)
 
     def test_not_disjoint_rejected(self):
         sys = make_cycle_system([10])
         with pytest.raises(MarkerError, match="not disjoint"):
-            disjointness_margin(sys, {0, 5}, [0, 5], 1)
+            disjointness_margin(sys, cycle_metric([10]), {0, 5}, [0, 5], 1)
 
 
 class TestBoundary:
     def test_interval_boundary(self):
         sys = make_cycle_system([10])
-        assert finite_boundary(sys, {2, 3, 4}) == frozenset({2, 4})
+        assert finite_boundary(sys, cycle_metric([10]), {2, 3, 4}) == frozenset({2, 4})
 
     def test_full_and_empty(self):
         sys = make_cycle_system([10])
-        assert finite_boundary(sys, set()) == frozenset()
-        assert finite_boundary(sys, range(10)) == frozenset()
+        assert finite_boundary(sys, cycle_metric([10]), set()) == frozenset()
+        assert finite_boundary(sys, cycle_metric([10]), range(10)) == frozenset()
 
 
 class TestCoverExtension:
@@ -225,7 +225,7 @@ class TestCoverExtension:
     def test_empty_U_absorbs_markers(self):
         sys = make_cycle_system([60], d=1)
         V = {0, 10, 20, 30, 40, 50}
-        res = cover_extension_step(sys, frozenset(), V, self.window60())
+        res = cover_extension_step(sys, cycle_metric([60]), frozenset(), V, self.window60())
         act = integer_action(sys)
         covered = set()
         for g in self.window60().M():
@@ -236,33 +236,33 @@ class TestCoverExtension:
     def test_covered_V_returns_U(self):
         sys = make_cycle_system([60], d=1)
         w = self.window60()
-        first = cover_extension_step(sys, frozenset(), {17}, w)
-        again = cover_extension_step(sys, first.W, {17}, w)
+        first = cover_extension_step(sys, cycle_metric([60]), frozenset(), {17}, w)
+        again = cover_extension_step(sys, cycle_metric([60]), first.W, {17}, w)
         assert again.W == first.W
         assert again.centers == ()
 
     def test_non_disjoint_U_rejected(self):
         sys = make_cycle_system([60], d=1)
         with pytest.raises(MarkerError, match=r"U is not"):
-            cover_extension_step(sys, {0, 1}, {30}, self.window60())
+            cover_extension_step(sys, cycle_metric([60]), {0, 1}, {30}, self.window60())
 
     def test_non_disjoint_V_rejected(self):
         sys = make_cycle_system([8], d=1)
         # on an 8-cycle the inverse window of M = {-1..1, 4..6} collides
         with pytest.raises(MarkerError, match="V is not"):
-            cover_extension_step(sys, frozenset(), {0, 4}, self.window60())
+            cover_extension_step(sys, cycle_metric([8]), frozenset(), {0, 4}, self.window60())
 
 
 class TestLocalMarker:
     def test_empty_K(self):
         sys = make_cycle_system([60])
-        res = local_marker(sys, set(), GroupWindow.integers(2, 0))
+        res = local_marker(sys, cycle_metric([60]), set(), GroupWindow.integers(2, 0))
         assert res.markers == frozenset()
 
     def test_single_point(self):
         sys = make_cycle_system([60])
         w = GroupWindow.integers(2, 0)
-        res = local_marker(sys, {7}, w)
+        res = local_marker(sys, cycle_metric([60]), {7}, w)
         assert len(res.markers) == 1
         z = next(iter(res.markers))
         # the marker sits in an inverse-window translate of the covered point
@@ -275,7 +275,7 @@ class TestLocalMarker:
     def test_cross_validates_greedy(self, d, m, lengths):
         sys = make_cycle_system(lengths, d)
         w = GroupWindow.integers(m, d)
-        res = local_marker(sys, range(sys.n), w)
+        res = local_marker(sys, cycle_metric(lengths), range(sys.n), w)
         assert res.flag_cover and res.flag_disjoint
         # identical exhaustive checks as the greedy certificate
         cert = marker_certificate(sys, res.markers, m, range(sys.n), d)
@@ -286,7 +286,7 @@ class TestLocalMarker:
     def test_unfree_point_rejected(self):
         sys = make_cycle_system([8])
         with pytest.raises(MarkerError, match="not free"):
-            local_marker(sys, {0}, GroupWindow.integers(2, 0))
+            local_marker(sys, cycle_metric([8]), {0}, GroupWindow.integers(2, 0))
 
     def test_noncommutative_group_action(self):
         # the symmetric group on three letters acting on itself by left
@@ -312,7 +312,7 @@ class TestLocalMarker:
         ident = (0, 1, 2)
         labels = ["".join(map(str, g)) for g in elements]
         metric = np.ones((6, 6)) - np.eye(6)
-        sys = FiniteDynamicalSystem(labels, {lab: lab for lab in labels}, metric, 1)
+        sys = FiniteDynamicalSystem(labels, {lab: lab for lab in labels}, 1)
 
         def action(g):
             return np.array([index[compose(g, x)] for x in elements])
@@ -324,7 +324,7 @@ class TestLocalMarker:
             F=(ident, swap), translates=(ident, cycle3),
             compose=compose, inverse=inverse, identity=ident,
         )
-        result = local_marker(sys, range(6), window, action)
+        result = local_marker(sys, metric, range(6), window, action)
         assert result.flag_disjoint and result.flag_cover
         covered = set()
         for g in window.M():

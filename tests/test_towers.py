@@ -9,20 +9,15 @@ from hypothesis import strategies as st
 from rokhlin.dynsys import make_cycle_system
 from rokhlin.markers import greedy_markers
 from rokhlin.towers import (
-    CyclicTower,
-    DecayingTower,
     TowerError,
     as_fraction,
     build_partition,
     build_tower_family,
-    cyclic_to_decaying,
-    decaying_to_cyclic,
     min_window_length,
     tower_supports,
     verify_tower,
     _common_denominator,
     _overlapping_level,
-    _tent,
     _tower_points,
     _window_sum,
 )
@@ -318,85 +313,3 @@ class TestFractionHandling:
         assert as_fraction("3/10") == Fraction(3, 10)
         assert math.ceil(1 / as_fraction(0.2)) == 5  # float 1/0.2 would round up to 6
 
-
-def constant_tower(m, n=None, sys=None):
-    if sys is None:
-        sys = make_cycle_system([2 * m + 1])
-    return CyclicTower(sys=sys, values=np.ones((2 * m + 1, sys.n)), m=m, eps=0.1)
-
-
-class TestConversions:
-    def test_constant_tower_first_output_is_tent(self):
-        m = 5
-        tower = constant_tower(m)
-        first, second, rep = cyclic_to_decaying(tower)
-        tent = [_tent(j, m) for j in range(-m, m + 1)]
-        assert np.allclose(first.values[:, 0], tent)
-        assert rep["tolerance"] == pytest.approx(0.1 + 1 / (2 * m))
-
-    @pytest.mark.parametrize("eps,m", [(0.1, 1), (0.1, 5), (0.25, 1), (0.25, 5)])
-    def test_decay_bound(self, eps, m):
-        sys = make_cycle_system([2 * m + 1])
-        tower = CyclicTower(sys=sys, values=np.ones((2 * m + 1, sys.n)), m=m, eps=eps)
-        first, second, rep = cyclic_to_decaying(tower)
-        tol = eps + 1 / (2 * m)
-        for t in (first, second):
-            lo, hi = t.end_norms()
-            assert max(lo, hi) <= tol
-            assert t.verify()
-
-    def test_m1_tolerance(self):
-        tower = constant_tower(1)
-        _, _, rep = cyclic_to_decaying(tower)
-        assert rep["tolerance"] == pytest.approx(0.1 + 0.5)
-
-    def test_exact_indicator_tower(self):
-        m = 5
-        sys = make_cycle_system([2 * m + 1])
-        base = np.zeros(sys.n)
-        base[0] = 1.0
-        vals = np.stack([base[sys.power_perm(-j)] for j in range(-m, m + 1)])
-        tower = CyclicTower(sys=sys, values=vals, m=m, eps=0.1)
-        assert tower.measured_step() == 0.0
-        first, second, rep = cyclic_to_decaying(tower)
-        assert rep["first_ok"] and rep["second_ok"]
-
-    def test_zero_end_decaying_keeps_tolerance(self):
-        sys = make_cycle_system([11])
-        vals = np.zeros((11, sys.n))
-        vals[5, 0] = 1.0  # single middle rung
-        t = DecayingTower(sys=sys, values=vals, m=5, eps=0.07)
-        back, rep = decaying_to_cyclic(t)
-        assert back.eps == pytest.approx(0.07)
-
-    def test_wraparound_bounded_by_end_sum(self):
-        sys = make_cycle_system([11])
-        rng = np.random.default_rng(3)
-        m = 5
-        vals = rng.random((2 * m + 1, sys.n)) * 0.09
-        t = DecayingTower(sys=sys, values=vals, m=m, eps=0.1)
-        lo, hi = t.end_norms()
-        assert max(lo, hi) < 0.1
-        back, rep = decaying_to_cyclic(t)
-        assert rep["wrap_step"] <= lo + hi + 1e-12
-        assert rep["wrap_step"] <= 2 * 0.1
-
-    def test_round_trip_degradation(self):
-        for eps, m in [(0.1, 1), (0.1, 5), (0.25, 5)]:
-            tower = CyclicTower(
-                sys=make_cycle_system([2 * m + 1]),
-                values=np.ones((2 * m + 1, 2 * m + 1)), m=m, eps=eps,
-            )
-            first, _, _ = cyclic_to_decaying(tower)
-            back, rep = decaying_to_cyclic(first)
-            budget = 1 / (2 * m) + 2 * (eps + 1 / (2 * m))
-            assert back.eps - eps <= budget + 1e-12
-            assert back.measured_step() <= back.eps + 1e-12
-
-    def test_family_towers_convert(self):
-        sys = make_cycle_system([100])
-        fam = build_tower_family(sys, d=0, k=1, m=5, eps="1/2", K=range(100))
-        dt = fam.decaying_tower(0)
-        assert dt.verify()
-        cyc, rep = decaying_to_cyclic(dt)
-        assert rep["wrap_step"] <= sum(dt.end_norms()) + 1e-12
