@@ -35,11 +35,10 @@ for p in (5, 4, 6):
 
 sys = make_cycle_system([2, 2, 7, 100])
 split = invariant_split(sys, 25)
-print(f"\nsplit at N=25: {len(split.y_part)} short-orbit points, "
-      f"{len(split.complement)} long-orbit points")
-# both parts are invariant under the map and its inverse
-assert {int(sys.perm[x]) for x in split.y_part} == set(split.y_part)
-assert {int(sys.perm[x]) for x in split.complement} == set(split.complement)
+print(f"\nsplit at N=25: {(~split.long).sum()} short-orbit points, "
+      f"{split.long.sum()} long-orbit points")
+# the long-orbit mask, and so its complement, is invariant under the map
+assert np.array_equal(split.long[sys.perm], split.long)
 
 # -- quotient structure -------------------------------------------------------
 

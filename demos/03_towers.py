@@ -15,7 +15,8 @@ from rokhlin import build_tower_family, make_cycle_system, verify_tower
 sys = make_cycle_system([100])
 family = build_tower_family(sys, d=0, k=1, m=5, eps="1/2", K=range(100))
 print(f"levels: {family.levels}, smoothing width k' = {family.k_prime}")
-print(f"support sizes: {[len(s) for s in family.supports]}")
+anchors = family.points[:, :, family.m]  # each support's points, sorted
+print(f"support sizes: {[len(a) for a in anchors]}")
 
 report = verify_tower(family)
 print(f"conservation exact: {report.conservation_exact}")

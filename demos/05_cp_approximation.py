@@ -34,7 +34,7 @@ f = CrossedElement.from_function(sys, v)
 run = run_approximation(sys, [u, f, f * u], eps="3/2", norm_tol=1e-3)
 p = run.params
 print(f"derived parameters: k={p.k}, eps'={p.eps_prime}, m={p.m}, N={p.N}")
-print(f"split: {len(p.split.y_part)} short points / {len(p.split.complement)} long points")
+print(f"split: {(~p.split.long).sum()} short points / {p.split.long.sum()} long points")
 print(f"cutoff is a central projection: {run.equnit.is_central_projection}")
 print(f"tower invariants hold: {run.tower_ok}")
 

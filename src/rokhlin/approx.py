@@ -136,10 +136,7 @@ def derive_params(
     eps_prime = (eps / (2 * k + 1)) ** 2
     m, N = window_parameters(d, k, eps_prime)
     split = invariant_split(sys, N_override if N_override is not None else N)
-    short_comp = [
-        c for c in sys.orbits().cycles
-        if c.base in split.complement and c.length <= N
-    ]
+    short_comp = [c for c in sys.orbits().cycles if split.long[c.base] and c.length <= N]
     if short_comp:
         raise ApproxError(
             f"cycle at {sys.labels[short_comp[0].base]!r} (length {short_comp[0].length}) "
@@ -148,7 +145,7 @@ def derive_params(
         )
     return ApproxParams(
         F=tuple(F), eps=eps, d=d, k=k, eps_prime=eps_prime, m=m, N=N,
-        split=split, quotient_only=not split.complement,
+        split=split, quotient_only=not split.long.any(),
     )
 
 
@@ -158,20 +155,20 @@ def derive_params(
 
 @dataclass(frozen=True)
 class QuasicentralReport:
-    """Cutoff function e with the three measured compatibility conditions.
+    """Cutoff function e with its measured corner-splitting errors.
 
-    With the default e (indicator of the invariant clopen long-orbit part)
-    all three vanish exactly.  A supplied e must be [0, 1]-valued and
-    supported on the long-orbit part; the commutator with the lifted quotient
-    maps still vanishes structurally, while the corner-splitting error is
-    measured per element.  The compressed-approximation error is the quotient
-    corner claim, measured by ``assemble_and_verify``.  ``is_central_projection``
-    holds when e is 0/1-valued and invariant under the map.
+    Every e, the default or a supplied one, is [0, 1]-valued and supported on
+    the long-orbit part, so its commutator with the lifted quotient maps vanishes: those maps
+    vanish on the long-orbit part, where e lives.  The corner-splitting error
+    is measured per element; with the default e (indicator of the invariant
+    clopen long-orbit part) it vanishes exactly.  The compressed-approximation
+    error is the quotient corner claim, measured by ``assemble_and_verify``.
+    ``is_central_projection`` holds when e is 0/1-valued and invariant under
+    the map.
     """
 
     e: np.ndarray
     is_central_projection: bool
-    commutator_error: float
     corner_errors: tuple[float, ...]
 
     def sqrt(self) -> np.ndarray:
@@ -188,22 +185,19 @@ def quasicentral_unit(
     e_values: np.ndarray | None = None,
     norm_tol: float = 1e-3,
 ) -> QuasicentralReport:
-    long_part = sys.orbits().length > split.N
     if e_values is None:
         # indicator of the invariant clopen long-orbit part: a central
-        # projection, so the commutator and corner-splitting defects vanish
-        # exactly and the compressed condition reduces to the quotient error
-        e = long_part.astype(float)
+        # projection, so the corner-splitting defects vanish exactly and the
+        # compressed condition reduces to the quotient error
         return QuasicentralReport(
-            e=e, is_central_projection=True, commutator_error=0.0,
-            corner_errors=tuple(0.0 for _ in F),
+            e=split.long.astype(float), is_central_projection=True, corner_errors=tuple(0.0 for _ in F),
         )
     e = np.asarray(e_values, dtype=float)
     if e.shape != (sys.n,):
         raise ApproxError(f"e must have one value per point, got shape {e.shape}")
     if not np.all((e >= 0) & (e <= 1)):  # NaN fails both comparisons
         raise ApproxError("e must take values in [0, 1]")
-    outside = np.flatnonzero((e != 0) & ~long_part)
+    outside = np.flatnonzero((e != 0) & ~split.long)
     if outside.size:
         raise ApproxError(f"e is supported outside the long-orbit part at {sys.labels[outside[0]]!r}")
 
@@ -212,12 +206,8 @@ def quasicentral_unit(
     for b in F:
         defect = b.compressed(root) + b.compressed(coroot) - b
         corner.append(norm(defect, norm_tol).value)
-    # the lifted quotient maps vanish on the long-orbit part, where e lives,
-    # so the commutator is zero without any perturbation step
     central = bool(np.all((e == 0) | (e == 1)) and np.array_equal(e[sys.perm], e))
-    return QuasicentralReport(
-        e=e, is_central_projection=central, commutator_error=0.0, corner_errors=tuple(corner),
-    )
+    return QuasicentralReport(e=e, is_central_projection=central, corner_errors=tuple(corner))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +255,7 @@ def quotient_approx(
     """Build the hat-node approximation of the short-orbit quotient."""
     eps = as_fraction(eps)
     k = max(1, max((b.support_radius() for b in F), default=1))
-    cycles = tuple(c for c in sys.orbits().cycles if c.base in split.y_part)
+    cycles = tuple(c for c in sys.orbits().cycles if not split.long[c.base])
     node_count: dict[int, int] = {}
     for cyc in cycles:
         s = math.ceil(2 * math.pi * cyc.length * k / float(eps))
@@ -459,10 +449,7 @@ def _sup(sys: FiniteDynamicalSystem, fibers: list, norm_tol: float) -> float:
 
 def _long_fields(params: ApproxParams, a: CrossedElement) -> list[ElementOrbitFiber]:
     """Nonzero fiber fields of a over the long-orbit cycles."""
-    fibers = (
-        ElementOrbitFiber(a, cyc) for cyc in params.sys.orbits().cycles
-        if cyc.base in params.split.complement
-    )
+    fibers = (ElementOrbitFiber(a, cyc) for cyc in params.sys.orbits().cycles if params.split.long[cyc.base])
     return [fib for fib in fibers if fib.bands]
 
 
@@ -569,7 +556,7 @@ def run_approximation(
     ideal = None
     tower_ok = True
     if not params.quotient_only:
-        K = np.flatnonzero(equnit.e).tolist()
+        K = np.flatnonzero(equnit.e)
         family = build_tower_family(sys, params.d, params.k, params.m, params.eps_prime, K)
         tower_ok = verify_tower(family).ok()
         ideal = ideal_approx(params, family, equnit.e)

@@ -129,7 +129,9 @@ def emit_report(report: dict, path: str | Path | None) -> str:
 
 
 def _assertion(name: str, measured: float, bound: float, passed: bool | None = None) -> dict:
-    """One report row; ``passed`` defaults to measured <= bound."""
+    """One report row; ``passed`` defaults to measured <= bound.  Only a row
+    whose rule differs passes its own flag: exact conservation, and the
+    strict step bounds (step_bound_vs_epsilon, sqrt_step)."""
     return {
         "name": name,
         "measured": float(measured),
@@ -158,13 +160,11 @@ def _read_system(path: str | Path) -> FiniteDynamicalSystem:
     return load_system(p.read_text())
 
 
-def _labels_to_indices(sys: FiniteDynamicalSystem, labels) -> list[int]:
-    out = []
-    for lab in labels:
-        if lab not in sys.index:
-            raise ScenarioError(f"unknown point label {lab!r}")
-        out.append(sys.index[lab])
-    return out
+def _point(sys: FiniteDynamicalSystem, label) -> int:
+    """The index of a point label named by a scenario."""
+    if label not in sys.index:
+        raise ScenarioError(f"unknown point label {label!r}")
+    return sys.index[label]
 
 
 def _finite_number(value, where: str) -> float:
@@ -238,9 +238,7 @@ def parse_element(sys: FiniteDynamicalSystem, literal) -> CrossedElement:
                 arr[points] += values  # labels are distinct, so no point repeats
             else:
                 for lab, value in table.items():
-                    if lab not in sys.index:
-                        raise ScenarioError(f"unknown point label {lab!r}")
-                    arr[sys.index[lab]] += _finite_pair(value, f"coefficient of {lab!r} at power {i}")
+                    arr[_point(sys, lab)] += _finite_pair(value, f"coefficient of {lab!r} at power {i}")
         else:
             raise ScenarioError(f"band entry {entry!r} needs 'coefficients' or 'constant'")
     return CrossedElement(sys, coeffs)
@@ -284,9 +282,9 @@ def run_markers(args: dict, doc: dict) -> dict:
     sys = _read_system(args["system"])
     rep = _report_shell("markers", args)
     d = args["d"] if args["d"] is not None else sys.declared_dim
-    cert = greedy_markers(sys, args["m"], range(sys.n), d)
+    cert = greedy_markers(sys, args["m"], np.arange(sys.n), d)
     rep["markers"] = {
-        "positions": sorted(sys.labels[x] for x in cert.markers),
+        "positions": sorted(map(sys.labels.__getitem__, cert.markers.tolist())),
         "count": len(cert.markers),
         "m": cert.m,
         "d": cert.d,
@@ -330,13 +328,13 @@ def run_towers(args: dict, doc: dict) -> dict:
     d = args["d"] if args["d"] is not None else sys.declared_dim
     eps = str(args["epsilon"])
     rep = _report_shell("towers", dict(args, d=d, epsilon=eps))
-    family = build_tower_family(sys, d, args["k"], args["m"], eps, range(sys.n))
+    family = build_tower_family(sys, d, args["k"], args["m"], eps, np.arange(sys.n))
     tower = verify_tower(family)
     rank, labels = sys.orbits().rank, np.array(sys.labels, dtype=object)
     rep["towers"] = {
         "levels": family.levels,
         "k_prime": family.k_prime,
-        "supports": [sorted(sys.labels[x] for x in s) for s in family.supports],
+        "supports": [sorted(map(sys.labels.__getitem__, s)) for s in family.points[:, :, family.m].tolist()],
         "step_bound": tower.step_bound,
         "step_measured": tower.step_measured,
         "conservation_exact": tower.conservation_exact,
@@ -346,8 +344,7 @@ def run_towers(args: dict, doc: dict) -> dict:
         _assertion("conservation_error", tower.conservation_error, 1e-12, tower.conservation_exact),
         _assertion("step_measured", tower.step_measured, tower.step_bound),
         _assertion("step_bound_vs_epsilon", tower.step_bound, float(family.eps), tower.step_below_eps),
-        _assertion("support_disjointness_violations", int(not tower.supports_disjoint), 0,
-                   tower.supports_disjoint),
+        _assertion("support_disjointness_violations", int(not tower.supports_disjoint), 0),
     ]
     return rep
 
@@ -421,18 +418,19 @@ def run_approx(args: dict, doc: dict) -> dict:
     if args["e"] is not None:
         e_values = np.zeros(sys.n)
         for lab, v in args["e"].items():
-            e_values[_labels_to_indices(sys, [lab])[0]] = _finite_number(v, f"e at {lab!r}")
+            e_values[_point(sys, lab)] = _finite_number(v, f"e at {lab!r}")
     run = run_approximation(
         sys, F, args["epsilon"], N_override=args["N"], e_values=e_values,
         norm_tol=_ratio_float(args["tol"]),
     )
     fz = run.factorization
     p = run.params
+    long_size = int(p.split.long.sum())
     rep["parameters"] = {
         "d": p.d, "k": p.k, "m": p.m, "N": p.N,
         "eps": float(p.eps), "eps_prime": float(p.eps_prime),
-        "short_part_size": len(p.split.y_part),
-        "long_part_size": len(p.split.complement),
+        "short_part_size": sys.n - long_size,
+        "long_part_size": long_size,
     }
     rep["ledger"] = {
         "quotient_colors_declared": fz.ledger.quotient_colors_declared,
@@ -445,9 +443,7 @@ def run_approx(args: dict, doc: dict) -> dict:
     for claim in (fz.quotient_corner, fz.ideal_corner, fz.final):
         if claim is None:
             continue
-        rep["assertions"].append(
-            _assertion(claim.name, claim.max_measured, claim.bound + claim.norm_tol, claim.passed)
-        )
+        rep["assertions"].append(_assertion(claim.name, claim.max_measured, claim.bound + claim.norm_tol))
     if fz.sqrt_step is not None:
         step = fz.sqrt_step
         rep["assertions"].append(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -86,19 +86,21 @@ class FiniteDynamicalSystem:
         """Index array of the i-th forward iterate (negative i gives the inverse)."""
         return self.orbits().iterate(i, slice(None))
 
-    def apply(self, i: int, subset: Iterable[int]) -> frozenset[int]:
-        """Image of a point subset under the i-th forward iterate."""
-        return frozenset(self.orbits().iterate(i, np.fromiter(subset, dtype=np.int64)).tolist())
+    def mask(self, points) -> np.ndarray:
+        """Boolean mask over the points of an array-like of point indices."""
+        mask = np.zeros(self.n, dtype=bool)
+        mask[np.asarray(points, np.int64)] = True
+        return mask
 
-    def translate_counts(self, subset: Iterable[int], lo: int, hi: int) -> np.ndarray:
-        """counts[x] = number of i in [lo, hi] with x in alpha_i(subset), for a
-        set of distinct points (an iterable, or an index array used as it is).
+    def translate_counts(self, subset: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """counts[x] = number of i in [lo, hi] with x in alpha_i(subset), for an
+        index array of distinct points.
 
         Steps the permutation one shift at a time, so a sweep over many
         exponents costs one gather per exponent and caches no power arrays.
         """
         counts = np.zeros(self.n, dtype=np.int64)
-        cur = subset if isinstance(subset, np.ndarray) else np.fromiter(subset, dtype=np.int64)
+        cur = subset
         step = self.perm if lo > 0 else self.perm_inv
         for _ in range(abs(lo)):
             cur = step[cur]
@@ -116,13 +118,14 @@ class FiniteDynamicalSystem:
         return f"FiniteDynamicalSystem(n={self.n}, d={self.declared_dim})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cycle:
-    """One forward-closed cycle; ``order[p+1]`` is the forward image of ``order[p]``."""
+    """One forward-closed cycle; ``order[p+1]`` is the forward image of
+    ``order[p]``.  ``order`` is a read-only view of the decomposition's order."""
 
     base: int
     length: int
-    order: tuple[int, ...]
+    order: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -153,11 +156,11 @@ class OrbitDecomposition:
 
 @dataclass(frozen=True)
 class InvariantSplit:
-    """Invariant split into short-orbit points (y_part) and long-orbit points."""
+    """Invariant split at N: ``long`` masks the points on cycles longer than
+    N; the rest lie on short cycles."""
 
     N: int
-    y_part: frozenset[int]
-    complement: frozenset[int]
+    long: np.ndarray
 
 
 def _base_rank_and_position(sys: FiniteDynamicalSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -197,10 +200,12 @@ def orbit_decomposition(sys: FiniteDynamicalSystem) -> OrbitDecomposition:
     start, length = offsets[low], sizes[low]
     order = np.empty(sys.n, dtype=np.int64)
     order[start + pos] = np.arange(sys.n)
-    bounds = zip(offsets[sizes > 0].tolist(), sizes[sizes > 0].tolist())
-    del low, sizes, offsets  # freed before the Python ints below are made
-    flat = order.tolist()
-    cycles = tuple(Cycle(base=flat[a], length=size, order=tuple(flat[a : a + size])) for a, size in bounds)
+    order.flags.writeable = False
+    offsets, sizes = offsets[sizes > 0], sizes[sizes > 0]
+    cycles = tuple(
+        Cycle(base=base, length=size, order=order[a : a + size])
+        for base, a, size in zip(order[offsets].tolist(), offsets.tolist(), sizes.tolist())
+    )
     return OrbitDecomposition(cycles=cycles, order=order, start=start, length=length, pos=pos, rank=rank)
 
 
@@ -208,11 +213,7 @@ def invariant_split(sys: FiniteDynamicalSystem, N: int) -> InvariantSplit:
     """Split into the union of cycles of length <= N and its complement."""
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
-    short: set[int] = set()
-    long_: set[int] = set()
-    for cyc in sys.orbits().cycles:
-        (short if cyc.length <= N else long_).update(cyc.order)
-    return InvariantSplit(N=int(N), y_part=frozenset(short), complement=frozenset(long_))
+    return InvariantSplit(N=int(N), long=sys.orbits().length > N)
 
 
 @dataclass(frozen=True)

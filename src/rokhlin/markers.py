@@ -10,9 +10,9 @@ any candidate marker set exhaustively for the two conditions the towers need:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .dynsys import FiniteDynamicalSystem
 
@@ -32,16 +32,17 @@ class MarkerError(ValueError):
 class MarkerCertificate:
     """Marker set with exhaustively verified disjointness and covering flags.
 
-    ``flag_disjoint`` certifies that the translates of ``markers`` over
-    [-m, m] are pairwise disjoint; ``flag_cover`` certifies that the forward
-    translates over [1, (d+1)(4m+1)] cover ``K``.  On failure the witness
-    records the offending shifts/point.
+    ``markers`` is a sorted index array and ``K`` a boolean mask over the
+    points.  ``flag_disjoint`` certifies that the translates of ``markers``
+    over [-m, m] are pairwise disjoint; ``flag_cover`` certifies that the
+    forward translates over [1, (d+1)(4m+1)] cover ``K``.  On failure the
+    witness records the offending shifts/point.
     """
 
-    markers: frozenset[int]
+    markers: np.ndarray
     m: int
     d: int
-    K: frozenset[int]
+    K: np.ndarray
     flag_disjoint: bool
     flag_cover: bool
     witness_disjoint: tuple | None = None
@@ -56,36 +57,38 @@ class MarkerCertificate:
 
 
 def marker_certificate(
-    sys: FiniteDynamicalSystem, markers: Iterable[int], m: int, K: Iterable[int], d: int | None = None
+    sys: FiniteDynamicalSystem, markers: ArrayLike, m: int, K: ArrayLike, d: int | None = None
 ) -> MarkerCertificate:
-    """Check conditions (a) and (b) for an arbitrary candidate marker set."""
+    """Check conditions (a) and (b) for an arbitrary candidate marker set
+    (point indices; repeats count once)."""
     if d is None:
         d = sys.declared_dim
-    Z = frozenset(markers)
-    K = frozenset(K)
+    Z = np.unique(np.asarray(markers, np.int64))
+    in_K = sys.mask(K)
     N = (d + 1) * (4 * m + 1)
 
     flag_a, wit_a = True, None
     counts = sys.translate_counts(Z, -m, m)
     if counts.max(initial=0) > 1:
         bad = int(np.argmax(counts))
-        hits = [i for i in range(-m, m + 1) if bad in sys.apply(i, Z)]
-        flag_a, wit_a = False, (sys.labels[bad], tuple(hits))
+        shifts = np.arange(-m, m + 1)
+        # bad lies in alpha_i(Z) exactly when alpha_{-i}(bad) lies in Z
+        hits = shifts[np.isin(sys.orbits().iterate(-shifts, bad), Z)]
+        flag_a, wit_a = False, (sys.labels[bad], tuple(hits.tolist()))
 
-    covered = sys.translate_counts(Z, 1, N) > 0
-    missing = [x for x in sorted(K) if not covered[x]]
-    flag_b, wit_b = (False, missing[0]) if missing else (True, None)
+    missing = np.flatnonzero(in_K & (sys.translate_counts(Z, 1, N) == 0))
+    flag_b, wit_b = (False, int(missing[0])) if missing.size else (True, None)
 
     return MarkerCertificate(
-        markers=Z, m=m, d=d, K=K, flag_disjoint=flag_a, flag_cover=flag_b,
+        markers=Z, m=m, d=d, K=in_K, flag_disjoint=flag_a, flag_cover=flag_b,
         witness_disjoint=wit_a, witness_cover=wit_b,
     )
 
 
 def greedy_markers(
-    sys: FiniteDynamicalSystem, m: int, K: Iterable[int], d: int | None = None
+    sys: FiniteDynamicalSystem, m: int, K: ArrayLike, d: int | None = None
 ) -> MarkerCertificate:
-    """Arithmetic marker placement on every cycle meeting K.
+    """Arithmetic marker placement on every cycle meeting K (point indices).
 
     Each cycle of length L receives q = floor(L / (2m+1)) markers anchored at
     the cycle's least label, with gaps starting at 2m+1 and the remainder
@@ -97,24 +100,20 @@ def greedy_markers(
         raise MarkerError(f"m must be >= 1, got {m}")
     if d is None:
         d = sys.declared_dim
-    K = frozenset(K)
+    K = np.asarray(K, np.int64)
     N = (d + 1) * (4 * m + 1)
     orbs = sys.orbits()
-    markers: set[int] = set()
-    for cyc in orbs.cycles:
-        if not K.intersection(cyc.order):
-            continue
-        if cyc.length <= N:
+    markers = [np.empty(0, dtype=np.int64)]
+    # each cycle meeting K once, by its offset in the cycle order
+    for a in np.unique(orbs.start[K]).tolist():
+        base = int(orbs.order[a])
+        L = int(orbs.length[base])
+        if L <= N:
             raise MarkerError(
-                f"cycle at {sys.labels[cyc.base]!r} has length {cyc.length}; "
+                f"cycle at {sys.labels[base]!r} has length {L}; "
                 f"markers need length > (d+1)(4m+1) = {N}"
             )
-        q, r = divmod(cyc.length, 2 * m + 1)
-        gaps = [2 * m + 1] * q
-        for t in range(r):
-            gaps[t % q] += 1
-        pos = 0
-        for g in gaps:
-            markers.add(cyc.order[pos])
-            pos += g
-    return marker_certificate(sys, markers, m, K, d)
+        q, r = divmod(L, 2 * m + 1)
+        gaps = 2 * m + 1 + r // q + (np.arange(q) < r % q)
+        markers.append(orbs.order[a + np.cumsum(gaps) - gaps])
+    return marker_certificate(sys, np.concatenate(markers), m, K, d)

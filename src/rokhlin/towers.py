@@ -7,10 +7,11 @@ it over the window [-k', k'] to gain approximate equivariance.
 Every function of level l lives on the [-m, m] translates of support l, and
 those translates are pairwise disjoint, so a level is stored in tower
 coordinates: ``points[l, s, j + m]`` is the j-th forward image of anchor s
-(the sorted support points) and ``num[l, s, j + m]`` the value there, an int64
-numerator over one common denominator D = lcm(cover counts) * (2k'+1).  The
-average is then a moving-window sum along j, conservation is checked exactly,
-and the step is an exact difference of numerators.  A family with
+(the sorted support points, so ``points[:, :, m]`` are the anchors) and
+``num[l, s, j + m]`` the value there, an int64 numerator over one common
+denominator D = lcm(cover counts) * (2k'+1).  The average is then a
+moving-window sum along j, conservation is checked exactly, and the step is
+an exact difference of numerators.  A family with
 D >= 2^53 or (2m+1) D >= 2^63 is refused with a ``TowerError``: below those
 limits the reported floats num / D are correctly rounded and no int64 sum
 overflows.  Sup norms are the only floating-point quantities.
@@ -25,9 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .dynsys import FiniteDynamicalSystem
 from .markers import MarkerCertificate, greedy_markers, marker_certificate
@@ -63,11 +65,8 @@ def min_window_length(d: int, k: int) -> int:
     return math.ceil(((2 * d + 3) * k) - d / 2 - 1)
 
 
-def _tower_points(
-    sys: FiniteDynamicalSystem, supports: Sequence[frozenset[int]], m: int
-) -> np.ndarray:
-    """points[l, s, j + m] = alpha_j(s-th smallest point of support l), |j| <= m."""
-    anchors = np.array([sorted(sup) for sup in supports], dtype=np.int64)
+def _tower_points(sys: FiniteDynamicalSystem, anchors: np.ndarray, m: int) -> np.ndarray:
+    """points[l, s, j + m] = alpha_j(anchors[l, s]), |j| <= m."""
     return sys.orbits().iterate(np.arange(-m, m + 1), anchors[..., None])
 
 
@@ -107,8 +106,9 @@ def _common_denominator(cover_counts: Iterable[int], k_prime: int, m: int) -> in
 
 def tower_supports(
     sys: FiniteDynamicalSystem, cert: MarkerCertificate, d: int, k: int, m: int
-) -> tuple[frozenset[int], ...]:
-    """Shift a certified marker set into 2d+3 staggered supports.
+) -> np.ndarray:
+    """Shift a certified marker set into 2d+3 staggered supports, returned as
+    the (levels, anchors) array of each support's points in sorted order.
 
     Support l is the ((2(m-k)+1) l + (m-k) + 1)-th forward image of the
     markers.  Verifies exhaustively that the [-m, m] translates of each
@@ -124,20 +124,16 @@ def tower_supports(
         raise TowerError("marker certificate is invalid")
     if cert.m != m:
         raise TowerError(f"certificate was built for m = {cert.m}, not {m}")
-    Z = cert.markers
-    supports = tuple(
-        sys.apply((2 * (m - k) + 1) * l + (m - k) + 1, Z) for l in range(2 * d + 3)
-    )
-    points = _tower_points(sys, supports, m)
+    shifts = (2 * (m - k) + 1) * np.arange(2 * d + 3) + (m - k) + 1
+    anchors = np.sort(sys.orbits().iterate(shifts[:, None], cert.markers), axis=1)
+    points = _tower_points(sys, anchors, m)
     overlap = _overlapping_level(points, sys.n)
     if overlap is not None:
         raise TowerError(f"translates of support {overlap} are not pairwise disjoint")
-    covered = np.zeros(sys.n, dtype=bool)
-    covered[points[..., k : 2 * m + 1 - k]] = True
-    missing = [x for x in sorted(cert.K) if not covered[x]]
-    if missing:
+    missing = np.flatnonzero(cert.K & ~sys.mask(points[..., k : 2 * m + 1 - k]))
+    if missing.size:
         raise TowerError(f"supports do not cover {sys.labels[missing[0]]!r}")
-    return supports
+    return anchors
 
 
 @dataclass(frozen=True)
@@ -158,33 +154,32 @@ class PartitionOfUnity:
 
 def build_partition(
     sys: FiniteDynamicalSystem,
-    supports: Sequence[frozenset[int]],
+    anchors: np.ndarray,
     m: int,
     k_prime: int,
-    K_prime: Iterable[int],
+    K_prime: ArrayLike,
 ) -> PartitionOfUnity:
-    """Divide each point of K' equally among the (l, j) support translates covering it.
+    """Divide each point of K' (point indices) equally among the (l, j)
+    translates of the supports with the given (levels, anchors) covering it.
 
     Only indices |j| <= m - k' participate.  A point of K' covered by no pair
     is a certificate failure and is reported.  The denominator is
     lcm(cover counts), so that averaging over 2k'+1 rungs lands on the common
     denominator D, which is checked here before any value is formed.
     """
-    K_prime = sorted(set(K_prime))
-    points = _tower_points(sys, supports, m)
-    in_K = np.zeros(sys.n, dtype=bool)
-    in_K[K_prime] = True
+    points = _tower_points(sys, anchors, m)
+    in_K = sys.mask(K_prime)
     cover = np.zeros(points.shape, dtype=bool)
     cover[..., k_prime : 2 * m + 1 - k_prime] = True
     cover &= in_K[points]
     counts = np.bincount(points[cover], minlength=sys.n)
-    missing = [x for x in K_prime if counts[x] == 0]
-    if missing:
+    missing = np.flatnonzero(in_K & (counts == 0))
+    if missing.size:
         raise TowerError(
             f"point {sys.labels[missing[0]]!r} of K' is covered by no support translate "
             "(invalid marker certificate)"
         )
-    den = _common_denominator(np.unique(counts[K_prime]).tolist(), k_prime, m) // (2 * k_prime + 1)
+    den = _common_denominator(np.unique(counts[in_K]).tolist(), k_prime, m) // (2 * k_prime + 1)
     num = np.zeros(points.shape, dtype=np.int64)
     num[cover] = den // counts[points[cover]]
     return PartitionOfUnity(points=points, num=num, den=den)
@@ -205,13 +200,14 @@ class TowerFamily:
 
     ``num[l, s, j + m] / den`` is mu[l][j] at ``points[l, s, j + m]``, the
     j-th forward image of anchor s of support l; mu[l][j] vanishes at every
-    other point and for |j| > m.  ``K`` is the compact set as a boolean mask
-    over the points.  By construction
+    other point and for |j| > m.  ``K`` is the compact set and ``K_prime``
+    its enlargement K', both as boolean masks over the points.  By construction
     mu[l][j] = (2k'+1)^{-1} sum_{|i| <= k'} p[l][j+i] o alpha_i.
 
     Invariants (checked by ``verify_tower``): values in [0, 1], points equal
-    to the translates of the supports, which stay pairwise disjoint, exact
-    conservation on K, and the averaged-step bound 2k / (2k' + 1).
+    to the translates of the anchors ``points[:, :, m]``, which stay pairwise
+    disjoint, exact conservation on K, and the averaged-step bound
+    2k / (2k' + 1).
     """
 
     sys: FiniteDynamicalSystem
@@ -221,15 +217,14 @@ class TowerFamily:
     eps: Fraction
     K: np.ndarray
     k_prime: int
-    K_prime: frozenset[int]
-    supports: tuple[frozenset[int], ...]
+    K_prime: np.ndarray
     points: np.ndarray
     num: np.ndarray
     den: int
 
     @property
     def levels(self) -> int:
-        return len(self.supports)
+        return len(self.points)
 
     def mu_array(self, l: int, j: int) -> np.ndarray:
         out = np.zeros(self.sys.n)
@@ -250,34 +245,34 @@ def build_tower_family(
     k: int,
     m: int,
     eps,
-    K: Iterable[int],
-    markers: Iterable[int] | None = None,
+    K: ArrayLike,
+    markers: ArrayLike | None = None,
 ) -> TowerFamily:
     """Run the full tower pipeline: markers -> supports -> partition -> averaging.
 
     k' = k * ceil(1/eps) and K' = union of the [-k', k'] translates of K are
-    derived here.  The marker set defaults to the greedy placement for
-    (m, K'); a custom set may be supplied and is certified before use.
+    derived here; K and the markers are point indices.  The marker set
+    defaults to the greedy placement for (m, K'); a custom set may be supplied
+    and is certified before use.
     """
     eps = as_fraction(eps)
     if eps <= 0:
         raise TowerError("eps must be positive")
-    in_K = np.zeros(sys.n, dtype=bool)
-    in_K[np.fromiter(K, dtype=np.int64)] = True
+    in_K = sys.mask(K)
     k_prime = k * math.ceil(1 / eps)
-    counts = sys.translate_counts(np.flatnonzero(in_K), -k_prime, k_prime)
-    K_prime = frozenset(np.flatnonzero(counts).tolist())
+    K_prime = sys.translate_counts(np.flatnonzero(in_K), -k_prime, k_prime) > 0
+    enlarged = np.flatnonzero(K_prime)
     if markers is None:
-        cert = greedy_markers(sys, m, K_prime, d)
+        cert = greedy_markers(sys, m, enlarged, d)
     else:
-        cert = marker_certificate(sys, markers, m, K_prime, d)
+        cert = marker_certificate(sys, markers, m, enlarged, d)
     if not cert.ok():
         raise TowerError(f"marker certificate failed: {cert}")
-    supports = tower_supports(sys, cert, d, k_prime, m)
-    partition = build_partition(sys, supports, m, k_prime, K_prime)
+    anchors = tower_supports(sys, cert, d, k_prime, m)
+    partition = build_partition(sys, anchors, m, k_prime, enlarged)
     return TowerFamily(
         sys=sys, d=d, k=k, m=m, eps=eps, K=in_K, k_prime=k_prime,
-        K_prime=K_prime, supports=supports, points=partition.points,
+        K_prime=K_prime, points=partition.points,
         num=_window_sum(partition.num, k_prime), den=partition.den * (2 * k_prime + 1),
     )
 
@@ -328,7 +323,7 @@ def verify_tower(family: TowerFamily) -> TowerReport:
         step_bound=float(bound),
         step_below_eps=(bound < family.eps),
         supports_disjoint=_overlapping_level(points, family.sys.n) is None,
-        supports_contain=np.array_equal(points, _tower_points(family.sys, family.supports, family.m)),
+        supports_contain=np.array_equal(points, _tower_points(family.sys, points[:, :, family.m], family.m)),
         vanishes_outside=num.shape[-1] == 2 * family.m + 1,
         values_in_unit_interval=bool(((num >= 0) & (num <= den)).all()),
     )

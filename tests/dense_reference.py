@@ -109,14 +109,14 @@ def dense_quotient_fibers(quotient, b, target=None) -> list[CombinedFiber]:
 
 def ideal_anchors(ideal, l: int) -> np.ndarray:
     """The points of support l in increasing order: anchor s is the s-th."""
-    return np.array(sorted(ideal.family.supports[l]), dtype=np.int64)
+    return ideal.family.points[l, :, ideal.params.m]
 
 
 def ideal_blocks(ideal, l: int, b) -> np.ndarray:
     """summing(l, b) scattered into an (anchors, 2m+1, 2m+1) array: entry
     [s, j + m, j' + m] is block (j, j') at anchor s."""
     m = ideal.params.m
-    out = np.zeros((len(ideal.family.supports[l]), 2 * m + 1, 2 * m + 1), dtype=np.complex128)
+    out = np.zeros((len(ideal_anchors(ideal, l)), 2 * m + 1, 2 * m + 1), dtype=np.complex128)
     for i, cols, vals in ideal.summing(l, b):
         out[:, cols, cols - i] = vals
     return out

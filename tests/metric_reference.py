@@ -157,7 +157,7 @@ def free_locus(sys: FiniteDynamicalSystem, M: Iterable[int]) -> frozenset[int]:
     for cyc in sys.orbits().cycles:
         residues = {g % cyc.length for g in M}
         if len(residues) == len(M):
-            out.update(cyc.order)
+            out.update(cyc.order.tolist())
     return frozenset(out)
 
 

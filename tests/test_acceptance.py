@@ -240,7 +240,7 @@ def test_criterion_10_marker_cross_validation():
         local = local_marker(sys, cycle_metric(lengths), range(sys.n), window)
         greedy = greedy_markers(sys, m, range(sys.n), d)
         # identical exhaustive checks on both outputs
-        local_cert = marker_certificate(sys, local.markers, m, range(sys.n), d)
+        local_cert = marker_certificate(sys, sorted(local.markers), m, range(sys.n), d)
         all_ok = all_ok and local.flag_disjoint and local.flag_cover
         all_ok = all_ok and local_cert.flag_disjoint and local_cert.flag_cover
         all_ok = all_ok and greedy.flag_disjoint and greedy.flag_cover

@@ -5,6 +5,7 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rokhlin
@@ -28,3 +29,25 @@ def test_package_imports_resolve():
         for alias in node.names:
             assert hasattr(module, alias.name), f"rokhlin.{node.module}.{alias.name}"
             assert hasattr(rokhlin, alias.asname or alias.name)
+
+
+def test_point_sets_are_arrays_on_the_tower_path():
+    # every point subset is a boolean mask and every ordered list of points a
+    # sorted int64 index array
+    from rokhlin.dynsys import invariant_split, make_cycle_system
+    from rokhlin.markers import greedy_markers
+    from rokhlin.towers import build_tower_family, tower_supports
+
+    sys = make_cycle_system([3, 100])
+    split = invariant_split(sys, 25)
+    cert = greedy_markers(sys, 5, np.flatnonzero(split.long))
+    anchors = tower_supports(sys, cert, 0, 2, 5)
+    family = build_tower_family(sys, 0, 1, 5, "1/2", np.flatnonzero(split.long))
+    for mask in (split.long, cert.K, family.K, family.K_prime):
+        assert isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (sys.n,)
+    for points in (cert.markers, anchors, family.points[:, :, family.m]):
+        assert isinstance(points, np.ndarray) and points.dtype == np.int64
+        assert (np.diff(points, axis=-1) > 0).all()
+    assert anchors.shape == (3, len(cert.markers))
+    for cyc in sys.orbits().cycles:
+        assert isinstance(cyc.order, np.ndarray) and not cyc.order.flags.writeable

@@ -74,7 +74,7 @@ class TestDeriveParams:
         sys = make_cycle_system([3, 7, 1500], d=0)
         p = derive_params([unit(sys)], "3/10", sys)
         assert (p.k, p.eps_prime, p.m, p.N) == (1, Fraction(1, 100), 300, 1201)
-        assert len(p.split.y_part) == 10 and len(p.split.complement) == 1500
+        assert (~p.split.long).sum() == 10 and p.split.long.sum() == 1500
 
     def test_sqrt_modulus_rule(self):
         # |s - t| < eps' forces |sqrt s - sqrt t| < eps/(2k+1) on [0, 1]
@@ -100,7 +100,7 @@ class TestDeriveParams:
         sys = make_cycle_system([3, 5])
         p = derive_params([unit(sys)], "3/2", sys)
         assert p.quotient_only
-        assert not p.split.complement
+        assert not p.split.long.any()
 
     def test_empty_F_rejected(self):
         with pytest.raises(ApproxError, match="nonempty"):
@@ -113,9 +113,9 @@ class TestQuasicentral:
         p = derive_params([unit(sys)], "3/2", sys, N_override=25)
         rep = quasicentral_unit(sys, p.split, p.F)
         assert rep.is_central_projection
-        comp = sorted(p.split.complement)
-        assert np.all(rep.e[comp] == 1.0)
-        assert rep.commutator_error == 0.0
+        assert np.all(rep.e[p.split.long] == 1.0)
+        # e vanishes on the short part, where the lifted quotient maps live
+        assert np.all(rep.e[~p.split.long] == 0.0)
         assert rep.corner_errors == (0.0,)
 
     def test_central_corner_split_is_exact(self):
@@ -153,7 +153,7 @@ class TestQuasicentral:
         sys = make_cycle_system([3, 100])
         p = derive_params([unit(sys)], "3/2", sys, N_override=25)
         e = np.zeros(sys.n)
-        e[sorted(p.split.complement)[0]] = 1.5
+        e[np.flatnonzero(p.split.long)[0]] = 1.5
         with pytest.raises(ApproxError, match=r"\[0, 1\]"):
             quasicentral_unit(sys, p.split, p.F, e_values=e)
 
@@ -449,7 +449,7 @@ class TestIdealSide:
             if rng.random() < 0.5:
                 i2 = j1  # exercise the nonvanishing branch half the time
             nonvanishing += i2 == j1
-            x, y = (np.zeros((len(ideal.family.supports[l]), 2 * m + 1, 2 * m + 1), dtype=np.complex128)
+            x, y = (np.zeros((len(ideal_anchors(ideal, l)), 2 * m + 1, 2 * m + 1), dtype=np.complex128)
                     for _ in range(2))
             x[:, i1, j1] = rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))
             y[:, i2, j2] = rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y))
@@ -499,7 +499,7 @@ class TestIdealSide:
         ideal = self.ideal
         sys = self.sys
         m = ideal.params.m
-        sup = sorted(ideal.family.supports[0])
+        sup = ideal_anchors(ideal, 0).tolist()
         blocks = np.zeros((len(sup), 2 * m + 1, 2 * m + 1), dtype=np.complex128)
         blocks[:, 3 + m, 3 + m] = 1.0
         out = ideal_return(ideal, 0, blocks)
@@ -511,7 +511,7 @@ class TestIdealSide:
     def test_offdiagonal_disjoint_products_vanish(self):
         ideal = self.ideal
         m = ideal.params.m
-        units = np.zeros((2, len(ideal.family.supports[0]), 2 * m + 1, 2 * m + 1), dtype=np.complex128)
+        units = np.zeros((2, len(ideal_anchors(ideal, 0)), 2 * m + 1, 2 * m + 1), dtype=np.complex128)
         units[0][:, 0 + m, 1 + m] = 1.0
         units[1][:, 2 + m, 3 + m] = 1.0  # 1 != 2: supports disjoint
         x, y = (ideal_return(ideal, 0, u) for u in units)
@@ -546,7 +546,7 @@ class TestIdealSide:
 
     def test_family_off_the_support_of_e_rejected(self):
         params, e = self.run.params, self.run.equnit.e
-        part = sorted(params.split.complement)[:30]
+        part = np.flatnonzero(params.split.long)[:30]
         other = build_tower_family(self.sys, params.d, params.k, params.m, params.eps_prime, part)
         with pytest.raises(ApproxError, match=r"^tower family was not built on the support of e$"):
             ideal_approx(params, other, e)
@@ -556,7 +556,7 @@ class TestIdealSide:
         assert ideal_approx(params, other, inside).family is other
 
     def test_family_parameter_mismatch_rejected(self):
-        other = build_tower_family(self.sys, 0, 1, 14, "1/4", sorted(self.run.params.split.complement))
+        other = build_tower_family(self.sys, 0, 1, 14, "1/4", np.flatnonzero(self.run.params.split.long))
         with pytest.raises(ApproxError, match="does not match"):
             ideal_approx(self.run.params, other, self.run.equnit.e)
 
@@ -660,7 +660,7 @@ def claims_from_scratch(run, norm_tol):
     as a whole-element norm, and the final defect against b itself."""
     params, quotient, ideal, equnit = run.params, run.quotient, run.ideal, run.equnit
     sys = params.sys
-    long_cycles = [c for c in sys.orbits().cycles if c.base in params.split.complement]
+    long_cycles = [c for c in sys.orbits().cycles if params.split.long[c.base]]
 
     def short_fields(b, target):
         return dense_quotient_fibers(quotient, b, target)

@@ -55,7 +55,7 @@ def walk_decomposition(sys):
             seen[x] = True
             order.append(x)
             x = int(sys.perm[x])
-        cycles.append(Cycle(base=start, length=len(order), order=tuple(order)))
+        cycles.append(Cycle(base=start, length=len(order), order=np.array(order, dtype=np.int64)))
     order = np.array([x for c in cycles for x in c.order], dtype=np.int64)
     start, length, pos = (np.empty(sys.n, dtype=np.int64) for _ in range(3))
     offset = 0
@@ -195,6 +195,19 @@ class TestFactories:
             tracemalloc.stop()
         assert sys.n == 100_010 and peak < 32 * 2**20
 
+    def test_orbits_and_split_hold_arrays_only(self):
+        # five int64 arrays over the points (3.8 MiB at 10^5 points) and one
+        # mask: no per-point Python ints in the cycles or the split
+        sys = make_cycle_system([3, 7, 10**5])
+        tracemalloc.start()
+        try:
+            split = invariant_split(sys, 50)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 5 * 2**20
+        assert split.long.sum() == 10**5
+
     def test_rotation_full_orbit(self):
         sys = make_rotation_system(12, 5)
         assert brute_orbit_lengths(sys) == [12]
@@ -232,7 +245,11 @@ class TestOrbitsAndSplit:
         rank = np.empty(sys.n, dtype=np.int64)
         rank[sorted(range(sys.n), key=sys.labels.__getitem__)] = np.arange(sys.n)
         dec = orbit_decomposition(sys)
-        assert dec.cycles == cycles
+        assert len(dec.cycles) == len(cycles)
+        for got, want in zip(dec.cycles, cycles):
+            assert (got.base, got.length) == (want.base, want.length)
+            assert np.array_equal(got.order, want.order)
+            assert not got.order.flags.writeable and np.shares_memory(got.order, dec.order)
         for name, want in (("order", order), ("start", start), ("length", length), ("pos", pos), ("rank", rank)):
             got = getattr(dec, name)
             assert got.dtype == np.int64 and np.array_equal(got, want), name
@@ -245,13 +262,14 @@ class TestOrbitsAndSplit:
     def test_split_examples(self):
         sys = make_cycle_system([3, 10])
         sp = invariant_split(sys, 5)
-        assert len(sp.y_part) == 3 and len(sp.complement) == 10
-        assert not invariant_split(sys, 10).complement
+        assert (~sp.long).sum() == 3 and sp.long.sum() == 10
+        assert not invariant_split(sys, 10).long.any()
 
     def test_split_multiset(self):
         sys = make_cycle_system([2, 2, 7, 100])
         sp = invariant_split(sys, 25)
-        assert len(sp.y_part) == 11 and len(sp.complement) == 100
+        assert (~sp.long).sum() == 11 and sp.long.sum() == 100
+        assert np.array_equal(sp.long, sys.orbits().length > 25)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 12), min_size=1, max_size=5))
@@ -265,11 +283,10 @@ class TestOrbitsAndSplit:
     def test_split_invariance_property(self, lengths, N):
         sys = make_cycle_system(lengths)
         sp = invariant_split(sys, N)
-        assert sp.y_part | sp.complement == set(range(sys.n))
-        assert not (sp.y_part & sp.complement)
-        for part in (sp.y_part, sp.complement):
-            assert {int(sys.perm[x]) for x in part} == set(part)
-            assert {int(sys.perm_inv[x]) for x in part} == set(part)
+        assert sp.long.dtype == bool and sp.long.shape == (sys.n,)
+        for part in (~sp.long, sp.long):
+            assert np.array_equal(part[sys.perm], part)
+            assert np.array_equal(part[sys.perm_inv], part)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -278,13 +295,13 @@ class TestOrbitsAndSplit:
         st.integers(-12, 12),
         st.integers(0, 24),
     )
-    def test_translate_counts_match_apply(self, lengths, data, lo, width):
-        # reference: one image per exponent through apply (power_perm)
+    def test_translate_counts_match_power_perm(self, lengths, data, lo, width):
+        # reference: one image per exponent through power_perm
         sys = make_cycle_system(lengths)
-        subset = data.draw(st.frozensets(st.integers(0, sys.n - 1)))
+        subset = np.array(sorted(data.draw(st.frozensets(st.integers(0, sys.n - 1)))), dtype=np.int64)
         expected = np.zeros(sys.n, dtype=np.int64)
         for i in range(lo, lo + width + 1):
-            for x in sys.apply(i, subset):
+            for x in sys.power_perm(i)[subset].tolist():
                 expected[x] += 1
         assert np.array_equal(sys.translate_counts(subset, lo, lo + width), expected)
 
@@ -331,14 +348,14 @@ def shuffled_cycle_systems(draw):
 class TestCycleCoordinates:
     @settings(max_examples=60, deadline=None)
     @given(shuffled_cycle_systems(), st.data())
-    def test_power_perm_and_apply_match_stepping(self, sys, data):
-        subset = data.draw(st.frozensets(st.integers(0, sys.n - 1)))
+    def test_power_perm_and_iterate_match_stepping(self, sys, data):
+        subset = np.array(sorted(data.draw(st.frozensets(st.integers(0, sys.n - 1)))), dtype=np.int64)
         for step, sign in ((sys.perm, 1), (sys.perm_inv, -1)):
             cur = np.arange(sys.n)
             for k in range(3 * sys.n + 1):
                 i = sign * k
                 assert np.array_equal(sys.power_perm(i), cur)
-                assert sys.apply(i, subset) == frozenset(int(cur[x]) for x in subset)
+                assert np.array_equal(sys.orbits().iterate(i, subset), cur[subset])
                 cur = step[cur]
 
     def test_power_perm_keeps_nothing(self):

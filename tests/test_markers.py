@@ -142,10 +142,13 @@ class TestGreedyMarkers:
 
     def test_certificate_witnesses(self):
         sys = make_cycle_system([20])
-        bad = marker_certificate(sys, {0, 1}, 2, range(20))
+        bad = marker_certificate(sys, [0, 1], 2, range(20))
         assert not bad.flag_disjoint and bad.witness_disjoint is not None
-        sparse = marker_certificate(sys, {0}, 1, range(20), d=0)
+        # point 0 is alpha_{-1}(1) and alpha_0(0)
+        assert bad.witness_disjoint == ("c0p00", (-1, 0))
+        sparse = marker_certificate(sys, [0], 1, range(20), d=0)
         assert not sparse.flag_cover and sparse.witness_cover is not None
+        assert sparse.witness_cover == 0  # the translates over [1, 5] miss point 0
 
 
 class TestGroupWindow:
@@ -278,7 +281,7 @@ class TestLocalMarker:
         res = local_marker(sys, cycle_metric(lengths), range(sys.n), w)
         assert res.flag_cover and res.flag_disjoint
         # identical exhaustive checks as the greedy certificate
-        cert = marker_certificate(sys, res.markers, m, range(sys.n), d)
+        cert = marker_certificate(sys, sorted(res.markers), m, range(sys.n), d)
         assert cert.flag_disjoint and cert.flag_cover
         greedy = greedy_markers(sys, m, range(sys.n), d)
         assert greedy.ok()

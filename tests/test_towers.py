@@ -30,7 +30,7 @@ class TestSupports:
         sup = tower_supports(sys, cert, d=0, k=1, m=2)
         assert len(sup) == 3
         for l in range(3):
-            assert sup[l] == sys.apply(3 * l + 2, cert.markers)
+            assert np.array_equal(sup[l], np.sort(sys.power_perm(3 * l + 2)[cert.markers]))
 
     def test_shift_formula_d1(self):
         sys = make_cycle_system([80], d=1)
@@ -38,7 +38,7 @@ class TestSupports:
         sup = tower_supports(sys, cert, d=1, k=1, m=9)
         assert len(sup) == 5
         for l in range(5):
-            assert sup[l] == sys.apply(17 * l + 9, cert.markers)
+            assert np.array_equal(sup[l], np.sort(sys.power_perm(17 * l + 9)[cert.markers]))
 
     def test_window_too_small(self):
         sys = make_cycle_system([30])
@@ -77,10 +77,11 @@ class TestTowerPoints:
         long_cycle = max(sys.orbits().cycles, key=lambda c: c.length)
         m = 300
         family = build_tower_family(sys, 0, 1, m, Fraction(1, 100), long_cycle.order)
-        anchors = np.array([sorted(sup) for sup in family.supports], dtype=np.int64)
+        anchors = family.points[:, :, m]
+        assert (np.diff(anchors, axis=1) > 0).all()  # each support in sorted order
         powers = stepped_powers(sys, m)
         reference = np.stack([powers[j][anchors] for j in range(-m, m + 1)], axis=-1)
-        assert np.array_equal(_tower_points(sys, family.supports, m), reference)
+        assert np.array_equal(_tower_points(sys, anchors, m), reference)
         assert np.array_equal(family.points, reference)
 
 
@@ -128,7 +129,7 @@ class TestPartition:
         jmax = 5 - 2
         for supp in sup:
             for j in range(-jmax, jmax + 1):
-                for x in sys.apply(j, supp):
+                for x in sys.power_perm(j)[supp].tolist():
                     counts[x] = counts.get(x, 0) + 1
         nonzero = [(x, v) for x, v in zip(part.points.ravel().tolist(), part.num.ravel().tolist()) if v]
         for x, v in nonzero:
@@ -146,7 +147,7 @@ class TestPartition:
     def test_total_vanishes_off_K_prime(self):
         # the deficit p_inf = 1 off K' is implicit: no partition value lives there
         K_prime = set(range(20, 70))
-        sys, _, part = self.build(K_prime)
+        sys, _, part = self.build(sorted(K_prime))
         totals = np.zeros(sys.n, dtype=np.int64)
         np.add.at(totals, part.points.ravel(), part.num.ravel())
         assert all(totals[x] == (part.den if x in K_prime else 0) for x in range(sys.n))
@@ -172,21 +173,21 @@ class TestFolner:
     def test_singleton_cover_gives_fifths(self):
         sys = make_cycle_system([100])
         K = set(range(30, 41))
-        fam = build_tower_family(sys, d=0, k=1, m=5, eps="1/2", K=K, markers={27})
+        fam = build_tower_family(sys, d=0, k=1, m=5, eps="1/2", K=sorted(K), markers=[27])
         values = {Fraction(int(v), fam.den) for v in fam.num.ravel()}
         assert values <= {Fraction(i, 5) for i in range(6)}
         assert verify_tower(fam).ok()
 
 
-def _oracle_mu(sys, supports, m, k_prime, K_prime):
+def _oracle_mu(sys, anchors, m, k_prime, K_prime):
     """Exact mu[(l, j, x)] = (2k'+1)^{-1} sum_{|i| <= k'} p[l][j+i](alpha_i x),
-    from an equal-split partition built point by point."""
+    from an equal-split partition built point by point; K_prime is a mask."""
     jmax = m - k_prime
     pairs = {}
-    for l, sup in enumerate(supports):
+    for l, sup in enumerate(anchors):
         for j in range(-jmax, jmax + 1):
-            for x in sys.apply(j, sup):
-                if x in K_prime:
+            for x in sys.power_perm(j)[sup].tolist():
+                if K_prime[x]:
                     pairs.setdefault(x, []).append((l, j))
     mu = {}
     for x, covering in pairs.items():
@@ -221,8 +222,8 @@ class TestExactTowers:
     @given(tower_cases())
     def test_matches_fraction_oracle(self, case):
         sys, d, k, m, eps, K = case
-        fam = build_tower_family(sys, d, k, m, eps, K)
-        mu = _oracle_mu(sys, fam.supports, m, fam.k_prime, fam.K_prime)
+        fam = build_tower_family(sys, d, k, m, eps, sorted(K))
+        mu = _oracle_mu(sys, fam.points[:, :, m], m, fam.k_prime, fam.K_prime)
         got = {
             (l, col - m, int(fam.points[l, s, col])): Fraction(int(fam.num[l, s, col]), fam.den)
             for l, s, col in zip(*np.nonzero(fam.num))
