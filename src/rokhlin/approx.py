@@ -14,7 +14,7 @@ target tolerance eps, the pipeline
    counts are kept: an entry of a fiber that does not wrap around its cycle
    is constant on the circle, so interp(sample(b)) - b lives on the seam
    corner of at most 2k x 2k entries and is measured there, straight from b's
-   coefficients;
+   coefficients -- in closed form where no entry wraps more than once;
 4. approximates the ideal side through matrix algebras over the tower
    supports, compressing by the coordinate window and the tower functions.
    The summing map is kept in one form, band arrays in tower coordinates
@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cstar import CornerFiber, CrossedElement, ElementOrbitFiber, fiber_sup_norm, norm
+from .cstar import CornerFiber, CrossedElement, ElementOrbitFiber, corner_norm, fiber_sup_norm, norm
 from .dynsys import Cycle, FiniteDynamicalSystem, InvariantSplit, invariant_split
 from .towers import TowerFamily, as_fraction, build_tower_family, rung_step, verify_tower
 
@@ -227,7 +227,11 @@ class QuotientSide:
     are stored: the node matrices of b on a cycle are
     ``ElementOrbitFiber(b, cycle).matrices`` at the ``node_count`` roots of
     unity, and interp(sample(b)) - b is measured on its seam corner
-    (``corner_fibers``) straight from b's coefficients.
+    (``corner_fibers``) straight from b's coefficients.  Where no entry of a
+    corner wraps more than once (every band of b has |i| <= L) the corner
+    is g(lam) W+ + conj(g(lam)) W-, and ``cstar.corner_norm`` reads its sup
+    in closed form: the arc's sagitta 2 sin^2(pi / 2s) times the top singular
+    value of W+ + phi W- over the midpoint phases phi.
     """
 
     sys: FiniteDynamicalSystem
@@ -469,7 +473,11 @@ def assemble_and_verify(
     measured once:
 
     - short cycles: interp(sample(b)) - b on its seam corner, read by the
-      quotient corner and the final claim (e vanishes there);
+      quotient corner and the final claim (e vanishes there).  A corner goes
+      to ``cstar.corner_norm``, in closed form, when its ``slack`` is at most
+      norm_tol; the others (an entry that wraps more than once, as u^5 on a
+      3-cycle, or a slack above norm_tol) go to ``fiber_sup_norm`` on the
+      corner's grid;
     - long cycles: (1-e)^{1/2} b (1-e)^{1/2}, the rest of the quotient corner
       (no fields for the default e);
     - long cycles: composite(corner) - corner with corner = e^{1/2} b e^{1/2},
@@ -492,7 +500,10 @@ def assemble_and_verify(
     root, coroot = equnit.sqrt(), equnit.cosqrt()
     quotient_measured, ideal_measured, final_measured = [], [], []
     for b in params.F:
-        short = _sup(sys, quotient.corner_fibers(b), norm_tol)
+        corners = quotient.corner_fibers(b)
+        closed = [fib for fib in corners if fib.slack <= norm_tol]
+        grid = [fib for fib in corners if fib.slack > norm_tol]
+        short = max(corner_norm(sys, closed).value, _sup(sys, grid, norm_tol))
         quotient_err = max(short, _sup(sys, _long_fields(params, b.compressed(coroot)), norm_tol))
         final = quotient_err if equnit.is_central_projection else short
         if ideal is not None:

@@ -13,8 +13,11 @@ chosen from an explicit Lipschitz bound, so the reported value is certified
 from below and value + tol from above.
 
 Fiber spectral norms come from a dense Hermitian eigensolver on cycles of at
-most 32 points and on the seam corners of the quotient side (CornerFiber),
-and otherwise from Lanczos on a(lam)*a(lam).  The dense path screens each
+most 32 points and on the seam corners of the quotient side (CornerFiber)
+that have no closed form, and otherwise from Lanczos on a(lam)*a(lam).  A
+seam corner in which no entry wraps more than once has a closed form
+(corner_norm): the arc's sagitta times the top singular value of S x S
+matrices at the arc-midpoint phases, with no grid.  The dense path screens each
 chunk of grid points by Frobenius norm, which bounds sigma from above: it
 solves the chunk's largest-Frobenius point first, then only the points whose
 Frobenius norm (with a 1e-9 relative margin) reaches the best sigma so far.
@@ -74,6 +77,7 @@ __all__ = [
     "holonomy",
     "norm",
     "fiber_sup_norm",
+    "corner_norm",
     "ElementOrbitFiber",
     "CornerFiber",
 ]
@@ -128,6 +132,12 @@ _SCREEN_MARGIN = 1 + 1e-9
 # 2-vCPU Xeon) u on a 10-cycle takes 12.7/8.9/12.0 ms at blocks of
 # 16/256/4096, and a random L = 32 fiber peaks at 70/76/256 MiB traced
 _SCREEN_BLOCK = 256
+# a phased seam corner (see CornerFiber.phased) is solved in closed form at
+# its s/2 arc-midpoint phases only up to this many; past it, its grid, whose
+# size does not grow with s, costs less (radius 3 on a 4-cycle, one BLAS
+# thread, 2-vCPU Xeon: 11 ms at 3,770 phases and 230 ms at 64,089, against
+# 28-48 ms for the 8,192-point grid at tol 1e-3)
+_CLOSED_MAX_PHASES = 2**14
 # bytes of per-grid-point arrays one streamed grid chunk of a periodic
 # embedding may hold (see PeriodicEmbedding); a system whose single grid
 # point needs more is refused before anything is allocated
@@ -541,6 +551,40 @@ class CornerFiber:
             cols = at[(seam + i) % n]
             rows = seam[cols >= 0]
             self.entries.append((at[rows], cols[cols >= 0], diag[rows], (rows + i) // n, i // n))
+        # (W+, W-): the entries that wrap once forward and once backward, when
+        # no entry wraps more than once (every band has |i| <= n) and every
+        # value is finite; then the field is g(lam) W+ + conj(g(lam)) W- (see
+        # corner_norm)
+        self.wrapped = None
+        if all(np.abs(wraps).max(initial=0) <= 1 and np.isfinite(vals).all() for *_, vals, wraps, _ in self.entries):
+            self.wrapped = np.zeros((2, self.L, self.L), dtype=np.complex128)
+            for rows, cols, vals, wraps, _ in self.entries:
+                for side, w in enumerate((1, -1)):
+                    once = wraps == w
+                    self.wrapped[side, rows[once], cols[once]] += vals[once]
+
+    @property
+    def phased(self) -> bool:
+        """Whether sigma(W+ + phi W-) can depend on the phase phi.  Its Gram
+        matrix carries phi only through W+* W-, which vanishes when W+ or W-
+        does, or when their rows are disjoint (2r <= n: W+ has the last r rows
+        of the cycle, W- the first r)."""
+        w_plus, w_minus = self.wrapped
+        return bool((w_plus.conj().T @ w_minus).any())
+
+    @property
+    def slack(self) -> float:
+        """How far the closed form's upper bound may lie above its value (see
+        corner_norm): 0 unless ``phased``, and inf where the closed form does
+        not apply (``wrapped`` is None) or would solve more than
+        _CLOSED_MAX_PHASES phases."""
+        if self.wrapped is None:
+            return math.inf
+        if not self.phased:
+            return 0.0
+        if self.s // 2 > _CLOSED_MAX_PHASES:
+            return math.inf
+        return _sagitta(self.s) * float(np.linalg.norm(self.wrapped[1])) * 2 * math.pi / self.s
 
     def lip(self) -> float:
         """Arc-Lipschitz bound: the node step over the arc 2 pi / s plus the
@@ -574,6 +618,73 @@ class CornerFiber:
         out += self._block(np.exp(2j * np.pi * ((j0 + 1) % self.s) / self.s), frac)
         out -= self._block(lams)
         return out
+
+
+def _sagitta(s: int) -> float:
+    """The sup of |g| over an arc of the s-node circle, 2 sin^2(pi / 2s): the
+    arc's sagitta (see corner_norm)."""
+    return 2 * math.sin(math.pi / (2 * s)) ** 2
+
+
+def _arc_midpoints(s: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The arc midpoints exp(i pi (2j + 1) / s) for j < count and their
+    phases conj(mid)^2; at count = s/2 these are every distinct midpoint
+    phase (j and j + s/2 share one), 4 pi / s apart."""
+    mid = np.exp(1j * np.pi * (2 * np.arange(count) + 1) / s)
+    return mid, np.conj(mid) ** 2
+
+
+def corner_norm(sys: FiniteDynamicalSystem, corners: Sequence[CornerFiber]) -> NormResult:
+    """Sup norm of corner fields in closed form, for corners with a finite
+    ``slack`` (no entry wraps more than once).
+
+    On the arc between nodes lam_0 and lam_1, with lam at fraction t of it, an
+    entry c lam^w of b's fiber blends to c g_w(lam), g_w = (1-t) lam_0^w +
+    t lam_1^w - lam^w: g_0 = 0, and g_-1 is the conjugate of g = g_1.  So the
+    field is g W+ + conj(g) W-, and sigma(lam) = |g| sigma(W+ + phi W-) with
+    phi = conj(g) / g.  At the arc midpoint g = -sag mid, sag = 2 sin^2(pi / 2s)
+    the sagitta, so phi = conj(mid)^2.
+
+    |g| <= sag on every arc.  Rotate the arc to lam = exp(i x b), x in [-1, 1],
+    b = pi / s <= pi / 2 (s >= 2); with S = sin b and C = cos b,
+    h(x) = |g|^2 - sag^2 = x^2 S^2 + 4 C sin^2(x b / 2) - 2 x S sin(x b),
+    which is even with h(0) = 0.  For y = x b in [0, b],
+    h'(x) / 2 = y S^2 / b - (S - C b) sin y - y S cos y = -S q(y), with
+    q(y) = y cos y + (S - C b) / S sin y - y S / b.  q(0) = q(b) = 0 and
+    q'' = -2 sin y - y cos y - (S - C b) / S sin y <= 0 on [0, b], since
+    tan b >= b; so q >= 0 there, h is nonincreasing on [0, 1] and h <= 0.
+
+    ``value`` is sag times the largest sigma(W+ + phi W-) over the s/2
+    midpoint phases, one batched eigensolve of S x S matrices, and ``argmax``
+    the midpoint attaining it, so value is sigma at a real lam up to
+    eigvalsh's rounding.  The phases lie 4 pi / s apart and phi ->
+    sigma(W+ + phi W-) moves by at most ||W-|| <= ||W-||_F per radian, so
+    value + sag ||W-||_F 2 pi / s (the corner's ``slack``) bounds the sup.
+    Where sigma does not depend on phi (not ``phased``: W+* W- = 0, as when
+    2r <= n for radius r and cycle length n) one matrix is solved and the
+    slack is 0.  ``upper`` = value +
+    ``tol`` is the largest value + slack over the corners; ``grids`` counts
+    the phases solved per orbit."""
+    value, upper, argmax = 0.0, 0.0, None
+    grids: dict[str, int] = {}
+    per_orbit: dict[str, tuple[float, complex]] = {}
+    for fiber in corners:
+        label = sys.labels[fiber.cycle.base]
+        w_plus, w_minus = fiber.wrapped
+        mid, phases = _arc_midpoints(fiber.s, fiber.s // 2 if fiber.phased else 1)
+        chunk = max(1, _DENSE_CHUNK_ENTRIES // (fiber.L * fiber.L))
+        sig = np.concatenate([
+            _sigma_exact(w_plus + phases[lo : lo + chunk, None, None] * w_minus)
+            for lo in range(0, len(phases), chunk)
+        ])
+        j = int(np.argmax(sig))
+        best = _sagitta(fiber.s) * float(sig[j])
+        grids[label], per_orbit[label] = len(phases), (best, complex(mid[j]))
+        upper = max(upper, best + fiber.slack)
+        if best > value:
+            value, argmax = best, (label, complex(mid[j]))
+    return NormResult(value=value, tol=upper - value, argmax=argmax, grids=grids, per_orbit=per_orbit,
+                      solvers=dict.fromkeys(grids, "closed"))
 
 
 def _sigma_exact(mats: np.ndarray) -> np.ndarray:
@@ -774,8 +885,10 @@ class NormResult:
     certified by bisection rather than by a dense estimate and one Sturm
     sweep, ``dense_points`` the grid points that took a dense eigensolve
     (the others on a dense-path fiber were screened out by their Frobenius
-    norm), and ``solvers`` the solver of each orbit, ``"dense"`` or
-    ``"lanczos"``.
+    norm), and ``solvers`` the solver of each orbit, ``"dense"``,
+    ``"lanczos"`` or ``"closed"``.  A closed-form result (corner_norm) has
+    no grid: its tol is the width of its own bound, at most the caller's
+    tol, and ``grids`` counts the phases it solved.
     """
 
     value: float

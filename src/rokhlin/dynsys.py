@@ -96,18 +96,23 @@ class FiniteDynamicalSystem:
         """counts[x] = number of i in [lo, hi] with x in alpha_i(subset), for an
         index array of distinct points.
 
-        Steps the permutation one shift at a time, so a sweep over many
-        exponents costs one gather per exponent and caches no power arrays.
+        Read from cycle coordinates: a subset point on a cycle of length L
+        covers its cycle (hi - lo + 1) // L whole times, and the rest of its
+        window is one arc of the cycle, one or two intervals of ``order``.
+        One difference array over ``order`` and one cumsum count the arcs.
         """
-        counts = np.zeros(self.n, dtype=np.int64)
-        cur = subset
-        step = self.perm if lo > 0 else self.perm_inv
-        for _ in range(abs(lo)):
-            cur = step[cur]
-        for _ in range(lo, hi + 1):
-            counts[cur] += 1  # alpha_i is a bijection, so cur has no repeats
-            cur = self.perm[cur]
-        return counts
+        orbs = self.orbits()
+        width = max(hi - lo + 1, 0)
+        subset = np.asarray(subset, np.int64)
+        start, length = orbs.start[subset], orbs.length[subset]
+        first = (orbs.pos[subset] + lo) % length
+        end = first + width % length  # past length, the arc wraps to the cycle's start
+        wraps = end > length
+        rises = np.concatenate([start + first, start[wraps]])
+        falls = np.concatenate([start + np.minimum(end, length), (start + end - length)[wraps]])
+        arcs = np.cumsum(np.bincount(rises, minlength=self.n + 1) - np.bincount(falls, minlength=self.n + 1))
+        laps = np.bincount(start, minlength=self.n)[orbs.start] * (width // orbs.length)
+        return laps + arcs[orbs.start + orbs.pos]
 
     def orbits(self) -> "OrbitDecomposition":
         if self._orbits is None:
@@ -168,7 +173,7 @@ def _base_rank_and_position(sys: FiniteDynamicalSystem) -> tuple[np.ndarray, np.
     distance from the point holding that rank (its base), by pointer doubling
     over perm and perm_inv: array operations only, no per-point walk."""
     n = sys.n
-    by_label = np.fromiter(map(sys.index.__getitem__, sorted(sys.labels)), dtype=np.int64, count=n)
+    by_label = np.fromiter(sorted(range(n), key=sys.labels.__getitem__), dtype=np.int64, count=n)
     rank = np.empty(n, dtype=np.int64)
     rank[by_label] = np.arange(n)
     low, hop = rank, sys.perm

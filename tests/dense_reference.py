@@ -2,7 +2,7 @@
 
 Quotient side: hat-node interpolation through full node matrices, as the
 program measured interp(sample(b)) - b before it took the seam corner
-(rokhlin.cstar.CornerFiber).
+(rokhlin.cstar.CornerFiber) and its closed form (rokhlin.cstar.corner_norm).
 
 Ideal side: the summing map of one tower level as an (anchor, j, j') array of
 window matrices, and the return map from that array back to the crossed
@@ -100,6 +100,19 @@ def dense_quotient_fiber(b, cycle: Cycle, s: int, target=None) -> CombinedFiber:
     """interp(sample(b)) - target on the full L x L fiber (target b by default)."""
     interp = InterpolationFiber(cycle, ElementOrbitFiber(b, cycle).matrices(node_lams(s)))
     return CombinedFiber([interp, ElementOrbitFiber(b if target is None else target, cycle)], [1.0, -1.0])
+
+
+def dense_blend(b, cycle: Cycle, s: int, lams: np.ndarray) -> np.ndarray:
+    """dense_quotient_fiber(b, cycle, s).matrices(lams), from the two nodes
+    next to each lam alone, so no node stack is held."""
+    fiber = ElementOrbitFiber(b, cycle)
+    pos = np.mod(np.angle(lams), 2 * math.pi) * s / (2 * math.pi)
+    j0 = np.floor(pos).astype(int) % s
+    frac = (pos - np.floor(pos))[:, None, None]
+    nodes = node_lams(s)
+    out = (1.0 - frac) * fiber.matrices(nodes[j0]) + frac * fiber.matrices(nodes[(j0 + 1) % s])
+    out -= fiber.matrices(lams)
+    return out
 
 
 def dense_quotient_fibers(quotient, b, target=None) -> list[CombinedFiber]:

@@ -795,26 +795,32 @@ def _timed_main(argv, capsys):
 
 
 # norm grids past cstar._GRID_MAX_BYTES used to fail allocating the grid
-# (numpy's _ArrayMemoryError, a traceback and exit 1)
+# (numpy's _ArrayMemoryError, a traceback and exit 1).  The approx cases:
+# u's quotient corners close in closed form, so the refusal names the ideal
+# side's long orbit; u^5 wraps twice around the 3-cycle, whose corner takes
+# the grid
 _OVERSIZED_GRIDS = {
-    "tol 1e-9": ("norm", "system_3_10.json", {"element": _UNITARY, "tol": 1e-9}, 2**32, "1.0"),
-    "u^1000000": ("norm", "system_3_10.json", {"element": [{"power": 1000000, "constant": [1, 0]}]}, 2**30,
-                  "333334.0"),
+    "tol 1e-9": ("norm", "system_3_10.json", {"element": _UNITARY, "tol": 1e-9}, "c0p0", 2**32, "1.0"),
+    "u^1000000": ("norm", "system_3_10.json", {"element": [{"power": 1000000, "constant": [1, 0]}]}, "c0p0",
+                  2**30, "333334.0"),
     "approx tol 1e-12": ("approx", "system_3_60.json", {"elements": [_UNITARY], "epsilon": "3/2", "tol": 1e-12},
-                         2**43, "1.99"),
+                         "c1p00", 2**37, "0.031465"),
+    "approx u^5 tol 1e-12": ("approx", "system_3_60.json",
+                             {"elements": [[{"power": 5, "constant": [1.0, 0.0]}]], "epsilon": "3/2", "tol": 1e-12},
+                             "c0p00", 2**44, "3.99"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_OVERSIZED_GRIDS))
 def test_oversized_norm_grid_refused_before_allocating(case, tmp_path, capsys):
-    command, system, fields, n, lip = _OVERSIZED_GRIDS[case]
+    command, system, fields, orbit, n, lip = _OVERSIZED_GRIDS[case]
     scen = tmp_path / "scenario.json"
     scen.write_text(json.dumps(dict(fields, command=command, system=str(SCENARIOS / system))))
     rc, rep, elapsed, peak = _timed_main([command, "--scenario", str(scen)], capsys)
     assert rc == 2 and elapsed < 1.0 and peak < 2**24
     message = rep["error"]["message"]
     assert rep["error"]["type"] == "ValueError"
-    assert message.startswith("fiber over the orbit of 'c0p")
+    assert message.startswith(f"fiber over the orbit of {orbit!r}")
     assert f"needs a grid of {n} points, {24 * n} bytes (Lipschitz bound {lip}" in message
     assert message.endswith(f"over the limit of {cstar._GRID_MAX_BYTES} bytes")
 
@@ -845,9 +851,9 @@ def test_short_orbits_of_any_node_count_pass(case, tmp_path, capsys):
 # given).  Any change to a pin is a change to the program's output and is
 # explained in CHANGES.md.
 _REPORT_SHA256 = {
-    "approx_acceptance": "b9a6c22dc6495a6ecb31870016e32af4927a07b5b58b747363d8043971f18b2e",
-    "approx_small": "b6e16a363d02310af3812b044d63dc12b48d12824d042a52595c4b2c5ff9da19",
-    "approx_short_1200": "bd542de02f32c63b07f2852671a2b5a38acd12eb3893a2eb642a88db93903672",
+    "approx_acceptance": "78fbf381835a0fbffac46dbdec99a953b81cac7a018cd3cbd22b49317060f770",
+    "approx_small": "523c675bc819f18dfcae1b51d7ae47348ca33859151013dfc26f76518baaf54e",
+    "approx_short_1200": "f52839070750bb82487b69ef3eaf1bfb7cd03dfd6b9f1f14bccd8a9e66595116",
     "markers_100": "2a8d4a60ae3181bae8684dc04a60ea3a95494e49eb6b9db9b373e8b7f94c5492",
     "norm_unitary": "0ce92f0aaec0ad6e8a2ada38f07106b1ee6fcae80598d6963080d375ba1389bd",
     "orbits_3_10": "56a04782ffb03a9227805e96ec41e6b86fdd5a353c7a32efc3a34012c71d7ca0",

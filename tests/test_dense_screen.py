@@ -298,7 +298,9 @@ class TestDensePoints:
         # each chunk's largest-Frobenius point is solved first and the best
         # value is carried across chunks, so here no point is solved whose
         # Frobenius norm stays below its fiber's maximum: 68 of 16384 points
-        # on the acceptance fibers, 1 of 8192 on the fixed point
+        # on the grids of the acceptance corners (which assemble_and_verify
+        # reads in closed form; the grid is their fallback), 1 of 8192 on the
+        # fixed point
         reach = 0
         for fib in fibers:
             n = result.grids[sys.labels[fib.cycle.base]]

@@ -331,10 +331,24 @@ class TestQuotientReport:
         assert rep.quotient_size == 0
 
 
+def stepping_translate_counts(sys, subset, lo, hi):
+    """translate_counts by stepping the permutation one shift at a time, as
+    the program computed it before it read cycle coordinates."""
+    counts = np.zeros(sys.n, dtype=np.int64)
+    cur = subset
+    step = sys.perm if lo > 0 else sys.perm_inv
+    for _ in range(abs(lo)):
+        cur = step[cur]
+    for _ in range(lo, hi + 1):
+        counts[cur] += 1  # alpha_i is a bijection, so cur has no repeats
+        cur = sys.perm[cur]
+    return counts
+
+
 @st.composite
-def shuffled_cycle_systems(draw):
+def shuffled_cycle_systems(draw, max_length=8):
     """Cycles whose labels, and so whose point indices, come in a random order."""
-    lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    lengths = draw(st.lists(st.integers(1, max_length), min_size=1, max_size=4))
     labels = draw(st.permutations([f"q{i}" for i in range(sum(lengths))]))
     forward, offset = {}, 0
     for L in lengths:
@@ -357,6 +371,23 @@ class TestCycleCoordinates:
                 assert np.array_equal(sys.power_perm(i), cur)
                 assert np.array_equal(sys.orbits().iterate(i, subset), cur[subset])
                 cur = step[cur]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=40, unique=True), st.data())
+    def test_rank_is_sorted_label_order(self, labels, data):
+        points = data.draw(st.permutations(labels))
+        forward = dict(zip(points, data.draw(st.permutations(points))))
+        sys = FiniteDynamicalSystem(points, forward)
+        in_order = sorted(points)
+        assert sys.orbits().rank.tolist() == [in_order.index(lab) for lab in points]
+
+    @settings(max_examples=150, deadline=None)
+    @given(shuffled_cycle_systems(max_length=40), st.data(), st.integers(-60, 60), st.integers(-1, 100))
+    def test_translate_counts_match_stepping(self, sys, data, lo, width):
+        subset = np.array(sorted(data.draw(st.frozensets(st.integers(0, sys.n - 1)))), dtype=np.int64)
+        got = sys.translate_counts(subset, lo, lo + width)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, stepping_translate_counts(sys, subset, lo, lo + width))
 
     def test_power_perm_keeps_nothing(self):
         sys = make_cycle_system([3, 7, 1000])
