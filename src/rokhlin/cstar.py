@@ -8,25 +8,32 @@ convention used everywhere is
 
 where alpha_i denotes the i-th forward iterate.  The algebra splits over
 orbits, and over each cycle of length L it is the L x L matrices over the
-circle; all norms are computed fiberwise over a circle grid whose spacing is
+circle; norms are computed fiberwise, over a circle grid whose spacing is
 chosen from an explicit Lipschitz bound, so the reported value is certified
-from below and value + tol from above.
+from below and value + tol from above (a one-band fiber and a seam corner
+with a closed form need no grid).
 
-Fiber spectral norms come from a dense Hermitian eigensolver on cycles of at
-most 32 points and on the seam corners of the quotient side (CornerFiber)
-that have no closed form, and otherwise from Lanczos on a(lam)*a(lam).  A
-seam corner in which no entry wraps more than once has a closed form
-(corner_norm): the arc's sagitta times the top singular value of S x S
-matrices at the arc-midpoint phases, with no grid.  The dense path screens each
-chunk of grid points by Frobenius norm, which bounds sigma from above: it
-solves the chunk's largest-Frobenius point first, then only the points whose
-Frobenius norm (with a 1e-9 relative margin) reaches the best sigma so far.
-A skipped point can neither exceed nor tie the maximum, so values and argmax
-points are those of a solve at every point.  Where squares underflow (a
-squared Frobenius norm below the smallest normal float t) the bound is
-2 L sqrt(t), which covers any sigma such entries give.  Dense values are
-eigvalsh estimates with no Sturm certificate: there "value is a lower bound"
-holds only up to eigvalsh's rounding, a few ulps of the Gram matrix's scale.
+An element fiber of one band, f u^i, needs no grid and no eigensolver: its
+fiber diag(f) S^i(lam) is diag(f) times a unitary at every |lam| = 1, so its
+norm is max|f| over the cycle's slots at every lam.  fiber_sup_norm reads it
+as that, at the single grid point lam = 1 (solver "band").
+
+Other fiber spectral norms come from a dense Hermitian eigensolver on cycles
+of at most 32 points and on the seam corners of the quotient side
+(CornerFiber) that have no closed form, and otherwise from Lanczos on
+a(lam)*a(lam).  A seam corner in which no entry wraps more than once has a
+closed form (corner_norm): the arc's sagitta times the top singular value of
+S x S matrices at the arc-midpoint phases, with no grid.  The dense path
+screens each chunk of grid points by Frobenius norm, which bounds sigma from
+above: it solves the chunk's largest-Frobenius point first, then only the
+points whose Frobenius norm (with a 1e-9 relative margin) reaches the best
+sigma so far.  A skipped point can neither exceed nor tie the maximum, so
+values and argmax points are those of a solve at every point.  Where squares
+underflow (a squared Frobenius norm below the smallest normal float t) the
+bound is 2 L sqrt(t), which covers any sigma such entries give.  Dense
+values are eigvalsh estimates with no Sturm certificate: there "value is a
+lower bound" holds only up to eigvalsh's rounding, a few ulps of the Gram
+matrix's scale.
 
 Lanczos runs grid point 0 alone from a fixed-seed random vector, then every
 other point, in lockstep chunks of at most _LANCZOS_CHUNK_BYTES, from point
@@ -885,10 +892,13 @@ class NormResult:
     certified by bisection rather than by a dense estimate and one Sturm
     sweep, ``dense_points`` the grid points that took a dense eigensolve
     (the others on a dense-path fiber were screened out by their Frobenius
-    norm), and ``solvers`` the solver of each orbit, ``"dense"``,
-    ``"lanczos"`` or ``"closed"``.  A closed-form result (corner_norm) has
-    no grid: its tol is the width of its own bound, at most the caller's
-    tol, and ``grids`` counts the phases it solved.
+    norm), and ``solvers`` the solver of each orbit, ``"band"``,
+    ``"dense"``, ``"lanczos"`` or ``"closed"``.  A ``"band"`` orbit (an
+    element fiber f u^i of one band) reads max|f| exactly at lam = 1 with a
+    grid of 1 and keeps the caller's tol, so its upper bound is true but
+    loose.  A closed-form result (corner_norm) has no grid: its tol is the
+    width of its own bound, at most the caller's tol, and ``grids`` counts
+    the phases it solved.
     """
 
     value: float
@@ -907,14 +917,26 @@ class NormResult:
         return self.value + self.tol
 
 
+def _solver(fiber) -> str:
+    """How fiber_sup_norm reads a fiber: ``"band"`` for an element fiber of
+    one band, else ``"lanczos"`` for an element fiber on a cycle longer than
+    _DENSE_MAX_L, else ``"dense"``."""
+    if not isinstance(fiber, ElementOrbitFiber):
+        return "dense"
+    if len(fiber.bands) == 1:
+        return "band"
+    return "lanczos" if fiber.L > _DENSE_MAX_L else "dense"
+
+
 def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float, *, scale_exp: int = 0) -> NormResult:
     """Sup of fiber spectral norms over per-orbit circle grids with certified slack.
 
     A fiber has a ``cycle``, the order ``L`` of its matrices, an arc-Lipschitz
     bound ``lip()`` and ``matrices(lams)``.  Grid sizes are powers of two with
-    arc spacing such that lip * (pi / grid) <= tol.  A fiber whose bound is
-    not finite (a NaN or infinite coefficient) is refused: nothing certifies
-    it.  So is a fiber whose grid would hold more than _GRID_MAX_BYTES (16
+    arc spacing such that lip * (pi / grid) <= tol, except for an element
+    fiber of one band, which is read as max|f| at the one point lam = 1 (see
+    the module docstring).  A fiber whose bound is not finite (a NaN or
+    infinite coefficient) is refused: nothing certifies it.  So is a fiber whose grid would hold more than _GRID_MAX_BYTES (16
     bytes a point for lam and 8 for sigma); both are refused before any grid
     is allocated.  When the fibers and tol are those of a caller's element
     and tol scaled by 2^-scale_exp (see norm), a refusal quotes the bound and
@@ -929,29 +951,30 @@ def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float, *, 
         label = sys.labels[fiber.cycle.base]
         if not math.isfinite(lip):
             raise ValueError(f"fiber over the orbit of {label!r} is not finite (Lipschitz bound {lip})")
-        points = lip * math.pi / tol
-        n = (_next_pow2(points) if math.isfinite(points) else math.inf) if lip > 0 else 1
+        solver, n = _solver(fiber), 1
+        if lip > 0 and solver != "band":
+            points = lip * math.pi / tol
+            n = _next_pow2(points) if math.isfinite(points) else math.inf
         if 24 * n > _GRID_MAX_BYTES:
             raise ValueError(
                 f"fiber over the orbit of {label!r} needs a grid of {n} points, {24 * n} bytes "
                 f"(Lipschitz bound {math.ldexp(lip, scale_exp)}, tol {math.ldexp(tol, scale_exp)}), "
                 f"over the limit of {_GRID_MAX_BYTES} bytes"
             )
-        plan.append((fiber, label, n))
+        plan.append((fiber, label, n, solver))
     value, argmax, counts = 0.0, None, np.zeros(4, dtype=np.int64)
     grids: dict[str, int] = {}
     per_orbit: dict[str, tuple[float, complex]] = {}
     solvers: dict[str, str] = {}
-    for fiber, label, n in plan:
-        grids[label] = n
-        lanczos = isinstance(fiber, ElementOrbitFiber) and fiber.L > _DENSE_MAX_L
-        solvers[label] = "lanczos" if lanczos else "dense"
-        if lanczos:
-            chunk = max(1, _LANCZOS_CHUNK_BYTES // _lanczos_point_bytes(fiber))
-        else:
-            chunk = min(_GRID_CHUNK, max(1, _DENSE_CHUNK_ENTRIES // (fiber.L * fiber.L)))
+    for fiber, label, n, solver in plan:
+        grids[label], solvers[label] = n, solver
         full, sig = _grid(n), np.empty(n)
-        if lanczos:
+        if solver == "band":
+            # diag(f) S^i(lam) is f times a unitary at every lam
+            (band,) = fiber.bands.values()
+            sig[0] = np.abs(band).max()
+        elif solver == "lanczos":
+            chunk = max(1, _LANCZOS_CHUNK_BYTES // _lanczos_point_bytes(fiber))
             # grid point 0 from the fixed seed; its top Ritz vector starts the rest
             sig[:1], *first, ritz = _sigma_max_lanczos(fiber, full[:1])
             counts[:3] += first
@@ -959,6 +982,7 @@ def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float, *, 
                 sig[lo : lo + chunk], *more, _ = _sigma_max_lanczos(fiber, full[lo : lo + chunk], ritz)
                 counts[:3] += more
         else:
+            chunk = min(_GRID_CHUNK, max(1, _DENSE_CHUNK_ENTRIES // (fiber.L * fiber.L)))
             best = -np.inf
             for lo in range(0, n, chunk):
                 sig[lo : lo + chunk], best, solved = _sigma_max_screened(fiber, full[lo : lo + chunk], best)

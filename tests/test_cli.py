@@ -795,15 +795,19 @@ def _timed_main(argv, capsys):
 
 
 # norm grids past cstar._GRID_MAX_BYTES used to fail allocating the grid
-# (numpy's _ArrayMemoryError, a traceback and exit 1).  The approx cases:
-# u's quotient corners close in closed form, so the refusal names the ideal
-# side's long orbit; u^5 wraps twice around the 3-cycle, whose corner takes
-# the grid
+# (numpy's _ArrayMemoryError, a traceback and exit 1).  Every case has two
+# bands, since a one-band fiber is read without a grid.  The approx cases:
+# (u + u*)/2's quotient corners close in closed form, so the refusal names the
+# ideal side's long orbit; u^5 wraps twice around the 3-cycle, whose corner
+# takes the grid
 _OVERSIZED_GRIDS = {
-    "tol 1e-9": ("norm", "system_3_10.json", {"element": _UNITARY, "tol": 1e-9}, "c0p0", 2**32, "1.0"),
-    "u^1000000": ("norm", "system_3_10.json", {"element": [{"power": 1000000, "constant": [1, 0]}]}, "c0p0",
-                  2**30, "333334.0"),
-    "approx tol 1e-12": ("approx", "system_3_60.json", {"elements": [_UNITARY], "epsilon": "3/2", "tol": 1e-12},
+    "tol 1e-9": ("norm", "system_3_10.json",
+                 {"element": _UNITARY + [{"power": 2, "constant": [1, 0]}], "tol": 1e-9}, "c0p0", 2**33, "2.0"),
+    "u^1000000 + u": ("norm", "system_3_10.json",
+                      {"element": _UNITARY + [{"power": 1000000, "constant": [1, 0]}]}, "c0p0", 2**30, "333335.0"),
+    "approx tol 1e-12": ("approx", "system_3_60.json",
+                         {"elements": [[{"power": 1, "constant": [0.5, 0.0]}, {"power": -1, "constant": [0.5, 0.0]}]],
+                          "epsilon": "3/2", "tol": 1e-12},
                          "c1p00", 2**37, "0.031465"),
     "approx u^5 tol 1e-12": ("approx", "system_3_60.json",
                              {"elements": [[{"power": 5, "constant": [1.0, 0.0]}]], "epsilon": "3/2", "tol": 1e-12},
@@ -823,6 +827,20 @@ def test_oversized_norm_grid_refused_before_allocating(case, tmp_path, capsys):
     assert message.startswith(f"fiber over the orbit of {orbit!r}")
     assert f"needs a grid of {n} points, {24 * n} bytes (Lipschitz bound {lip}" in message
     assert message.endswith(f"over the limit of {cstar._GRID_MAX_BYTES} bytes")
+
+
+@pytest.mark.parametrize("element, tol", [(_UNITARY, 1e-9), ([{"power": 1000000, "constant": [1, 0]}], 1e-3)],
+                         ids=["u tol 1e-9", "u^1000000"])
+def test_one_band_norm_needs_no_grid(element, tol, tmp_path, capsys):
+    # once refused for their grids (2^32 and 2^30 points): diag(f) S^i(lam) is
+    # f times a unitary, so the norm is max|f| = 1 at every lam
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps({"command": "norm", "system": str(SCENARIOS / "system_3_10.json"),
+                                "element": element, "tol": tol}))
+    rc, rep, elapsed, _ = _timed_main(["norm", "--scenario", str(scen)], capsys)
+    assert rc == 0 and elapsed < 1.0
+    assert rep["norm"]["value"] == 1.0 and rep["norm"]["upper"] == 1.0 + tol
+    assert rep["norm"]["grids"] == {"c0p0": 1, "c1p0": 1}
 
 
 # short orbits whose node stacks used to be allocated whole: (s, L, L) of
@@ -851,11 +869,11 @@ def test_short_orbits_of_any_node_count_pass(case, tmp_path, capsys):
 # given).  Any change to a pin is a change to the program's output and is
 # explained in CHANGES.md.
 _REPORT_SHA256 = {
-    "approx_acceptance": "78fbf381835a0fbffac46dbdec99a953b81cac7a018cd3cbd22b49317060f770",
-    "approx_small": "523c675bc819f18dfcae1b51d7ae47348ca33859151013dfc26f76518baaf54e",
-    "approx_short_1200": "f52839070750bb82487b69ef3eaf1bfb7cd03dfd6b9f1f14bccd8a9e66595116",
+    "approx_acceptance": "c1b56c00ab57534fae031f5e6a016dbe0820fdf62578bb23262137962de319a6",
+    "approx_small": "6412a454252f3b92ed5cdd4d241e2342d6e9bd0ae7964921d2a9d979cddb8a89",
+    "approx_short_1200": "1a08e69922cdcf5cc0d163fed7d518a5473c6ac8257a2d94c86f5a209d4a62df",
     "markers_100": "2a8d4a60ae3181bae8684dc04a60ea3a95494e49eb6b9db9b373e8b7f94c5492",
-    "norm_unitary": "0ce92f0aaec0ad6e8a2ada38f07106b1ee6fcae80598d6963080d375ba1389bd",
+    "norm_unitary": "e8126b48a7dd8a52fe4754ac15ee2d83fa9ecd7ce2a3ec29e5d6cbdedfea53d7",
     "orbits_3_10": "56a04782ffb03a9227805e96ec41e6b86fdd5a353c7a32efc3a34012c71d7ca0",
     "periodic_2_3_4": "80be2704a678696a1e1b9e8825bb525e76c9378c331e2eecd147d0f7e4d6e25e",
     "towers_100": "a740049cdff477a295fdf49316ae874e4d42a2f6a9cdb2137c08fa0ca0088a55",

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rokhlin import cstar
@@ -33,7 +33,7 @@ from rokhlin.cstar import (
 )
 from rokhlin.dynsys import FiniteDynamicalSystem, load_system, make_cycle_system
 
-from dense_reference import InterpolationFiber, orbit_isomorphism, regular_window_norm
+from dense_reference import InterpolationFiber, dense_fiber_sigma, orbit_isomorphism, regular_window_norm
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -218,14 +218,27 @@ class TestNorm:
             assert np.abs(a.expectation()).max() <= res.upper + 1e-9
 
     def test_solvers_name_each_orbit(self):
-        # norm_unitary's element u on the 3- and 10-cycles takes the dense
-        # path, a 48-cycle Lanczos; the report leaves the solvers out
+        # u + u^2 on the 3- and 10-cycles takes the dense path, on a 48-cycle
+        # Lanczos; norm_unitary's u has one band and is read as max|f| on
+        # every cycle; the report leaves the solvers out
         sys = load_system((SCENARIOS / "system_3_10.json").read_text())
-        res = norm(CrossedElement.unitary(sys), 1e-3)
-        assert res.solvers == {sys.labels[c.base]: "dense" for c in sys.orbits().cycles}
+        labels = [sys.labels[c.base] for c in sys.orbits().cycles]
+        u = CrossedElement.unitary(sys)
+        assert norm(u + u * u, 1e-3).solvers == dict.fromkeys(labels, "dense")
+        assert norm(u, 1e-3).solvers == dict.fromkeys(labels, "band")
         assert "solvers" not in json.dumps(run_scenario(SCENARIOS / "norm_unitary.json"))
         sys = make_cycle_system([48])
-        assert norm(CrossedElement.unitary(sys), 1e-3).solvers == {sys.labels[0]: "lanczos"}
+        u = CrossedElement.unitary(sys)
+        assert norm(u + u * u, 1e-3).solvers == {sys.labels[0]: "lanczos"}
+        assert norm(u, 1e-3).solvers == {sys.labels[0]: "band"}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_one_band_with_a_non_finite_coefficient_is_refused(self, bad):
+        sys = make_cycle_system([3, 10])
+        f = np.ones(sys.n)
+        f[4] = bad
+        with pytest.raises(ValueError, match="is not finite"):
+            norm(CrossedElement.from_function(sys, f, power=1), 1e-3)
 
     def test_grid_sizes_are_powers_of_two(self):
         sys = make_cycle_system([4])
@@ -294,7 +307,11 @@ class TestConstantBandOracle:
     @given(constant_bands(st.integers(1, 32)))
     def test_dense_cycles(self, case):
         res = self.check(*case, 1e-2)
-        assert res.dense_points > 0 or res.value == 0
+        if len(case[1]) == 1:
+            # c u^i: read as |c|, with no eigensolve
+            assert list(res.solvers.values()) == ["band"] and res.dense_points == 0
+        else:
+            assert res.dense_points > 0
 
     @settings(max_examples=3, deadline=None)
     @given(constant_bands(st.just(48)))
@@ -323,13 +340,73 @@ class TestConstantBandOracle:
         assert res.solvers == {label: "dense" if L == 20 else "lanczos"}
 
     def test_refusal_at_extreme_scale_quotes_the_callers_numbers(self):
-        # 2^300 u is solved as u / 2, but an oversized grid is refused with
-        # the bound and tol of the element and tol as given
+        # 2^300 (u + u^2) is solved as (u + u^2) / 2, but an oversized grid
+        # is refused with the bound and tol of the element and tol as given
         sys = make_cycle_system([48])
         big = 2.0**300
-        with pytest.raises(ValueError, match="needs a grid of") as refused:
-            norm(big * CrossedElement.unitary(sys), big * 1e-8)
-        assert f"(Lipschitz bound {big}, tol {big * 1e-8})" in str(refused.value)
+        u = CrossedElement.unitary(sys)
+        with pytest.raises(ValueError, match="needs a grid of 1073741824 points") as refused:
+            norm(big * (u + u * u), big * 1e-8)
+        assert f"(Lipschitz bound {2 * big}, tol {big * 1e-8})" in str(refused.value)
+
+
+@st.composite
+def band_values(draw, n):
+    """n complex values at one of the scales 1e-150, 1 and 1e150, some of
+    them zero (all of them, now and then)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-150, 1.0, 1e150]))
+    f = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    f[rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = 0
+    return f
+
+
+class TestOneBand:
+    """f u^i has fiber diag(f) S^i(lam) on a cycle, f times a unitary at
+    every lam, so its norm there is max|f| over the cycle's slots."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 64).flatmap(lambda L: st.tuples(st.just(L), st.integers(-3 * L, 3 * L), band_values(L))))
+    def test_value_is_the_largest_entry(self, case):
+        L, i, f = case
+        sys = make_cycle_system([L])
+        a = CrossedElement.from_function(sys, f, power=i)
+        res = norm(a, 1e-3)
+        top = float(np.abs(f).max())
+        assert res.value == top and res.upper == top + 1e-3
+        if top == 0:
+            assert res.per_orbit == {} and res.grids == {}
+            return
+        assert res.per_orbit == {sys.labels[0]: (top, 1 + 0j)} and res.grids == {sys.labels[0]: 1}
+        assert res.solvers == {sys.labels[0]: "band"} and res.dense_points == res.lanczos_steps == 0
+        sigma = dense_fiber_sigma(a, sys.orbits().cycles[0], _grid(64))
+        assert np.abs(sigma - top).max() <= 4 * np.spacing(top), (sigma.min(), sigma.max(), top)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 64), st.integers(2, 48), st.data())
+    def test_each_orbit_reads_its_own_slots(self, la, lb, data):
+        # cycle A carries f u^i alone; cycle B carries g u^i with every |g|
+        # above max|f| and also h u^(i+1), so A is read as max|f| over A's
+        # slots, B by a solver whose value reaches max|g|
+        i = data.draw(st.integers(-3 * la, 3 * la))
+        f = data.draw(band_values(la))
+        assume(f.any())
+        top = float(np.abs(f).max())
+        sys = make_cycle_system([la, lb])
+        h = np.zeros(sys.n, dtype=np.complex128)
+        v = data.draw(band_values(lb))
+        h[la:] = top * v / max(float(np.abs(v).max()), 1.0)
+        g = np.concatenate([f, np.full(lb, 2 * top)])
+        a = CrossedElement(sys, {i: g, i + 1: h})
+        res = norm(a, top / 8)
+        (ca, cb) = sys.orbits().cycles
+        assert ca.length == la and cb.length == lb
+        la_label, lb_label = sys.labels[ca.base], sys.labels[cb.base]
+        assert res.per_orbit[la_label] == (top, 1 + 0j) and res.grids[la_label] == 1
+        b_solver = "band" if not h.any() else "lanczos" if lb > 32 else "dense"
+        assert res.solvers == {la_label: "band", lb_label: b_solver}
+        assert res.per_orbit[lb_label][0] >= 2 * top * (1 - 1e-12)
+        assert res.value == res.per_orbit[lb_label][0] and res.argmax[0] == lb_label
 
 
 class TestOrbitIsomorphism:

@@ -28,6 +28,7 @@ from rokhlin.cstar import (
     ElementOrbitFiber,
     _grid,
     _next_pow2,
+    _rep_points,
     fiber_sup_norm,
     norm,
 )
@@ -158,6 +159,17 @@ class TestBuilders:
 # -- the screen -----------------------------------------------------------------
 
 
+def flat_fiber(L, c, i):
+    """Two interleaved bands of c on an L-cycle, L even: c u^i on the even
+    slots and c u^(i+2) on the odd ones."""
+    sys = make_cycle_system([L])
+    cyc = sys.orbits().cycles[0]
+    even, odd = np.zeros((2, L), dtype=np.complex128)
+    slots = _rep_points(sys, cyc)
+    even[slots[::2]], odd[slots[1::2]] = c, c
+    return sys, [ElementOrbitFiber(CrossedElement(sys, {i: even, i + 2: odd}), cyc)]
+
+
 @st.composite
 def dense_cases(draw):
     """(sys, fibers, tol) for the dense path, with fields of every kind it sees."""
@@ -165,11 +177,14 @@ def dense_cases(draw):
     kind = draw(st.sampled_from(["element", "quotient", "flat", "twins"]))
     if kind == "element":
         # scales whose squares are normal, near the smallest normal float,
-        # subnormal, or lost to underflow
+        # subnormal, or lost to underflow; every band keeps an entry, so the
+        # fiber has at least three (a one-band fiber takes no grid)
         L = draw(st.integers(1, 32))
         scale = draw(st.sampled_from([1.0, 1e150, 1e-150, 1e-154, 1e-158, 1e-170]))
         sys = make_cycle_system([L])
-        coeffs = random_coeffs(sys, draw(st.integers(0, 3)), rng, draw(st.booleans()))
+        coeffs = random_coeffs(sys, draw(st.integers(1, 3)), rng, draw(st.booleans()))
+        for c in coeffs.values():
+            c[0] = c[0] or 1.0
         a = CrossedElement(sys, {i: scale * c for i, c in coeffs.items()})
         fibers = [ElementOrbitFiber(a, sys.orbits().cycles[0])]
     elif kind == "quotient":
@@ -183,12 +198,11 @@ def dense_cases(draw):
             draw(st.sampled_from([Fraction(1, 2), Fraction(3, 10)])),
         )
     elif kind == "flat":
-        # sigma is |c| at every grid point: every point ties
-        L = draw(st.integers(1, 20))
-        sys = make_cycle_system([L])
-        c = complex(*rng.standard_normal(2))
-        a = CrossedElement(sys, {draw(st.integers(-3, 3)): np.full(L, c)})
-        fibers = [ElementOrbitFiber(a, sys.orbits().cycles[0])]
+        # c u^i on the even slots and c u^(i+2) on the odd ones of an even
+        # cycle: a weighted permutation, so sigma is |c| at every grid point
+        # up to rounding, and the points tie or nearly tie
+        sys, fibers = flat_fiber(2 * draw(st.integers(1, 10)), complex(*rng.standard_normal(2)),
+                                 draw(st.integers(-3, 3)))
     else:
         # two orbits with the same fiber: the maxima tie across orbits
         L = draw(st.integers(1, 9))
@@ -263,9 +277,8 @@ class TestScreen:
         }))
         assert main(["norm", "--scenario", str(scen)]) == 0
         rep = json.loads(capsys.readouterr().out)
-        # the 2-cycle's Gram entries (1e-340) underflow at this scale, so the
-        # norm solves at scale one and both fibers, 1e-170 times the
-        # identity, report 1e-170
+        # both fibers, 1e-170 times the identity, have one band and report
+        # its largest entry, 1e-170, with no Gram matrix to underflow
         assert {lab: o["value"] for lab, o in rep["norm"]["per_orbit"].items()} == {
             sys.labels[0]: 1e-170, sys.labels[1]: 1e-170}
         assert rep["norm"]["value"] == 1e-170
@@ -312,16 +325,19 @@ class TestDensePoints:
         assert_bit_identical(result, sys, fibers, tol)
 
     def test_flat_fiber_solves_every_point(self):
-        # sigma(u) = 1 = ||u||_F / sqrt(10) everywhere: nothing can be skipped
+        # ||u + u^2||_F = sqrt(20) at every lam, above sigma <= 2: nothing
+        # can be skipped
         sys = make_cycle_system([10])
-        result = norm(CrossedElement.unitary(sys), 1e-3)
-        assert result.grids == {sys.labels[0]: 4096}
-        assert result.dense_points == 4096
+        u = CrossedElement.unitary(sys)
+        result = norm(u + u * u, 1e-3)
+        assert result.grids == {sys.labels[0]: 8192}
+        assert result.dense_points == 8192
 
     def test_lanczos_fibers_take_no_dense_eigensolve(self):
         sys = make_cycle_system([40])
-        result = norm(CrossedElement.unitary(sys), 1e-2)
-        assert result.dense_points == 0
+        u = CrossedElement.unitary(sys)
+        result = norm(u + u * u, 1e-2)
+        assert result.solvers == {sys.labels[0]: "lanczos"} and result.dense_points == 0
 
 
 # -- memory ---------------------------------------------------------------------
@@ -349,8 +365,7 @@ class TestScreenMemory:
     @pytest.mark.parametrize("case", ["flat", "acceptance"])
     def test_peak_at_most_unscreened(self, case):
         if case == "flat":
-            sys = make_cycle_system([10])
-            fibers = [ElementOrbitFiber(CrossedElement.unitary(sys), sys.orbits().cycles[0])]
+            sys, fibers = flat_fiber(10, 1.0, 1)
         else:
             # the full L x L fields, as the screen first measured them
             sys, corners = quotient_fibers([3, 7], lambda sys: CrossedElement.unitary(sys), Fraction(3, 10))
