@@ -397,7 +397,7 @@ def run_norm(args: dict, doc: dict) -> dict:
         "grids": result.grids,
         "per_orbit": {
             lab: {"value": v, "argmax": [lam.real, lam.imag]}
-            for lab, (v, lam) in (result.per_orbit or {}).items()
+            for lab, (v, lam) in result.per_orbit.items()
         },
         "coefficient_bound": a.coefficient_bound(),
     }

@@ -18,22 +18,15 @@ fiber diag(f) S^i(lam) is diag(f) times a unitary at every |lam| = 1, so its
 norm is max|f| over the cycle's slots at every lam.  fiber_sup_norm reads it
 as that, at the single grid point lam = 1 (solver "band").
 
-Other fiber spectral norms come from a dense Hermitian eigensolver on cycles
-of at most 32 points and on the seam corners of the quotient side
-(CornerFiber) that have no closed form, and otherwise from Lanczos on
-a(lam)*a(lam).  A seam corner in which no entry wraps more than once has a
-closed form (corner_norm): the arc's sagitta times the top singular value of
-S x S matrices at the arc-midpoint phases, with no grid.  The dense path
-screens each chunk of grid points by Frobenius norm, which bounds sigma from
-above: it solves the chunk's largest-Frobenius point first, then only the
-points whose Frobenius norm (with a 1e-9 relative margin) reaches the best
-sigma so far.  A skipped point can neither exceed nor tie the maximum, so
-values and argmax points are those of a solve at every point.  Where squares
-underflow (a squared Frobenius norm below the smallest normal float t) the
-bound is 2 L sqrt(t), which covers any sigma such entries give.  Dense
-values are eigvalsh estimates with no Sturm certificate: there "value is a
-lower bound" holds only up to eigvalsh's rounding, a few ulps of the Gram
-matrix's scale.
+Every other element fiber takes Lanczos on a(lam)*a(lam), whatever its
+cycle length.  A seam corner of the quotient side (CornerFiber) in which no
+entry wraps more than once has a closed form (corner_norm): the arc's
+sagitta times the top singular value of S x S matrices at the arc-midpoint
+phases, with no grid.  Any other fiber (a seam corner with no closed form)
+takes a dense Hermitian eigensolve at every grid point.  Seam-corner values,
+closed form or grid, are eigvalsh estimates with no Sturm certificate: there
+"value is a lower bound" holds only up to eigvalsh's rounding, a few ulps of
+the Gram matrix's scale.
 
 Lanczos runs grid point 0 alone from a fixed-seed random vector, then every
 other point, in lockstep chunks of at most _LANCZOS_CHUNK_BYTES, from point
@@ -95,10 +88,6 @@ _UNIT_TOL = 1e-12
 # entries within 2^-200 of c then stay normal floats, and L^2 sums of them
 # finite, for any cycle the grid limit admits
 _SCALE_EXP = 256
-# cycles up to this length use a dense eigensolver per fiber, longer ones the
-# banded Lanczos solver (over 256 grid points: equal cost at L = 32, Lanczos
-# 1.6x faster at L = 48 and 3-8x at L = 96)
-_DENSE_MAX_L = 32
 _LANCZOS_SEED = 0x5EED
 # random banded elements on cycles of 48-300 points settle to _REL_TOL within
 # 20-40 steps from the seed vector; from point 0's Ritz vector moved off the
@@ -128,17 +117,9 @@ _DENSE_CHUNK_ENTRIES = 2**22
 _LANCZOS_CHUNK_BYTES = 2**25
 # a fiber whose grid (lam and sigma, 24 bytes a point) would pass this is
 # refused before allocating: at most 2^23 points, 128 times the largest grid
-# the tests reach (2^16; the shipped scenarios and benchmark workloads 2^13)
+# the tests reach (2^16; the shipped scenarios and benchmark workloads 2^13);
+# so is a periodic embedding whose lam grid (16 bytes a point) would
 _GRID_MAX_BYTES = 2**28
-# a dense-path point is solved only if its Frobenius norm times this reaches
-# the best sigma so far; the margin is far wider than eigvalsh's rounding
-# (a few ulps of the scale), so a skipped point cannot tie the maximum
-_SCREEN_MARGIN = 1 + 1e-9
-# screened points are solved in blocks of this many, each block's survivors
-# copied out with their Gram matrices; over 4096 points (one BLAS thread,
-# 2-vCPU Xeon) u on a 10-cycle takes 12.7/8.9/12.0 ms at blocks of
-# 16/256/4096, and a random L = 32 fiber peaks at 70/76/256 MiB traced
-_SCREEN_BLOCK = 256
 # a phased seam corner (see CornerFiber.phased) is solved in closed form at
 # its s/2 arc-midpoint phases only up to this many; past it, its grid, whose
 # size does not grow with s, costs less (radius 3 on a 4-cycle, one BLAS
@@ -392,7 +373,8 @@ class ElementOrbitFiber:
     """Fiber field of a crossed element over one cycle.
 
     Carries the coefficient data in representation order, an arc-Lipschitz
-    bound, and both dense and banded evaluation paths.
+    bound, the seam form the Lanczos solver applies (``twists``), and the
+    dense L x L matrices (``matrices``), a reference no solver reads.
     """
 
     def __init__(self, a: CrossedElement, cycle: Cycle):
@@ -696,46 +678,14 @@ def corner_norm(sys: FiniteDynamicalSystem, corners: Sequence[CornerFiber]) -> N
 
 def _sigma_exact(mats: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of a stack: the square root of
-    the top eigenvalue of its Gram matrix, from eigvalsh."""
+    the top eigenvalue of its Gram matrix, from eigvalsh; NaN throughout
+    when a Gram entry overflowed, on which eigvalsh may fail."""
     if mats.shape[1] == 1:
         return np.abs(mats[:, 0, 0])
     gram = mats.conj().transpose(0, 2, 1) @ mats
+    if not np.isfinite(gram).all():
+        return np.full(len(mats), np.nan)
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
-
-
-def _sigma_max_screened(fiber, lams: np.ndarray, best: float) -> tuple[np.ndarray, float, int]:
-    """Exact sigma at the points of a lam batch that can reach the running
-    maximum ``best`` and -inf elsewhere, with the updated best and the number
-    of points solved.
-
-    sigma <= ||.||_F, so a point whose Frobenius norm times _SCREEN_MARGIN
-    lies below the best sigma so far can neither exceed nor tie it.  That
-    holds for the computed norms only while the squares are normal floats.
-    Below the smallest normal float t they may have underflowed, but then
-    every entry is below sqrt(2 t), and the computed sigma, from a Gram
-    matrix with entries below 2 L t, stays below 2 L sqrt(t): that is the
-    bound of such a point.  The largest-Frobenius point is solved first,
-    then the others in blocks of _SCREEN_BLOCK points against the best so
-    far, each block's survivors copied out."""
-    mats = fiber.matrices(lams)
-    flat = mats.reshape(len(lams), -1)
-    sq = np.vecdot(flat, flat).real
-    fro = np.sqrt(sq) * _SCREEN_MARGIN
-    tiny = np.finfo(float).tiny
-    fro[sq < tiny] = 2 * mats.shape[1] * math.sqrt(tiny)
-    sig = np.full(len(lams), -np.inf)
-    top = int(np.argmax(fro))
-    if fro[top] < best:
-        return sig, best, 0
-    sig[top] = _sigma_exact(mats[top : top + 1])[0]
-    best, solved = max(best, sig[top]), 1
-    fro[top] = np.nan  # solved: fails every comparison below
-    for lo in range(0, len(lams), _SCREEN_BLOCK):
-        pick = lo + np.flatnonzero(fro[lo : lo + _SCREEN_BLOCK] >= best)
-        if len(pick):
-            sig[pick] = _sigma_exact(mats[pick])
-            best, solved = max(best, sig[pick].max()), solved + len(pick)
-    return sig, best, solved
 
 
 def _sturm_above(alpha: np.ndarray, b2: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -768,8 +718,14 @@ def _top_ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, int]:
     columns, the ones with no passing candidate and larger batches bisect
     with Sturm counts from max alpha up to max alpha + 2 max beta
     (Gershgorin), _BISECT_STEPS times.  Max alpha always has an eigenvalue at
-    or above it, so every result is a lower bound."""
+    or above it, so every result is a lower bound.  A column holding a value
+    that is not finite (a Lanczos step overflowed) reads NaN."""
     k, m = alpha.shape
+    finite = np.isfinite(alpha).all(axis=0) & np.isfinite(beta).all(axis=0)
+    if not finite.all():
+        out = np.full(m, np.nan)
+        out[finite], bisected = _top_ritz(alpha[:, finite], beta[:, finite])
+        return out, bisected
     lo, b2, bmax = alpha.max(axis=0), beta * beta, beta.max(axis=0, initial=0.0)
     out, todo = lo.copy(), np.arange(m)
     if m * k * k <= _RITZ_DENSE_MAX:
@@ -832,9 +788,10 @@ def _sigma_max_lanczos(fiber: ElementOrbitFiber, lams: np.ndarray, start: np.nda
 
     Returns the estimates, the number of lams still moving at the step cap,
     the number of Lanczos steps summed over the lams, the number of checks
-    (one per lam) whose Ritz value took bisection, and, for a single lam, its
-    top Ritz vector Q y (Q the Lanczos basis, y the top eigenvector of the
-    tridiagonal), else None."""
+    (one per lam) whose Ritz value took bisection, and, for a single lam
+    with a finite estimate, its top Ritz vector Q y (Q the Lanczos basis, y
+    the top eigenvector of the tridiagonal), else None.  A lam whose steps
+    overflowed reads NaN (see _top_ritz) and leaves the batch."""
     if start is None or not np.linalg.norm(start) > 0:  # a fiber vanishing at the seed point
         re, im = np.random.default_rng(_LANCZOS_SEED).standard_normal((2, fiber.L))
         start = re + 1j * im
@@ -871,7 +828,7 @@ def _sigma_max_lanczos(fiber: ElementOrbitFiber, lams: np.ndarray, start: np.nda
             q, q_prev, alpha, beta = q[keep], q_prev[keep], alpha[:, keep], beta[:, keep]
             terms, adj_terms = _seam_rows(terms, keep), _seam_rows(adj_terms, keep)
     ritz = None
-    if basis is not None:
+    if basis is not None and np.isfinite(est[0]):
         k = len(basis)
         tri = np.diag(alpha[:k, 0]) + np.diag(beta[: k - 1, 0], 1) + np.diag(beta[: k - 1, 0], -1)
         ritz = np.linalg.eigh(tri)[1][:, -1] @ np.array(basis)
@@ -890,13 +847,11 @@ class NormResult:
     ``lanczos_steps`` the Lanczos steps summed over all grid points, and
     ``ritz_bisections`` the grid-point checks whose top Ritz value was
     certified by bisection rather than by a dense estimate and one Sturm
-    sweep, ``dense_points`` the grid points that took a dense eigensolve
-    (the others on a dense-path fiber were screened out by their Frobenius
-    norm), and ``solvers`` the solver of each orbit, ``"band"``,
-    ``"dense"``, ``"lanczos"`` or ``"closed"``.  A ``"band"`` orbit (an
-    element fiber f u^i of one band) reads max|f| exactly at lam = 1 with a
-    grid of 1 and keeps the caller's tol, so its upper bound is true but
-    loose.  A closed-form result (corner_norm) has no grid: its tol is the
+    sweep, and ``solvers`` the solver of each orbit: ``"band"`` or
+    ``"lanczos"`` for an element fiber, ``"closed"`` or ``"dense"`` for a
+    seam corner.  A ``"band"`` orbit (an element fiber f u^i of one band)
+    reads max|f| exactly at lam = 1 with a grid of 1 and keeps the caller's
+    tol, so its upper bound is true but loose.  A closed-form result (corner_norm) has no grid: its tol is the
     width of its own bound, at most the caller's tol, and ``grids`` counts
     the phases it solved.
     """
@@ -905,12 +860,11 @@ class NormResult:
     tol: float
     argmax: tuple[str, complex] | None
     grids: dict[str, int]
-    per_orbit: dict[str, tuple[float, complex]] = None
+    per_orbit: dict[str, tuple[float, complex]]
+    solvers: dict[str, str]
     unconverged: int = 0
     lanczos_steps: int = 0
     ritz_bisections: int = 0
-    dense_points: int = 0
-    solvers: dict[str, str] = None
 
     @property
     def upper(self) -> float:
@@ -919,13 +873,11 @@ class NormResult:
 
 def _solver(fiber) -> str:
     """How fiber_sup_norm reads a fiber: ``"band"`` for an element fiber of
-    one band, else ``"lanczos"`` for an element fiber on a cycle longer than
-    _DENSE_MAX_L, else ``"dense"``."""
+    one band, ``"lanczos"`` for any other element fiber, and ``"dense"``
+    for a fiber that is not an element fiber."""
     if not isinstance(fiber, ElementOrbitFiber):
         return "dense"
-    if len(fiber.bands) == 1:
-        return "band"
-    return "lanczos" if fiber.L > _DENSE_MAX_L else "dense"
+    return "band" if len(fiber.bands) == 1 else "lanczos"
 
 
 def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float, *, scale_exp: int = 0) -> NormResult:
@@ -933,15 +885,21 @@ def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float, *, 
 
     A fiber has a ``cycle``, the order ``L`` of its matrices, an arc-Lipschitz
     bound ``lip()`` and ``matrices(lams)``.  Grid sizes are powers of two with
-    arc spacing such that lip * (pi / grid) <= tol, except for an element
-    fiber of one band, which is read as max|f| at the one point lam = 1 (see
-    the module docstring).  A fiber whose bound is not finite (a NaN or
-    infinite coefficient) is refused: nothing certifies it.  So is a fiber whose grid would hold more than _GRID_MAX_BYTES (16
-    bytes a point for lam and 8 for sigma); both are refused before any grid
-    is allocated.  When the fibers and tol are those of a caller's element
-    and tol scaled by 2^-scale_exp (see norm), a refusal quotes the bound and
-    tol times 2^scale_exp: the caller's own numbers, unless norm had to clamp
-    the scaled tol into the positive floats.
+    arc spacing such that lip * (pi / grid) <= tol.  An element fiber of one
+    band is read as max|f| at the one point lam = 1, any other element fiber
+    by Lanczos, and a fiber that is not an element fiber by a dense
+    eigensolve at every grid point (see the module docstring).
+
+    A fiber whose bound is not finite (a NaN or infinite coefficient) is
+    refused: nothing certifies it.  So is a fiber whose grid would hold more
+    than _GRID_MAX_BYTES (16 bytes a point for lam and 8 for sigma); both are
+    refused before any grid is allocated.  A fiber whose solver yields a
+    sigma that is not finite (entries so large that the squares the solver
+    forms overflow, which norm's scaling avoids) is refused once solved.
+    When the fibers and tol are those of a caller's element and tol scaled
+    by 2^-scale_exp (see norm), a refusal quotes the bound and tol times
+    2^scale_exp: the caller's own numbers, unless norm had to clamp the
+    scaled tol into the positive floats.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -962,7 +920,7 @@ def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float, *, 
                 f"over the limit of {_GRID_MAX_BYTES} bytes"
             )
         plan.append((fiber, label, n, solver))
-    value, argmax, counts = 0.0, None, np.zeros(4, dtype=np.int64)
+    value, argmax, counts = 0.0, None, np.zeros(3, dtype=np.int64)
     grids: dict[str, int] = {}
     per_orbit: dict[str, tuple[float, complex]] = {}
     solvers: dict[str, str] = {}
@@ -977,25 +935,26 @@ def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float, *, 
             chunk = max(1, _LANCZOS_CHUNK_BYTES // _lanczos_point_bytes(fiber))
             # grid point 0 from the fixed seed; its top Ritz vector starts the rest
             sig[:1], *first, ritz = _sigma_max_lanczos(fiber, full[:1])
-            counts[:3] += first
+            counts += first
             for lo in range(1, n, chunk):
                 sig[lo : lo + chunk], *more, _ = _sigma_max_lanczos(fiber, full[lo : lo + chunk], ritz)
-                counts[:3] += more
+                counts += more
         else:
             chunk = min(_GRID_CHUNK, max(1, _DENSE_CHUNK_ENTRIES // (fiber.L * fiber.L)))
-            best = -np.inf
             for lo in range(0, n, chunk):
-                sig[lo : lo + chunk], best, solved = _sigma_max_screened(fiber, full[lo : lo + chunk], best)
-                counts[3] += solved
+                sig[lo : lo + chunk] = _sigma_exact(fiber.matrices(full[lo : lo + chunk]))
+        if not np.isfinite(sig).all():
+            raise ValueError(f"fiber over the orbit of {label!r} has a spectral norm that is not finite "
+                             "(its entries' squares overflow)")
         j = int(np.argmax(sig))
         best, best_lam = float(sig[j]), complex(full[j])
         per_orbit[label] = (best, best_lam)
         if best > value:
             value, argmax = best, (label, best_lam)
-    unconverged, lanczos_steps, ritz_bisections, dense_points = map(int, counts)
+    unconverged, lanczos_steps, ritz_bisections = map(int, counts)
     return NormResult(value=value, tol=float(tol), argmax=argmax, grids=grids, per_orbit=per_orbit,
-                      unconverged=unconverged, lanczos_steps=lanczos_steps, ritz_bisections=ritz_bisections,
-                      dense_points=dense_points, solvers=solvers)
+                      solvers=solvers, unconverged=unconverged, lanczos_steps=lanczos_steps,
+                      ritz_bisections=ritz_bisections)
 
 
 def norm(a: CrossedElement, tol: float = 1e-3) -> NormResult:
@@ -1040,14 +999,19 @@ class PeriodicEmbedding:
     residuals stream the lam grid in chunks of ``chunk`` points, holding at
     most ``point_bytes`` per grid point of the chunk, so their memory is
     O(points * chunk * n); a system whose single grid point needs more than
-    _EMBED_CHUNK_BYTES is refused before anything is allocated.  Injectivity
-    is checked numerically by a commuting square with the canonical
-    expectation (grid average of the diagonal).
+    _EMBED_CHUNK_BYTES, and a lam grid of more than _GRID_MAX_BYTES, are
+    refused before anything is allocated.  Injectivity is checked
+    numerically by a commuting square with the canonical expectation (grid
+    average of the diagonal).
     """
 
     def __init__(self, sys: FiniteDynamicalSystem, grid: int, n: int | None = None):
         if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 1:
             raise ValueError(f"grid must be an integer >= 1, got grid = {grid!r}")
+        if 16 * grid > _GRID_MAX_BYTES:
+            raise ValueError(
+                f"a lam grid of {grid} points needs {16 * grid} bytes, over the limit of {_GRID_MAX_BYTES} bytes"
+            )
         lengths = {c.length for c in sys.orbits().cycles}
         if n is None:
             n = math.lcm(*lengths)

@@ -19,6 +19,7 @@ from .dynsys import FiniteDynamicalSystem
 __all__ = [
     "MarkerCertificate",
     "MarkerError",
+    "check_cycle_lengths",
     "greedy_markers",
     "marker_certificate",
 ]
@@ -85,6 +86,25 @@ def marker_certificate(
     )
 
 
+def check_cycle_lengths(sys: FiniteDynamicalSystem, m: int, K: ArrayLike, d: int) -> None:
+    """Refuse, with a ``MarkerError``, an m < 1 or a cycle meeting K (point
+    indices) of length at most (d+1)(4m+1): greedy placement needs every gap
+    inside [2m+1, 4m+1]."""
+    if m < 1:
+        raise MarkerError(f"m must be >= 1, got {m}")
+    orbs = sys.orbits()
+    N = (d + 1) * (4 * m + 1)
+    K = np.asarray(K, np.int64)
+    short = orbs.start[K[orbs.length[K] <= N]]
+    if short.size:
+        # the first short cycle in cycle order
+        base = int(orbs.order[short.min()])
+        raise MarkerError(
+            f"cycle at {sys.labels[base]!r} has length {int(orbs.length[base])}; "
+            f"markers need length > (d+1)(4m+1) = {N}"
+        )
+
+
 def greedy_markers(
     sys: FiniteDynamicalSystem, m: int, K: ArrayLike, d: int | None = None
 ) -> MarkerCertificate:
@@ -96,23 +116,15 @@ def greedy_markers(
     L > (d+1)(4m+1) on every cycle meeting K, which pins all gaps inside
     [2m+1, 4m+1].
     """
-    if m < 1:
-        raise MarkerError(f"m must be >= 1, got {m}")
     if d is None:
         d = sys.declared_dim
     K = np.asarray(K, np.int64)
-    N = (d + 1) * (4 * m + 1)
+    check_cycle_lengths(sys, m, K, d)
     orbs = sys.orbits()
     markers = [np.empty(0, dtype=np.int64)]
     # each cycle meeting K once, by its offset in the cycle order
     for a in np.unique(orbs.start[K]).tolist():
-        base = int(orbs.order[a])
-        L = int(orbs.length[base])
-        if L <= N:
-            raise MarkerError(
-                f"cycle at {sys.labels[base]!r} has length {L}; "
-                f"markers need length > (d+1)(4m+1) = {N}"
-            )
+        L = int(orbs.length[orbs.order[a]])
         q, r = divmod(L, 2 * m + 1)
         gaps = 2 * m + 1 + r // q + (np.arange(q) < r % q)
         markers.append(orbs.order[a + np.cumsum(gaps) - gaps])

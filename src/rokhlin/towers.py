@@ -32,7 +32,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .dynsys import FiniteDynamicalSystem
-from .markers import MarkerCertificate, greedy_markers, marker_certificate
+from .markers import MarkerCertificate, check_cycle_lengths, greedy_markers, marker_certificate
 
 __all__ = [
     "TowerError",
@@ -63,6 +63,15 @@ def min_window_length(d: int, k: int) -> int:
     """Smallest admissible tower half-length m for tolerance window k: the
     staggered supports tile only when 2m >= 2(2d+3)k - d - 2."""
     return math.ceil(((2 * d + 3) * k) - d / 2 - 1)
+
+
+def _check_window(d: int, k: int, m: int) -> None:
+    """Refuse an m below min_window_length(d, k) with a ``TowerError``."""
+    if 2 * m < 2 * (2 * d + 3) * k - d - 2:
+        raise TowerError(
+            f"m = {m} too small for (d, k) = ({d}, {k}); need m >= (2d+3)k - d/2 - 1 = "
+            f"{(2 * d + 3) * k - d / 2 - 1}"
+        )
 
 
 def _tower_points(sys: FiniteDynamicalSystem, anchors: np.ndarray, m: int) -> np.ndarray:
@@ -115,11 +124,7 @@ def tower_supports(
     support stay pairwise disjoint and that the [-(m-k), m-k] translates of
     all supports jointly cover the certificate's compact set.
     """
-    if 2 * m < 2 * (2 * d + 3) * k - d - 2:
-        raise TowerError(
-            f"m = {m} too small for (d, k) = ({d}, {k}); need m >= (2d+3)k - d/2 - 1 = "
-            f"{(2 * d + 3) * k - d / 2 - 1}"
-        )
+    _check_window(d, k, m)
     if not cert.ok():
         raise TowerError("marker certificate is invalid")
     if cert.m != m:
@@ -253,14 +258,21 @@ def build_tower_family(
     k' = k * ceil(1/eps) and K' = union of the [-k', k'] translates of K are
     derived here; K and the markers are point indices.  The marker set
     defaults to the greedy placement for (m, K'); a custom set may be supplied
-    and is certified before use.
+    and is certified before use.  The greedy placement's cycle lengths (the
+    cycles meeting K' are those meeting K) and m against k' are checked
+    before K' is formed, so a k' or m too large for int64 translates is
+    refused with a ``MarkerError`` or ``TowerError``.
     """
     eps = as_fraction(eps)
     if eps <= 0:
         raise TowerError("eps must be positive")
     in_K = sys.mask(K)
+    inside = np.flatnonzero(in_K)
     k_prime = k * math.ceil(1 / eps)
-    K_prime = sys.translate_counts(np.flatnonzero(in_K), -k_prime, k_prime) > 0
+    if markers is None:
+        check_cycle_lengths(sys, m, inside, d)
+    _check_window(d, k_prime, m)
+    K_prime = sys.translate_counts(inside, -k_prime, k_prime) > 0
     enlarged = np.flatnonzero(K_prime)
     if markers is None:
         cert = greedy_markers(sys, m, enlarged, d)

@@ -588,6 +588,50 @@ def test_periodic_refuses_an_oversized_embedding(tmp_path, capsys):
     assert f"period 1001 needs {16 * 1001 * (3 * 713 + 6)} bytes per grid point" in rep["error"]["message"]
 
 
+def test_periodic_refuses_an_oversized_lambda_grid(capsys):
+    # 10^11 grid points would need a 1.6 TB lam array: refused before it is built
+    tracemalloc.start()
+    try:
+        rc = main(["periodic", "--system", str(SCENARIOS / "system_3_10.json"), "--lambda-grid", "100000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert rc == 2 and peak < 2**24 and "Traceback" not in err
+    assert rep["error"]["type"] == "ValueError"
+    assert "a lam grid of 100000000000 points needs 1600000000000 bytes" in rep["error"]["message"]
+    # the first grid past the limit is refused by the embedding itself
+    with pytest.raises(ValueError, match=f"a lam grid of {2**24 + 1} points"):
+        cstar.periodic_embedding(make_cycle_system([3]), 2**24 + 1)
+
+
+@pytest.mark.parametrize("system, m, error", [
+    # k' = 3 ceil(10^30) overflows int64 translates: the greedy placement's
+    # cycle length refusal (m = 40 and m = 10^31 on 100-point cycles) and
+    # the window refusal (m = 40 on a 2000-point cycle) come first
+    ("system_100.json", "40", "MarkerError"),
+    ("system_100.json", "10000000000000000000000000000000", "MarkerError"),
+    (None, "40", "TowerError"),
+], ids=["m40", "m1e31", "long_cycle"])
+def test_towers_refuses_an_overflowing_window(tmp_path, capsys, system, m, error):
+    spath = SCENARIOS / system if system else write_system(tmp_path, lengths=(2000,))
+    rc = main(["towers", "--system", str(spath), "--k", "3", "--m", m, "--epsilon", "1e-30"])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert rc == 2 and "Traceback" not in err
+    assert rep["error"]["type"] == error
+
+
+def test_approx_at_a_tiny_epsilon(tmp_path, capsys):
+    # approx derives m from epsilon', so epsilon = 10^-30 stays a passing run
+    doc = json.loads((SCENARIOS / "approx_small.json").read_text())
+    doc.update(epsilon="1e-30", system=str(SCENARIOS / doc["system"]))
+    scen = tmp_path / "approx.json"
+    scen.write_text(json.dumps(doc))
+    assert main(["approx", "--scenario", str(scen)]) == 0
+
+
 def test_periodic_runs_period_1001(tmp_path, capsys):
     spath = write_system(tmp_path, lengths=(7, 11, 13))
     tracemalloc.start()

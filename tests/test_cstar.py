@@ -218,13 +218,13 @@ class TestNorm:
             assert np.abs(a.expectation()).max() <= res.upper + 1e-9
 
     def test_solvers_name_each_orbit(self):
-        # u + u^2 on the 3- and 10-cycles takes the dense path, on a 48-cycle
-        # Lanczos; norm_unitary's u has one band and is read as max|f| on
-        # every cycle; the report leaves the solvers out
+        # u + u^2 takes Lanczos on the 3- and 10-cycles as on a 48-cycle;
+        # norm_unitary's u has one band and is read as max|f| on every
+        # cycle; the report leaves the solvers out
         sys = load_system((SCENARIOS / "system_3_10.json").read_text())
         labels = [sys.labels[c.base] for c in sys.orbits().cycles]
         u = CrossedElement.unitary(sys)
-        assert norm(u + u * u, 1e-3).solvers == dict.fromkeys(labels, "dense")
+        assert norm(u + u * u, 1e-3).solvers == dict.fromkeys(labels, "lanczos")
         assert norm(u, 1e-3).solvers == dict.fromkeys(labels, "band")
         assert "solvers" not in json.dumps(run_scenario(SCENARIOS / "norm_unitary.json"))
         sys = make_cycle_system([48])
@@ -306,20 +306,21 @@ class TestConstantBandOracle:
     @settings(max_examples=15, deadline=None)
     @given(constant_bands(st.integers(1, 32)))
     def test_dense_cycles(self, case):
+        # cycles of at most 32 points: c u^i is read as |c|, with no
+        # eigensolve, and every other element by Lanczos
         res = self.check(*case, 1e-2)
-        if len(case[1]) == 1:
-            # c u^i: read as |c|, with no eigensolve
-            assert list(res.solvers.values()) == ["band"] and res.dense_points == 0
-        else:
-            assert res.dense_points > 0
+        assert list(res.solvers.values()) == ["band" if len(case[1]) == 1 else "lanczos"]
+        assert res.unconverged == 0
 
     @settings(max_examples=3, deadline=None)
     @given(constant_bands(st.just(48)))
     def test_lanczos_cycle(self, case):
         res = self.check(*case, 5e-2)
-        assert res.dense_points == 0
+        assert list(res.solvers.values()) == ["band" if len(case[1]) == 1 else "lanczos"]
 
     @pytest.mark.parametrize("exp", [660, -660])
+    # the ids name the two sides of a cycle length that once split a dense
+    # eigensolver from Lanczos; both lengths now take Lanczos
     @pytest.mark.parametrize("L", [20, 48], ids=["dense", "lanczos"])
     def test_extreme_scales(self, L, exp):
         # 2^exp (u + 1/2 + (1 - i)/4 u^-2): Gram entries near 2^(2 exp) leave
@@ -337,7 +338,7 @@ class TestConstantBandOracle:
         assert res.value <= oracle * (1 + 1e-14) and oracle <= res.upper
         assert res.grids == one.grids and res.argmax == one.argmax
         assert res.per_orbit == {label: (res.value, one.per_orbit[label][1])}
-        assert res.solvers == {label: "dense" if L == 20 else "lanczos"}
+        assert res.solvers == {label: "lanczos"}
 
     def test_refusal_at_extreme_scale_quotes_the_callers_numbers(self):
         # 2^300 (u + u^2) is solved as (u + u^2) / 2, but an oversized grid
@@ -378,7 +379,7 @@ class TestOneBand:
             assert res.per_orbit == {} and res.grids == {}
             return
         assert res.per_orbit == {sys.labels[0]: (top, 1 + 0j)} and res.grids == {sys.labels[0]: 1}
-        assert res.solvers == {sys.labels[0]: "band"} and res.dense_points == res.lanczos_steps == 0
+        assert res.solvers == {sys.labels[0]: "band"} and res.lanczos_steps == 0
         sigma = dense_fiber_sigma(a, sys.orbits().cycles[0], _grid(64))
         assert np.abs(sigma - top).max() <= 4 * np.spacing(top), (sigma.min(), sigma.max(), top)
 
@@ -403,7 +404,7 @@ class TestOneBand:
         assert ca.length == la and cb.length == lb
         la_label, lb_label = sys.labels[ca.base], sys.labels[cb.base]
         assert res.per_orbit[la_label] == (top, 1 + 0j) and res.grids[la_label] == 1
-        b_solver = "band" if not h.any() else "lanczos" if lb > 32 else "dense"
+        b_solver = "lanczos" if h.any() else "band"
         assert res.solvers == {la_label: "band", lb_label: b_solver}
         assert res.per_orbit[lb_label][0] >= 2 * top * (1 - 1e-12)
         assert res.value == res.per_orbit[lb_label][0] and res.argmax[0] == lb_label
@@ -1145,3 +1146,23 @@ class TestNonFiniteFibers:
         coeff[cyc.order[5]] = bad
         with pytest.raises(ValueError, match=f"orbit of '{sys.labels[cyc.base]}' is not finite"):
             norm(CrossedElement(sys, {1: coeff}), 1e-3)
+
+    @pytest.mark.parametrize("L", [8, 40])
+    @pytest.mark.parametrize("scale", [1e150, 1e160])
+    def test_sigma_that_overflows_is_refused(self, L, scale):
+        # the squares Lanczos forms overflow: at 1e160 in a*a, which would
+        # read 0 or NaN, and at 1e150 in the norm of a*a q, which would end
+        # the recurrence and certify half the norm; the fiber is refused by
+        # name instead, and norm solves the element at a power-of-two scale
+        sys = make_cycle_system([3, L])
+        cyc = [c for c in sys.orbits().cycles if c.length == L][0]
+        rng = np.random.default_rng(L)
+        a = CrossedElement(sys, {i: scale * (rng.standard_normal(sys.n) + 1j * rng.standard_normal(sys.n))
+                                 for i in (-1, 0, 1)})
+        fib = ElementOrbitFiber(a, cyc)
+        tol = fib.lip() * np.pi / 64
+        refusal = f"orbit of '{sys.labels[cyc.base]}' has a spectral norm that is not finite"
+        with pytest.raises(ValueError, match=refusal), np.errstate(over="ignore", invalid="ignore"):
+            cstar.fiber_sup_norm(sys, [fib], tol)
+        res = norm(a, tol)
+        assert math.isfinite(res.value) and res.per_orbit[sys.labels[cyc.base]][0] > scale

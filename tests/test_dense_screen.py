@@ -1,10 +1,14 @@
-"""The dense path of fiber_sup_norm: Frobenius screening and the fiber builders.
+"""The dense path of fiber_sup_norm and the fiber builders.
 
-The references below are the formulas the program used before the screen:
-the interpolated and combined builders as they were (the element builder is
-unchanged; a seam corner is the S x S block of the dense interpolated field),
-and an eigensolve at every grid point.  The screened norm must agree with
-them bit for bit.
+A fiber that is not an element fiber (a seam corner on the grid fallback, or
+a test fiber below) takes an eigensolve at every grid point.  The references
+below are the interpolated and combined builders as they were (a seam
+corner is the S x S block of the dense interpolated field) and an eigensolve
+at every grid point; the dense path must agree with them bit for bit.
+
+Element fibers of two or more bands take Lanczos at every cycle length;
+those at extreme scales go through norm, which solves them at a power-of-two
+scale, and must agree with a dense eigensolve of the same grid.
 """
 
 import json
@@ -34,10 +38,18 @@ from rokhlin.cstar import (
 )
 from rokhlin.dynsys import invariant_split, make_cycle_system
 
-from dense_reference import CombinedFiber, InterpolationFiber, dense_quotient_fiber
+from dense_reference import CombinedFiber, InterpolationFiber, dense_fiber_sigma, dense_quotient_fiber
 
 # the dense interp(sample(b)) - b field whose seam block each corner fiber is
 _DENSE = weakref.WeakKeyDictionary()
+
+# how far below the largest dense_fiber_sigma of a grid a norm on the Lanczos
+# path may read: Lanczos stops once its estimate moves by at most 1e-13
+# relative between checks, but where the top two singular values lie close
+# (0.4% apart on a random radius-1 element of a 22-cycle) a warm start stops
+# 2e-12 short; the largest shortfall over 7,500 random elements of radius 1-3
+# on cycles of 1-32 points was 6.4e-13
+LANCZOS_AGREEMENT = 1e-11
 
 
 def random_coeffs(sys, radius, rng, sparse=False):
@@ -50,7 +62,7 @@ def random_coeffs(sys, radius, rng, sparse=False):
     return coeffs
 
 
-# -- the builders and the sigma before the screen ----------------------------
+# -- the builders and an eigensolve at every point ------------------------------
 
 
 def reference_matrices(fiber, lams):
@@ -78,7 +90,7 @@ def reference_sigma(mats):
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
 
-def unscreened_sup(sys, fibers, tol):
+def dense_sup(sys, fibers, tol):
     """(value, argmax, per_orbit) with an eigensolve at every grid point."""
     value, argmax, per_orbit = 0.0, None, {}
     for fiber in fibers:
@@ -98,7 +110,7 @@ def bits(x):
 
 
 def assert_bit_identical(result, sys, fibers, tol):
-    value, argmax, per_orbit = unscreened_sup(sys, fibers, tol)
+    value, argmax, per_orbit = dense_sup(sys, fibers, tol)
     assert bits(result.value) == bits(value)
     assert result.argmax == argmax
     assert result.per_orbit.keys() == per_orbit.keys()
@@ -156,7 +168,7 @@ class TestBuilders:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-# -- the screen -----------------------------------------------------------------
+# -- the dense path and element fibers ---------------------------------------------
 
 
 def flat_fiber(L, c, i):
@@ -167,100 +179,132 @@ def flat_fiber(L, c, i):
     even, odd = np.zeros((2, L), dtype=np.complex128)
     slots = _rep_points(sys, cyc)
     even[slots[::2]], odd[slots[1::2]] = c, c
-    return sys, [ElementOrbitFiber(CrossedElement(sys, {i: even, i + 2: odd}), cyc)]
+    return CrossedElement(sys, {i: even, i + 2: odd})
 
 
 @st.composite
-def dense_cases(draw):
-    """(sys, fibers, tol) for the dense path, with fields of every kind it sees."""
+def corner_cases(draw):
+    """(sys, fibers, tol) for the dense path: the seam corners of quotient
+    fields, on their grid."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["element", "quotient", "flat", "twins"]))
-    if kind == "element":
-        # scales whose squares are normal, near the smallest normal float,
-        # subnormal, or lost to underflow; every band keeps an entry, so the
-        # fiber has at least three (a one-band fiber takes no grid)
-        L = draw(st.integers(1, 32))
-        scale = draw(st.sampled_from([1.0, 1e150, 1e-150, 1e-154, 1e-158, 1e-170]))
-        sys = make_cycle_system([L])
-        coeffs = random_coeffs(sys, draw(st.integers(1, 3)), rng, draw(st.booleans()))
-        for c in coeffs.values():
-            c[0] = c[0] or 1.0
-        a = CrossedElement(sys, {i: scale * c for i, c in coeffs.items()})
-        fibers = [ElementOrbitFiber(a, sys.orbits().cycles[0])]
-    elif kind == "quotient":
-        lengths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
-        radius = draw(st.integers(1, 2))
-        unitary = draw(st.booleans())
-        sys, fibers = quotient_fibers(
-            lengths,
-            (lambda sys: CrossedElement.unitary(sys)) if unitary
-            else (lambda sys: CrossedElement(sys, random_coeffs(sys, radius, rng))),
-            draw(st.sampled_from([Fraction(1, 2), Fraction(3, 10)])),
-        )
-    elif kind == "flat":
-        # c u^i on the even slots and c u^(i+2) on the odd ones of an even
-        # cycle: a weighted permutation, so sigma is |c| at every grid point
-        # up to rounding, and the points tie or nearly tie
-        sys, fibers = flat_fiber(2 * draw(st.integers(1, 10)), complex(*rng.standard_normal(2)),
-                                 draw(st.integers(-3, 3)))
-    else:
-        # two orbits with the same fiber: the maxima tie across orbits
-        L = draw(st.integers(1, 9))
-        sys = make_cycle_system([L, L])
-        coeffs = {i: np.tile(c[:L], 2) for i, c in random_coeffs(sys, 1, rng).items()}
-        a = CrossedElement(sys, coeffs)
-        fibers = [ElementOrbitFiber(a, cyc) for cyc in sys.orbits().cycles]
+    lengths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
+    radius = draw(st.integers(1, 2))
+    unitary = draw(st.booleans())
+    sys, fibers = quotient_fibers(
+        lengths,
+        (lambda sys: CrossedElement.unitary(sys)) if unitary
+        else (lambda sys: CrossedElement(sys, random_coeffs(sys, radius, rng))),
+        draw(st.sampled_from([Fraction(1, 2), Fraction(3, 10)])),
+    )
     lip = max(f.lip() for f in fibers)
     grid = draw(st.sampled_from([1, 8, 128, 1024]))
     return sys, fibers, lip * math.pi / grid if lip > 0 else 1.0
 
 
+@st.composite
+def element_cases(draw):
+    """(unit, scale, grid): an element whose fibers have two or more bands,
+    a scale to solve scale * unit at and a grid size for its largest fiber."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "sparse", "constant", "flat", "twins"]))
+    if kind == "flat":
+        # a weighted permutation: sigma is |c| at every grid point up to
+        # rounding, so the points tie or nearly tie
+        unit = flat_fiber(2 * draw(st.integers(1, 10)), complex(*rng.standard_normal(2)), draw(st.integers(-3, 3)))
+    elif kind == "twins":
+        # two orbits with the same fiber: the maxima tie across orbits
+        L = draw(st.integers(1, 9))
+        sys = make_cycle_system([L, L])
+        unit = CrossedElement(sys, {i: np.tile(c[:L], 2) for i, c in random_coeffs(sys, 1, rng).items()})
+    else:
+        # radius 1-3 on a cycle of 1-32 points, every band keeping an entry,
+        # so the fiber has three bands or more
+        sys = make_cycle_system([draw(st.integers(1, 32))])
+        coeffs = random_coeffs(sys, draw(st.integers(1, 3)), rng, kind == "sparse")
+        for c in coeffs.values():
+            c[0] = c[0] or 1.0
+            if kind == "constant":
+                c[:] = c[0]
+        unit = CrossedElement(sys, coeffs)
+    # scales whose squares are normal, near the smallest normal float,
+    # subnormal, lost to underflow, or near overflow
+    scale = draw(st.sampled_from([1.0, 1e150, 1e-150, 1e-154, 1e-158, 1e-170]))
+    return unit, scale, draw(st.sampled_from([1, 8, 128, 1024]))
+
+
+def assert_matches_dense(unit, scale, tol):
+    """norm(scale * unit, tol) on every orbit: Lanczos, converged, at most
+    the dense sigma maximum of the same grid (scaled) and close to it."""
+    sys = unit.sys
+    result = norm(scale * unit, tol)
+    for cyc in sys.orbits().cycles:
+        label = sys.labels[cyc.base]
+        dense = scale * float(dense_fiber_sigma(unit, cyc, _grid(result.grids[label])).max())
+        value = result.per_orbit[label][0]
+        assert value <= dense * (1 + 1e-14), (label, value, dense)
+        assert abs(value - dense) <= LANCZOS_AGREEMENT * dense, (label, value, dense)
+    assert set(result.solvers.values()) == {"lanczos"} and result.unconverged == 0
+    return result
+
+
 class TestScreen:
     @settings(max_examples=60, deadline=None)
-    @given(dense_cases(), st.sampled_from([64, cstar._GRID_CHUNK]))
+    @given(corner_cases(), st.sampled_from([64, cstar._GRID_CHUNK]))
     def test_bit_identical_to_unscreened(self, case, chunk):
-        # a chunk of 64 puts the maximum of most grids in a later chunk
+        # the dense path against an eigensolve at every point of the
+        # reference fields; a chunk of 64 puts the maximum of most grids in
+        # a later chunk
         sys, fibers, tol = case
         with mock.patch.object(cstar, "_GRID_CHUNK", chunk):
             result = fiber_sup_norm(sys, fibers, tol)
         assert_bit_identical(result, sys, fibers, tol)
-        assert result.dense_points <= sum(result.grids.values())
+        assert set(result.solvers.values()) == {"dense"}
 
     def test_maximum_in_the_second_chunk(self):
         # 1 - u^3 on a 3-cycle is (1 - lam) I: the maximum sits at lam = -1,
-        # grid point 4096 of 8192, the first point of the second chunk
+        # grid point 4096 of 8192, the first point of the second chunk; as
+        # a combined fiber it takes the dense path
         sys = make_cycle_system([3])
         a = CrossedElement(sys, {0: np.ones(3), 3: -np.ones(3)})
-        fibers = [ElementOrbitFiber(a, sys.orbits().cycles[0])]
+        fibers = [CombinedFiber([ElementOrbitFiber(a, sys.orbits().cycles[0])])]
         result = fiber_sup_norm(sys, fibers, 5e-4)
         assert result.grids == {sys.labels[0]: 8192} and 8192 > cstar._GRID_CHUNK
+        assert result.solvers == {sys.labels[0]: "dense"}
         assert result.argmax[1] == _grid(8192)[4096]
         assert_bit_identical(result, sys, fibers, 5e-4)
 
     @pytest.mark.parametrize("L", [1, 2])
     @pytest.mark.parametrize("scale", [1e-170, 1e-158])
     def test_tiny_coefficients(self, L, scale):
-        # squared entries underflow (1e-170) or turn subnormal (1e-158), so
-        # the computed Frobenius norm says nothing about the computed sigma
+        # squared entries underflow (1e-170) or turn subnormal (1e-158);
+        # norm solves the element at a power-of-two scale, where they do not
         sys = make_cycle_system([L])
-        a = CrossedElement(sys, {0: np.full(L, scale), 1: np.full(L, 0.5j * scale)})
-        fibers = [ElementOrbitFiber(a, sys.orbits().cycles[0])]
-        for tol in (1.0, fibers[0].lip() * math.pi / 64):
-            result = fiber_sup_norm(sys, fibers, tol)
-            assert_bit_identical(result, sys, fibers, tol)
-            assert all(v >= 0 for v, _ in result.per_orbit.values())
+        unit = CrossedElement(sys, {0: np.ones(L), 1: np.full(L, 0.5j)})
+        for tol in (1.0, ElementOrbitFiber(scale * unit, sys.orbits().cycles[0]).lip() * math.pi / 64):
+            result = assert_matches_dense(unit, scale, tol)
+            assert all(v > 0 for v, _ in result.per_orbit.values())
         if L == 1:
             assert result.value == pytest.approx(1.5 * scale, rel=1e-3)
 
     def test_zero_fiber(self):
-        # every point's matrix is zero: each takes the underflow bound and
-        # every point ties
+        # every point's matrix is zero, and every point ties
         sys = make_cycle_system([4])
         fib = ElementOrbitFiber(CrossedElement.unitary(sys), sys.orbits().cycles[0])
         fibers = [CombinedFiber([fib, fib], [1.0, -1.0])]
         result = fiber_sup_norm(sys, fibers, 1e-2)
-        assert result.value == 0.0 and result.dense_points == result.grids[sys.labels[0]]
+        assert result.value == 0.0 and result.solvers == {sys.labels[0]: "dense"}
         assert_bit_identical(result, sys, fibers, 1e-2)
+
+    def test_overflowing_gram_is_refused(self):
+        # entries near 1e160 overflow the Gram matrices, on which eigvalsh
+        # fails to converge: the fiber is refused by name instead
+        sys = make_cycle_system([3])
+        rng = np.random.default_rng(3)
+        a = CrossedElement(sys, {i: 1e160 * c for i, c in random_coeffs(sys, 1, rng).items()})
+        fibers = [CombinedFiber([ElementOrbitFiber(a, sys.orbits().cycles[0])])]
+        refusal = f"orbit of '{sys.labels[0]}' has a spectral norm that is not finite"
+        with pytest.raises(ValueError, match=refusal), np.errstate(over="ignore", invalid="ignore"):
+            fiber_sup_norm(sys, fibers, fibers[0].lip() * math.pi / 8)
 
     def test_tiny_coefficients_report_is_json(self, tmp_path, capsys):
         sys = make_cycle_system([1, 2])
@@ -289,55 +333,17 @@ class TestScreen:
         assert_bit_identical(result, sys, fibers, 1e-3)
 
 
-def fixed_point_fiber():
-    # |1 - 0.5i lam| on a fixed point peaks at lam = i, grid point 2048 of
-    # 8192 at tol 2e-4, in the first of two chunks; the second chunk stays
-    # below that peak
-    sys = make_cycle_system([1])
-    a = CrossedElement(sys, {0: np.ones(1), 1: np.full(1, -0.5j)})
-    return sys, [ElementOrbitFiber(a, sys.orbits().cycles[0])]
+class TestElementScales:
+    """Every element fiber of two or more bands takes Lanczos, on cycles of
+    at most 32 points too, and agrees with a dense eigensolve of the same
+    grid at every scale norm solves."""
 
-
-class TestDensePoints:
-    @pytest.mark.parametrize("case", ["acceptance", "fixed point"])
-    def test_only_points_that_reach_the_maximum_are_solved(self, case):
-        if case == "acceptance":
-            sys, fibers = quotient_fibers([3, 7], lambda sys: CrossedElement.unitary(sys), Fraction(3, 10))
-            tol = 1e-3
-        else:
-            sys, fibers = fixed_point_fiber()
-            tol = 2e-4
-        result = fiber_sup_norm(sys, fibers, tol)
-        # each chunk's largest-Frobenius point is solved first and the best
-        # value is carried across chunks, so here no point is solved whose
-        # Frobenius norm stays below its fiber's maximum: 68 of 16384 points
-        # on the grids of the acceptance corners (which assemble_and_verify
-        # reads in closed form; the grid is their fallback), 1 of 8192 on the
-        # fixed point
-        reach = 0
-        for fib in fibers:
-            n = result.grids[sys.labels[fib.cycle.base]]
-            assert n > cstar._GRID_CHUNK
-            flat = fib.matrices(_grid(n)).reshape(n, -1)
-            fro = np.sqrt(np.vecdot(flat, flat).real) * cstar._SCREEN_MARGIN
-            reach += int((fro >= result.per_orbit[sys.labels[fib.cycle.base]][0]).sum())
-        assert result.dense_points == reach < 100
-        assert_bit_identical(result, sys, fibers, tol)
-
-    def test_flat_fiber_solves_every_point(self):
-        # ||u + u^2||_F = sqrt(20) at every lam, above sigma <= 2: nothing
-        # can be skipped
-        sys = make_cycle_system([10])
-        u = CrossedElement.unitary(sys)
-        result = norm(u + u * u, 1e-3)
-        assert result.grids == {sys.labels[0]: 8192}
-        assert result.dense_points == 8192
-
-    def test_lanczos_fibers_take_no_dense_eigensolve(self):
-        sys = make_cycle_system([40])
-        u = CrossedElement.unitary(sys)
-        result = norm(u + u * u, 1e-2)
-        assert result.solvers == {sys.labels[0]: "lanczos"} and result.dense_points == 0
+    @settings(max_examples=60, deadline=None)
+    @given(element_cases())
+    def test_norm_matches_the_dense_reference(self, case):
+        unit, scale, grid = case
+        lip = max(ElementOrbitFiber(scale * unit, cyc).lip() for cyc in unit.sys.orbits().cycles)
+        assert_matches_dense(unit, scale, lip * math.pi / grid)
 
 
 # -- memory ---------------------------------------------------------------------
@@ -352,28 +358,7 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def unscreened_path(sys, fibers, tol):
-    """Today's builders with an eigensolve at every point, chunk by chunk."""
-    for fiber in fibers:
-        lip = fiber.lip()
-        lams = _grid(_next_pow2(lip * math.pi / tol) if lip > 0 else 1)
-        for lo in range(0, len(lams), cstar._GRID_CHUNK):
-            cstar._sigma_exact(fiber.matrices(lams[lo : lo + cstar._GRID_CHUNK]))
-
-
 class TestScreenMemory:
-    @pytest.mark.parametrize("case", ["flat", "acceptance"])
-    def test_peak_at_most_unscreened(self, case):
-        if case == "flat":
-            sys, fibers = flat_fiber(10, 1.0, 1)
-        else:
-            # the full L x L fields, as the screen first measured them
-            sys, corners = quotient_fibers([3, 7], lambda sys: CrossedElement.unitary(sys), Fraction(3, 10))
-            fibers = [_DENSE[fib] for fib in corners]
-        screened = traced_peak(lambda: fiber_sup_norm(sys, fibers, 1e-3))
-        unscreened = traced_peak(lambda: unscreened_path(sys, fibers, 1e-3))
-        assert screened <= unscreened, (screened, unscreened)
-
     def test_corners_peak_below_the_dense_fields(self):
         # the acceptance quotient fields on their seam corners against the
         # same fields as full L x L matrices: the same value, in less memory
