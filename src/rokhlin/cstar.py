@@ -8,10 +8,19 @@ convention used everywhere is
 
 where alpha_i denotes the i-th forward iterate.  The algebra splits over
 orbits, and over each cycle of length L it is the L x L matrices over the
-circle; norms are computed fiberwise, over a circle grid whose spacing is
-chosen from an explicit Lipschitz bound, so the reported value is certified
-from below and value + tol from above (a one-band fiber and a seam corner
-with a closed form need no grid).
+circle; norms are computed fiberwise, as the sup over the circle of the
+fiber's top singular value sigma(lam).  A Lipschitz branch-and-bound
+(Piyavskii 1972; Shubert 1972) over a dyadic grid finds it: the grid size n
+is the least power of two with lip() pi / n <= tol, and the search solves
+point 0, then, level by level, the midpoints of the arcs whose bound
+(sigma_a + sigma_b) / 2 + lip (b - a) pi / n can still beat the best value by
+more than tol, one batch a level.  So the reported value, the best point
+solved, is certified from below and value + tol from above, with at most n
+points solved (a one-band fiber and a seam corner with a closed form need
+no search).  An element fiber's arcs use the gauge bound sum_i sup|f_i| |i|
+/ L, up to L times below lip(): with mu^L = lam, D = diag(mu^-r)
+conjugates the fiber to sum_i diag(f_i) S^i(1) mu^i, whose derivative per
+unit arc has norm at most that sum.
 
 An element fiber of one band, f u^i, needs no grid and no eigensolver: its
 fiber diag(f) S^i(lam) is diag(f) times a unitary at every |lam| = 1, so its
@@ -23,15 +32,16 @@ cycle length.  A seam corner of the quotient side (CornerFiber) in which no
 entry wraps more than once has a closed form (corner_norm): the arc's
 sagitta times the top singular value of S x S matrices at the arc-midpoint
 phases, with no grid.  Any other fiber (a seam corner with no closed form)
-takes a dense Hermitian eigensolve at every grid point.  Seam-corner values,
-closed form or grid, are eigvalsh estimates with no Sturm certificate: there
-"value is a lower bound" holds only up to eigvalsh's rounding, a few ulps of
-the Gram matrix's scale.
+takes a dense Hermitian eigensolve at every point the search solves, with
+lip() as its arc bound.  Seam-corner values, closed form or grid, are
+eigvalsh estimates with no Sturm certificate: there "value is a lower bound"
+holds only up to eigvalsh's rounding, a few ulps of the Gram matrix's scale.
 
 Lanczos runs grid point 0 alone from a fixed-seed random vector, then every
-other point, in lockstep chunks of at most _LANCZOS_CHUNK_BYTES, from point
-0's top Ritz vector x moved to its lam: the slots before a cut c, where x has
-the least weight within the band radius, take a factor conj(lam).  That is
+later point the search solves, each level's batch in lockstep chunks of at
+most _LANCZOS_CHUNK_BYTES, from point 0's top Ritz vector x moved to its
+lam: the slots before a cut c, where x has the least weight within the band
+radius, take a factor conj(lam).  That is
 P(lam) x for a unitary P(lam) with P* a(lam) P carrying lam only on the
 entries that cross c, so where x has no weight near c it is the top vector
 at every lam.  Ritz values are checked at every step up to 8, so such a
@@ -90,11 +100,11 @@ _UNIT_TOL = 1e-12
 _SCALE_EXP = 256
 _LANCZOS_SEED = 0x5EED
 # random banded elements on cycles of 48-300 points settle to _REL_TOL within
-# 20-40 steps from the seed vector; from point 0's Ritz vector moved off the
-# cut, the 8 benchmark contractions (L = 48-192, radius 1-2) take 2.1 steps
-# a point over 256-point grids (the floor is 2: checks at steps 1 and 2),
-# one of them 5.6; points still moving at the cap count as
-# NormResult.unconverged
+# 20-40 steps from the seed vector; the 8 benchmark contractions (L = 48-192,
+# radius 1-2) take 18-41 at point 0, and 3.0 steps a point from its Ritz
+# vector moved off the cut over the 26 further points their searches solve
+# (the floor is 2: checks at steps 1 and 2); points still moving at the cap
+# count as NormResult.unconverged
 _LANCZOS_MAX_STEPS = 256
 # one dense eigensolve of m tridiagonals of size k, with one Sturm sweep,
 # beats Sturm bisection while m k^2 is at most this (one BLAS thread, 2-vCPU
@@ -115,10 +125,11 @@ _DENSE_CHUNK_ENTRIES = 2**22
 # a Lanczos grid chunk holds at most this many bytes of per-point arrays
 # (see _lanczos_point_bytes), and at least one point
 _LANCZOS_CHUNK_BYTES = 2**25
-# a fiber whose grid (lam and sigma, 24 bytes a point) would pass this is
-# refused before allocating: at most 2^23 points, 128 times the largest grid
-# the tests reach (2^16; the shipped scenarios and benchmark workloads 2^13);
-# so is a periodic embedding whose lam grid (16 bytes a point) would
+# a fiber whose grid, at 24 bytes a point (a lam and a sigma), would pass
+# this is refused before anything is solved: at most 2^23 points, 128 times
+# the largest grid the tests reach (2^16; the shipped scenarios and benchmark
+# workloads 2^13), and the search solves at most that many; so is a periodic
+# embedding whose lam grid (16 bytes a point) would
 _GRID_MAX_BYTES = 2**28
 # a phased seam corner (see CornerFiber.phased) is solved in closed form at
 # its s/2 arc-midpoint phases only up to this many; past it, its grid, whose
@@ -361,8 +372,10 @@ def holonomy(rep: OrbitFiberRep, tol: float = 1e-10) -> complex:
 # ---------------------------------------------------------------------------
 # fiber fields and the certified sup norm
 
-def _grid(n: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(n) / n)
+def _grid(n: int, idx: np.ndarray | None = None) -> np.ndarray:
+    """The n-th roots of unity exp(2 pi i j / n), for every j or for the
+    indices idx alone (the same floats either way)."""
+    return np.exp(2j * np.pi * (np.arange(n) if idx is None else idx) / n)
 
 
 def _next_pow2(x: float) -> int:
@@ -385,6 +398,14 @@ class ElementOrbitFiber:
 
     def lip(self) -> float:
         return float(sum(np.abs(d).max() * math.ceil(abs(i) / self.L) for i, d in self.bands.items()))
+
+    def gauge_lip(self) -> float:
+        """Arc-Lipschitz bound sum_i sup|f_i| |i| / L, at most lip() (up to L
+        times smaller).  With mu^L = lam, D = diag(mu^-r) conjugates the fiber
+        to sum_i diag(f_i) S^i(1) mu^i, whose lam-derivative per unit arc has
+        norm at most sum_i sup|f_i| |i| / L, and sigma is 1-Lipschitz in the
+        matrix (Weyl)."""
+        return float(sum(np.abs(d).max() * (abs(i) / self.L) for i, d in self.bands.items()))
 
     def matrices(self, lams: np.ndarray) -> np.ndarray:
         L = self.L
@@ -673,7 +694,7 @@ def corner_norm(sys: FiniteDynamicalSystem, corners: Sequence[CornerFiber]) -> N
         if best > value:
             value, argmax = best, (label, complex(mid[j]))
     return NormResult(value=value, tol=upper - value, argmax=argmax, grids=grids, per_orbit=per_orbit,
-                      solvers=dict.fromkeys(grids, "closed"))
+                      solvers=dict.fromkeys(grids, "closed"), evaluations=sum(grids.values()))
 
 
 def _sigma_exact(mats: np.ndarray) -> np.ndarray:
@@ -839,21 +860,25 @@ def _sigma_max_lanczos(fiber: ElementOrbitFiber, lams: np.ndarray, start: np.nda
 class NormResult:
     """Certified two-sided operator norm estimate.
 
-    The true norm lies in [value, value + tol]; ``argmax`` records the orbit
-    base label and circle point attaining the reported value, ``grids`` the
-    per-orbit grid sizes, ``per_orbit`` the per-orbit maxima with their
-    attaining circle points, ``unconverged`` the number of grid points
-    whose Lanczos estimate was still moving at the step cap,
-    ``lanczos_steps`` the Lanczos steps summed over all grid points, and
-    ``ritz_bisections`` the grid-point checks whose top Ritz value was
-    certified by bisection rather than by a dense estimate and one Sturm
-    sweep, and ``solvers`` the solver of each orbit: ``"band"`` or
-    ``"lanczos"`` for an element fiber, ``"closed"`` or ``"dense"`` for a
-    seam corner.  A ``"band"`` orbit (an element fiber f u^i of one band)
-    reads max|f| exactly at lam = 1 with a grid of 1 and keeps the caller's
-    tol, so its upper bound is true but loose.  A closed-form result (corner_norm) has no grid: its tol is the
-    width of its own bound, at most the caller's tol, and ``grids`` counts
-    the phases it solved.
+    The true norm lies in [value, value + tol]: ``value`` is the best point
+    the solvers evaluated, and ``argmax`` records its orbit base label and
+    circle point.  ``grids`` holds each orbit's dyadic grid size n, the
+    finest level of fiber_sup_norm's branch-and-bound and its cap on the
+    points it evaluates there, ``evaluations`` the points (lam values, or
+    closed-form phases) actually solved, summed over the orbits,
+    ``per_orbit`` the per-orbit maxima with their attaining circle points,
+    ``unconverged`` the number of evaluated points whose Lanczos estimate
+    was still moving at the step cap, ``lanczos_steps`` the Lanczos steps
+    summed over the evaluated points, ``ritz_bisections`` the point checks
+    whose top Ritz value was certified by bisection rather than by a dense
+    estimate and one Sturm sweep, and ``solvers`` the solver of each orbit:
+    ``"band"`` or ``"lanczos"`` for an element fiber, ``"closed"`` or
+    ``"dense"`` for a seam corner.  A ``"band"`` orbit (an element fiber
+    f u^i of one band) reads max|f| exactly at lam = 1 with a grid of 1 and
+    keeps the caller's tol, so its upper bound is true but loose.  A
+    closed-form result (corner_norm) has no grid: its tol is the width of
+    its own bound, at most the caller's tol, and ``grids`` counts the phases
+    it solved.
     """
 
     value: float
@@ -865,6 +890,7 @@ class NormResult:
     unconverged: int = 0
     lanczos_steps: int = 0
     ritz_bisections: int = 0
+    evaluations: int = 0
 
     @property
     def upper(self) -> float:
@@ -880,26 +906,114 @@ def _solver(fiber) -> str:
     return "band" if len(fiber.bands) == 1 else "lanczos"
 
 
+def _sigma_batches(fiber, solver: str, label: str, counts: np.ndarray):
+    """sigma at a batch of lams by the fiber's solver, as a function of the
+    batch that refuses a sigma that is not finite; Lanczos counts
+    (unconverged, steps, bisections) add into counts.  A band fiber diag(f)
+    S^i(lam) is f times a unitary at every lam, so it reads max|f|.  Lanczos
+    runs its first batch (grid point 0 alone) from the fixed seed and every
+    later batch, in chunks, from that point's top Ritz vector."""
+    if solver == "band":
+        (band,) = fiber.bands.values()
+        top = np.abs(band).max()
+        read = lambda lams: np.full(len(lams), top)
+    elif solver == "dense":
+        chunk = min(_GRID_CHUNK, max(1, _DENSE_CHUNK_ENTRIES // (fiber.L * fiber.L)))
+        read = lambda lams: np.concatenate(
+            [_sigma_exact(fiber.matrices(lams[lo : lo + chunk])) for lo in range(0, len(lams), chunk)])
+    else:
+        chunk = max(1, _LANCZOS_CHUNK_BYTES // _lanczos_point_bytes(fiber))
+        warm: list = []
+
+        def read(lams: np.ndarray) -> np.ndarray:
+            nonlocal counts
+            if not warm:
+                sig, *first, ritz = _sigma_max_lanczos(fiber, lams)
+                counts += first
+                warm.append(ritz)
+                return sig
+            sig = np.empty(len(lams))
+            for lo in range(0, len(lams), chunk):
+                sig[lo : lo + chunk], *more, _ = _sigma_max_lanczos(fiber, lams[lo : lo + chunk], warm[0])
+                counts += more
+            return sig
+
+    def solve(lams: np.ndarray) -> np.ndarray:
+        sig = read(lams)
+        if not np.isfinite(sig).all():
+            raise ValueError(f"fiber over the orbit of {label!r} has a spectral norm that is not finite "
+                             "(its entries' squares overflow)")
+        return sig
+
+    return solve
+
+
+def _refine(n: int, lip: float, tol: float, solve) -> tuple[np.ndarray, np.ndarray]:
+    """The grid indices a Lipschitz branch-and-bound (Piyavskii; Shubert)
+    solves on the n-point grid, n a power of two, and their sigma.
+
+    Point 0 is solved alone; the arc [0, n] then closes the circle.  Level by
+    level, every arc [a, b] whose bound (sigma_a + sigma_b) / 2 +
+    lip (b - a) pi / n, the most a function of arc-Lipschitz bound lip can
+    reach on the arc of (b - a) 2 pi / n radians, lies above best + tol is
+    split at its midpoint, and all those midpoints are solved in one batch;
+    the refinement stops when no arc is live.  An arc of one grid step is
+    never split, so at most n points are solved, and when lip pi / n <= tol
+    its bound is at most best + tol; so the sup of sigma over the circle is
+    at most the best solved value plus tol."""
+    idx = np.zeros(1, dtype=np.int64)
+    sig = solve(_grid(n, idx))
+    solved, values, best = [idx], [sig], float(sig[0])
+    a, b, sa, sb = idx, np.full(1, n), sig, sig
+    while True:
+        live = (b - a > 1) & ((sa + sb) / 2 + lip * (b - a) * math.pi / n > best + tol)
+        if not live.any():
+            break
+        a, b, sa, sb = a[live], b[live], sa[live], sb[live]
+        mid = (a + b) // 2
+        sig = solve(_grid(n, mid))
+        solved.append(mid)
+        values.append(sig)
+        best = max(best, float(sig.max()))
+        a, b, sa, sb = np.r_[a, mid], np.r_[mid, b], np.r_[sa, sig], np.r_[sig, sb]
+    return np.concatenate(solved), np.concatenate(values)
+
+
 def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float, *, scale_exp: int = 0) -> NormResult:
-    """Sup of fiber spectral norms over per-orbit circle grids with certified slack.
+    """Sup of fiber spectral norms over the circle, certified to within tol
+    by a branch-and-bound over per-orbit dyadic grids.
 
     A fiber has a ``cycle``, the order ``L`` of its matrices, an arc-Lipschitz
-    bound ``lip()`` and ``matrices(lams)``.  Grid sizes are powers of two with
-    arc spacing such that lip * (pi / grid) <= tol.  An element fiber of one
-    band is read as max|f| at the one point lam = 1, any other element fiber
-    by Lanczos, and a fiber that is not an element fiber by a dense
-    eigensolve at every grid point (see the module docstring).
+    bound ``lip()`` and ``matrices(lams)``.  Each orbit's grid size n is the
+    least power of two with lip * (pi / n) <= tol (1 for a fiber of one
+    band).  n is the finest level of _refine and its cap on the points
+    solved, not a list of points: _refine solves point 0, then only the
+    midpoints of arcs whose Lipschitz bound can still beat the best value by
+    more than tol, so only the lam values it solves are built.  Its bound
+    uses, for an element fiber, the gauge bound sum_i sup|f_i| |i| / L
+    (ElementOrbitFiber.gauge_lip: D = diag(mu^-r), mu^L = lam, conjugates
+    the fiber to sum_i diag(f_i) S^i(1) mu^i), at most lip(), and lip()
+    for any other fiber.  ``value`` is the best point solved, so the sup
+    lies in [value, value + tol], and value lies at most tol below the
+    largest sigma over the full grid.  An element fiber of one band is read
+    as max|f| at the one point lam = 1, any other element fiber by Lanczos,
+    and a fiber that is not an element fiber by a dense eigensolve at each
+    point solved (see the module docstring).
 
     A fiber whose bound is not finite (a NaN or infinite coefficient) is
     refused: nothing certifies it.  So is a fiber whose grid would hold more
     than _GRID_MAX_BYTES (16 bytes a point for lam and 8 for sigma); both are
-    refused before any grid is allocated.  A fiber whose solver yields a
-    sigma that is not finite (entries so large that the squares the solver
-    forms overflow, which norm's scaling avoids) is refused once solved.
-    When the fibers and tol are those of a caller's element and tol scaled
-    by 2^-scale_exp (see norm), a refusal quotes the bound and tol times
-    2^scale_exp: the caller's own numbers, unless norm had to clamp the
-    scaled tol into the positive floats.
+    refused before anything is solved.  So is a Lanczos fiber whose entries
+    all lie below 2^-_SCALE_EXP, whose squares underflow so that Lanczos may
+    read far below sigma, when tol lies below its coefficient bound sum_i
+    sup|f_i| (a bound on sigma, so a larger tol certifies any value >= 0);
+    norm solves such a fiber at a power-of-two scale.  A fiber whose solver
+    yields a sigma that is not finite (entries so large that the squares the
+    solver forms overflow, which norm's scaling avoids) is refused once
+    solved.  When the fibers and tol are those of a caller's element and tol
+    scaled by 2^-scale_exp (see norm), a refusal quotes the bound and tol
+    times 2^scale_exp: the caller's own numbers, unless norm had to clamp
+    the scaled tol into the positive floats.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -919,42 +1033,34 @@ def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float, *, 
                 f"(Lipschitz bound {math.ldexp(lip, scale_exp)}, tol {math.ldexp(tol, scale_exp)}), "
                 f"over the limit of {_GRID_MAX_BYTES} bytes"
             )
+        sups = [float(np.abs(d).max()) for d in fiber.bands.values()] if solver == "lanczos" else []
+        if sups and max(sups) < 2.0**-_SCALE_EXP and tol < sum(sups):
+            raise ValueError(
+                f"fiber over the orbit of {label!r} has entries below 2^-{_SCALE_EXP} (largest {max(sups)}), "
+                f"whose squares underflow, and tol {tol} is below its coefficient bound {sum(sups)}: "
+                "solve it through norm, which scales it"
+            )
         plan.append((fiber, label, n, solver))
     value, argmax, counts = 0.0, None, np.zeros(3, dtype=np.int64)
     grids: dict[str, int] = {}
     per_orbit: dict[str, tuple[float, complex]] = {}
     solvers: dict[str, str] = {}
+    evaluations = 0
     for fiber, label, n, solver in plan:
         grids[label], solvers[label] = n, solver
-        full, sig = _grid(n), np.empty(n)
-        if solver == "band":
-            # diag(f) S^i(lam) is f times a unitary at every lam
-            (band,) = fiber.bands.values()
-            sig[0] = np.abs(band).max()
-        elif solver == "lanczos":
-            chunk = max(1, _LANCZOS_CHUNK_BYTES // _lanczos_point_bytes(fiber))
-            # grid point 0 from the fixed seed; its top Ritz vector starts the rest
-            sig[:1], *first, ritz = _sigma_max_lanczos(fiber, full[:1])
-            counts += first
-            for lo in range(1, n, chunk):
-                sig[lo : lo + chunk], *more, _ = _sigma_max_lanczos(fiber, full[lo : lo + chunk], ritz)
-                counts += more
-        else:
-            chunk = min(_GRID_CHUNK, max(1, _DENSE_CHUNK_ENTRIES // (fiber.L * fiber.L)))
-            for lo in range(0, n, chunk):
-                sig[lo : lo + chunk] = _sigma_exact(fiber.matrices(full[lo : lo + chunk]))
-        if not np.isfinite(sig).all():
-            raise ValueError(f"fiber over the orbit of {label!r} has a spectral norm that is not finite "
-                             "(its entries' squares overflow)")
-        j = int(np.argmax(sig))
-        best, best_lam = float(sig[j]), complex(full[j])
+        lip = fiber.gauge_lip() if isinstance(fiber, ElementOrbitFiber) else fiber.lip()
+        idx, sig = _refine(n, lip, tol, _sigma_batches(fiber, solver, label, counts))
+        evaluations += len(idx)
+        # the first grid point attaining the maximum, as np.argmax over the grid
+        j = idx[sig == sig.max()].min(keepdims=True)
+        best, best_lam = float(sig.max()), complex(_grid(n, j)[0])
         per_orbit[label] = (best, best_lam)
         if best > value:
             value, argmax = best, (label, best_lam)
     unconverged, lanczos_steps, ritz_bisections = map(int, counts)
     return NormResult(value=value, tol=float(tol), argmax=argmax, grids=grids, per_orbit=per_orbit,
                       solvers=solvers, unconverged=unconverged, lanczos_steps=lanczos_steps,
-                      ritz_bisections=ritz_bisections)
+                      ritz_bisections=ritz_bisections, evaluations=evaluations)
 
 
 def norm(a: CrossedElement, tol: float = 1e-3) -> NormResult:

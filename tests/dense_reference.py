@@ -10,9 +10,11 @@ product, computing alpha_j of each anchor from the orbit decomposition rather
 than from the family's tower coordinates.
 
 Norms: power iteration on a truncated window of the shift representation,
-an oracle for rokhlin.cstar.norm that never forms a fiber; and the Gram
+an oracle for rokhlin.cstar.norm that never forms a fiber; the Gram
 matrices of fibers built from matrix powers of the shift, an oracle that
-shares no builder with the program.
+shares no builder with the program; and Lanczos at every point of a lam
+grid, as the program solved grids before it refined them by
+branch-and-bound.
 
 Fibers: the orbit isomorphism, which inverts sampled fibers
 (ElementOrbitFiber.matrices) back to Laurent coefficients by discrete
@@ -23,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from rokhlin.cstar import CrossedElement, ElementOrbitFiber, _grid, _rep_points
+from rokhlin.cstar import CrossedElement, ElementOrbitFiber, _grid, _rep_points, _sigma_max_lanczos
 from rokhlin.dynsys import Cycle, FiniteDynamicalSystem
 
 
@@ -170,6 +172,17 @@ def dense_fiber_sigma(a: CrossedElement, cycle: Cycle, lams: np.ndarray) -> np.n
         mats += f[pts][:, None] * np.linalg.matrix_power(step, abs(i))
     gram = mats.conj().transpose(0, 2, 1) @ mats
     return np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
+
+
+def lanczos_sweep(fiber: ElementOrbitFiber, lams: np.ndarray):
+    """Lanczos sigma at every lam of a grid: lams[0] alone from the fixed
+    seed, then the rest in one batch from its top Ritz vector.  Returns the
+    sigma, the unconverged points, the steps and the bisected checks."""
+    sigma, *counts, ritz = _sigma_max_lanczos(fiber, lams[:1])
+    if len(lams) > 1:
+        rest, *more, _ = _sigma_max_lanczos(fiber, lams[1:], ritz)
+        sigma, counts = np.concatenate([sigma, rest]), [c + m for c, m in zip(counts, more)]
+    return (sigma, *counts)
 
 
 def regular_window_norm(a: CrossedElement, cycle: Cycle, half_width: int,

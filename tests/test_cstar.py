@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,13 @@ from rokhlin.cstar import (
 )
 from rokhlin.dynsys import FiniteDynamicalSystem, load_system, make_cycle_system
 
-from dense_reference import InterpolationFiber, dense_fiber_sigma, orbit_isomorphism, regular_window_norm
+from dense_reference import (
+    InterpolationFiber,
+    dense_fiber_sigma,
+    lanczos_sweep,
+    orbit_isomorphism,
+    regular_window_norm,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -787,30 +794,33 @@ class TestOracleAgreement:
         self._assert_matches_svd(fib, np.exp(2j * np.pi * np.array([13, 45, 88, 89]) / 256))
 
     def test_warm_start_at_most_halves_the_steps(self):
-        # every grid point after the first starts from point 0's Ritz vector,
-        # moved to its lam, and needs two steps at least (one check, then one
-        # that finds it still); the count is exact, so it repeats
-        a, fib = _close_top_pair_element()
-        result = norm(a, 1e-2)
-        assert result.grids == {a.sys.labels[0]: 256}
+        # every point of a 256-point grid after the first starts from point
+        # 0's Ritz vector, moved to its lam, and needs two steps at least
+        # (one check, then one that finds it still); the count is exact, so
+        # it repeats
+        _, fib = _close_top_pair_element()
+        _, _, warm, bisections = lanczos_sweep(fib, _grid(256))
         _, _, cold, _, _ = _sigma_max_lanczos(fib, _grid(256))
-        assert 256 * 2 <= result.lanczos_steps <= cold / 2
-        assert norm(a, 1e-2).lanczos_steps == result.lanczos_steps
+        assert 256 * 2 <= warm <= cold / 2
+        assert lanczos_sweep(fib, _grid(256))[2] == warm
         # every check certified its dense estimate with a Sturm sweep
-        assert result.ritz_bisections == 0
+        assert bisections == 0
 
     def test_unconverged_counts_points_at_the_cap(self):
         # u + 1/2 on a 300-cycle: the top of a*a is a cluster of width
-        # O(1/L^2), so Lanczos is still moving at its step cap on most grid
-        # points; those are counted, and the value stays a lower bound
+        # O(1/L^2), so Lanczos is still moving at its step cap on most points
+        # of a 64-point grid; those are counted, and every value stays a
+        # lower bound
         sys = make_cycle_system([300])
         a = CrossedElement.unitary(sys) + 0.5 * CrossedElement.from_function(sys, np.ones(300))
-        result = norm(a, 0.05)
-        assert 0 < result.unconverged <= result.grids[sys.labels[0]]
-        assert 1.5 - result.tol <= result.value <= 1.5 * (1 + 1e-12)
+        sigma, unconverged, _, bisections = lanczos_sweep(ElementOrbitFiber(a, sys.orbits().cycles[0]), _grid(64))
+        assert 0 < unconverged <= 64
+        assert 1.5 - 0.05 <= sigma.max() and sigma.max() <= 1.5 * (1 + 1e-12)
         # checks of many points at long Lanczos runs are too large for the
         # dense estimate and bisect
-        assert result.ritz_bisections > 0
+        assert bisections > 0
+        result = norm(a, 0.05)
+        assert 1.5 - result.tol <= result.value <= 1.5 * (1 + 1e-12)
 
     @staticmethod
     def _assert_matches_svd(fib, lams):
@@ -868,11 +878,23 @@ class TestWarmStart:
         # a 32-point grid keeps the dense side cheap on the longer cycles
         result = norm(a, fib.lip() * np.pi / 24 if fib.lip() > 0 else 1e-3)
         (n,) = result.grids.values()
-        mats = fib.matrices(_grid(n))
-        dense = np.sqrt(np.linalg.eigvalsh(mats.conj().transpose(0, 2, 1) @ mats)[:, -1].max())
-        assert result.unconverged == 0
-        assert abs(result.value - dense) <= 1e-10 * dense
-        assert result.value <= dense * (1 + 1e-12)
+        def dense_sigma(lams):
+            mats = fib.matrices(lams)
+            return np.sqrt(np.linalg.eigvalsh(mats.conj().transpose(0, 2, 1) @ mats)[:, -1])
+
+        dense = dense_sigma(_grid(n))
+        # every grid point, warm from point 0, against the dense sigma
+        sigma, unconverged, *_ = lanczos_sweep(fib, _grid(n))
+        assert unconverged == 0
+        assert np.abs(sigma - dense).max() <= 1e-10 * dense.max()
+        assert np.all(sigma <= dense * (1 + 1e-12))
+        # the norm: its value is sigma at its argmax, a grid point, and the
+        # grid maximum lies between value and upper
+        ((value, lam),) = result.per_orbit.values()
+        (at,) = dense_sigma(np.array([lam]))
+        assert result.unconverged == 0 and result.value == value and lam in _grid(n)
+        assert value <= at * (1 + 1e-14) and abs(value - at) <= 1e-10 * at
+        assert value <= dense.max() * (1 + 1e-14) and dense.max() <= result.upper
         return result
 
     @pytest.mark.parametrize("L", [33, 48, 97, 150, 300])
@@ -942,6 +964,84 @@ class TestLanczosChunks:
         first, *_, ritz = _sigma_max_lanczos(fib, lams[:1])
         rest = _sigma_max_lanczos(fib, lams[1:], ritz)[0]
         assert abs(result.value - max(first.max(), rest.max())) <= 1e-12 * result.value
+
+
+@st.composite
+def _bracket_cases(draw):
+    """(unit, exp, n): an element of radius 1-3 on one cycle, a power-of-two
+    scale 2^exp up to about 1e+-150, and a grid size n small enough that a
+    dense eigensolve at 2n points stays cheap.
+
+    Half the elements are random, on cycles of 1-300 points (1-3 points half
+    of those).  The others are waves on cycles of 1-3 points: c + a u^k +
+    b u^-k with k a multiple of L, so that u^k is lam^(k/L) on every slot and
+    the gauge bound is lip(), and with b phased against a so that sigma is
+    max over the slots of |c_r| + 2|a| cos(k theta / L + phase).  A wave's
+    slope meets the gauge bound, so a search with half of it misses the
+    maximum by more than tol in about a fifth of the draws."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        L = draw(st.one_of(st.integers(1, 3), st.integers(1, 300)))
+        unit = random_element(make_cycle_system([L]), draw(st.integers(1, 3)), rng)
+    else:
+        L = draw(st.integers(1, 3))
+        k = L * draw(st.integers(1, 3 // L))
+        sys = make_cycle_system([L])
+        c = np.exp(2j * np.pi * rng.random()) * (1 + 2 * rng.random()) * (1 + 0.3 * rng.random(L))
+        a = (0.1 + rng.random()) * np.exp(2j * np.pi * rng.random())
+        b = abs(a) * np.exp(1j * (2 * np.angle(c[0]) - np.angle(a)))
+        unit = CrossedElement(sys, {0: c, k: np.full(L, a), -k: np.full(L, b)})
+    exp = draw(st.sampled_from([-498, -200, 0, 200, 498]))
+    n = draw(st.sampled_from([n for n in (1, 2, 4, 8, 16, 64, 256, 1024) if 2 * n * L**3 <= 2**28]))
+    return unit, exp, n
+
+
+class TestBranchAndBound:
+    """fiber_sup_norm solves point 0 and then the midpoints of the arcs of
+    its dyadic grid whose Lipschitz bound can still beat the best value by
+    more than tol."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_bracket_cases())
+    def test_fine_grid_maximum_lies_in_the_bracket(self, case):
+        # the dense sigma at the grid points and every arc midpoint (the grid
+        # of 2n points) has its maximum in [value, upper], up to rounding,
+        # and moves by at most the gauge bound per unit arc
+        unit, exp, n = case
+        cyc = unit.sys.orbits().cycles[0]
+        fib = ElementOrbitFiber(unit, cyc)
+        a = math.ldexp(1.0, exp) * unit
+        # a hair above lip pi / n, so that the grid has n points
+        tol = math.ldexp(fib.lip(), exp) * math.pi / n * (1 + 2**-20)
+        result = norm(a, tol)
+        assert result.grids == {unit.sys.labels[cyc.base]: n}
+        assert 1 <= result.evaluations <= sum(result.grids.values())
+        fine = dense_fiber_sigma(unit, cyc, _grid(2 * n))
+        top = math.ldexp(float(fine.max()), exp)
+        assert result.value <= top * (1 + 1e-14) and top <= result.upper, (result.value, top, result.upper)
+        gap = np.abs(np.diff(np.r_[fine, fine[0]])).max()
+        assert gap <= fib.gauge_lip() * math.pi / n + 1e-14 * fine.max()
+
+    def test_builds_only_the_points_it_solves(self):
+        # the radius-1 benchmark contraction on a 192-cycle: a grid of 256,
+        # of which 32 points or fewer are solved, and only their lams built
+        a, fib = _close_top_pair_element()
+        built = []
+        grid = cstar._grid
+
+        def recording(n, idx=None):
+            built.append(n if idx is None else len(idx))
+            return grid(n, idx)
+
+        with mock.patch.object(cstar, "_grid", recording):
+            result = norm(a, 1e-2)
+        assert result.grids == {a.sys.labels[0]: 256}
+        # the last call builds the argmax's lam
+        assert result.evaluations == sum(built[:-1]) <= 32 and max(built) < 256
+        assert result.argmax[1] in _grid(256)
+        # a grid max within tol below value + tol, against every point
+        sigma, *_ = lanczos_sweep(fib, _grid(256))
+        assert result.value <= sigma.max() * (1 + 1e-14) and sigma.max() <= result.upper
 
 
 @st.composite
@@ -1134,6 +1234,31 @@ class TestFibers:
         arc = np.abs(np.angle(probe / np.roll(probe, 1)))
         for i in range(50):
             assert np.linalg.norm(vals[i] - ref[i], 2) <= lip * arc[i] + 1e-9
+
+
+class TestTinyFibers:
+    @pytest.mark.parametrize("L", [1, 40])
+    def test_unscaled_tiny_fiber_is_refused(self, L):
+        # entries of 1e-170 on the bands -1, 0, 1: the squares Lanczos forms
+        # underflow, and the fiber once read 0 with an upper bound below its
+        # norm; unscaled it is refused, and norm solves it at a power-of-two
+        # scale
+        sys = make_cycle_system([L])
+        rng = np.random.default_rng(L)
+        unit = random_element(sys, 1, rng)
+        cyc = sys.orbits().cycles[0]
+        fib = ElementOrbitFiber(1e-170 * unit, cyc)
+        tol = fib.lip() * math.pi / 64
+        with pytest.raises(ValueError, match=f"orbit of '{sys.labels[0]}' has entries below 2\\^-256"):
+            cstar.fiber_sup_norm(sys, [fib], tol)
+        res = norm(1e-170 * unit, tol)
+        dense = 1e-170 * dense_fiber_sigma(unit, cyc, _grid(res.grids[sys.labels[0]]))
+        at = 1e-170 * float(dense_fiber_sigma(unit, cyc, np.array([res.argmax[1]]))[0])
+        assert res.value <= at * (1 + 1e-14) and abs(res.value - at) <= 1e-10 * at
+        assert dense.max() <= res.upper
+        # a tol at or above the coefficient bound certifies any value >= 0
+        loose = cstar.fiber_sup_norm(sys, [fib], 4e-170 * unit.coefficient_bound())
+        assert 0 <= loose.value <= dense.max() * (1 + 1e-14) <= loose.upper
 
 
 class TestNonFiniteFibers:
