@@ -6,7 +6,10 @@ becomes a document of those fields: ``orbits``, ``markers``, ``towers``,
 with paths relative to the working directory; ``norm`` and ``approx`` load it
 from ``--scenario`` and overlay ``--tol``/``--N``; ``run_scenario`` (and so
 ``verify-all``) loads it from a scenario file, whose relative paths resolve
-against the file's directory.  Every document passes one field check before
+against the file's directory.  A report echoes its input as ``scenario``:
+``norm`` and ``approx`` by reference, the scenario path as given and the
+sha256 of the file's bytes, plus the flags that overrode the file; the
+others their checked fields.  Every document passes one field check before
 its runner runs: an unknown field, a missing required field or a value of the
 wrong kind is a ``ScenarioError`` naming the field, reported as a structured
 error with exit status 2.  ``verify-all`` reports such an error as the failed
@@ -250,11 +253,12 @@ def _ratio_float(value) -> float:
 
 
 # ---------------------------------------------------------------------------
-# runners: each takes the checked fields and the document as given, and
-# returns a report dict; its docstring is the command's help line
+# runners: each takes the checked fields and the scenario file's echo (None
+# for a document built from flags), and returns a report dict; its docstring
+# is the command's help line
 
 
-def run_orbits(args: dict, doc: dict) -> dict:
+def run_orbits(args: dict, source: dict | None) -> dict:
     """orbit decomposition and quotient summary"""
     sys = _read_system(args["system"])
     rep = _report_shell("orbits", args)
@@ -277,7 +281,7 @@ def run_orbits(args: dict, doc: dict) -> dict:
     return rep
 
 
-def run_markers(args: dict, doc: dict) -> dict:
+def run_markers(args: dict, source: dict | None) -> dict:
     """greedy marker certificate"""
     sys = _read_system(args["system"])
     rep = _report_shell("markers", args)
@@ -322,7 +326,7 @@ def _rung_values(family: TowerFamily, l: int, rank: np.ndarray, labels: np.ndarr
     return out
 
 
-def run_towers(args: dict, doc: dict) -> dict:
+def run_towers(args: dict, source: dict | None) -> dict:
     """tower pipeline and verification"""
     sys = _read_system(args["system"])
     d = args["d"] if args["d"] is not None else sys.declared_dim
@@ -349,7 +353,7 @@ def run_towers(args: dict, doc: dict) -> dict:
     return rep
 
 
-def run_periodic(args: dict, doc: dict) -> dict:
+def run_periodic(args: dict, source: dict | None) -> dict:
     """periodic embedding and spectrum checks"""
     sys = _read_system(args["system"])
     rep = _report_shell("periodic", args)
@@ -380,14 +384,14 @@ def run_periodic(args: dict, doc: dict) -> dict:
     return rep
 
 
-def run_norm(args: dict, doc: dict) -> dict:
+def run_norm(args: dict, source: dict | None) -> dict:
     """certified norm of an element scenario"""
     for name, bound in args["expect"].items():
         if name not in ("value_at_most", "value_at_least"):
             raise ScenarioError(f"unknown norm expectation {name!r}")
         _finite_number(bound, f"expect {name!r}")
     sys = _read_system(args["system"])
-    rep = _report_shell("norm", doc)
+    rep = _report_shell("norm", source)
     a = parse_element(sys, args["element"])
     result = norm(a, _ratio_float(args["tol"]))
     rep["norm"] = {
@@ -395,6 +399,7 @@ def run_norm(args: dict, doc: dict) -> dict:
         "upper": result.upper,
         "tol": result.tol,
         "grids": result.grids,
+        "evaluations": result.evaluations,
         "per_orbit": {
             lab: {"value": v, "argmax": [lam.real, lam.imag]}
             for lab, (v, lam) in result.per_orbit.items()
@@ -409,10 +414,10 @@ def run_norm(args: dict, doc: dict) -> dict:
     return rep
 
 
-def run_approx(args: dict, doc: dict) -> dict:
+def run_approx(args: dict, source: dict | None) -> dict:
     """full approximation scenario"""
     sys = _read_system(args["system"])
-    rep = _report_shell("approx", doc)
+    rep = _report_shell("approx", source)
     F = [parse_element(sys, lit) for lit in args["elements"]]
     e_values = None
     if args["e"] is not None:
@@ -457,7 +462,7 @@ def run_approx(args: dict, doc: dict) -> dict:
     return rep
 
 
-def run_suite(args: dict, doc: dict) -> dict:
+def run_suite(args: dict, source: dict | None) -> dict:
     """run every scenario in a suite"""
     suite_path = Path(args["suite"])
     if not suite_path.exists():
@@ -564,17 +569,21 @@ def _check(command: str, doc: dict, base: Path | None) -> dict:
     return args
 
 
-def _run(command: str, doc: dict, base: Path | None) -> dict:
-    return COMMANDS[command][0](_check(command, doc, base), doc)
+def _run(command: str, doc: dict, base: Path | None, source: dict | None) -> dict:
+    return COMMANDS[command][0](_check(command, doc, base), source)
 
 
-def _load_scenario(path: str | Path, expected: str | None = None) -> tuple[dict, Path]:
-    """A scenario document and the directory its relative paths resolve against."""
+def _load_scenario(path: str | Path, expected: str | None = None) -> tuple[dict, Path, dict]:
+    """A scenario document, the directory its relative paths resolve against,
+    and its echo: the path as given and the sha256 of the bytes decoded."""
+    import hashlib  # imported here: OpenSSL adds milliseconds to every import of the CLI
+
     p = Path(path)
     if not p.exists():
         raise ScenarioError(f"scenario file not found: {p}")
+    data = p.read_bytes()
     try:
-        doc = json.loads(p.read_text())
+        doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario {p} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "command" not in doc:
@@ -585,13 +594,13 @@ def _load_scenario(path: str | Path, expected: str | None = None) -> tuple[dict,
     # a suite does not nest
     if not isinstance(command, str) or command not in COMMANDS or command == "verify-all":
         raise ScenarioError(f"unknown scenario command {command!r}")
-    return doc, p.parent
+    return doc, p.parent, {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def run_scenario(path: str | Path) -> dict:
     """Run a scenario file; its relative paths resolve against its directory."""
-    doc, base = _load_scenario(path)
-    return _run(doc["command"], doc, base)
+    doc, base, source = _load_scenario(path)
+    return _run(doc["command"], doc, base, source)
 
 
 # ---------------------------------------------------------------------------
@@ -633,13 +642,15 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     start = time.monotonic()
     flags = _SCENARIO_FLAGS.get(args.command, COMMANDS[args.command][1])
+    given = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
     try:
         if args.command in _SCENARIO_FLAGS:
-            doc, base = _load_scenario(args.scenario, args.command)
+            doc, base, source = _load_scenario(args.scenario, args.command)
+            source.update(given)
         else:
-            doc, base = {}, None
-        doc.update((name, getattr(args, name)) for name in flags if getattr(args, name) is not None)
-        report = _run(args.command, doc, base)
+            doc, base, source = {}, None, None
+        doc.update(given)
+        report = _run(args.command, doc, base, source)
     except _INPUT_ERRORS as exc:
         error = {
             "tool": {"name": "rokhlin", "version": __version__},

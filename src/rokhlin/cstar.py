@@ -94,9 +94,10 @@ __all__ = [
 
 _UNIT_TOL = 1e-12
 # norm solves an element whose largest coefficient entry c lies outside
-# [2^-_SCALE_EXP, 2^_SCALE_EXP] at a power-of-two scale inside it: squares of
-# entries within 2^-200 of c then stay normal floats, and L^2 sums of them
-# finite, for any cycle the grid limit admits
+# [2^-_SCALE_EXP, 2^_SCALE_EXP] at a power-of-two scale inside it, and a seam
+# corner (or a stack of its blocks) with c below 2^-_SCALE_EXP likewise
+# (_lifted): squares of entries within 2^-200 of c then stay normal floats,
+# and L^2 sums of them finite, for any cycle the grid limit admits
 _SCALE_EXP = 256
 _LANCZOS_SEED = 0x5EED
 # random banded elements on cycles of 48-300 points settle to _REL_TOL within
@@ -578,8 +579,9 @@ class CornerFiber:
         """Whether sigma(W+ + phi W-) can depend on the phase phi.  Its Gram
         matrix carries phi only through W+* W-, which vanishes when W+ or W-
         does, or when their rows are disjoint (2r <= n: W+ has the last r rows
-        of the cycle, W- the first r)."""
-        w_plus, w_minus = self.wrapped
+        of the cycle, W- the first r).  The product is formed at _lifted's
+        scale, so tiny entries do not underflow it to 0."""
+        (w_plus, w_minus), _ = _lifted(self.wrapped)
         return bool((w_plus.conj().T @ w_minus).any())
 
     @property
@@ -594,7 +596,8 @@ class CornerFiber:
             return 0.0
         if self.s // 2 > _CLOSED_MAX_PHASES:
             return math.inf
-        return _sagitta(self.s) * float(np.linalg.norm(self.wrapped[1])) * 2 * math.pi / self.s
+        w_minus, e = _lifted(self.wrapped[1])
+        return math.ldexp(_sagitta(self.s) * float(np.linalg.norm(w_minus)) * 2 * math.pi / self.s, e)
 
     def lip(self) -> float:
         """Arc-Lipschitz bound: the node step over the arc 2 pi / s plus the
@@ -697,16 +700,36 @@ def corner_norm(sys: FiniteDynamicalSystem, corners: Sequence[CornerFiber]) -> N
                       solvers=dict.fromkeys(grids, "closed"), evaluations=sum(grids.values()))
 
 
+def _pow2_exp(top: float) -> int:
+    """The e with 2^(e-1) <= top < 2^e for a positive finite top, raised to
+    -1022 so that 2^-e stays a finite float."""
+    return max(math.frexp(top)[1], -1022)
+
+
+def _lifted(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """x times 2^-e, and e: e = _pow2_exp of x's largest entry when that
+    entry lies below 2^-_SCALE_EXP, where the squares of x's entries would
+    underflow, and 0 (x itself) otherwise.  Scaling by a power of two is
+    exact, so a norm or singular value of the result times 2^e is x's."""
+    top = float(np.abs(x).max(initial=0.0))
+    if not 0 < top < 2.0**-_SCALE_EXP:
+        return x, 0
+    e = _pow2_exp(top)
+    return math.ldexp(1.0, -e) * x, e
+
+
 def _sigma_exact(mats: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of a stack: the square root of
-    the top eigenvalue of its Gram matrix, from eigvalsh; NaN throughout
-    when a Gram entry overflowed, on which eigvalsh may fail."""
+    the top eigenvalue of its Gram matrix, from eigvalsh, formed at
+    _lifted's scale; NaN throughout when a Gram entry overflowed, on which
+    eigvalsh may fail."""
     if mats.shape[1] == 1:
         return np.abs(mats[:, 0, 0])
+    mats, e = _lifted(mats)
     gram = mats.conj().transpose(0, 2, 1) @ mats
     if not np.isfinite(gram).all():
         return np.full(len(mats), np.nan)
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+    return np.ldexp(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0)), e)
 
 
 def _sturm_above(alpha: np.ndarray, b2: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -1067,9 +1090,10 @@ def norm(a: CrossedElement, tol: float = 1e-3) -> NormResult:
     """Certified operator norm of a crossed element (max over orbit fibers).
 
     An element whose largest coefficient entry lies outside [2^-_SCALE_EXP,
-    2^_SCALE_EXP] is solved as a 2^-e, with 2^(e-1) <= that entry < 2^e, at
-    tol 2^-e tol (kept within the positive floats), and value and per_orbit
-    are scaled back by 2^e.  Scaling by a power of two is exact (for every
+    2^_SCALE_EXP] is solved as a 2^-e, with 2^(e-1) <= that entry < 2^e
+    (e at least -1022, so that 2^-e is a float: _pow2_exp), at tol 2^-e tol
+    (kept within the positive floats), and value and per_orbit are scaled
+    back by 2^e.  Scaling by a power of two is exact (for every
     entry above 2^-1021 times the largest), so the grids are those of a
     itself; out of range, the squares the solvers form would overflow, or
     underflow and report 0 below the true norm.
@@ -1077,7 +1101,7 @@ def norm(a: CrossedElement, tol: float = 1e-3) -> NormResult:
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     top = max((float(np.abs(f).max()) for f in a.coeffs.values()), default=0.0)
-    e = math.frexp(top)[1] if 0 < top < 2.0**-_SCALE_EXP or 2.0**_SCALE_EXP < top < math.inf else 0
+    e = _pow2_exp(top) if 0 < top < 2.0**-_SCALE_EXP or 2.0**_SCALE_EXP < top < math.inf else 0
     if e:
         a = math.ldexp(1.0, -e) * a
     fibers = [ElementOrbitFiber(a, cyc) for cyc in a.sys.orbits().cycles]

@@ -462,6 +462,38 @@ class TestClosedCorner:
         res = check_closed_form(b, q)
         assert res.value == res.upper > 0 and res.grids == {"c0p0": 1}
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tiny_corners_read_at_scale(self, seed):
+        # a corner whose Gram squares underflow is solved at a power-of-two
+        # scale: a random radius-1 element on a 5-cycle at 1e-170 once read 0,
+        # with upper 0, below its true norm
+        sys = make_cycle_system([5])
+        rng = np.random.default_rng(seed)
+        b = CrossedElement(sys, {i: rng.standard_normal(5) + 1j * rng.standard_normal(5) for i in (-1, 0, 1)})
+        b = (1.0 / b.coefficient_bound()) * b
+        one, tiny = (corner_norm(sys, quotient_approx(invariant_split(sys, 5), [c * b], "1/2", sys).corner_fibers(c * b))
+                     for c in (1.0, 1e-170))
+        assert one.value > 0 and tiny.value / 1e-170 == pytest.approx(one.value, rel=1e-12)
+        assert tiny.upper >= tiny.value and tiny.upper / 1e-170 >= one.value * (1 - 1e-12)
+
+    def test_tiny_phased_and_grid_corners_read_at_scale(self):
+        # the phase test and the slack of a phased corner, and the dense grid
+        # of a corner that wraps twice, form the same squares
+        b, _ = self.mutation_case()
+        sys = make_cycle_system([3])
+        rng = np.random.default_rng(5)
+        twice = CrossedElement(sys, {i: rng.standard_normal(3) + 1j * rng.standard_normal(3) for i in (0, 5)})
+        for a, eps in ((b, "1/2"), (twice, "3/2")):
+            one, tiny = (quotient_approx(invariant_split(a.sys, a.sys.n), [c * a], eps, a.sys).corner_fibers(c * a)[0]
+                         for c in (1.0, 1e-170))
+            if one.wrapped is not None:
+                assert one.phased and tiny.phased and tiny.slack / 1e-170 == pytest.approx(one.slack, rel=1e-12)
+                got, want = corner_norm(a.sys, [tiny]), corner_norm(a.sys, [one])
+            else:
+                got, want = fiber_sup_norm(a.sys, [tiny], 1e-173), fiber_sup_norm(a.sys, [one], 1e-3)
+            assert want.value > 0 and got.value / 1e-170 == pytest.approx(want.value, rel=1e-12)
+            assert got.upper / 1e-170 == pytest.approx(want.upper, rel=1e-12)
+
     def mutation_case(self):
         """Radius 3 on a 4-cycle: the seam rows of W+ and W- overlap, so
         sigma(W+ + phi W-) depends on the phase."""

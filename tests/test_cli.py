@@ -171,6 +171,42 @@ class TestScenarios:
         assert rc == 2
 
 
+class TestScenarioEcho:
+    """norm and approx reports name their scenario file by path and sha256;
+    the other commands echo their fields, which the unchanged pins of their
+    reports and of verify-all check."""
+
+    def _echo(self, argv, capsys) -> dict:
+        assert main(argv) in (0, 1)
+        return json.loads(capsys.readouterr().out)["scenario"]
+
+    def test_digest_is_of_the_file_bytes(self, tmp_path, capsys):
+        scen = SCENARIOS / "norm_unitary.json"
+        system = json.loads(scen.read_bytes())["system"]
+        (tmp_path / system).write_bytes((SCENARIOS / system).read_bytes())
+        copy = tmp_path / "copy.json"
+        copy.write_bytes(scen.read_bytes())
+        digest = hashlib.sha256(scen.read_bytes()).hexdigest()
+        assert self._echo(["norm", "--scenario", str(scen)], capsys) == {"path": str(scen), "sha256": digest}
+        assert self._echo(["norm", "--scenario", str(copy)], capsys) == {"path": str(copy), "sha256": digest}
+        assert run_scenario(copy)["scenario"] == {"path": str(copy), "sha256": digest}
+
+    @pytest.mark.parametrize("command, name, flags, overrides", [
+        ("norm", "norm_unitary", ["--tol", "0.01"], {"tol": 0.01}),
+        ("approx", "approx_small", ["--N", "49"], {"N": 49}),
+        ("approx", "approx_small", ["--tol", "0.01", "--N", "61"], {"tol": 0.01, "N": 61}),
+    ])
+    def test_flag_overrides_are_echoed(self, command, name, flags, overrides, capsys):
+        scen = str(SCENARIOS / f"{name}.json")
+        plain = self._echo([command, "--scenario", scen], capsys)
+        assert sorted(plain) == ["path", "sha256"]
+        assert self._echo([command, "--scenario", scen, *flags], capsys) == dict(plain, **overrides)
+
+    def test_acceptance_report_is_small(self):
+        text = emit_report(run_scenario(SCENARIOS / "approx_acceptance.json"), None)
+        assert len(text.encode()) < 4096
+
+
 class TestElementLiterals:
     def test_sparse_coefficients(self, tmp_path):
         spath = write_system(tmp_path)
@@ -909,15 +945,15 @@ def test_short_orbits_of_any_node_count_pass(case, tmp_path, capsys):
 
 
 # sha256 of each shipped scenario's report and of verify-all on the shipped
-# suite, run from the repository root (reports name the system path as
-# given).  Any change to a pin is a change to the program's output and is
-# explained in CHANGES.md.
+# suite, run from the repository root (reports name the system path, and
+# norm and approx reports the scenario path, as given).  Any change to a pin
+# is a change to the program's output and is explained in CHANGES.md.
 _REPORT_SHA256 = {
-    "approx_acceptance": "c1b56c00ab57534fae031f5e6a016dbe0820fdf62578bb23262137962de319a6",
-    "approx_small": "6412a454252f3b92ed5cdd4d241e2342d6e9bd0ae7964921d2a9d979cddb8a89",
-    "approx_short_1200": "1a08e69922cdcf5cc0d163fed7d518a5473c6ac8257a2d94c86f5a209d4a62df",
+    "approx_acceptance": "b4d3a6b13785f9e85aabe4ac62110d58f97162eda1be2a36c118e1307ac17487",
+    "approx_small": "1ea87ef96e371857a805095ac26c7341fe08160a3bd687e5f212e8dc6fc7c61e",
+    "approx_short_1200": "51c82876a699b4a49c156137e2e6ee04928b269530b8ccfc516c79fe2c050747",
     "markers_100": "2a8d4a60ae3181bae8684dc04a60ea3a95494e49eb6b9db9b373e8b7f94c5492",
-    "norm_unitary": "e8126b48a7dd8a52fe4754ac15ee2d83fa9ecd7ce2a3ec29e5d6cbdedfea53d7",
+    "norm_unitary": "38e9687fa4f6e148f650ae3c90fc259969794cea2d4633b321756e4aa0b461ff",
     "orbits_3_10": "56a04782ffb03a9227805e96ec41e6b86fdd5a353c7a32efc3a34012c71d7ca0",
     "periodic_2_3_4": "80be2704a678696a1e1b9e8825bb525e76c9378c331e2eecd147d0f7e4d6e25e",
     "towers_100": "a740049cdff477a295fdf49316ae874e4d42a2f6a9cdb2137c08fa0ca0088a55",

@@ -347,6 +347,14 @@ class TestConstantBandOracle:
         assert res.per_orbit == {label: (res.value, one.per_orbit[label][1])}
         assert res.solvers == {label: "lanczos"}
 
+    def test_subnormal_entries(self):
+        # 2^-1070 (u + 1/2): 2^1070 is not a float, so the scale stops at
+        # 2^1022; the fiber at lam = 1 is circulant, with norm 3/2
+        sys = make_cycle_system([5])
+        a = CrossedElement(sys, {1: np.full(5, math.ldexp(1.0, -1070)), 0: np.full(5, math.ldexp(1.0, -1071))})
+        res = norm(a, 1e-3)
+        assert res.value == 1.5 * math.ldexp(1.0, -1070) and res.tol == 1e-3
+
     def test_refusal_at_extreme_scale_quotes_the_callers_numbers(self):
         # 2^300 (u + u^2) is solved as (u + u^2) / 2, but an oversized grid
         # is refused with the bound and tol of the element and tol as given
