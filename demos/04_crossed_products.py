@@ -13,8 +13,6 @@ from rokhlin import (
     holonomy,
     make_cycle_system,
     norm,
-    orbit_rep,
-    orbit_rep_with_phases,
     periodic_embedding,
     primitive_spectrum,
 )
@@ -33,18 +31,19 @@ print("u g u* moves the coefficient:", moved.coefficient(0).real.tolist())
 
 # -- fiber representations ----------------------------------------------------------
 
-sys = make_cycle_system([4])
-cyc = sys.orbits().cycles[0]
+# over a 4-cycle u is the shift with weights (1, 1, 1, lam) at circle parameter
+# lam; holonomy forms u^4 in band form, by repeated squaring, never as a matrix
 lam = np.exp(0.7j)
-rep = orbit_rep(sys, cyc, lam)
-power = np.linalg.matrix_power(rep.u_matrix, 4)
-print(f"\nu-image to the 4th power is lam * identity: "
-      f"{np.abs(power - lam * np.eye(4)).max():.1e}")
+hol, residual = holonomy([1.0, 1.0, 1.0, lam])
+print(f"\nu-image to the 4th power is lam * identity: {residual:.1e} "
+      f"(holonomy {abs(hol - lam):.1e} from lam)")
 
-phases = np.exp(2j * np.pi * np.array([0.1, 0.3, 0.25, 0.8]))
-general = orbit_rep_with_phases(sys, cyc, phases)
-print(f"holonomy of a phased fiber equals the phase product: "
-      f"{abs(holonomy(general) - np.prod(phases)):.1e}")
+# any unit-modulus weights: the holonomy is the phase product, so its angle is
+# the sum of the phase angles, 0.1 + 0.3 + 0.25 + 0.8 = 1.45 turns (0.45 mod 1)
+turns = np.array([0.1, 0.3, 0.25, 0.8])
+hol, residual = holonomy(np.exp(2j * np.pi * turns))
+print(f"holonomy of a phased fiber is the phase product: {np.angle(hol) / (2 * np.pi) % 1:.2f} turns, "
+      f"and u^4 is it times the identity: {residual:.1e}")
 
 # -- certified norms ------------------------------------------------------------------
 

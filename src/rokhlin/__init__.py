@@ -17,11 +17,8 @@ from .approx import (
 from .cstar import (
     CrossedElement,
     NormResult,
-    OrbitFiberRep,
     holonomy,
     norm,
-    orbit_rep,
-    orbit_rep_with_phases,
     periodic_embedding,
     primitive_spectrum,
 )

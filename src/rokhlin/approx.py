@@ -224,9 +224,9 @@ class QuotientSide:
     node matrices with the subordinate hat functions (piecewise-linear
     interpolation).  Arc parity splits the hats into two families with
     disjoint supports, giving two order-zero summands.  Only the node counts
-    are stored: the node matrices of b on a cycle are
-    ``ElementOrbitFiber(b, cycle).matrices`` at the ``node_count`` roots of
-    unity, and interp(sample(b)) - b is measured on its seam corner
+    are stored: the node matrices of b on a cycle, b's fiber at the
+    ``node_count`` roots of unity, are never formed, and interp(sample(b)) -
+    b is measured on its seam corner
     (``corner_fibers``) straight from b's coefficients.  Where no entry of a
     corner wraps more than once (every band of b has |i| <= L) the corner
     is g(lam) W+ + conj(g(lam)) W-, and ``cstar.corner_norm`` reads its sup

@@ -76,12 +76,9 @@ from .dynsys import Cycle, FiniteDynamicalSystem
 __all__ = [
     "CrossedElement",
     "HostMismatchError",
-    "OrbitFiberRep",
     "PeriodicEmbedding",
     "PrimSpectrumReport",
     "NormResult",
-    "orbit_rep",
-    "orbit_rep_with_phases",
     "periodic_embedding",
     "primitive_spectrum",
     "holonomy",
@@ -120,8 +117,10 @@ _RITZ_BACKOFF = (2, 32, 512)
 _BISECT_STEPS = 50
 _REL_TOL = 1e-13
 _GRID_CHUNK = 4096
-# a dense-path grid chunk holds at most this many matrix entries a stack
-# (all of _GRID_CHUNK points up to L = 32)
+# a stack of seam-corner blocks, a dense-path grid chunk or a batch of
+# closed-form phases, holds at most this many matrix entries (a corner's
+# order is at most 2r for band radius r: all of _GRID_CHUNK points up to
+# order 32); no other fiber takes a dense eigensolve
 _DENSE_CHUNK_ENTRIES = 2**22
 # a Lanczos grid chunk holds at most this many bytes of per-point arrays
 # (see _lanczos_point_bytes), and at least one point
@@ -262,116 +261,12 @@ class CrossedElement:
 
 
 # ---------------------------------------------------------------------------
-# orbit fiber representations
+# fiber fields and the certified sup norm
 
 
 def _rep_points(sys: FiniteDynamicalSystem, cycle: Cycle) -> np.ndarray:
     """Point index of diagonal slot r: the (-r)-th iterate of the base point."""
     return sys.orbits().iterate(-np.arange(cycle.length), cycle.base)
-
-
-def _shift_matrix(L: int, lam: complex, phases: Sequence[complex] | None = None) -> np.ndarray:
-    """Cyclic shift with unit superdiagonal and lam in the corner, or explicit phases."""
-    w = np.zeros((L, L), dtype=np.complex128)
-    if phases is None:
-        phases = [1.0] * (L - 1) + [lam]
-    for r in range(L - 1):
-        w[r, r + 1] = phases[r]
-    w[L - 1, 0] = phases[L - 1]
-    return w
-
-
-@dataclass(frozen=True)
-class OrbitFiberRep:
-    """Evaluation of crossed elements in the L x L fiber of one orbit.
-
-    ``u_matrix`` has unit-modulus superdiagonal and corner entries; functions
-    map to diagonal matrices along the backward orbit of the base point.
-    """
-
-    sys: FiniteDynamicalSystem
-    cycle: Cycle
-    lam: complex
-    u_matrix: np.ndarray
-
-    @property
-    def L(self) -> int:
-        return self.cycle.length
-
-    def function_matrix(self, values) -> np.ndarray:
-        vals = np.asarray(values, dtype=np.complex128)
-        return np.diag(vals[_rep_points(self.sys, self.cycle)])
-
-    def matrix(self, a: CrossedElement) -> np.ndarray:
-        out = np.zeros((self.L, self.L), dtype=np.complex128)
-        upow: dict[int, np.ndarray] = {0: np.eye(self.L, dtype=np.complex128)}
-
-        def power(i: int) -> np.ndarray:
-            if i not in upow:
-                if i > 0:
-                    upow[i] = power(i - 1) @ self.u_matrix
-                else:
-                    upow[i] = power(i + 1) @ self.u_matrix.conj().T
-            return upow[i]
-
-        for i, f in a.coeffs.items():
-            out += self.function_matrix(f) @ power(i)
-        return out
-
-    def covariance_residual(self, values) -> float:
-        """sup norm of u beta(f) u* - beta(f o forward^{-1})."""
-        beta = self.function_matrix(values)
-        rolled = self.function_matrix(np.asarray(values)[self.sys.perm_inv])
-        diff = self.u_matrix @ beta @ self.u_matrix.conj().T - rolled
-        return float(np.abs(diff).max())
-
-
-def orbit_rep(sys: FiniteDynamicalSystem, cycle: Cycle, lam: complex) -> OrbitFiberRep:
-    """Standard fiber representation at circle parameter lam (shift with lam corner)."""
-    if abs(abs(lam) - 1.0) > _UNIT_TOL:
-        raise ValueError(f"lam must lie on the unit circle, |lam| = {abs(lam)}")
-    return OrbitFiberRep(sys=sys, cycle=cycle, lam=complex(lam),
-                         u_matrix=_shift_matrix(cycle.length, complex(lam)))
-
-
-def orbit_rep_with_phases(
-    sys: FiniteDynamicalSystem, cycle: Cycle, phases: Sequence[complex]
-) -> OrbitFiberRep:
-    """Fiber representation with explicit unit-modulus superdiagonal/corner phases."""
-    phases = [complex(p) for p in phases]
-    if len(phases) != cycle.length:
-        raise ValueError(f"need {cycle.length} phases, got {len(phases)}")
-    if any(abs(abs(p) - 1.0) > _UNIT_TOL for p in phases):
-        raise ValueError("phases must lie on the unit circle")
-    lam = np.prod(phases)
-    return OrbitFiberRep(sys=sys, cycle=cycle, lam=complex(lam),
-                         u_matrix=_shift_matrix(cycle.length, complex(lam), phases))
-
-
-def holonomy(rep: OrbitFiberRep, tol: float = 1e-10) -> complex:
-    """Corner-product invariant of the u-image: (-1)^(L+1) det(u_matrix).
-
-    Requires the u-image in standard form (nonzero entries only on the
-    superdiagonal and the lower-left corner); the value is cross-checked
-    against the scalar in u_matrix^L = lam * identity.
-    """
-    v = rep.u_matrix
-    L = rep.L
-    mask = np.zeros((L, L), dtype=bool)
-    for r in range(L - 1):
-        mask[r, r + 1] = True
-    mask[L - 1, 0] = True
-    if np.any(np.abs(v[~mask]) > _UNIT_TOL) or np.any(np.abs(np.abs(v[mask]) - 1) > 1e-9):
-        raise ValueError("u-image is not in superdiagonal-plus-corner form")
-    lam = (-1) ** (L + 1) * np.linalg.det(v)
-    power = np.linalg.matrix_power(v, L)
-    if np.abs(power - lam * np.eye(L)).max() > tol:
-        raise ValueError("determinant value disagrees with the matrix power scalar")
-    return complex(lam)
-
-
-# ---------------------------------------------------------------------------
-# fiber fields and the certified sup norm
 
 def _grid(n: int, idx: np.ndarray | None = None) -> np.ndarray:
     """The n-th roots of unity exp(2 pi i j / n), for every j or for the
@@ -386,9 +281,9 @@ def _next_pow2(x: float) -> int:
 class ElementOrbitFiber:
     """Fiber field of a crossed element over one cycle.
 
-    Carries the coefficient data in representation order, an arc-Lipschitz
-    bound, the seam form the Lanczos solver applies (``twists``), and the
-    dense L x L matrices (``matrices``), a reference no solver reads.
+    Carries the coefficient data in representation order (``bands``: band i
+    is diag(f_i) S^i(lam), see _twist), arc-Lipschitz bounds and the seam
+    form the Lanczos solver applies (``twists``); no L x L matrix is formed.
     """
 
     def __init__(self, a: CrossedElement, cycle: Cycle):
@@ -407,15 +302,6 @@ class ElementOrbitFiber:
         norm at most sum_i sup|f_i| |i| / L, and sigma is 1-Lipschitz in the
         matrix (Weyl)."""
         return float(sum(np.abs(d).max() * (abs(i) / self.L) for i, d in self.bands.items()))
-
-    def matrices(self, lams: np.ndarray) -> np.ndarray:
-        L = self.L
-        out = np.zeros((len(lams), L, L), dtype=np.complex128)
-        rows = np.arange(L)
-        for i, diag in self.bands.items():
-            shift, w = _twist(diag, i, lams)
-            out[:, rows, (rows + shift) % L] += w
-        return out
 
     @property
     def radius(self) -> int:
@@ -480,6 +366,28 @@ def _band_residual(x, y) -> float:
     for s, w in y:
         diff[s] = diff[s] - w if s in diff else -w
     return max(float(np.abs(w).max()) for w in diff.values())
+
+
+def holonomy(phases) -> tuple[complex, float]:
+    """Holonomy of a u-image in superdiagonal-plus-corner form, the shift 1
+    with unit-modulus weights ``phases`` (phases[r] at (r, r + 1 mod L)):
+    lam, the product of the phases, and max|u^L - lam|.  u^L is formed in
+    band form by repeated squaring, so no L x L matrix is built and the
+    memory is a few length-L vectors."""
+    phases = np.asarray(phases, dtype=np.complex128)
+    if np.any(np.abs(np.abs(phases) - 1.0) > _UNIT_TOL):
+        raise ValueError("phases must lie on the unit circle")
+    L = len(phases)
+    lam = complex(np.prod(phases))
+    square, power, k = [(1 % L, phases)], None, L
+    while True:
+        if k & 1:
+            power = square if power is None else _band_product(power, square)
+        k >>= 1
+        if not k:
+            break
+        square = _band_product(square, square)
+    return lam, _band_residual(power, [(0, np.full(L, lam))])
 
 
 # Seam form: a list of (shift, head, tail) terms, each the matrix with
@@ -1006,8 +914,9 @@ def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float, *, 
     """Sup of fiber spectral norms over the circle, certified to within tol
     by a branch-and-bound over per-orbit dyadic grids.
 
-    A fiber has a ``cycle``, the order ``L`` of its matrices, an arc-Lipschitz
-    bound ``lip()`` and ``matrices(lams)``.  Each orbit's grid size n is the
+    A fiber has a ``cycle``, the order ``L`` of its matrices and an
+    arc-Lipschitz bound ``lip()``; one that is not an element fiber also has
+    ``matrices(lams)``, its dense stack.  Each orbit's grid size n is the
     least power of two with lip * (pi / n) <= tol (1 for a fiber of one
     band).  n is the finest level of _refine and its cap on the points
     solved, not a list of points: _refine solves point 0, then only the

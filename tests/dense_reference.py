@@ -16,17 +16,142 @@ shares no builder with the program; and Lanczos at every point of a lam
 grid, as the program solved grids before it refined them by
 branch-and-bound.
 
-Fibers: the orbit isomorphism, which inverts sampled fibers
-(ElementOrbitFiber.matrices) back to Laurent coefficients by discrete
-Fourier inversion in the circle variable."""
+Fibers: the dense L x L fiber of an orbit, as the program represented it
+before every solver took band or seam form: the u-image as an explicit shift
+matrix (OrbitFiberRep, with the standard lam corner or explicit phases), the
+determinant and matrix-power holonomy, and an element fiber's stack of
+matrices (element_matrices); and the orbit isomorphism, which inverts sampled
+fibers back to Laurent coefficients by discrete Fourier inversion in the
+circle variable."""
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from rokhlin.cstar import CrossedElement, ElementOrbitFiber, _grid, _rep_points, _sigma_max_lanczos
+from rokhlin.cstar import (
+    _UNIT_TOL,
+    CrossedElement,
+    ElementOrbitFiber,
+    _grid,
+    _rep_points,
+    _sigma_max_lanczos,
+    _twist,
+)
 from rokhlin.dynsys import Cycle, FiniteDynamicalSystem
+
+
+def _shift_matrix(L: int, lam: complex, phases: Sequence[complex] | None = None) -> np.ndarray:
+    """Cyclic shift with unit superdiagonal and lam in the corner, or explicit phases."""
+    w = np.zeros((L, L), dtype=np.complex128)
+    if phases is None:
+        phases = [1.0] * (L - 1) + [lam]
+    for r in range(L - 1):
+        w[r, r + 1] = phases[r]
+    w[L - 1, 0] = phases[L - 1]
+    return w
+
+
+@dataclass(frozen=True)
+class OrbitFiberRep:
+    """Evaluation of crossed elements in the L x L fiber of one orbit.
+
+    ``u_matrix`` has unit-modulus superdiagonal and corner entries; functions
+    map to diagonal matrices along the backward orbit of the base point.
+    """
+
+    sys: FiniteDynamicalSystem
+    cycle: Cycle
+    lam: complex
+    u_matrix: np.ndarray
+
+    @property
+    def L(self) -> int:
+        return self.cycle.length
+
+    def function_matrix(self, values) -> np.ndarray:
+        vals = np.asarray(values, dtype=np.complex128)
+        return np.diag(vals[_rep_points(self.sys, self.cycle)])
+
+    def matrix(self, a: CrossedElement) -> np.ndarray:
+        out = np.zeros((self.L, self.L), dtype=np.complex128)
+        upow: dict[int, np.ndarray] = {0: np.eye(self.L, dtype=np.complex128)}
+
+        def power(i: int) -> np.ndarray:
+            if i not in upow:
+                if i > 0:
+                    upow[i] = power(i - 1) @ self.u_matrix
+                else:
+                    upow[i] = power(i + 1) @ self.u_matrix.conj().T
+            return upow[i]
+
+        for i, f in a.coeffs.items():
+            out += self.function_matrix(f) @ power(i)
+        return out
+
+    def covariance_residual(self, values) -> float:
+        """sup norm of u beta(f) u* - beta(f o forward^{-1})."""
+        beta = self.function_matrix(values)
+        rolled = self.function_matrix(np.asarray(values)[self.sys.perm_inv])
+        diff = self.u_matrix @ beta @ self.u_matrix.conj().T - rolled
+        return float(np.abs(diff).max())
+
+
+def orbit_rep(sys: FiniteDynamicalSystem, cycle: Cycle, lam: complex) -> OrbitFiberRep:
+    """Standard fiber representation at circle parameter lam (shift with lam corner)."""
+    if abs(abs(lam) - 1.0) > _UNIT_TOL:
+        raise ValueError(f"lam must lie on the unit circle, |lam| = {abs(lam)}")
+    return OrbitFiberRep(sys=sys, cycle=cycle, lam=complex(lam),
+                         u_matrix=_shift_matrix(cycle.length, complex(lam)))
+
+
+def orbit_rep_with_phases(
+    sys: FiniteDynamicalSystem, cycle: Cycle, phases: Sequence[complex]
+) -> OrbitFiberRep:
+    """Fiber representation with explicit unit-modulus superdiagonal/corner phases."""
+    phases = [complex(p) for p in phases]
+    if len(phases) != cycle.length:
+        raise ValueError(f"need {cycle.length} phases, got {len(phases)}")
+    if any(abs(abs(p) - 1.0) > _UNIT_TOL for p in phases):
+        raise ValueError("phases must lie on the unit circle")
+    lam = np.prod(phases)
+    return OrbitFiberRep(sys=sys, cycle=cycle, lam=complex(lam),
+                         u_matrix=_shift_matrix(cycle.length, complex(lam), phases))
+
+
+def dense_holonomy(rep: OrbitFiberRep, tol: float = 1e-10) -> complex:
+    """Corner-product invariant of the u-image: (-1)^(L+1) det(u_matrix).
+
+    Requires the u-image in standard form (nonzero entries only on the
+    superdiagonal and the lower-left corner); the value is cross-checked
+    against the scalar in u_matrix^L = lam * identity.
+    """
+    v = rep.u_matrix
+    L = rep.L
+    mask = np.zeros((L, L), dtype=bool)
+    for r in range(L - 1):
+        mask[r, r + 1] = True
+    mask[L - 1, 0] = True
+    if np.any(np.abs(v[~mask]) > _UNIT_TOL) or np.any(np.abs(np.abs(v[mask]) - 1) > 1e-9):
+        raise ValueError("u-image is not in superdiagonal-plus-corner form")
+    lam = (-1) ** (L + 1) * np.linalg.det(v)
+    power = np.linalg.matrix_power(v, L)
+    if np.abs(power - lam * np.eye(L)).max() > tol:
+        raise ValueError("determinant value disagrees with the matrix power scalar")
+    return complex(lam)
+
+
+def element_matrices(fiber: ElementOrbitFiber, lams: np.ndarray) -> np.ndarray:
+    """The element fiber's (len(lams), L, L) dense stack: each band i placed
+    as diag(f_i) S^i(lam) (rokhlin.cstar._twist)."""
+    L = fiber.L
+    out = np.zeros((len(lams), L, L), dtype=np.complex128)
+    rows = np.arange(L)
+    for i, diag in fiber.bands.items():
+        shift, w = _twist(diag, i, lams)
+        out[:, rows, (rows + shift) % L] += w
+    return out
 
 
 class InterpolationFiber:
@@ -83,7 +208,7 @@ class CombinedFiber:
     def matrices(self, lams: np.ndarray) -> np.ndarray:
         out = None
         for s, p in zip(self.signs, self.parts):
-            mats = p.matrices(lams)
+            mats = element_matrices(p, lams) if isinstance(p, ElementOrbitFiber) else p.matrices(lams)
             if out is None:
                 out = mats if s == 1.0 else np.multiply(s, mats, out=mats)
             elif s == 1.0:
@@ -102,7 +227,7 @@ def node_lams(s: int) -> np.ndarray:
 
 def dense_quotient_fiber(b, cycle: Cycle, s: int, target=None) -> CombinedFiber:
     """interp(sample(b)) - target on the full L x L fiber (target b by default)."""
-    interp = InterpolationFiber(cycle, ElementOrbitFiber(b, cycle).matrices(node_lams(s)))
+    interp = InterpolationFiber(cycle, element_matrices(ElementOrbitFiber(b, cycle), node_lams(s)))
     return CombinedFiber([interp, ElementOrbitFiber(b if target is None else target, cycle)], [1.0, -1.0])
 
 
@@ -114,8 +239,9 @@ def dense_blend(b, cycle: Cycle, s: int, lams: np.ndarray) -> np.ndarray:
     j0 = np.floor(pos).astype(int) % s
     frac = (pos - np.floor(pos))[:, None, None]
     nodes = node_lams(s)
-    out = (1.0 - frac) * fiber.matrices(nodes[j0]) + frac * fiber.matrices(nodes[(j0 + 1) % s])
-    out -= fiber.matrices(lams)
+    out = (1.0 - frac) * element_matrices(fiber, nodes[j0])
+    out += frac * element_matrices(fiber, nodes[(j0 + 1) % s])
+    out -= element_matrices(fiber, lams)
     return out
 
 
@@ -251,7 +377,7 @@ class OrbitIsomorphism:
 
     def sample(self, a: CrossedElement) -> np.ndarray:
         self._check_support(a.support_radius())
-        return ElementOrbitFiber(a, self.cycle).matrices(self.lams)
+        return element_matrices(ElementOrbitFiber(a, self.cycle), self.lams)
 
     def reconstruct(self, mats: np.ndarray) -> CrossedElement:
         G, L = self.grid_size, self.cycle.length

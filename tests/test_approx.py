@@ -40,6 +40,7 @@ from dense_reference import (
     dense_blend,
     dense_quotient_fiber,
     dense_quotient_fibers,
+    element_matrices,
     ideal_anchors,
     ideal_blocks,
     ideal_return,
@@ -220,9 +221,9 @@ class TestQuotientSide:
             # the summing map evaluates b's fiber at the hat nodes
             for cyc in q.cycles:
                 lams = node_lams(q.node_count[cyc.base])
-                gram = ElementOrbitFiber(a.adjoint() * a, cyc).matrices(lams)
+                gram = element_matrices(ElementOrbitFiber(a.adjoint() * a, cyc), lams)
                 assert np.linalg.eigvalsh(gram).min() >= -1e-10
-                top = np.linalg.svd(ElementOrbitFiber(a, cyc).matrices(lams), compute_uv=False)[:, 0]
+                top = np.linalg.svd(element_matrices(ElementOrbitFiber(a, cyc), lams), compute_uv=False)[:, 0]
                 assert top.max() <= norm(a, 1e-3).upper + 1e-9
 
     def test_random_contractions_meet_bound(self):

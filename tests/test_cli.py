@@ -955,7 +955,7 @@ _REPORT_SHA256 = {
     "markers_100": "2a8d4a60ae3181bae8684dc04a60ea3a95494e49eb6b9db9b373e8b7f94c5492",
     "norm_unitary": "38e9687fa4f6e148f650ae3c90fc259969794cea2d4633b321756e4aa0b461ff",
     "orbits_3_10": "56a04782ffb03a9227805e96ec41e6b86fdd5a353c7a32efc3a34012c71d7ca0",
-    "periodic_2_3_4": "80be2704a678696a1e1b9e8825bb525e76c9378c331e2eecd147d0f7e4d6e25e",
+    "periodic_2_3_4": "19434e96cae37618538aef8d8d1c8c6015ab21897153f824ddcda121819a1b4b",
     "towers_100": "a740049cdff477a295fdf49316ae874e4d42a2f6a9cdb2137c08fa0ca0088a55",
     "verify-all": "044351be4f9e6f137a0f4b9519cbfbf9d4da224f6ce19537c85c242e6ae54709",
 }

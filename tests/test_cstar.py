@@ -27,8 +27,6 @@ from rokhlin.cstar import (
     _top_ritz,
     holonomy,
     norm,
-    orbit_rep,
-    orbit_rep_with_phases,
     periodic_embedding,
     primitive_spectrum,
 )
@@ -37,8 +35,12 @@ from rokhlin.dynsys import FiniteDynamicalSystem, load_system, make_cycle_system
 from dense_reference import (
     InterpolationFiber,
     dense_fiber_sigma,
+    dense_holonomy,
+    element_matrices,
     lanczos_sweep,
     orbit_isomorphism,
+    orbit_rep,
+    orbit_rep_with_phases,
     regular_window_norm,
 )
 
@@ -727,39 +729,68 @@ class TestPrimSpectrum:
 
 
 class TestHolonomy:
+    """The band-form holonomy against the dense reference: the determinant
+    of the L x L u-image and its L-th matrix power."""
+
     def test_all_ones(self):
+        lam, residual = holonomy(np.ones(4))
+        assert lam == 1.0 and residual == 0.0
         sys = make_cycle_system([4])
-        rep = orbit_rep(sys, sys.orbits().cycles[0], 1.0)
-        assert holonomy(rep) == pytest.approx(1.0)
+        assert dense_holonomy(orbit_rep(sys, sys.orbits().cycles[0], 1.0)) == pytest.approx(lam)
 
     def test_three_phases(self):
+        phases = [1j, 1.0, -1.0]
+        lam, residual = holonomy(phases)
+        assert lam == pytest.approx(-1j) and residual < 1e-12
         sys = make_cycle_system([3])
-        rep = orbit_rep_with_phases(sys, sys.orbits().cycles[0], [1j, 1.0, -1.0])
-        lam = holonomy(rep)
-        assert lam == pytest.approx(-1j)
+        rep = orbit_rep_with_phases(sys, sys.orbits().cycles[0], phases)
+        assert dense_holonomy(rep) == pytest.approx(lam)
         power = np.linalg.matrix_power(rep.u_matrix, 3)
         assert np.abs(power - lam * np.eye(3)).max() < 1e-12
 
     def test_single_fixed_point(self):
+        lam, residual = holonomy([np.exp(0.4j)])
+        assert lam == np.exp(0.4j) and residual == 0.0
         sys = make_cycle_system([1])
-        rep = orbit_rep(sys, sys.orbits().cycles[0], np.exp(0.4j))
-        assert holonomy(rep) == pytest.approx(np.exp(0.4j))
+        assert dense_holonomy(orbit_rep(sys, sys.orbits().cycles[0], np.exp(0.4j))) == pytest.approx(lam)
 
     def test_random_phases_match_power(self):
         rng = np.random.default_rng(14)
         for L in range(1, 9):
             sys = make_cycle_system([L])
             phases = np.exp(2j * np.pi * rng.random(L))
+            lam, residual = holonomy(phases)
             rep = orbit_rep_with_phases(sys, sys.orbits().cycles[0], phases)
-            lam = holonomy(rep, tol=1e-10)
-            assert abs(lam - np.prod(phases)) < 1e-10
+            assert abs(lam - dense_holonomy(rep, tol=1e-10)) < 1e-10
+            power = np.linalg.matrix_power(rep.u_matrix, L)
+            assert abs(residual - np.abs(power - lam * np.eye(L)).max()) < 1e-14
+            assert residual < 1e-10
 
     def test_malformed_rejected(self):
+        with pytest.raises(ValueError, match="unit circle"):
+            holonomy([1.0, 1.5, 1.0])
+        with pytest.raises(ValueError, match="unit circle"):
+            holonomy([1.0, 1j, 1.0 + 1e-9])
+        # the dense reference rejects a u-image off the superdiagonal-plus-corner form
         sys = make_cycle_system([3])
         rep = orbit_rep(sys, sys.orbits().cycles[0], 1.0)
         object.__setattr__(rep, "u_matrix", np.eye(3, dtype=complex))
         with pytest.raises(ValueError, match="form"):
-            holonomy(rep)
+            dense_holonomy(rep)
+
+    def test_million_cycle_stays_linear(self):
+        # no L x L matrix: at L = 10^6 a dense u-image would take 16 TB, the
+        # band form a few length-L vectors (input excluded)
+        L = 10**6
+        phases = np.exp(2j * np.pi * np.random.default_rng(24).random(L))
+        tracemalloc.start()
+        try:
+            lam, residual = holonomy(phases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 16 * L, peak
+        assert residual <= 1e-10 and abs(abs(lam) - 1.0) < 1e-9
 
 
 class TestOracleAgreement:
@@ -833,7 +864,7 @@ class TestOracleAgreement:
     @staticmethod
     def _assert_matches_svd(fib, lams):
         fast, unconverged, _, _, _ = _sigma_max_lanczos(fib, lams)
-        exact = np.array([np.linalg.svd(m, compute_uv=False)[0] for m in fib.matrices(lams)])
+        exact = np.array([np.linalg.svd(m, compute_uv=False)[0] for m in element_matrices(fib, lams)])
         assert unconverged == 0
         assert np.abs(fast - exact).max() <= 1e-10 * exact.max()
         assert np.all(fast <= exact * (1 + 1e-12))
@@ -887,7 +918,7 @@ class TestWarmStart:
         result = norm(a, fib.lip() * np.pi / 24 if fib.lip() > 0 else 1e-3)
         (n,) = result.grids.values()
         def dense_sigma(lams):
-            mats = fib.matrices(lams)
+            mats = element_matrices(fib, lams)
             return np.sqrt(np.linalg.eigvalsh(mats.conj().transpose(0, 2, 1) @ mats)[:, -1])
 
         dense = dense_sigma(_grid(n))
@@ -923,7 +954,7 @@ class TestWarmStart:
         lams = _grid(32)
         *_, ritz = _sigma_max_lanczos(fib, lams[:1])
         warm, unconverged, steps, *_ = _sigma_max_lanczos(fib, lams[1:], ritz)
-        _, sv, vh = np.linalg.svd(fib.matrices(lams[1:]))
+        _, sv, vh = np.linalg.svd(element_matrices(fib, lams[1:]))
         assert unconverged == 0 and steps == 2 * 31
         assert np.abs(warm - sv[:, 0]).max() <= 1e-10 * sv[:, 0].max()
         # from a start whose moved copy is orthogonal to the top vector at
@@ -1125,7 +1156,7 @@ class TestRitzCertificate:
         assert bisections == 8
         self._assert_certified(alpha, beta, value)
         assert result.ritz_bisections > 0
-        mats = fib.matrices(np.array([result.argmax[1]]))
+        mats = element_matrices(fib, np.array([result.argmax[1]]))
         exact = np.linalg.svd(mats[0], compute_uv=False)[0]
         assert exact * (1 - 1e-10) <= result.value <= exact * (1 + 1e-12)
 
@@ -1169,7 +1200,7 @@ class TestTwists:
             rows, widths = zip(*[w.shape for w in (head, tail) if w.ndim > 1] or [(50, 0)])
             assert set(rows) == {50} and sum(widths) == min(abs(i), L)
         # the seam form is the fiber and its adjoint, entry for entry
-        mats = fib.matrices(lams)
+        mats = element_matrices(fib, lams)
         assert np.array_equal(_seam_dense(sides[0], 50, L), mats)
         assert np.array_equal(_seam_dense(sides[1], 50, L), mats.conj().transpose(0, 2, 1))
 
@@ -1214,7 +1245,7 @@ class TestFibers:
         a = random_element(sys, 2, rng)
         s = 16
         lams = np.exp(2j * np.pi * np.arange(s) / s)
-        nodes = ElementOrbitFiber(a, cyc).matrices(lams)
+        nodes = element_matrices(ElementOrbitFiber(a, cyc), lams)
         interp = InterpolationFiber(cyc, nodes)
         assert np.abs(interp.matrices(lams) - nodes).max() < 1e-12
 
@@ -1234,7 +1265,7 @@ class TestFibers:
         a = random_element(sys, 1, rng)
         s = 32
         lams = np.exp(2j * np.pi * np.arange(s) / s)
-        interp = InterpolationFiber(cyc, ElementOrbitFiber(a, cyc).matrices(lams))
+        interp = InterpolationFiber(cyc, element_matrices(ElementOrbitFiber(a, cyc), lams))
         lip = interp.lip()
         probe = np.exp(2j * np.pi * rng.random(50))
         vals = interp.matrices(probe)

@@ -45,6 +45,7 @@ from dense_reference import (
     InterpolationFiber,
     dense_fiber_sigma,
     dense_quotient_fiber,
+    element_matrices,
     lanczos_sweep,
 )
 
@@ -75,7 +76,7 @@ def random_coeffs(sys, radius, rng, sparse=False):
 
 def reference_matrices(fiber, lams):
     if isinstance(fiber, ElementOrbitFiber):
-        return fiber.matrices(lams)
+        return element_matrices(fiber, lams)
     if isinstance(fiber, CornerFiber):
         return reference_matrices(_DENSE[fiber], lams)[:, fiber.seam][:, :, fiber.seam]
     if isinstance(fiber, InterpolationFiber):
@@ -174,7 +175,7 @@ class TestBuilders:
         for j in range(len(signs)):
             a = CrossedElement(sys, random_coeffs(sys, 2, rng, sparse=j == 1))
             parts.append(ElementOrbitFiber(a, cyc) if j % 2 == 0
-                         else InterpolationFiber(cyc, ElementOrbitFiber(a, cyc).matrices(_grid(12))))
+                         else InterpolationFiber(cyc, element_matrices(ElementOrbitFiber(a, cyc), _grid(12))))
         fib = CombinedFiber(parts, list(signs))
         lams = np.concatenate([_grid(128), np.exp(2j * np.pi * rng.random(29))])
         assert np.array_equal(fib.matrices(lams), reference_matrices(fib, lams))
