@@ -14,7 +14,8 @@ target tolerance eps, the pipeline
    counts are kept: an entry of a fiber that does not wrap around its cycle
    is constant on the circle, so interp(sample(b)) - b lives on the seam
    corner of at most 2k x 2k entries and is measured there, straight from b's
-   coefficients -- in closed form where no entry wraps more than once;
+   coefficients, by ``cstar.fiber_sup_norm`` -- in closed form where no entry
+   wraps more than once and the form is at most the norm tolerance wide;
 4. approximates the ideal side through matrix algebras over the tower
    supports, compressing by the coordinate window and the tower functions.
    The summing map is kept in one form, band arrays in tower coordinates
@@ -41,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cstar import CornerFiber, CrossedElement, ElementOrbitFiber, corner_norm, fiber_sup_norm, norm
+from .cstar import CornerFiber, CrossedElement, ElementOrbitFiber, fiber_sup_norm, norm
 from .dynsys import Cycle, FiniteDynamicalSystem, InvariantSplit, invariant_split
 from .towers import TowerFamily, as_fraction, build_tower_family, rung_step, verify_tower
 
@@ -226,12 +227,12 @@ class QuotientSide:
     disjoint supports, giving two order-zero summands.  Only the node counts
     are stored: the node matrices of b on a cycle, b's fiber at the
     ``node_count`` roots of unity, are never formed, and interp(sample(b)) -
-    b is measured on its seam corner
-    (``corner_fibers``) straight from b's coefficients.  Where no entry of a
-    corner wraps more than once (every band of b has |i| <= L) the corner
-    is g(lam) W+ + conj(g(lam)) W-, and ``cstar.corner_norm`` reads its sup
-    in closed form: the arc's sagitta 2 sin^2(pi / 2s) times the top singular
-    value of W+ + phi W- over the midpoint phases phi.
+    b is measured on its seam corner (``corner_fibers``) straight from b's
+    coefficients.  Where no entry of a corner wraps more than once (every
+    band of b has |i| <= L) the corner is g(lam) W+ + conj(g(lam)) W-, and
+    ``cstar.fiber_sup_norm`` reads its sup in closed form where that is at
+    most the norm tolerance wide: the arc's sagitta 2 sin^2(pi / 2s) times
+    the top singular value of W+ + phi W- over the midpoint phases phi.
     """
 
     sys: FiniteDynamicalSystem
@@ -446,11 +447,6 @@ class CPFactorization:
         return ok and self.ledger.identities_hold()
 
 
-def _sup(sys: FiniteDynamicalSystem, fibers: list, norm_tol: float) -> float:
-    """Certified sup norm over fiber fields; zero when there are none."""
-    return fiber_sup_norm(sys, fibers, norm_tol).value if fibers else 0.0
-
-
 def _long_fields(params: ApproxParams, a: CrossedElement) -> list[ElementOrbitFiber]:
     """Nonzero fiber fields of a over the long-orbit cycles."""
     fibers = (ElementOrbitFiber(a, cyc) for cyc in params.sys.orbits().cycles if params.split.long[cyc.base])
@@ -473,11 +469,7 @@ def assemble_and_verify(
     measured once:
 
     - short cycles: interp(sample(b)) - b on its seam corner, read by the
-      quotient corner and the final claim (e vanishes there).  A corner goes
-      to ``cstar.corner_norm``, in closed form, when its ``slack`` is at most
-      norm_tol; the others (an entry that wraps more than once, as u^5 on a
-      3-cycle, or a slack above norm_tol) go to ``fiber_sup_norm`` on the
-      corner's grid;
+      quotient corner and the final claim (e vanishes there);
     - long cycles: (1-e)^{1/2} b (1-e)^{1/2}, the rest of the quotient corner
       (no fields for the default e);
     - long cycles: composite(corner) - corner with corner = e^{1/2} b e^{1/2},
@@ -490,6 +482,11 @@ def assemble_and_verify(
     is then the larger corner defect.  Otherwise the long-cycle fields of
     composite(corner) - b are measured for the final claim.
 
+    Each field set is read by one ``cstar.fiber_sup_norm`` call, which picks
+    every fiber's solver: a seam corner takes its closed form where that is
+    at most norm_tol wide, and its grid otherwise (an entry that wraps more
+    than once, as u^5 on a 3-cycle, or a ``slack`` above norm_tol).
+
     Bounds: quotient corner (d+3) eps, ideal corner (2d+3) eps, final
     (3d+7) eps, with order-zero colors 2 + (2d+3) observed and
     (d+2) + (2d+3) = 3d+5 declared.  The square-root step must stay strictly
@@ -500,19 +497,16 @@ def assemble_and_verify(
     root, coroot = equnit.sqrt(), equnit.cosqrt()
     quotient_measured, ideal_measured, final_measured = [], [], []
     for b in params.F:
-        corners = quotient.corner_fibers(b)
-        closed = [fib for fib in corners if fib.slack <= norm_tol]
-        grid = [fib for fib in corners if fib.slack > norm_tol]
-        short = max(corner_norm(sys, closed).value, _sup(sys, grid, norm_tol))
-        quotient_err = max(short, _sup(sys, _long_fields(params, b.compressed(coroot)), norm_tol))
+        short = fiber_sup_norm(sys, quotient.corner_fibers(b), norm_tol).value
+        quotient_err = max(short, fiber_sup_norm(sys, _long_fields(params, b.compressed(coroot)), norm_tol).value)
         final = quotient_err if equnit.is_central_projection else short
         if ideal is not None:
             corner = b.compressed(root)
             composite = ideal.composite(corner)
-            ideal_err = _sup(sys, _long_fields(params, composite - corner), norm_tol)
+            ideal_err = fiber_sup_norm(sys, _long_fields(params, composite - corner), norm_tol).value
             ideal_measured.append(ideal_err)
             if not equnit.is_central_projection:
-                ideal_err = _sup(sys, _long_fields(params, composite - b), norm_tol)
+                ideal_err = fiber_sup_norm(sys, _long_fields(params, composite - b), norm_tol).value
             final = max(final, ideal_err)
         quotient_measured.append(quotient_err)
         final_measured.append(final)

@@ -22,20 +22,24 @@ no search).  An element fiber's arcs use the gauge bound sum_i sup|f_i| |i|
 conjugates the fiber to sum_i diag(f_i) S^i(1) mu^i, whose derivative per
 unit arc has norm at most that sum.
 
-An element fiber of one band, f u^i, needs no grid and no eigensolver: its
-fiber diag(f) S^i(lam) is diag(f) times a unitary at every |lam| = 1, so its
-norm is max|f| over the cycle's slots at every lam.  fiber_sup_norm reads it
-as that, at the single grid point lam = 1 (solver "band").
+fiber_sup_norm is the one entry point for a certified norm, and it picks
+each fiber's solver (_solver).  An element fiber of one band, f u^i, needs
+no grid and no eigensolver: its fiber diag(f) S^i(lam) is diag(f) times a
+unitary at every |lam| = 1, so its norm is max|f| over the cycle's slots at
+every lam, read at the single grid point lam = 1 (solver "band").
 
 Every other element fiber takes Lanczos on a(lam)*a(lam), whatever its
-cycle length.  A seam corner of the quotient side (CornerFiber) in which no
-entry wraps more than once has a closed form (corner_norm): the arc's
-sagitta times the top singular value of S x S matrices at the arc-midpoint
-phases, with no grid.  Any other fiber (a seam corner with no closed form)
-takes a dense Hermitian eigensolve at every point the search solves, with
-lip() as its arc bound.  Seam-corner values, closed form or grid, are
-eigvalsh estimates with no Sturm certificate: there "value is a lower bound"
-holds only up to eigvalsh's rounding, a few ulps of the Gram matrix's scale.
+cycle length, at a power-of-two scale where its largest entry lies outside
+[2^-_SCALE_EXP, 2^_SCALE_EXP].  A seam corner of the quotient side
+(CornerFiber) in which no entry wraps more than once, and whose ``slack``
+is at most tol, is read in closed form (solver "closed", _closed_form): the
+arc's sagitta times the top singular value of S x S matrices at the
+arc-midpoint phases, with no grid.  Any other fiber (a seam corner with no
+closed form) takes a dense Hermitian eigensolve at every point the search
+solves, with lip() as its arc bound.  Seam-corner values, closed form or
+grid, are eigvalsh estimates with no Sturm certificate: there "value is a
+lower bound" holds only up to eigvalsh's rounding, a few ulps of the Gram
+matrix's scale.
 
 Lanczos runs grid point 0 alone from a fixed-seed random vector, then every
 later point the search solves, each level's batch in lockstep chunks of at
@@ -65,8 +69,9 @@ value is the largest diagonal entry or a point that passed the Sturm test
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -84,13 +89,12 @@ __all__ = [
     "holonomy",
     "norm",
     "fiber_sup_norm",
-    "corner_norm",
     "ElementOrbitFiber",
     "CornerFiber",
 ]
 
 _UNIT_TOL = 1e-12
-# norm solves an element whose largest coefficient entry c lies outside
+# Lanczos solves an element fiber whose largest entry c lies outside
 # [2^-_SCALE_EXP, 2^_SCALE_EXP] at a power-of-two scale inside it, and a seam
 # corner (or a stack of its blocks) with c below 2^-_SCALE_EXP likewise
 # (_lifted): squares of entries within 2^-200 of c then stay normal floats,
@@ -473,7 +477,7 @@ class CornerFiber:
         # (W+, W-): the entries that wrap once forward and once backward, when
         # no entry wraps more than once (every band has |i| <= n) and every
         # value is finite; then the field is g(lam) W+ + conj(g(lam)) W- (see
-        # corner_norm)
+        # _closed_form)
         self.wrapped = None
         if all(np.abs(wraps).max(initial=0) <= 1 and np.isfinite(vals).all() for *_, vals, wraps, _ in self.entries):
             self.wrapped = np.zeros((2, self.L, self.L), dtype=np.complex128)
@@ -494,8 +498,8 @@ class CornerFiber:
 
     @property
     def slack(self) -> float:
-        """How far the closed form's upper bound may lie above its value (see
-        corner_norm): 0 unless ``phased``, and inf where the closed form does
+        """How far the sup may lie above the closed form's value (see
+        _closed_form): 0 unless ``phased``, and inf where the closed form does
         not apply (``wrapped`` is None) or would solve more than
         _CLOSED_MAX_PHASES phases."""
         if self.wrapped is None:
@@ -543,7 +547,7 @@ class CornerFiber:
 
 def _sagitta(s: int) -> float:
     """The sup of |g| over an arc of the s-node circle, 2 sin^2(pi / 2s): the
-    arc's sagitta (see corner_norm)."""
+    arc's sagitta (see _closed_form)."""
     return 2 * math.sin(math.pi / (2 * s)) ** 2
 
 
@@ -555,9 +559,10 @@ def _arc_midpoints(s: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     return mid, np.conj(mid) ** 2
 
 
-def corner_norm(sys: FiniteDynamicalSystem, corners: Sequence[CornerFiber]) -> NormResult:
-    """Sup norm of corner fields in closed form, for corners with a finite
-    ``slack`` (no entry wraps more than once).
+def _closed_form(fiber: CornerFiber) -> tuple[float, complex, int]:
+    """Sup of a corner field in closed form, for a corner with a finite
+    ``slack`` (no entry wraps more than once): the value, the arc midpoint
+    attaining it and the number of phases solved.
 
     On the arc between nodes lam_0 and lam_1, with lam at fraction t of it, an
     entry c lam^w of b's fiber blends to c g_w(lam), g_w = (1-t) lam_0^w +
@@ -575,37 +580,23 @@ def corner_norm(sys: FiniteDynamicalSystem, corners: Sequence[CornerFiber]) -> N
     q'' = -2 sin y - y cos y - (S - C b) / S sin y <= 0 on [0, b], since
     tan b >= b; so q >= 0 there, h is nonincreasing on [0, 1] and h <= 0.
 
-    ``value`` is sag times the largest sigma(W+ + phi W-) over the s/2
-    midpoint phases, one batched eigensolve of S x S matrices, and ``argmax``
-    the midpoint attaining it, so value is sigma at a real lam up to
-    eigvalsh's rounding.  The phases lie 4 pi / s apart and phi ->
-    sigma(W+ + phi W-) moves by at most ||W-|| <= ||W-||_F per radian, so
-    value + sag ||W-||_F 2 pi / s (the corner's ``slack``) bounds the sup.
-    Where sigma does not depend on phi (not ``phased``: W+* W- = 0, as when
-    2r <= n for radius r and cycle length n) one matrix is solved and the
-    slack is 0.  ``upper`` = value +
-    ``tol`` is the largest value + slack over the corners; ``grids`` counts
-    the phases solved per orbit."""
-    value, upper, argmax = 0.0, 0.0, None
-    grids: dict[str, int] = {}
-    per_orbit: dict[str, tuple[float, complex]] = {}
-    for fiber in corners:
-        label = sys.labels[fiber.cycle.base]
-        w_plus, w_minus = fiber.wrapped
-        mid, phases = _arc_midpoints(fiber.s, fiber.s // 2 if fiber.phased else 1)
-        chunk = max(1, _DENSE_CHUNK_ENTRIES // (fiber.L * fiber.L))
-        sig = np.concatenate([
-            _sigma_exact(w_plus + phases[lo : lo + chunk, None, None] * w_minus)
-            for lo in range(0, len(phases), chunk)
-        ])
-        j = int(np.argmax(sig))
-        best = _sagitta(fiber.s) * float(sig[j])
-        grids[label], per_orbit[label] = len(phases), (best, complex(mid[j]))
-        upper = max(upper, best + fiber.slack)
-        if best > value:
-            value, argmax = best, (label, complex(mid[j]))
-    return NormResult(value=value, tol=upper - value, argmax=argmax, grids=grids, per_orbit=per_orbit,
-                      solvers=dict.fromkeys(grids, "closed"), evaluations=sum(grids.values()))
+    The value is sag times the largest sigma(W+ + phi W-) over the s/2
+    midpoint phases, one batched eigensolve of S x S matrices, attained at a
+    real lam (the midpoint) up to eigvalsh's rounding.  The phases lie
+    4 pi / s apart and phi -> sigma(W+ + phi W-) moves by at most ||W-|| <=
+    ||W-||_F per radian, so value + sag ||W-||_F 2 pi / s (the corner's
+    ``slack``) bounds the sup.  Where sigma does not depend on phi (not
+    ``phased``: W+* W- = 0, as when 2r <= n for radius r and cycle length n)
+    one matrix is solved and the slack is 0."""
+    w_plus, w_minus = fiber.wrapped
+    mid, phases = _arc_midpoints(fiber.s, fiber.s // 2 if fiber.phased else 1)
+    chunk = max(1, _DENSE_CHUNK_ENTRIES // (fiber.L * fiber.L))
+    sig = np.concatenate([
+        _sigma_exact(w_plus + phases[lo : lo + chunk, None, None] * w_minus)
+        for lo in range(0, len(phases), chunk)
+    ])
+    j = int(np.argmax(sig))
+    return _sagitta(fiber.s) * float(sig[j]), complex(mid[j]), len(phases)
 
 
 def _pow2_exp(top: float) -> int:
@@ -742,8 +733,11 @@ def _sigma_max_lanczos(fiber: ElementOrbitFiber, lams: np.ndarray, start: np.nda
     the number of Lanczos steps summed over the lams, the number of checks
     (one per lam) whose Ritz value took bisection, and, for a single lam
     with a finite estimate, its top Ritz vector Q y (Q the Lanczos basis, y
-    the top eigenvector of the tridiagonal), else None.  A lam whose steps
-    overflowed reads NaN (see _top_ritz) and leaves the batch."""
+    the top eigenvector of the tridiagonal), else None.  The basis is kept
+    only while a full one, _LANCZOS_MAX_STEPS vectors, fits in
+    _LANCZOS_CHUNK_BYTES (L <= 8,192); a longer cycle returns no Ritz
+    vector.  A lam whose steps overflowed reads NaN (see _top_ritz) and
+    leaves the batch."""
     if start is None or not np.linalg.norm(start) > 0:  # a fiber vanishing at the seed point
         re, im = np.random.default_rng(_LANCZOS_SEED).standard_normal((2, fiber.L))
         start = re + 1j * im
@@ -754,7 +748,7 @@ def _sigma_max_lanczos(fiber: ElementOrbitFiber, lams: np.ndarray, start: np.nda
     alpha, beta = np.zeros((2, _LANCZOS_MAX_STEPS, len(lams)))
     est, active = np.zeros(len(lams)), np.arange(len(lams))
     terms, adj_terms = fiber.twists(lams)
-    basis = [] if len(lams) == 1 else None
+    basis = [] if len(lams) == 1 and 16 * fiber.L * _LANCZOS_MAX_STEPS <= _LANCZOS_CHUNK_BYTES else None
     check, steps, bisections = 1, 0, 0
     for k in range(1, _LANCZOS_MAX_STEPS + 1):
         steps += len(active)
@@ -802,14 +796,13 @@ class NormResult:
     was still moving at the step cap, ``lanczos_steps`` the Lanczos steps
     summed over the evaluated points, ``ritz_bisections`` the point checks
     whose top Ritz value was certified by bisection rather than by a dense
-    estimate and one Sturm sweep, and ``solvers`` the solver of each orbit:
-    ``"band"`` or ``"lanczos"`` for an element fiber, ``"closed"`` or
-    ``"dense"`` for a seam corner.  A ``"band"`` orbit (an element fiber
-    f u^i of one band) reads max|f| exactly at lam = 1 with a grid of 1 and
-    keeps the caller's tol, so its upper bound is true but loose.  A
-    closed-form result (corner_norm) has no grid: its tol is the width of
-    its own bound, at most the caller's tol, and ``grids`` counts the phases
-    it solved.
+    estimate and one Sturm sweep, and ``solvers`` the solver of each orbit
+    (see _solver).  ``tol`` is always the caller's.  A ``"band"`` orbit (an
+    element fiber f u^i of one band) reads max|f| exactly at lam = 1 with a
+    grid of 1, and a ``"closed"`` orbit (a seam corner in closed form) has
+    no grid: ``grids`` counts the phases it solved, and its own bound, value
+    plus the corner's ``slack``, lies at most tol above its value.  Their
+    upper bounds are true but loose.
     """
 
     value: float
@@ -828,13 +821,14 @@ class NormResult:
         return self.value + self.tol
 
 
-def _solver(fiber) -> str:
+def _solver(fiber, tol: float) -> str:
     """How fiber_sup_norm reads a fiber: ``"band"`` for an element fiber of
-    one band, ``"lanczos"`` for any other element fiber, and ``"dense"``
-    for a fiber that is not an element fiber."""
-    if not isinstance(fiber, ElementOrbitFiber):
-        return "dense"
-    return "band" if len(fiber.bands) == 1 else "lanczos"
+    one band, ``"lanczos"`` for any other element fiber, ``"closed"`` for a
+    seam corner whose closed form is at most tol wide (``slack`` <= tol), and
+    ``"dense"`` for any other fiber."""
+    if isinstance(fiber, ElementOrbitFiber):
+        return "band" if len(fiber.bands) == 1 else "lanczos"
+    return "closed" if isinstance(fiber, CornerFiber) and fiber.slack <= tol else "dense"
 
 
 def _sigma_batches(fiber, solver: str, label: str, counts: np.ndarray):
@@ -843,7 +837,13 @@ def _sigma_batches(fiber, solver: str, label: str, counts: np.ndarray):
     (unconverged, steps, bisections) add into counts.  A band fiber diag(f)
     S^i(lam) is f times a unitary at every lam, so it reads max|f|.  Lanczos
     runs its first batch (grid point 0 alone) from the fixed seed and every
-    later batch, in chunks, from that point's top Ritz vector."""
+    later batch, in chunks, from that point's top Ritz vector.  It solves a
+    fiber whose largest entry lies outside [2^-_SCALE_EXP, 2^_SCALE_EXP] as
+    2^-e times itself, 2^(e-1) <= that entry < 2^e (e at least -1022, so
+    that 2^-e is a float: _pow2_exp), and scales sigma back by 2^e: out of
+    range the squares it forms would overflow, or underflow and read far
+    below sigma.  Scaling by a power of two is exact (for every entry above
+    2^-1021 times the largest), so sigma is that of the fiber itself."""
     if solver == "band":
         (band,) = fiber.bands.values()
         top = np.abs(band).max()
@@ -854,6 +854,11 @@ def _sigma_batches(fiber, solver: str, label: str, counts: np.ndarray):
             [_sigma_exact(fiber.matrices(lams[lo : lo + chunk])) for lo in range(0, len(lams), chunk)])
     else:
         chunk = max(1, _LANCZOS_CHUNK_BYTES // _lanczos_point_bytes(fiber))
+        top = max(float(np.abs(d).max()) for d in fiber.bands.values())
+        e = 0 if 2.0**-_SCALE_EXP <= top <= 2.0**_SCALE_EXP else _pow2_exp(top)
+        if e:
+            fiber = copy.copy(fiber)
+            fiber.bands = {i: math.ldexp(1.0, -e) * d for i, d in fiber.bands.items()}
         warm: list = []
 
         def read(lams: np.ndarray) -> np.ndarray:
@@ -862,18 +867,18 @@ def _sigma_batches(fiber, solver: str, label: str, counts: np.ndarray):
                 sig, *first, ritz = _sigma_max_lanczos(fiber, lams)
                 counts += first
                 warm.append(ritz)
-                return sig
+                return np.ldexp(sig, e)
             sig = np.empty(len(lams))
             for lo in range(0, len(lams), chunk):
                 sig[lo : lo + chunk], *more, _ = _sigma_max_lanczos(fiber, lams[lo : lo + chunk], warm[0])
                 counts += more
-            return sig
+            return np.ldexp(sig, e)
 
     def solve(lams: np.ndarray) -> np.ndarray:
         sig = read(lams)
         if not np.isfinite(sig).all():
             raise ValueError(f"fiber over the orbit of {label!r} has a spectral norm that is not finite "
-                             "(its entries' squares overflow)")
+                             "(it, or the squares its solver forms, overflow the floats)")
         return sig
 
     return solve
@@ -910,42 +915,39 @@ def _refine(n: int, lip: float, tol: float, solve) -> tuple[np.ndarray, np.ndarr
     return np.concatenate(solved), np.concatenate(values)
 
 
-def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float, *, scale_exp: int = 0) -> NormResult:
-    """Sup of fiber spectral norms over the circle, certified to within tol
-    by a branch-and-bound over per-orbit dyadic grids.
+def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float) -> NormResult:
+    """Sup of fiber spectral norms over the circle, certified to within tol;
+    the one entry point for a certified norm, which picks each fiber's
+    solver (_solver).
 
     A fiber has a ``cycle``, the order ``L`` of its matrices and an
     arc-Lipschitz bound ``lip()``; one that is not an element fiber also has
-    ``matrices(lams)``, its dense stack.  Each orbit's grid size n is the
-    least power of two with lip * (pi / n) <= tol (1 for a fiber of one
-    band).  n is the finest level of _refine and its cap on the points
-    solved, not a list of points: _refine solves point 0, then only the
-    midpoints of arcs whose Lipschitz bound can still beat the best value by
-    more than tol, so only the lam values it solves are built.  Its bound
-    uses, for an element fiber, the gauge bound sum_i sup|f_i| |i| / L
-    (ElementOrbitFiber.gauge_lip: D = diag(mu^-r), mu^L = lam, conjugates
-    the fiber to sum_i diag(f_i) S^i(1) mu^i), at most lip(), and lip()
-    for any other fiber.  ``value`` is the best point solved, so the sup
-    lies in [value, value + tol], and value lies at most tol below the
-    largest sigma over the full grid.  An element fiber of one band is read
-    as max|f| at the one point lam = 1, any other element fiber by Lanczos,
-    and a fiber that is not an element fiber by a dense eigensolve at each
-    point solved (see the module docstring).
+    ``matrices(lams)``, its dense stack.  A seam corner with a closed form at
+    most tol wide is read in closed form at its arc-midpoint phases
+    (_closed_form).  Every other fiber takes a branch-and-bound over a
+    dyadic grid: its grid size n is the least power of two with lip * (pi /
+    n) <= tol (1 for a fiber of one band).  n is the finest level of _refine
+    and its cap on the points solved, not a list of points: _refine solves
+    point 0, then only the midpoints of arcs whose Lipschitz bound can still
+    beat the best value by more than tol, so only the lam values it solves
+    are built.  Its bound uses, for an element fiber, the gauge bound sum_i
+    sup|f_i| |i| / L (ElementOrbitFiber.gauge_lip: D = diag(mu^-r), mu^L =
+    lam, conjugates the fiber to sum_i diag(f_i) S^i(1) mu^i), at most
+    lip(), and lip() for any other fiber.  ``value`` is the best point
+    solved, so the sup lies in [value, value + tol], and value lies at most
+    tol below the largest sigma over the full grid.  An element fiber of one
+    band is read as max|f| at the one point lam = 1, any other element fiber
+    by Lanczos (at a power-of-two scale where its entries would overflow or
+    underflow: _sigma_batches), and any other fiber by a dense eigensolve at
+    each point solved (see the module docstring).
 
     A fiber whose bound is not finite (a NaN or infinite coefficient) is
     refused: nothing certifies it.  So is a fiber whose grid would hold more
     than _GRID_MAX_BYTES (16 bytes a point for lam and 8 for sigma); both are
-    refused before anything is solved.  So is a Lanczos fiber whose entries
-    all lie below 2^-_SCALE_EXP, whose squares underflow so that Lanczos may
-    read far below sigma, when tol lies below its coefficient bound sum_i
-    sup|f_i| (a bound on sigma, so a larger tol certifies any value >= 0);
-    norm solves such a fiber at a power-of-two scale.  A fiber whose solver
-    yields a sigma that is not finite (entries so large that the squares the
-    solver forms overflow, which norm's scaling avoids) is refused once
-    solved.  When the fibers and tol are those of a caller's element and tol
-    scaled by 2^-scale_exp (see norm), a refusal quotes the bound and tol
-    times 2^scale_exp: the caller's own numbers, unless norm had to clamp
-    the scaled tol into the positive floats.
+    refused before anything is solved, with the bound and tol as given.  A
+    fiber whose solver yields a sigma that is not finite (a dense fiber with
+    entries so large that its Gram matrices overflow, or a sigma beyond the
+    floats) is refused once solved.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -955,22 +957,14 @@ def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float, *, 
         label = sys.labels[fiber.cycle.base]
         if not math.isfinite(lip):
             raise ValueError(f"fiber over the orbit of {label!r} is not finite (Lipschitz bound {lip})")
-        solver, n = _solver(fiber), 1
-        if lip > 0 and solver != "band":
+        solver, n = _solver(fiber, tol), 1
+        if lip > 0 and solver not in ("band", "closed"):
             points = lip * math.pi / tol
             n = _next_pow2(points) if math.isfinite(points) else math.inf
         if 24 * n > _GRID_MAX_BYTES:
             raise ValueError(
                 f"fiber over the orbit of {label!r} needs a grid of {n} points, {24 * n} bytes "
-                f"(Lipschitz bound {math.ldexp(lip, scale_exp)}, tol {math.ldexp(tol, scale_exp)}), "
-                f"over the limit of {_GRID_MAX_BYTES} bytes"
-            )
-        sups = [float(np.abs(d).max()) for d in fiber.bands.values()] if solver == "lanczos" else []
-        if sups and max(sups) < 2.0**-_SCALE_EXP and tol < sum(sups):
-            raise ValueError(
-                f"fiber over the orbit of {label!r} has entries below 2^-{_SCALE_EXP} (largest {max(sups)}), "
-                f"whose squares underflow, and tol {tol} is below its coefficient bound {sum(sups)}: "
-                "solve it through norm, which scales it"
+                f"(Lipschitz bound {lip}, tol {tol}), over the limit of {_GRID_MAX_BYTES} bytes"
             )
         plan.append((fiber, label, n, solver))
     value, argmax, counts = 0.0, None, np.zeros(3, dtype=np.int64)
@@ -979,14 +973,17 @@ def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float, *, 
     solvers: dict[str, str] = {}
     evaluations = 0
     for fiber, label, n, solver in plan:
-        grids[label], solvers[label] = n, solver
-        lip = fiber.gauge_lip() if isinstance(fiber, ElementOrbitFiber) else fiber.lip()
-        idx, sig = _refine(n, lip, tol, _sigma_batches(fiber, solver, label, counts))
-        evaluations += len(idx)
-        # the first grid point attaining the maximum, as np.argmax over the grid
-        j = idx[sig == sig.max()].min(keepdims=True)
-        best, best_lam = float(sig.max()), complex(_grid(n, j)[0])
-        per_orbit[label] = (best, best_lam)
+        if solver == "closed":
+            best, best_lam, n = _closed_form(fiber)
+            evaluations += n
+        else:
+            lip = fiber.gauge_lip() if isinstance(fiber, ElementOrbitFiber) else fiber.lip()
+            idx, sig = _refine(n, lip, tol, _sigma_batches(fiber, solver, label, counts))
+            evaluations += len(idx)
+            # the first grid point attaining the maximum, as np.argmax over the grid
+            j = idx[sig == sig.max()].min(keepdims=True)
+            best, best_lam = float(sig.max()), complex(_grid(n, j)[0])
+        grids[label], solvers[label], per_orbit[label] = n, solver, (best, best_lam)
         if best > value:
             value, argmax = best, (label, best_lam)
     unconverged, lanczos_steps, ritz_bisections = map(int, counts)
@@ -996,30 +993,10 @@ def fiber_sup_norm(sys: FiniteDynamicalSystem, fibers: Sequence, tol: float, *, 
 
 
 def norm(a: CrossedElement, tol: float = 1e-3) -> NormResult:
-    """Certified operator norm of a crossed element (max over orbit fibers).
-
-    An element whose largest coefficient entry lies outside [2^-_SCALE_EXP,
-    2^_SCALE_EXP] is solved as a 2^-e, with 2^(e-1) <= that entry < 2^e
-    (e at least -1022, so that 2^-e is a float: _pow2_exp), at tol 2^-e tol
-    (kept within the positive floats), and value and per_orbit are scaled
-    back by 2^e.  Scaling by a power of two is exact (for every
-    entry above 2^-1021 times the largest), so the grids are those of a
-    itself; out of range, the squares the solvers form would overflow, or
-    underflow and report 0 below the true norm.
-    """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    top = max((float(np.abs(f).max()) for f in a.coeffs.values()), default=0.0)
-    e = _pow2_exp(top) if 0 < top < 2.0**-_SCALE_EXP or 2.0**_SCALE_EXP < top < math.inf else 0
-    if e:
-        a = math.ldexp(1.0, -e) * a
-    fibers = [ElementOrbitFiber(a, cyc) for cyc in a.sys.orbits().cycles]
-    scaled = min(max(math.ldexp(tol, -e), math.ulp(0.0)), np.finfo(float).max)
-    result = fiber_sup_norm(a.sys, [fib for fib in fibers if fib.bands], scaled, scale_exp=e)
-    if not e:
-        return result
-    per_orbit = {label: (math.ldexp(v, e), lam) for label, (v, lam) in result.per_orbit.items()}
-    return replace(result, value=math.ldexp(result.value, e), tol=float(tol), per_orbit=per_orbit)
+    """Certified operator norm of a crossed element: fiber_sup_norm over its
+    nonzero orbit fibers."""
+    fibers = (ElementOrbitFiber(a, cyc) for cyc in a.sys.orbits().cycles)
+    return fiber_sup_norm(a.sys, [fib for fib in fibers if fib.bands], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1028,7 +1005,8 @@ def norm(a: CrossedElement, tol: float = 1e-3) -> NormResult:
 
 class PeriodicEmbedding:
     """Covariant embedding of the crossed product of a periodic system into
-    n x n matrix functions on the circle, held in band form.
+    n x n matrix functions on the circle, n the system's period (the lcm of
+    its cycle lengths), held in band form.
 
     At a point x and circle parameter lam, u is the shift 1 with weights
     (1, ..., 1, lam); a function f is the diagonal (f(alpha_{-r}(x)))_r of
@@ -1044,21 +1022,14 @@ class PeriodicEmbedding:
     average of the diagonal).
     """
 
-    def __init__(self, sys: FiniteDynamicalSystem, grid: int, n: int | None = None):
+    def __init__(self, sys: FiniteDynamicalSystem, grid: int):
         if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 1:
             raise ValueError(f"grid must be an integer >= 1, got grid = {grid!r}")
         if 16 * grid > _GRID_MAX_BYTES:
             raise ValueError(
                 f"a lam grid of {grid} points needs {16 * grid} bytes, over the limit of {_GRID_MAX_BYTES} bytes"
             )
-        lengths = {c.length for c in sys.orbits().cycles}
-        if n is None:
-            n = math.lcm(*lengths)
-        elif isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"n must be an integer >= 1, got n = {n!r}")
-        elif any(n % length for length in lengths):
-            raise ValueError(f"n = {n} is not a period of the system (cycle lengths {sorted(lengths)})")
-        n = int(n)
+        n = math.lcm(*(c.length for c in sys.orbits().cycles))
         # per grid point a residual holds at most three (points, n) and six
         # (n,) complex arrays; refuse before allocating
         point_bytes = 16 * n * (3 * sys.n + 6)
@@ -1133,8 +1104,8 @@ class PeriodicEmbedding:
         return float(np.abs(total / self.grid - self._diagonal(a.expectation())).max())
 
 
-def periodic_embedding(sys: FiniteDynamicalSystem, grid: int, n: int | None = None) -> PeriodicEmbedding:
-    return PeriodicEmbedding(sys, grid, n)
+def periodic_embedding(sys: FiniteDynamicalSystem, grid: int) -> PeriodicEmbedding:
+    return PeriodicEmbedding(sys, grid)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Quotient side: hat-node interpolation through full node matrices, as the
 program measured interp(sample(b)) - b before it took the seam corner
-(rokhlin.cstar.CornerFiber) and its closed form (rokhlin.cstar.corner_norm).
+(rokhlin.cstar.CornerFiber), which rokhlin.cstar.fiber_sup_norm reads in
+closed form where it can; wrapped in CombinedFiber, a corner takes its grid.
 
 Ideal side: the summing map of one tower level as an (anchor, j, j') array of
 window matrices, and the return map from that array back to the crossed

@@ -29,7 +29,6 @@ from rokhlin.cstar import (
     ElementOrbitFiber,
     _grid,
     _sigma_exact,
-    corner_norm,
     fiber_sup_norm,
     norm,
 )
@@ -37,6 +36,7 @@ from rokhlin.dynsys import invariant_split, make_cycle_system
 from rokhlin.towers import build_tower_family
 
 from dense_reference import (
+    CombinedFiber,
     dense_blend,
     dense_quotient_fiber,
     dense_quotient_fibers,
@@ -242,14 +242,17 @@ class TestQuotientSide:
         rep = assemble_and_verify(p, q, None, equnit, norm_tol=1e-3).quotient_corner
         assert q.order_zero_colors == 2
         assert rep.max_measured <= 0.1
-        # the raw per-element interpolation error on its 1024-point grid lies
-        # below the closed form's upper bound, and the closed value below the
-        # grid's (nothing lives off the short part)
-        closed = [corner_norm(sys, q.corner_fibers(b)) for b in F]
+        # every corner closes in closed form; the raw per-element
+        # interpolation error on its 1024-point grid lies below the closed
+        # form's own bound, value plus slack, and the closed value below the
+        # grid's upper bound (nothing lives off the short part)
+        closed = [fiber_sup_norm(sys, q.corner_fibers(b), 1e-3) for b in F]
         assert rep.measured == tuple(res.value for res in closed)
         for b, res in zip(F, closed):
+            assert set(res.solvers.values()) == {"closed"}
+            slack = max(fib.slack for fib in q.corner_fibers(b))
             raw = fiber_sup_norm(sys, dense_quotient_fibers(q, b), 1e-3)
-            assert raw.value <= res.upper + _BLEND_ROUNDOFF
+            assert raw.value <= res.value + slack + _BLEND_ROUNDOFF
             assert res.value <= raw.upper
 
 
@@ -314,8 +317,10 @@ class TestCornerFiber:
         k = max(abs(i) for i in ElementOrbitFiber(b, cyc).bands)
         assert corner.L == min(cyc.length, 2 * k)
         assert corner.lip() >= dense.parts[0].lip()
-        # the sup on the corner's grid, and the two certified intervals
-        res, ref = fiber_sup_norm(q.sys, corners, 1e-2), fiber_sup_norm(q.sys, [dense], 1e-2)
+        # the sup on the corner's grid (a corner wrapped in a combined fiber
+        # takes the dense path), and the two certified intervals
+        res = fiber_sup_norm(q.sys, [CombinedFiber([corner])], 1e-2)
+        ref = fiber_sup_norm(q.sys, [dense], 1e-2)
         n = res.grids[q.sys.labels[cyc.base]]
         assert abs(res.value - _sigma_exact(dense.matrices(_grid(n))).max()) <= roundoff(cyc.length)
         assert res.value <= ref.upper + roundoff(cyc.length)
@@ -331,9 +336,14 @@ class TestCornerFiber:
         return b, q, dense_quotient_fiber(b, cyc, q.node_count[cyc.base]), _grid(512)
 
     def test_corner_norm_names_the_dense_solver(self):
+        # the corner closes (2r <= L, so its slack is 0); wrapped in a
+        # combined fiber it takes the grid and names the dense solver
         b, q, _, _ = self.mutation_case()
-        res = fiber_sup_norm(q.sys, q.corner_fibers(b), 1e-2)
-        assert res.solvers == {q.sys.labels[q.cycles[0].base]: "dense"}
+        label = q.sys.labels[q.cycles[0].base]
+        (corner,) = q.corner_fibers(b)
+        assert fiber_sup_norm(q.sys, [corner], 1e-2).solvers == {label: "closed"}
+        res = fiber_sup_norm(q.sys, [CombinedFiber([corner])], 1e-2)
+        assert res.solvers == {label: "dense"}
 
     def assert_caught(self, monkeypatch, mutate):
         b, q, dense, lams = self.mutation_case()
@@ -390,30 +400,31 @@ def closed_corner_cases(draw):
 
 
 def check_closed_form(b, q, tol=1e-3):
-    """The closed form of the corners assemble_and_verify closes at tol,
-    against the dense blend: value is the blend's sigma at the reported arc
-    midpoint, the blend's maximum over 4096 grid points and every arc
-    midpoint stays below upper, and upper - value <= tol."""
+    """fiber_sup_norm on the corners of a one-cycle quotient side at tol,
+    against the dense blend: a corner whose slack is at most tol takes the
+    closed form, its value is the blend's sigma at the reported arc
+    midpoint, and the blend's maximum over 4096 grid points and every arc
+    midpoint stays below value + slack, the closed form's own bound."""
     cyc = q.cycles[0]
     s = q.node_count[cyc.base]
     corners = q.corner_fibers(b)
-    closed = [fib for fib in corners if fib.slack <= tol]
-    res = corner_norm(q.sys, closed)
-    assert res.upper - res.value <= tol
-    if len(closed) < len(corners):  # measured on the grid instead
+    res = fiber_sup_norm(q.sys, corners, tol)
+    if any(fib.slack > tol for fib in corners):  # measured on the grid instead
         return res
+    assert set(res.solvers.values()) <= {"closed"}
+    slack = max((fib.slack for fib in corners), default=0.0)
     if res.argmax is not None:
         lam = res.argmax[1]
         odd = np.angle(lam) * s / np.pi % (2 * s)
         assert abs(odd - round(odd)) < 1e-9 and round(odd) % 2 == 1, "not an arc midpoint"
         assert abs(blend_sigma(b, cyc, s, np.array([lam]))[0] - res.value) <= _BLEND_ROUNDOFF
     mids = np.exp(1j * np.pi * (2 * np.arange(s) + 1) / s)
-    assert blend_sigma(b, cyc, s, np.concatenate([_grid(4096), mids])).max() <= res.upper + _BLEND_ROUNDOFF
+    assert blend_sigma(b, cyc, s, np.concatenate([_grid(4096), mids])).max() <= res.value + slack + _BLEND_ROUNDOFF
     return res
 
 
 class TestClosedCorner:
-    """corner_norm against the dense interp(sample(b)) - b blend."""
+    """The closed form against the dense interp(sample(b)) - b blend."""
 
     @settings(max_examples=20, deadline=None)
     @given(closed_corner_cases())
@@ -421,11 +432,13 @@ class TestClosedCorner:
         check_closed_form(*case)
 
     def test_positive_bands_close_exactly(self):
-        # W- = 0: sigma is |g| sigma(W+), so upper is value
+        # W- = 0: sigma is |g| sigma(W+), so the slack is 0 and the value is
+        # the sup
         sys = make_cycle_system([3, 7])
         q = quotient_approx(invariant_split(sys, 7), [unit(sys)], "3/10", sys)
-        res = corner_norm(sys, q.corner_fibers(unit(sys)))
-        assert res.value == res.upper == 2 * math.sin(math.pi / 128) ** 2
+        corners = q.corner_fibers(unit(sys))
+        res = fiber_sup_norm(sys, corners, 1e-3)
+        assert res.value == 2 * math.sin(math.pi / 128) ** 2 and all(fib.slack == 0 for fib in corners)
         assert set(res.solvers.values()) == {"closed"} and set(res.grids.values()) == {1}
 
     def test_half_turn_on_a_200_cycle_is_fast(self):
@@ -452,7 +465,7 @@ class TestClosedCorner:
 
     def test_disjoint_seam_rows_need_one_phase(self):
         # 2r <= L: W+ holds the last r rows, W- the first r, so sigma does not
-        # depend on the phase and the bound is exact
+        # depend on the phase, the slack is 0 and the value is the sup
         sys = make_cycle_system([9])
         rng = np.random.default_rng(41)
         b = CrossedElement(sys, {i: rng.standard_normal(9) + 1j * rng.standard_normal(9) for i in (-2, -1, 0, 1, 2)})
@@ -461,7 +474,8 @@ class TestClosedCorner:
         (corner,) = q.corner_fibers(b)
         assert corner.wrapped[0].any() and corner.wrapped[1].any() and not corner.phased
         res = check_closed_form(b, q)
-        assert res.value == res.upper > 0 and res.grids == {"c0p0": 1}
+        assert corner.slack == 0 and res.value > 0 and res.grids == {"c0p0": 1}
+        assert res.solvers == {"c0p0": "closed"}
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_tiny_corners_read_at_scale(self, seed):
@@ -472,10 +486,11 @@ class TestClosedCorner:
         rng = np.random.default_rng(seed)
         b = CrossedElement(sys, {i: rng.standard_normal(5) + 1j * rng.standard_normal(5) for i in (-1, 0, 1)})
         b = (1.0 / b.coefficient_bound()) * b
-        one, tiny = (corner_norm(sys, quotient_approx(invariant_split(sys, 5), [c * b], "1/2", sys).corner_fibers(c * b))
+        one, tiny = (fiber_sup_norm(sys, quotient_approx(invariant_split(sys, 5), [c * b], "1/2", sys)
+                                    .corner_fibers(c * b), c * 1e-3)
                      for c in (1.0, 1e-170))
+        assert set(one.solvers.values()) == set(tiny.solvers.values()) == {"closed"}
         assert one.value > 0 and tiny.value / 1e-170 == pytest.approx(one.value, rel=1e-12)
-        assert tiny.upper >= tiny.value and tiny.upper / 1e-170 >= one.value * (1 - 1e-12)
 
     def test_tiny_phased_and_grid_corners_read_at_scale(self):
         # the phase test and the slack of a phased corner, and the dense grid
@@ -489,9 +504,8 @@ class TestClosedCorner:
                          for c in (1.0, 1e-170))
             if one.wrapped is not None:
                 assert one.phased and tiny.phased and tiny.slack / 1e-170 == pytest.approx(one.slack, rel=1e-12)
-                got, want = corner_norm(a.sys, [tiny]), corner_norm(a.sys, [one])
-            else:
-                got, want = fiber_sup_norm(a.sys, [tiny], 1e-173), fiber_sup_norm(a.sys, [one], 1e-3)
+            got, want = fiber_sup_norm(a.sys, [tiny], 1e-173), fiber_sup_norm(a.sys, [one], 1e-3)
+            assert got.solvers == want.solvers == {a.sys.labels[0]: "closed" if one.wrapped is not None else "dense"}
             assert want.value > 0 and got.value / 1e-170 == pytest.approx(want.value, rel=1e-12)
             assert got.upper / 1e-170 == pytest.approx(want.upper, rel=1e-12)
 
@@ -515,12 +529,41 @@ class TestClosedCorner:
         rep = assemble_and_verify(p, q, None, quasicentral_unit(b.sys, p.split, [b]), 1e-3).quotient_corner
         assert rep.measured == (fiber_sup_norm(b.sys, [corner], 1e-3).value,)
 
+    @pytest.mark.parametrize("closes", [True, False], ids=["closed", "grid"])
+    def test_slack_against_tol_picks_the_solver(self, closes):
+        # a phased corner is read in closed form where its slack is at most
+        # tol and on its grid otherwise; the two brackets overlap (eps = 4
+        # keeps the slack near tol = 1e-3, so the grid stays small)
+        b, _ = self.mutation_case()
+        q = quotient_approx(invariant_split(b.sys, 4), [b], "4", b.sys)
+        (corner,) = q.corner_fibers(b)
+        tol = corner.slack * (2.0 if closes else 0.5)
+        res = fiber_sup_norm(q.sys, [corner], tol)
+        assert res.solvers == {"c0p0": "closed" if closes else "dense"} and res.tol == tol
+        other = fiber_sup_norm(q.sys, [corner], corner.slack * (0.5 if closes else 2.0))
+        closed, grid = (res, other) if closes else (other, res)
+        assert grid.value <= closed.value + corner.slack + _BLEND_ROUNDOFF
+        assert closed.value <= grid.upper + _BLEND_ROUNDOFF
+
+    def test_closed_and_grid_corners_in_one_call(self):
+        # u^5 wraps twice on a 3-cycle (no closed form) and once on a
+        # 7-cycle (W- = 0, slack 0): assemble_and_verify reads both corners
+        # in one fiber_sup_norm call, which picks each one's solver
+        sys = make_cycle_system([3, 7])
+        b = unit(sys, 5)
+        p = derive_params([b], "3/2", sys)
+        q = quotient_approx(p.split, [b], "3/2", sys)
+        res = fiber_sup_norm(sys, q.corner_fibers(b), 1e-3)
+        assert sorted(res.solvers.values()) == ["closed", "dense"]
+        rep = assemble_and_verify(p, q, None, quasicentral_unit(sys, p.split, [b]), 1e-3).quotient_corner
+        assert rep.measured == (res.value,) and res.value == max(v for v, _ in res.per_orbit.values())
+
     def test_unmutated_case_passes(self):
         b, q = self.mutation_case()
         (corner,) = q.corner_fibers(b)
-        assert corner.phased
+        assert corner.phased and 0 < corner.slack <= 1e-3
         res = check_closed_form(b, q)
-        assert 0 < res.tol <= 1e-3 and res.value > 0 and res.grids == {"c0p0": q.node_count[0] // 2}
+        assert res.solvers == {"c0p0": "closed"} and res.value > 0 and res.grids == {"c0p0": q.node_count[0] // 2}
 
     def test_short_sagitta_is_caught(self, monkeypatch):
         sagitta = cstar._sagitta

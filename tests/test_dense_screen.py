@@ -6,9 +6,10 @@ below are the interpolated and combined builders as they were (a seam
 corner is the S x S block of the dense interpolated field) and an eigensolve
 at every grid point; the dense path must agree with them bit for bit.
 
-Element fibers of two or more bands take Lanczos at every cycle length;
-those at extreme scales go through norm, which solves them at a power-of-two
-scale.  Lanczos must agree with a dense eigensolve at every point of the
+A seam corner here is wrapped in a combined fiber, which fiber_sup_norm
+solves on its grid rather than in closed form.  Element fibers of two or
+more bands take Lanczos at every cycle length, at a power-of-two scale where
+their entries are extreme.  Lanczos must agree with a dense eigensolve at every point of the
 grid, and the norm at its argmax, with the grid's dense maximum between its
 value and its upper bound.
 """
@@ -206,7 +207,8 @@ def flat_fiber(L, c, i):
 @st.composite
 def corner_cases(draw):
     """(sys, fibers, tol) for the dense path: the seam corners of quotient
-    fields, on their grid."""
+    fields, each wrapped in a combined fiber so that it takes its grid and
+    not its closed form."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lengths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
     radius = draw(st.integers(1, 2))
@@ -219,7 +221,7 @@ def corner_cases(draw):
     )
     lip = max(f.lip() for f in fibers)
     grid = draw(st.sampled_from([1, 8, 128, 1024]))
-    return sys, fibers, lip * math.pi / grid if lip > 0 else 1.0
+    return sys, [CombinedFiber([f]) for f in fibers], lip * math.pi / grid if lip > 0 else 1.0
 
 
 @st.composite
@@ -358,7 +360,9 @@ class TestScreen:
         assert rep["norm"]["value"] == 1e-170
 
     def test_acceptance_quotient_fibers(self):
-        sys, fibers = quotient_fibers([3, 7], lambda sys: CrossedElement.unitary(sys), Fraction(3, 10))
+        # on their grid, wrapped in combined fibers
+        sys, corners = quotient_fibers([3, 7], lambda sys: CrossedElement.unitary(sys), Fraction(3, 10))
+        fibers = [CombinedFiber([fib]) for fib in corners]
         result = fiber_sup_norm(sys, fibers, 1e-3)
         assert_bit_identical(result, sys, fibers, 1e-3)
 
@@ -390,10 +394,12 @@ def traced_peak(fn):
 
 class TestScreenMemory:
     def test_corners_peak_below_the_dense_fields(self):
-        # the acceptance quotient fields on their seam corners against the
-        # same fields as full L x L matrices: the same value, in less memory
-        sys, corners = quotient_fibers([3, 7], lambda sys: CrossedElement.unitary(sys), Fraction(3, 10))
-        dense = [_DENSE[fib] for fib in corners]
+        # the acceptance quotient fields on the grid of their seam corners
+        # (wrapped in combined fibers) against the same fields as full L x L
+        # matrices: the same value, in less memory
+        sys, seams = quotient_fibers([3, 7], lambda sys: CrossedElement.unitary(sys), Fraction(3, 10))
+        corners = [CombinedFiber([fib]) for fib in seams]
+        dense = [_DENSE[fib] for fib in seams]
         peaks = [traced_peak(lambda f=f: fiber_sup_norm(sys, f, 1e-3)) for f in (corners, dense)]
         assert fiber_sup_norm(sys, corners, 1e-3).value == fiber_sup_norm(sys, dense, 1e-3).value
         assert 2 * peaks[0] < peaks[1], peaks
