@@ -19,9 +19,8 @@ anchors = family.points[:, :, family.m]  # each support's points, sorted
 print(f"support sizes: {[len(a) for a in anchors]}")
 
 report = verify_tower(family)
-print(f"conservation exact: {report.conservation_exact}")
-print(f"measured step {report.step_measured} <= bound {report.step_bound} "
-      f"< eps {float(family.eps)}")
+for check in report.checks:  # conservation is exact, the step bound strictly below eps
+    print(f"  {check.name:<36} measured {check.measured:.6g}  bound {check.bound:.6g}  pass={check.passed}")
 print(f"all invariants hold: {report.ok()}")
 
 # tighter tolerance -> wider smoothing -> smaller step bound

@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .cstar import CornerFiber, CrossedElement, ElementOrbitFiber, fiber_sup_norm, norm
-from .dynsys import Cycle, FiniteDynamicalSystem, InvariantSplit, invariant_split
+from .dynsys import Check, Cycle, FiniteDynamicalSystem, InvariantSplit, invariant_split
 from .towers import TowerFamily, as_fraction, build_tower_family, rung_step, verify_tower
 
 __all__ = [
@@ -359,8 +359,12 @@ class ClaimReport:
         return max(self.measured, default=0.0)
 
     @property
+    def checks(self) -> tuple[Check, ...]:
+        return (Check.at_most(self.name, self.max_measured, self.bound + self.norm_tol),)
+
+    @property
     def passed(self) -> bool:
-        return self.max_measured <= self.bound + self.norm_tol
+        return all(c.passed for c in self.checks)
 
 
 @dataclass(frozen=True)
@@ -439,12 +443,18 @@ class CPFactorization:
         """How far the actual summand count exceeds the declared one, or 0."""
         return max(0, self.summands_actual - self.summands_declared)
 
+    @property
+    def checks(self) -> tuple[Check, ...]:
+        claims = (self.quotient_corner, self.ideal_corner, self.final)
+        rows = [row for claim in claims if claim is not None for row in claim.checks]
+        if (step := self.sqrt_step) is not None:
+            rows.append(Check("sqrt_step", step["sqrt_step"], step["sqrt_step_bound"], step["strict"]))
+        rows.append(Check.at_most("summand_count_defect", self.summand_excess, 0))
+        rows.append(Check.at_most("ledger_identity_violations", int(not self.ledger.identities_hold()), 0))
+        return tuple(rows)
+
     def passed(self) -> bool:
-        claims = [self.final, self.quotient_corner] + ([self.ideal_corner] if self.ideal_corner else [])
-        ok = all(c.passed for c in claims) and self.summand_excess == 0
-        if self.sqrt_step is not None:
-            ok = ok and self.sqrt_step["strict"]
-        return ok and self.ledger.identities_hold()
+        return all(c.passed for c in self.checks)
 
 
 def _long_fields(params: ApproxParams, a: CrossedElement) -> list[ElementOrbitFiber]:
@@ -542,8 +552,12 @@ class ApproximationRun:
     tower_ok: bool
     factorization: CPFactorization
 
+    @property
+    def checks(self) -> tuple[Check, ...]:
+        return self.factorization.checks + (Check.at_most("tower_violations", int(not self.tower_ok), 0),)
+
     def passed(self) -> bool:
-        return self.factorization.passed() and (self.ideal is None or self.tower_ok)
+        return all(c.passed for c in self.checks)
 
 
 def run_approximation(

@@ -16,9 +16,10 @@ error with exit status 2.  ``verify-all`` reports such an error as the failed
 summary row of its scenario, runs the others, and exits 2.
 
 Reports are JSON with sorted keys and fixed 17-significant-digit float
-formatting, so identical runs produce byte-identical files.  Otherwise the
-exit status is 0 exactly when every assertion row passes.  Wall-clock timing
-goes to stderr, never into the report bytes.
+formatting, so identical runs produce byte-identical files.  Each row is a
+``Check``, decided by the library object that measured it or else by the
+default rule, measured <= bound; the exit status is 0 exactly when every row
+passes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import argparse
 import json
 import math
 import sys as _sys
-import time
 from itertools import chain
 from pathlib import Path
 
@@ -42,7 +42,7 @@ from .cstar import (
     periodic_embedding,
     primitive_spectrum,
 )
-from .dynsys import FiniteDynamicalSystem, load_system, quotient_report
+from .dynsys import Check, FiniteDynamicalSystem, load_system, quotient_report
 from .markers import greedy_markers
 from .towers import TowerFamily, as_fraction, build_tower_family, verify_tower
 
@@ -130,16 +130,8 @@ def emit_report(report: dict, path: str | Path | None) -> str:
     return text
 
 
-def _assertion(name: str, measured: float, bound: float, passed: bool | None = None) -> dict:
-    """One report row; ``passed`` defaults to measured <= bound.  Only a row
-    whose rule differs passes its own flag: exact conservation, and the
-    strict step bounds (step_bound_vs_epsilon, sqrt_step)."""
-    return {
-        "name": name,
-        "measured": float(measured),
-        "bound": float(bound),
-        "pass": bool(measured <= bound if passed is None else passed),
-    }
+def _row(check: Check) -> dict:
+    return {"name": check.name, "measured": float(check.measured), "bound": float(check.bound), "pass": check.passed}
 
 
 def _error(exc: Exception) -> dict:
@@ -253,8 +245,8 @@ def _ratio_float(value) -> float:
 
 # ---------------------------------------------------------------------------
 # runners: each takes the checked fields and the scenario file's echo (None
-# for a document built from flags), and returns a report dict; its docstring
-# is the command's help line
+# for a document built from flags), and returns a report dict whose
+# "assertions" are Checks; its docstring is the command's help line
 
 
 def run_orbits(args: dict, source: dict | None) -> dict:
@@ -276,7 +268,7 @@ def run_orbits(args: dict, source: dict | None) -> dict:
         "bound_plus_one": q.bound_plus_one,
     }
     covered = sum(c.length for c in orbs.cycles)
-    rep["assertions"].append(_assertion("orbit_partition_defect", abs(covered - sys.n), 0))
+    rep["assertions"].append(Check.at_most("orbit_partition_defect", abs(covered - sys.n), 0))
     return rep
 
 
@@ -298,12 +290,7 @@ def run_markers(args: dict, source: dict | None) -> dict:
             "cover": sys.labels[cert.witness_cover] if cert.witness_cover is not None else None,
         },
     }
-    rep["assertions"].append(
-        _assertion("translate_disjointness_violations", 0 if cert.flag_disjoint else 1, 0)
-    )
-    rep["assertions"].append(
-        _assertion("covering_violations", 0 if cert.flag_cover else 1, 0)
-    )
+    rep["assertions"] += cert.checks
     return rep
 
 
@@ -343,12 +330,7 @@ def run_towers(args: dict, source: dict | None) -> dict:
         "conservation_exact": tower.conservation_exact,
         "values": [_rung_values(family, l, rank, labels) for l in range(family.levels)],
     }
-    rep["assertions"] += [  # each row passes by the rule TowerReport.ok() applies to its field
-        _assertion("conservation_error", tower.conservation_error, 1e-12, tower.conservation_exact),
-        _assertion("step_measured", tower.step_measured, tower.step_bound),
-        _assertion("step_bound_vs_epsilon", tower.step_bound, float(family.eps), tower.step_below_eps),
-        _assertion("support_disjointness_violations", int(not tower.supports_disjoint), 0),
-    ]
+    rep["assertions"] += tower.checks
     return rep
 
 
@@ -365,18 +347,13 @@ def run_periodic(args: dict, source: dict | None) -> dict:
         "spectrum": list(spec.rows),
         "max_irreducible_dim": spec.max_irreducible_dim,
     }
-    rep["assertions"].append(_assertion("unitarity_residual", emb.unitarity_residual(), 1e-12))
-    rep["assertions"].append(_assertion("covariance_residual", emb.covariance_residual(f), 1e-12))
+    rep["assertions"].append(Check.at_most("unitarity_residual", emb.unitarity_residual(), 1e-12))
+    rep["assertions"].append(Check.at_most("covariance_residual", emb.covariance_residual(f), 1e-12))
     a = CrossedElement(sys, {i: rng.standard_normal(sys.n) for i in (-2, -1, 0, 1, 2)})
-    rep["assertions"].append(_assertion("expectation_square_residual", emb.expectation_residual(a), 1e-9))
-    worst = 0.0
-    for cyc in sys.orbits().cycles:
-        _, residual = holonomy(np.exp(2j * np.pi * rng.random(cyc.length)))
-        worst = max(worst, residual)
-    rep["assertions"].append(_assertion("holonomy_power_residual", worst, 1e-10))
-    rep["assertions"].append(
-        _assertion("irreducible_dim_excess", spec.max_irreducible_dim - emb.n, 0)
-    )
+    rep["assertions"].append(Check.at_most("expectation_square_residual", emb.expectation_residual(a), 1e-9))
+    worst = max([0.0] + [holonomy(np.exp(2j * np.pi * rng.random(c.length)))[1] for c in sys.orbits().cycles])
+    rep["assertions"].append(Check.at_most("holonomy_power_residual", worst, 1e-10))
+    rep["assertions"].append(Check.at_most("irreducible_dim_excess", spec.max_irreducible_dim - emb.n, 0))
     return rep
 
 
@@ -404,9 +381,9 @@ def run_norm(args: dict, source: dict | None) -> dict:
     }
     for name, bound in args["expect"].items():
         if name == "value_at_most":
-            rep["assertions"].append(_assertion("norm_value", result.value, float(bound)))
+            rep["assertions"].append(Check.at_most("norm_value", result.value, float(bound)))
         else:
-            rep["assertions"].append(_assertion("norm_lower_defect", float(bound) - result.upper, 0.0))
+            rep["assertions"].append(Check.at_most("norm_lower_defect", float(bound) - result.upper, 0.0))
     return rep
 
 
@@ -441,20 +418,7 @@ def run_approx(args: dict, source: dict | None) -> dict:
         "closed_form_bound": fz.ledger.closed_form_bound,
         "additive_bound": fz.ledger.additive_bound,
     }
-    for claim in (fz.quotient_corner, fz.ideal_corner, fz.final):
-        if claim is None:
-            continue
-        rep["assertions"].append(_assertion(claim.name, claim.max_measured, claim.bound + claim.norm_tol))
-    if fz.sqrt_step is not None:
-        step = fz.sqrt_step
-        rep["assertions"].append(
-            _assertion("sqrt_step", step["sqrt_step"], step["sqrt_step_bound"], step["strict"])
-        )
-    rep["assertions"].append(_assertion("summand_count_defect", fz.summand_excess, 0))
-    rep["assertions"].append(
-        _assertion("ledger_identity_violations", 0 if fz.ledger.identities_hold() else 1, 0)
-    )
-    rep["assertions"].append(_assertion("tower_violations", 0 if run.tower_ok else 1, 0))
+    rep["assertions"] += run.checks
     return rep
 
 
@@ -478,12 +442,12 @@ def run_suite(args: dict, source: dict | None) -> dict:
         try:
             sub = run_scenario(suite_path.parent / rel)
         except _INPUT_ERRORS as exc:  # fails this row only; main exits 2
-            summary.append({"scenario": rel, "assertions": 0, "pass": False, "error": _error(exc)})
-            rep["assertions"].append(_assertion(f"scenario:{rel}", 1, 0))
-            continue
-        ok = all(a["pass"] for a in sub["assertions"])
-        summary.append({"scenario": rel, "assertions": len(sub["assertions"]), "pass": ok})
-        rep["assertions"].append(_assertion(f"scenario:{rel}", 0 if ok else 1, 0))
+            entry, failed = {"assertions": 0, "error": _error(exc)}, 1
+        else:
+            entry, failed = {"assertions": len(sub["assertions"])}, int(not all(a["pass"] for a in sub["assertions"]))
+        row = Check.at_most(f"scenario:{rel}", failed, 0)
+        summary.append({"scenario": rel, "pass": row.passed, **entry})
+        rep["assertions"].append(row)
     rep["summary"] = summary
     return rep
 
@@ -566,7 +530,9 @@ def _check(command: str, doc: dict, base: Path | None) -> dict:
 
 
 def _run(command: str, doc: dict, base: Path | None, source: dict | None) -> dict:
-    return COMMANDS[command][0](_check(command, doc, base), source)
+    rep = COMMANDS[command][0](_check(command, doc, base), source)
+    rep["assertions"] = list(map(_row, rep["assertions"]))
+    return rep
 
 
 def _load_scenario(path: str | Path, expected: str | None = None) -> tuple[dict, Path, dict]:
@@ -623,7 +589,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument(f"--{name.replace('_', '-')}", required=default is REQUIRED,
                                type=str if kind in ("path", "ratio") else int)
         p.add_argument("--out", type=str, default=None, help="write the JSON report here")
-        p.add_argument("--timing", action="store_true", help="print wall time to stderr")
     return parser
 
 
@@ -636,7 +601,6 @@ def main(argv=None) -> int:
     if _PARSER is None:
         _PARSER = _build_parser()
     args = _PARSER.parse_args(argv)
-    start = time.monotonic()
     flags = _SCENARIO_FLAGS.get(args.command, COMMANDS[args.command][1])
     given = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
     try:
@@ -652,15 +616,12 @@ def main(argv=None) -> int:
             "tool": {"name": "rokhlin", "version": __version__},
             "command": args.command,
             "error": _error(exc),
-            "assertions": [{"name": "error", "measured": 1.0, "bound": 0.0, "pass": False}],
+            "assertions": [_row(Check.at_most("error", 1, 0))],
         }
         print(emit_report(error, args.out), end="")
         return 2
 
-    text = emit_report(report, args.out)
-    print(text, end="")
-    if args.timing:
-        print(f"elapsed: {time.monotonic() - start:.3f}s", file=_sys.stderr)
+    print(emit_report(report, args.out), end="")
     if args.command == "verify-all":
         lines = ["scenario".ljust(40) + "assertions  pass"]
         for row in report["summary"]:

@@ -479,22 +479,19 @@ class CornerFiber:
         # value is finite; then the field is g(lam) W+ + conj(g(lam)) W- (see
         # _closed_form)
         self.wrapped = None
+        # phased: whether sigma(W+ + phi W-) can depend on the phase phi, which
+        # its Gram matrix carries only through W+* W- (0 when W+ or W- is, or
+        # when 2r <= n: W+ has the last r rows of the cycle, W- the first r),
+        # formed at _lifted's scale so that tiny entries do not underflow it
+        self.phased = False
         if all(np.abs(wraps).max(initial=0) <= 1 and np.isfinite(vals).all() for *_, vals, wraps, _ in self.entries):
             self.wrapped = np.zeros((2, self.L, self.L), dtype=np.complex128)
             for rows, cols, vals, wraps, _ in self.entries:
                 for side, w in enumerate((1, -1)):
                     once = wraps == w
                     self.wrapped[side, rows[once], cols[once]] += vals[once]
-
-    @property
-    def phased(self) -> bool:
-        """Whether sigma(W+ + phi W-) can depend on the phase phi.  Its Gram
-        matrix carries phi only through W+* W-, which vanishes when W+ or W-
-        does, or when their rows are disjoint (2r <= n: W+ has the last r rows
-        of the cycle, W- the first r).  The product is formed at _lifted's
-        scale, so tiny entries do not underflow it to 0."""
-        (w_plus, w_minus), _ = _lifted(self.wrapped)
-        return bool((w_plus.conj().T @ w_minus).any())
+            (w_plus, w_minus), _ = _lifted(self.wrapped)
+            self.phased = bool((w_plus.conj().T @ w_minus).any())
 
     @property
     def slack(self) -> float:
@@ -502,12 +499,10 @@ class CornerFiber:
         _closed_form): 0 unless ``phased``, and inf where the closed form does
         not apply (``wrapped`` is None) or would solve more than
         _CLOSED_MAX_PHASES phases."""
-        if self.wrapped is None:
+        if self.wrapped is None or (self.phased and self.s // 2 > _CLOSED_MAX_PHASES):
             return math.inf
         if not self.phased:
             return 0.0
-        if self.s // 2 > _CLOSED_MAX_PHASES:
-            return math.inf
         w_minus, e = _lifted(self.wrapped[1])
         return math.ldexp(_sagitta(self.s) * float(np.linalg.norm(w_minus)) * 2 * math.pi / self.s, e)
 
@@ -889,20 +884,20 @@ def _refine(n: int, lip: float, tol: float, solve) -> tuple[np.ndarray, np.ndarr
     solves on the n-point grid, n a power of two, and their sigma.
 
     Point 0 is solved alone; the arc [0, n] then closes the circle.  Level by
-    level, every arc [a, b] whose bound (sigma_a + sigma_b) / 2 +
-    lip (b - a) pi / n, the most a function of arc-Lipschitz bound lip can
-    reach on the arc of (b - a) 2 pi / n radians, lies above best + tol is
-    split at its midpoint, and all those midpoints are solved in one batch;
-    the refinement stops when no arc is live.  An arc of one grid step is
-    never split, so at most n points are solved, and when lip pi / n <= tol
-    its bound is at most best + tol; so the sup of sigma over the circle is
-    at most the best solved value plus tol."""
+    level, every arc [a, b] whose bound sigma_a / 2 + sigma_b / 2 + (b - a)
+    lip pi / n (no partial sum above 2 max(sigma, lip pi)), the most a function
+    of arc-Lipschitz bound lip can reach on the arc of (b - a) 2 pi / n
+    radians, lies above best + tol is split at its midpoint, and all those
+    midpoints are solved in one batch; the refinement stops when no arc is
+    live.  An arc of one grid step is never split, so at most n points are
+    solved, and when lip pi / n <= tol its bound is at most best + tol; so the
+    sup of sigma over the circle is at most the best solved value plus tol."""
     idx = np.zeros(1, dtype=np.int64)
     sig = solve(_grid(n, idx))
     solved, values, best = [idx], [sig], float(sig[0])
     a, b, sa, sb = idx, np.full(1, n), sig, sig
     while True:
-        live = (b - a > 1) & ((sa + sb) / 2 + lip * (b - a) * math.pi / n > best + tol)
+        live = (b - a > 1) & (sa / 2 + sb / 2 + (b - a) * (lip * (math.pi / n)) > best + tol)
         if not live.any():
             break
         a, b, sa, sb = a[live], b[live], sa[live], sb[live]

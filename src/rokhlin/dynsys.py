@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 __all__ = [
+    "Check",
     "FiniteDynamicalSystem",
     "Cycle",
     "OrbitDecomposition",
@@ -30,6 +31,21 @@ __all__ = [
     "invariant_split",
     "quotient_report",
 ]
+
+
+@dataclass(frozen=True)
+class Check:
+    """One certificate row: a measured quantity, its bound and its verdict.
+    ``at_most`` applies the default rule, measured <= bound."""
+
+    name: str
+    measured: float
+    bound: float
+    passed: bool
+
+    @classmethod
+    def at_most(cls, name: str, measured, bound) -> Check:
+        return cls(name, float(measured), float(bound), bool(measured <= bound))
 
 
 class SystemFormatError(ValueError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .dynsys import FiniteDynamicalSystem
+from .dynsys import Check, FiniteDynamicalSystem
 
 __all__ = [
     "MarkerCertificate",
@@ -53,8 +53,15 @@ class MarkerCertificate:
     def window_length(self) -> int:
         return (self.d + 1) * (4 * self.m + 1)
 
+    @property
+    def checks(self) -> tuple[Check, ...]:
+        return (
+            Check.at_most("translate_disjointness_violations", int(not self.flag_disjoint), 0),
+            Check.at_most("covering_violations", int(not self.flag_cover), 0),
+        )
+
     def ok(self) -> bool:
-        return self.flag_disjoint and self.flag_cover
+        return all(c.passed for c in self.checks)
 
 
 def marker_certificate(

@@ -31,7 +31,7 @@ from typing import Iterable
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .dynsys import FiniteDynamicalSystem
+from .dynsys import Check, FiniteDynamicalSystem
 from .markers import MarkerCertificate, check_cycle_lengths, greedy_markers, marker_certificate
 
 __all__ = [
@@ -291,28 +291,34 @@ def build_tower_family(
 
 @dataclass(frozen=True)
 class TowerReport:
-    """Verification record for a tower family; all flags must hold."""
+    """Verification record for a tower family, whose ``checks`` are its rows:
+    conservation is exact and the step bound strictly below eps."""
 
     conservation_exact: bool
     conservation_error: float
     step_measured: float
     step_bound: float
+    eps: float
     step_below_eps: bool
     supports_disjoint: bool
     supports_contain: bool
     vanishes_outside: bool
     values_in_unit_interval: bool
 
-    def ok(self) -> bool:
+    @property
+    def checks(self) -> tuple[Check, ...]:
         return (
-            self.conservation_exact
-            and self.step_measured <= self.step_bound
-            and self.step_below_eps
-            and self.supports_disjoint
-            and self.supports_contain
-            and self.vanishes_outside
-            and self.values_in_unit_interval
+            Check("conservation_error", self.conservation_error, 1e-12, self.conservation_exact),
+            Check.at_most("step_measured", self.step_measured, self.step_bound),
+            Check("step_bound_vs_epsilon", self.step_bound, self.eps, self.step_below_eps),
+            Check.at_most("support_disjointness_violations", int(not self.supports_disjoint), 0),
+            Check.at_most("supports_contain_violations", int(not self.supports_contain), 0),
+            Check.at_most("vanishes_outside_violations", int(not self.vanishes_outside), 0),
+            Check.at_most("values_in_unit_interval_violations", int(not self.values_in_unit_interval), 0),
         )
+
+    def ok(self) -> bool:
+        return all(c.passed for c in self.checks)
 
 
 def verify_tower(family: TowerFamily) -> TowerReport:
@@ -333,6 +339,7 @@ def verify_tower(family: TowerFamily) -> TowerReport:
         conservation_error=cons_err / den,
         step_measured=int(rung_step(num, family.k)) / den,
         step_bound=float(bound),
+        eps=float(family.eps),
         step_below_eps=(bound < family.eps),
         supports_disjoint=_overlapping_level(points, family.sys.n) is None,
         supports_contain=np.array_equal(points, _tower_points(family.sys, points[:, :, family.m], family.m)),

@@ -432,6 +432,64 @@ class TestTowerRows:
         assert rc == 1
 
 
+def _command_line(name: str) -> list[str]:
+    """The command line of a shipped scenario: --scenario for approx, one flag
+    per field for the others."""
+    doc = _shipped(name)
+    command = doc.pop("command")
+    if command == "approx":
+        return [command, "--scenario", str(SCENARIOS / f"{name}.json")]
+    return [command] + [arg for key, value in doc.items() for arg in (f"--{key}", str(value))]
+
+
+# the library call whose result decides each command's rows, and its verdict
+_DECIDERS = {
+    "markers_100": ("greedy_markers", "ok"),
+    "towers_100": ("verify_tower", "ok"),
+    "approx_small": ("run_approximation", "passed"),
+}
+
+
+class TestOneDecisionSite:
+    @pytest.mark.parametrize("name", sorted(_DECIDERS))
+    def test_rows_are_the_library_checks(self, name, monkeypatch, capsys):
+        # every row is a check of the library object the command built, and
+        # the exit status is that object's verdict
+        call, verdict = _DECIDERS[name]
+        decide, made = getattr(cli, call), []
+        monkeypatch.setattr(cli, call, lambda *args, **kwargs: made.append(decide(*args, **kwargs)) or made[-1])
+        rc = main(_command_line(name))
+        rows = json.loads(capsys.readouterr().out)["assertions"]
+        (result,) = made
+        assert [(r["name"], r["measured"], r["bound"], r["pass"]) for r in rows] == [
+            (c.name, c.measured, c.bound, c.passed) for c in result.checks
+        ]
+        assert rc == (0 if getattr(result, verdict)() else 1)
+
+    def test_towers_fail_where_verify_tower_does(self, monkeypatch, capsys):
+        # towers_100 with the points of two level-0 anchors of equal numerator
+        # swapped: conservation, the step, disjointness and the values all
+        # hold, but the points are no longer the translates of their anchors
+        families = []
+
+        def swapped(*args, **kwargs):
+            family = build_tower_family(*args, **kwargs)
+            points, m = family.points.copy(), family.m
+            num = family.num[0, :, m]
+            s, t = next((s, t) for s in range(len(num)) for t in range(s + 1, len(num)) if num[s] == num[t])
+            points[0, [s, t], m] = points[0, [t, s], m]
+            families.append(dataclasses.replace(family, points=points))
+            return families[-1]
+
+        monkeypatch.setattr(cli, "build_tower_family", swapped)
+        rc = main(_command_line("towers_100"))
+        rows = json.loads(capsys.readouterr().out)["assertions"]
+        tower = verify_tower(families[0])
+        assert not tower.supports_contain and not tower.ok()
+        assert [r["name"] for r in rows if not r["pass"]] == ["supports_contain_violations"]
+        assert rc == 1
+
+
 class TestMalformedApproxScenarios:
     @pytest.mark.parametrize("change, message", [
         ({"e": {"c1p00": float("nan")}}, "e at 'c1p00' must be a finite number"),
@@ -956,8 +1014,8 @@ _REPORT_SHA256 = {
     "norm_unitary": "38e9687fa4f6e148f650ae3c90fc259969794cea2d4633b321756e4aa0b461ff",
     "orbits_3_10": "56a04782ffb03a9227805e96ec41e6b86fdd5a353c7a32efc3a34012c71d7ca0",
     "periodic_2_3_4": "19434e96cae37618538aef8d8d1c8c6015ab21897153f824ddcda121819a1b4b",
-    "towers_100": "a740049cdff477a295fdf49316ae874e4d42a2f6a9cdb2137c08fa0ca0088a55",
-    "verify-all": "044351be4f9e6f137a0f4b9519cbfbf9d4da224f6ce19537c85c242e6ae54709",
+    "towers_100": "b800d1781d25a408e1738a48fbb225bac54d525dcd1b19fb29c63432b6d5d3e3",
+    "verify-all": "cd7cedd69ea5881756dc88e1a57d157e30ed1d864ae3b738c828f5219eea2c3c",
 }
 
 

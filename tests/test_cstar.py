@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -1336,6 +1337,20 @@ class TestNonFiniteFibers:
         coeff[cyc.order[5]] = bad
         with pytest.raises(ValueError, match=f"orbit of '{sys.labels[cyc.base]}' is not finite"):
             norm(CrossedElement(sys, {1: coeff}), 1e-3)
+
+    def test_arc_bound_near_the_float_limit_stays_finite(self):
+        # 0.6e307 (1 + u) on a 5-cycle: sigma and lip pi lie near 1e307, where
+        # the arc bound summed as (sa + sb) / 2 + lip (b - a) pi / n overflowed
+        # to inf with a numpy warning and kept every arc live; the search now
+        # solves the points it solves for 1 + u at the same relative tol
+        sys = make_cycle_system([5])
+        one = np.ones(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            big = norm(CrossedElement(sys, {0: 0.6e307 * one, 1: 0.6e307 * one}), 1e304)
+        unit = norm(CrossedElement(sys, {0: one, 1: one}), 1e304 / 0.6e307)
+        assert big.evaluations == unit.evaluations
+        assert big.value == pytest.approx(0.6e307 * unit.value, rel=1e-14)
 
     @pytest.mark.parametrize("L", [8, 40])
     @pytest.mark.parametrize("scale", [1e150, 1e160])

@@ -279,7 +279,7 @@ def assert_matches_dense(unit, scale, tol):
     return result
 
 
-class TestScreen:
+class TestDensePath:
     @settings(max_examples=60, deadline=None)
     @given(corner_cases(), st.sampled_from([64, cstar._GRID_CHUNK]))
     def test_bit_identical_to_unscreened(self, case, chunk):
@@ -392,7 +392,7 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-class TestScreenMemory:
+class TestDensePathMemory:
     def test_corners_peak_below_the_dense_fields(self):
         # the acceptance quotient fields on the grid of their seam corners
         # (wrapped in combined fibers) against the same fields as full L x L
