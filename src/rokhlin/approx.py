@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -156,27 +157,40 @@ def derive_params(
 
 @dataclass(frozen=True)
 class QuasicentralReport:
-    """Cutoff function e with its measured corner-splitting errors.
+    """Cutoff function e with its corner-splitting errors.
 
     Every e, the default or a supplied one, is [0, 1]-valued and supported on
     the long-orbit part, so its commutator with the lifted quotient maps vanishes: those maps
-    vanish on the long-orbit part, where e lives.  The corner-splitting error
-    is measured per element; with the default e (indicator of the invariant
-    clopen long-orbit part) it vanishes exactly.  The compressed-approximation
-    error is the quotient corner claim, measured by ``assemble_and_verify``.
+    vanish on the long-orbit part, where e lives.  ``corner_errors`` holds
+    the corner-splitting error of each element of F, measured on first read:
+    no report row, check or verdict reads it.  With a central projection e
+    (the default, the indicator of the invariant clopen long-orbit part) it
+    vanishes exactly.  The compressed-approximation error is the quotient
+    corner claim, measured by ``assemble_and_verify``.
     ``is_central_projection`` holds when e is 0/1-valued and invariant under
     the map.
     """
 
     e: np.ndarray
     is_central_projection: bool
-    corner_errors: tuple[float, ...]
+    F: tuple[CrossedElement, ...]
+    norm_tol: float
 
     def sqrt(self) -> np.ndarray:
         return np.sqrt(self.e)
 
     def cosqrt(self) -> np.ndarray:
         return np.sqrt(1.0 - self.e)
+
+    @cached_property
+    def corner_errors(self) -> tuple[float, ...]:
+        """||e^1/2 b e^1/2 + (1-e)^1/2 b (1-e)^1/2 - b|| for each b in F."""
+        if self.is_central_projection:
+            # e is 0/1-valued and invariant, so both compressions keep each
+            # coefficient whole or zero and the defect is exactly zero
+            return tuple(0.0 for _ in self.F)
+        root, coroot = self.sqrt(), self.cosqrt()
+        return tuple(norm(b.compressed(root) + b.compressed(coroot) - b, self.norm_tol).value for b in self.F)
 
 
 def quasicentral_unit(
@@ -190,9 +204,7 @@ def quasicentral_unit(
         # indicator of the invariant clopen long-orbit part: a central
         # projection, so the corner-splitting defects vanish exactly and the
         # compressed condition reduces to the quotient error
-        return QuasicentralReport(
-            e=split.long.astype(float), is_central_projection=True, corner_errors=tuple(0.0 for _ in F),
-        )
+        return QuasicentralReport(split.long.astype(float), True, tuple(F), norm_tol)
     e = np.asarray(e_values, dtype=float)
     if e.shape != (sys.n,):
         raise ApproxError(f"e must have one value per point, got shape {e.shape}")
@@ -201,14 +213,8 @@ def quasicentral_unit(
     outside = np.flatnonzero((e != 0) & ~split.long)
     if outside.size:
         raise ApproxError(f"e is supported outside the long-orbit part at {sys.labels[outside[0]]!r}")
-
-    root, coroot = np.sqrt(e), np.sqrt(1.0 - e)
-    corner = []
-    for b in F:
-        defect = b.compressed(root) + b.compressed(coroot) - b
-        corner.append(norm(defect, norm_tol).value)
     central = bool(np.all((e == 0) | (e == 1)) and np.array_equal(e[sys.perm], e))
-    return QuasicentralReport(e=e, is_central_projection=central, corner_errors=tuple(corner))
+    return QuasicentralReport(e, central, tuple(F), norm_tol)
 
 
 # ---------------------------------------------------------------------------

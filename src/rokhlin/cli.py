@@ -16,10 +16,12 @@ error with exit status 2.  ``verify-all`` reports such an error as the failed
 summary row of its scenario, runs the others, and exits 2.
 
 Reports are JSON with sorted keys and fixed 17-significant-digit float
-formatting, so identical runs produce byte-identical files.  Each row is a
-``Check``, decided by the library object that measured it or else by the
-default rule, measured <= bound; the exit status is 0 exactly when every row
-passes.
+formatting, so identical runs produce byte-identical files.  A ``towers``
+report's rung tables are held as columns (``_Columns``: the points in label
+order and their values) and written by the same object writer as a dict,
+to the same bytes.  Each row is a ``Check``, decided by the library object
+that measured it or else by the default rule, measured <= bound; the exit
+status is 0 exactly when every row passes.
 """
 
 from __future__ import annotations
@@ -64,22 +66,55 @@ _INPUT_ERRORS = (ScenarioError, ValueError, OSError)
 _escape = json.encoder.encode_basestring_ascii  # what json.dumps(str) calls
 
 
+class _Columns:
+    """A JSON object of floats held as columns: ``keys[x]`` is the key text
+    ``"label": `` of point x, ``points`` the points in key order and
+    ``values`` their floats.  It is written like the dict of those labels and
+    values, by the same object writer."""
+
+    __slots__ = ("keys", "points", "values")
+
+    def __init__(self, keys: np.ndarray, points: np.ndarray, values: np.ndarray):
+        self.keys, self.points, self.values = keys, points, values
+
+
+def _key_texts(labels) -> np.ndarray:
+    """The key text ``"label": `` of each label, as an object array."""
+    return np.array([_escape(lab) + ": " for lab in labels], dtype=object)
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """The ``.17g`` text of each float64, formatted once per distinct value.
+
+    Values are told apart by their bits, not by ==, so 0.0 and -0.0 (which
+    compare equal) keep their own texts; every NaN writes as ``nan``."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array([f"{v:.17g}" for v in bits.view(np.float64).tolist()], dtype=object)[inverse].tolist()
+
+
+def _object(keys, texts, pad: str) -> str:
+    """The JSON object whose line starts with ``pad``, from its key texts
+    (each ending in ``": "``) and its value texts, in order."""
+    if not keys:
+        return "{}"
+    inner = pad + "  "
+    # key, value and separator texts interleaved: one join, no string per entry
+    parts = [",\n" + inner] * (3 * len(keys))
+    parts[0] = "{\n" + inner
+    parts[1::3] = keys
+    parts[2::3] = texts
+    parts.append(f"\n{pad}}}")
+    return "".join(parts)
+
+
 def _texts(values, pad: str) -> list[str]:
     """The JSON text of each value; when the values share one exact type it
-    is checked once, for the whole container.
-
-    Floats that repeat are formatted once per distinct value, unless a zero
-    is among them (0.0 == -0.0 would give both zeros one text); a NaN object
-    is its own key, so NaNs never merge either.  A container of [re, im]
-    pairs of floats writes each pair with one format."""
+    is checked once, for the whole container.  A container of [re, im] pairs
+    of floats writes each pair with one format."""
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is float:
-        distinct = set(values)
-        if len(distinct) < len(values) and 0.0 not in distinct:
-            text = {v: f"{v:.17g}" for v in distinct}
-            return list(map(text.__getitem__, values))
-        return [f"{v:.17g}" for v in values]
+        return _float_texts(np.array(values, dtype=np.float64))
     if kind is str:
         return list(map(_escape, values))
     if kind is list and set(map(len, values)) == {2} and set(map(type, chain.from_iterable(values))) == {float}:
@@ -95,14 +130,12 @@ def _text(obj, pad: str) -> str:
         return f"{obj:.17g}"
     if kind is str:
         return _escape(obj)
+    if kind is _Columns:
+        return _object(obj.keys[obj.points].tolist(), _float_texts(obj.values), pad)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         keys = sorted(obj)
-        inner = pad + "  "
         names = map(_escape, keys if set(map(type, keys)) == {str} else map(str, keys))
-        items = [f"{n}: {t}" for n, t in zip(names, _texts(list(map(obj.__getitem__, keys)), inner))]
-        return "{\n" + inner + (",\n" + inner).join(items) + f"\n{pad}}}"
+        return _object([n + ": " for n in names], _texts(list(map(obj.__getitem__, keys)), pad + "  "), pad)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -294,12 +327,14 @@ def run_markers(args: dict, source: dict | None) -> dict:
     return rep
 
 
-def _rung_values(family: TowerFamily, l: int, rank: np.ndarray, labels: np.ndarray) -> dict:
+def _rung_values(family: TowerFamily, l: int, rank: np.ndarray, keys: np.ndarray) -> dict:
     """Nonzero tower values of level l keyed by rung, then by point label.
 
-    ``rank[x]`` is the place of point x's label in sorted order and
-    ``labels`` the labels as an object array; each rung's table is built in
-    that order with one gather, so the encoder's sort finds it sorted.
+    A rung's table is columns (``_Columns``), not a dict: its points in label
+    order (``rank[x]`` is the place of point x's label in sorted order) and
+    their values num / den.  ``_text`` writes it through the same object
+    writer as a dict, from ``keys``, every point's key text computed once per
+    system, and one text per distinct value.
     """
     out = {}
     for col in range(2 * family.m + 1):
@@ -307,8 +342,7 @@ def _rung_values(family: TowerFamily, l: int, rank: np.ndarray, labels: np.ndarr
         if nz.size:
             points = family.points[l, nz, col]
             order = np.argsort(rank[points])
-            values = (family.num[l, nz[order], col] / family.den).tolist()
-            out[str(col - family.m)] = dict(zip(labels[points[order]].tolist(), values))
+            out[str(col - family.m)] = _Columns(keys, points[order], family.num[l, nz[order], col] / family.den)
     return out
 
 
@@ -320,7 +354,7 @@ def run_towers(args: dict, source: dict | None) -> dict:
     rep = _report_shell("towers", dict(args, d=d, epsilon=eps))
     family = build_tower_family(sys, d, args["k"], args["m"], eps, np.arange(sys.n))
     tower = verify_tower(family)
-    rank, labels = sys.orbits().rank, np.array(sys.labels, dtype=object)
+    rank, keys = sys.orbits().rank, _key_texts(sys.labels)
     rep["towers"] = {
         "levels": family.levels,
         "k_prime": family.k_prime,
@@ -328,7 +362,7 @@ def run_towers(args: dict, source: dict | None) -> dict:
         "step_bound": tower.step_bound,
         "step_measured": tower.step_measured,
         "conservation_exact": tower.conservation_exact,
-        "values": [_rung_values(family, l, rank, labels) for l in range(family.levels)],
+        "values": [_rung_values(family, l, rank, keys) for l in range(family.levels)],
     }
     rep["assertions"] += tower.checks
     return rep

@@ -149,6 +149,30 @@ class TestQuasicentral:
         assert not rep.is_central_projection
         assert rep.corner_errors[0] > 0  # genuinely measured for the unitary
 
+    def test_supplied_e_solves_no_unread_norm(self, monkeypatch):
+        # the corner-splitting errors are measured on first read, once; an
+        # approximation run with e reports none of them and solves no norm
+        import rokhlin.approx as approx
+
+        sys = make_cycle_system([3, 100])
+        cyc = [c for c in sys.orbits().cycles if c.length == 100][0]
+        e = np.zeros(sys.n)
+        for pos, x in enumerate(cyc.order):
+            e[x] = 0.5 * (1 + math.cos(2 * math.pi * pos / 100))
+        calls = []
+
+        def counted(a, tol):
+            calls.append(tol)
+            return norm(a, tol)
+
+        monkeypatch.setattr(approx, "norm", counted)
+        run = run_approximation(sys, [unit(sys)], "3/2", N_override=25, e_values=e, norm_tol=1e-3)
+        assert run.passed() and not run.equnit.is_central_projection
+        assert calls == []
+        errors = run.equnit.corner_errors
+        assert errors[0] > 0 and calls == [1e-3]
+        assert run.equnit.corner_errors is errors and calls == [1e-3]
+
     def test_e_outside_complement_rejected(self):
         sys = make_cycle_system([3, 100])
         p = derive_params([unit(sys)], "3/2", sys, N_override=25)

@@ -847,6 +847,42 @@ def _pairs(draw):
     return pairs
 
 
+# rung tables as columns: labels from the encoder's alphabet, values drawn
+# from a small pool so they repeat, with both zeros, NaN and the infinities in
+# it, and rung names from -m..m with m >= 10, where the writer's string order
+# puts "-1" < "-10" < "-2"
+_COLUMN_POOL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def _rung_tables(draw):
+    labels = draw(st.lists(_texts, min_size=1, max_size=30, unique=True))
+    pool = _COLUMN_POOL + draw(st.lists(_floats, min_size=1, max_size=4))
+    m = draw(st.integers(10, 12))
+    tables = {}
+    for rung in draw(st.lists(st.integers(-m, m), min_size=1, max_size=2 * m + 1, unique=True)):
+        points = draw(st.lists(st.integers(0, len(labels) - 1), min_size=1, max_size=len(labels), unique=True))
+        values = draw(st.lists(st.sampled_from(pool), min_size=len(points), max_size=len(points)))
+        tables[str(rung)] = (points, values)
+    return labels, tables
+
+
+def _dict_form(doc, labels):
+    """The document with each column table replaced by the dict it stands for."""
+    if isinstance(doc, cli._Columns):
+        return {labels[x]: v for x, v in zip(doc.points.tolist(), doc.values.tolist())}
+    if isinstance(doc, dict):
+        return {k: _dict_form(v, labels) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_dict_form(v, labels) for v in doc]
+    return doc
+
+
+def _assert_columns_write_as_dicts(doc, labels):
+    as_dicts = _dict_form(doc, labels)
+    assert emit_report(doc, None) == emit_report(as_dicts, None) == reference_dump(as_dicts) + "\n"
+
+
 class TestReportEncoding:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(doc=_documents)
@@ -875,6 +911,34 @@ class TestReportEncoding:
             emit_report(doc, None)
         assert str(got.value) == str(expected.value)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(drawn=_rung_tables())
+    def test_column_tables_equal_dict_writer(self, drawn):
+        labels, tables = drawn
+        keys = cli._key_texts(labels)
+        level = {}
+        for rung, (points, values) in tables.items():
+            order = sorted(range(len(points)), key=lambda j: labels[points[j]])
+            level[rung] = cli._Columns(keys, np.array(points)[order], np.array(values)[order])
+        _assert_columns_write_as_dicts({"values": [level, {}]}, labels)
+
+    def test_towers_wide_columns_equal_dict_writer(self, tmp_path):
+        # the towers_wide shape: four cycles, 8030 points with shuffled labels,
+        # d = 1, k = 1, m = 10
+        cycles = make_cycle_system([1999, 2003, 2011, 2017])
+        rng = random.Random(3)
+        rename = dict(zip(cycles.labels, rng.sample(cycles.labels, cycles.n)))
+        points = rng.sample(list(rename.values()), cycles.n)
+        forward = {rename[lab]: rename[cycles.labels[int(cycles.perm[i])]] for i, lab in enumerate(cycles.labels)}
+        (tmp_path / "sys.json").write_text(json.dumps({"points": points, "map": forward, "dimension": 1}))
+        (tmp_path / "towers.json").write_text(json.dumps(
+            {"command": "towers", "system": "sys.json", "d": 1, "k": 1, "m": 10, "epsilon": "1/2"}
+        ))
+        rep = run_scenario(tmp_path / "towers.json")
+        tables = rep["towers"]["values"]
+        assert {rung for table in tables for rung in table} >= {"-1", "-10", "-2"}
+        _assert_columns_write_as_dicts(rep, points)
+
     def test_towers_report_with_shuffled_labels(self, tmp_path, capsys):
         rng = random.Random(5)
         lengths = (83, 89, 97)
@@ -890,17 +954,16 @@ class TestReportEncoding:
         )
         scen = {"command": "towers", "system": "sys.json", "d": 1, "k": 1, "m": 10, "epsilon": "1/2"}
         (tmp_path / "towers.json").write_text(json.dumps(scen))
-        rep = run_scenario(tmp_path / "towers.json")
-        text = emit_report(rep, None)
-        assert text == reference_dump(rep) + "\n"
+        text = emit_report(run_scenario(tmp_path / "towers.json"), None)
+        assert text == reference_dump(json.loads(text)) + "\n"
         argv = ["towers", "--system", str(tmp_path / "sys.json")]
         assert main(argv + ["--d", "1", "--k", "1", "--m", "10", "--epsilon", "1/2"]) == 0
         assert capsys.readouterr().out == text
 
-        # each rung's table holds the family's values and is built in sorted-label order
+        # each rung's table holds the family's values and is written in sorted-label order
         sys = load_system((tmp_path / "sys.json").read_text())
         family = build_tower_family(sys, 1, 1, 10, "1/2", range(sys.n))
-        tables = rep["towers"]["values"]
+        tables = json.loads(text)["towers"]["values"]
         assert len(tables) == family.levels and any(tables)
         for l, table in enumerate(tables):
             expected = {}
