@@ -1,17 +1,20 @@
 """Decaying Rokhlin towers from marker sets.
 
-The pipeline shifts a marker set into 2d+3 staggered supports, builds an
-equal-split partition of unity subordinate to their translates, and averages
-it over the window [-k', k'] to gain approximate equivariance.
+The pipeline is one pass: ``tower_supports`` shifts a certified marker set
+into 2d+3 staggered supports and returns their tower points,
+``build_partition`` splits each point of K' equally among the translates
+covering it, and ``build_tower_family`` averages that partition over the
+window [-k', k'] to gain approximate equivariance.
 
 Every function of level l lives on the [-m, m] translates of support l, and
 those translates are pairwise disjoint, so a level is stored in tower
 coordinates: ``points[l, s, j + m]`` is the j-th forward image of anchor s
 (the sorted support points, so ``points[:, :, m]`` are the anchors) and
 ``num[l, s, j + m]`` the value there, an int64 numerator over one common
-denominator D = lcm(cover counts) * (2k'+1).  The average is then a
-moving-window sum along j, conservation is checked exactly, and the step is
-an exact difference of numerators.  A family with
+denominator D = lcm(cover counts) * (2k'+1).  The points are computed once,
+by ``tower_supports``; the average is then a moving-window sum along j,
+conservation is checked exactly, and the step is an exact difference of
+numerators.  A family with
 D >= 2^53 or (2m+1) D >= 2^63 is refused with a ``TowerError``: below those
 limits the reported floats num / D are correctly rounded and no int64 sum
 overflows.  Sup norms are the only floating-point quantities.
@@ -37,7 +40,6 @@ from .markers import MarkerCertificate, check_cycle_lengths, greedy_markers, mar
 __all__ = [
     "TowerError",
     "TowerFamily",
-    "PartitionOfUnity",
     "TowerReport",
     "as_fraction",
     "tower_supports",
@@ -62,15 +64,15 @@ def as_fraction(x) -> Fraction:
 def min_window_length(d: int, k: int) -> int:
     """Smallest admissible tower half-length m for tolerance window k: the
     staggered supports tile only when 2m >= 2(2d+3)k - d - 2."""
-    return math.ceil(((2 * d + 3) * k) - d / 2 - 1)
+    return -(-(2 * (2 * d + 3) * k - d - 2) // 2)
 
 
 def _check_window(d: int, k: int, m: int) -> None:
     """Refuse an m below min_window_length(d, k) with a ``TowerError``."""
-    if 2 * m < 2 * (2 * d + 3) * k - d - 2:
+    need = min_window_length(d, k)
+    if m < need:
         raise TowerError(
-            f"m = {m} too small for (d, k) = ({d}, {k}); need m >= (2d+3)k - d/2 - 1 = "
-            f"{(2 * d + 3) * k - d / 2 - 1}"
+            f"m = {m} too small for (d, k) = ({d}, {k}); need m >= ceil((2d+3)k - d/2 - 1) = {need}"
         )
 
 
@@ -113,69 +115,51 @@ def _common_denominator(cover_counts: Iterable[int], k_prime: int, m: int) -> in
     return D
 
 
-def tower_supports(
-    sys: FiniteDynamicalSystem, cert: MarkerCertificate, d: int, k: int, m: int
-) -> np.ndarray:
-    """Shift a certified marker set into 2d+3 staggered supports, returned as
-    the (levels, anchors) array of each support's points in sorted order.
+def tower_supports(sys: FiniteDynamicalSystem, cert: MarkerCertificate, k: int) -> np.ndarray:
+    """Shift a certified marker set into 2d+3 staggered supports and return
+    their tower points, shape (levels, anchors, 2m+1), with d and m read from
+    the certificate: ``points[l, s, j + m]`` is the j-th forward image of
+    anchor s of support l, so ``points[:, :, m]`` are each support's points
+    in sorted order.
 
     Support l is the ((2(m-k)+1) l + (m-k) + 1)-th forward image of the
-    markers.  Verifies exhaustively that the [-m, m] translates of each
-    support stay pairwise disjoint and that the [-(m-k), m-k] translates of
-    all supports jointly cover the certificate's compact set.
+    markers.  Refuses a window too small for (d, k) or a failed certificate,
+    and verifies exhaustively that the [-m, m] translates of each support
+    stay pairwise disjoint.  That the translates cover the certificate's
+    compact set is checked by ``build_partition``.
     """
+    d, m = cert.d, cert.m
     _check_window(d, k, m)
     if not cert.ok():
-        raise TowerError("marker certificate is invalid")
-    if cert.m != m:
-        raise TowerError(f"certificate was built for m = {cert.m}, not {m}")
+        raise TowerError(f"marker certificate failed: {cert}")
     shifts = (2 * (m - k) + 1) * np.arange(2 * d + 3) + (m - k) + 1
     anchors = np.sort(sys.orbits().iterate(shifts[:, None], cert.markers), axis=1)
     points = _tower_points(sys, anchors, m)
     overlap = _overlapping_level(points, sys.n)
     if overlap is not None:
         raise TowerError(f"translates of support {overlap} are not pairwise disjoint")
-    missing = np.flatnonzero(cert.K & ~sys.mask(points[..., k : 2 * m + 1 - k]))
-    if missing.size:
-        raise TowerError(f"supports do not cover {sys.labels[missing[0]]!r}")
-    return anchors
-
-
-@dataclass(frozen=True)
-class PartitionOfUnity:
-    """Equal-split partition subordinate to the translated supports.
-
-    ``num[l, s, j + m] / den`` is p[l][j] at ``points[l, s, j + m]``; p[l][j]
-    vanishes everywhere else.  Each point of K' is divided evenly among the
-    (l, j) pairs covering it and points off K' get nothing (the deficit p_inf
-    is one there), so the values at a point sum to one on K' and to zero off
-    it, exactly.
-    """
-
-    points: np.ndarray
-    num: np.ndarray
-    den: int
+    return points
 
 
 def build_partition(
-    sys: FiniteDynamicalSystem,
-    anchors: np.ndarray,
-    m: int,
-    k_prime: int,
-    K_prime: ArrayLike,
-) -> PartitionOfUnity:
+    sys: FiniteDynamicalSystem, points: np.ndarray, k_prime: int, K_prime: ArrayLike
+) -> tuple[np.ndarray, int]:
     """Divide each point of K' (point indices) equally among the (l, j)
-    translates of the supports with the given (levels, anchors) covering it.
+    translates of the supports with the given tower points covering it.
 
-    Only indices |j| <= m - k' participate.  A point of K' covered by no pair
-    is a certificate failure and is reported.  The denominator is
-    lcm(cover counts), so that averaging over 2k'+1 rungs lands on the common
-    denominator D, which is checked here before any value is formed.
+    Returns ``(num, den)``: ``num[l, s, j + m] / den`` is p[l][j] at
+    ``points[l, s, j + m]``, and p[l][j] vanishes everywhere else, so the
+    values at a point sum to one on K' and to zero off it (the deficit p_inf
+    is one there), exactly.  Only indices |j| <= m - k' participate.  A point
+    of K' covered by no pair is a certificate failure and is reported.  The
+    denominator is lcm(cover counts), so that averaging over 2k'+1 rungs
+    lands on the common denominator D, which is checked here before any value
+    is formed.
     """
-    points = _tower_points(sys, anchors, m)
+    width = points.shape[-1]
     in_K = sys.mask(K_prime)
     cover = np.zeros(points.shape, dtype=bool)
-    cover[..., k_prime : 2 * m + 1 - k_prime] = True
+    cover[..., k_prime : width - k_prime] = True
     cover &= in_K[points]
     counts = np.bincount(points[cover], minlength=sys.n)
     missing = np.flatnonzero(in_K & (counts == 0))
@@ -184,10 +168,10 @@ def build_partition(
             f"point {sys.labels[missing[0]]!r} of K' is covered by no support translate "
             "(invalid marker certificate)"
         )
-    den = _common_denominator(np.unique(counts[in_K]).tolist(), k_prime, m) // (2 * k_prime + 1)
+    den = _common_denominator(np.unique(counts[in_K]).tolist(), k_prime, width // 2) // (2 * k_prime + 1)
     num = np.zeros(points.shape, dtype=np.int64)
     num[cover] = den // counts[points[cover]]
-    return PartitionOfUnity(points=points, num=num, den=den)
+    return num, den
 
 
 def _window_sum(num: np.ndarray, k_prime: int) -> np.ndarray:
@@ -278,14 +262,11 @@ def build_tower_family(
         cert = greedy_markers(sys, m, enlarged, d)
     else:
         cert = marker_certificate(sys, markers, m, enlarged, d)
-    if not cert.ok():
-        raise TowerError(f"marker certificate failed: {cert}")
-    anchors = tower_supports(sys, cert, d, k_prime, m)
-    partition = build_partition(sys, anchors, m, k_prime, enlarged)
+    points = tower_supports(sys, cert, k_prime)
+    num, den = build_partition(sys, points, k_prime, enlarged)
     return TowerFamily(
-        sys=sys, d=d, k=k, m=m, eps=eps, K=in_K, k_prime=k_prime,
-        K_prime=K_prime, points=partition.points,
-        num=_window_sum(partition.num, k_prime), den=partition.den * (2 * k_prime + 1),
+        sys=sys, d=d, k=k, m=m, eps=eps, K=in_K, k_prime=k_prime, K_prime=K_prime,
+        points=points, num=_window_sum(num, k_prime), den=den * (2 * k_prime + 1),
     )
 
 

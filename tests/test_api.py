@@ -41,7 +41,7 @@ def test_point_sets_are_arrays_on_the_tower_path():
     sys = make_cycle_system([3, 100])
     split = invariant_split(sys, 25)
     cert = greedy_markers(sys, 5, np.flatnonzero(split.long))
-    anchors = tower_supports(sys, cert, 0, 2, 5)
+    anchors = tower_supports(sys, cert, 2)[:, :, 5]
     family = build_tower_family(sys, 0, 1, 5, "1/2", np.flatnonzero(split.long))
     for mask in (split.long, cert.K, family.K, family.K_prime):
         assert isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (sys.n,)

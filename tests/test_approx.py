@@ -33,7 +33,7 @@ from rokhlin.cstar import (
     norm,
 )
 from rokhlin.dynsys import invariant_split, make_cycle_system
-from rokhlin.towers import build_tower_family
+from rokhlin.towers import verify_tower
 
 from dense_reference import (
     CombinedFiber,
@@ -819,21 +819,28 @@ class TestIdealSide:
         assert info["strict"]
         assert info["sqrt_step"] < info["sqrt_step_bound"]
 
-    def test_family_off_the_support_of_e_rejected(self):
+    def test_family_is_built_from_params_on_the_support_of_e(self):
         params, e = self.run.params, self.run.equnit.e
         part = np.flatnonzero(params.split.long)[:30]
-        other = build_tower_family(self.sys, params.d, params.k, params.m, params.eps_prime, part)
-        with pytest.raises(ApproxError, match=r"^tower family was not built on the support of e$"):
-            ideal_approx(params, other, e)
-        # e supported inside the family's K is accepted
         inside = np.zeros_like(e)
         inside[part] = e[part]
-        assert ideal_approx(params, other, inside).family is other
+        family = ideal_approx(params, inside).family
+        assert (family.d, family.k, family.m, family.eps) == (params.d, params.k, params.m, params.eps_prime)
+        assert np.array_equal(family.K, inside != 0)
 
-    def test_family_parameter_mismatch_rejected(self):
-        other = build_tower_family(self.sys, 0, 1, 14, "1/4", np.flatnonzero(self.run.params.split.long))
-        with pytest.raises(ApproxError, match="does not match"):
-            ideal_approx(self.run.params, other, self.run.equnit.e)
+    def test_run_verifies_the_ideal_family(self, monkeypatch):
+        import rokhlin.approx as approx
+
+        verified = []
+
+        def recorded(family):
+            verified.append(family)
+            return verify_tower(family)
+
+        monkeypatch.setattr(approx, "verify_tower", recorded)
+        run = small_run()[2]
+        assert len(verified) == 1 and verified[0] is run.ideal.family
+        assert run.checks[-1].name == "tower_violations" and run.checks[-1].passed
 
 
 class TestClaimsAndAssembly:

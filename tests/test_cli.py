@@ -401,6 +401,23 @@ class TestApproxScenario:
         assert runs[0].factorization.summand_excess == 1
         assert not runs[0].factorization.passed() and not runs[0].passed()
 
+    def test_ledger_off_by_one_fails_its_row(self, monkeypatch, capsys):
+        # a declared total one above the closed form + 1 fails the identity
+        # row alone: a failed check, not an input error
+        from rokhlin.approx import run_approximation
+
+        def off_by_one(*args, **kwargs):
+            run = run_approximation(*args, **kwargs)
+            fz = run.factorization
+            ledger = dataclasses.replace(fz.ledger, total_declared=fz.ledger.total_declared + 1)
+            return dataclasses.replace(run, factorization=dataclasses.replace(fz, ledger=ledger))
+
+        monkeypatch.setattr(cli, "run_approximation", off_by_one)
+        rc = main(["approx", "--scenario", str(SCENARIOS / "approx_small.json")])
+        rep = json.loads(capsys.readouterr().out)
+        failed = [a["name"] for a in rep["assertions"] if not a["pass"]]
+        assert rc == 1 and failed == ["ledger_identity_violations"]
+
 
 class TestTowerRows:
     def test_rows_follow_the_exact_flags(self, monkeypatch, capsys):
@@ -1076,6 +1093,10 @@ _REPORT_SHA256 = {
     "markers_100": "2a8d4a60ae3181bae8684dc04a60ea3a95494e49eb6b9db9b373e8b7f94c5492",
     "norm_unitary": "38e9687fa4f6e148f650ae3c90fc259969794cea2d4633b321756e4aa0b461ff",
     "orbits_3_10": "56a04782ffb03a9227805e96ec41e6b86fdd5a353c7a32efc3a34012c71d7ca0",
+    # the last digits of periodic's roundoff residuals rest on numpy's SIMD
+    # complex-multiply kernel (a fused multiply-add gives lam * conj(lam) an
+    # imaginary part of 5.2e-17 on AVX-512), so on another CPU a failure of
+    # this pin alone is a residual's roundoff, not a fault in the program
     "periodic_2_3_4": "19434e96cae37618538aef8d8d1c8c6015ab21897153f824ddcda121819a1b4b",
     "towers_100": "b800d1781d25a408e1738a48fbb225bac54d525dcd1b19fb29c63432b6d5d3e3",
     "verify-all": "cd7cedd69ea5881756dc88e1a57d157e30ed1d864ae3b738c828f5219eea2c3c",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rokhlin import towers
 from rokhlin.dynsys import make_cycle_system
 from rokhlin.markers import greedy_markers
 from rokhlin.towers import (
@@ -16,6 +17,7 @@ from rokhlin.towers import (
     min_window_length,
     tower_supports,
     verify_tower,
+    _check_window,
     _common_denominator,
     _overlapping_level,
     _tower_points,
@@ -27,7 +29,7 @@ class TestSupports:
     def test_shift_formula_d0(self):
         sys = make_cycle_system([30])
         cert = greedy_markers(sys, 2, range(30))
-        sup = tower_supports(sys, cert, d=0, k=1, m=2)
+        sup = tower_supports(sys, cert, k=1)[:, :, 2]
         assert len(sup) == 3
         for l in range(3):
             assert np.array_equal(sup[l], np.sort(sys.power_perm(3 * l + 2)[cert.markers]))
@@ -35,7 +37,7 @@ class TestSupports:
     def test_shift_formula_d1(self):
         sys = make_cycle_system([80], d=1)
         cert = greedy_markers(sys, 9, range(80), d=1)
-        sup = tower_supports(sys, cert, d=1, k=1, m=9)
+        sup = tower_supports(sys, cert, k=1)[:, :, 9]
         assert len(sup) == 5
         for l in range(5):
             assert np.array_equal(sup[l], np.sort(sys.power_perm(17 * l + 9)[cert.markers]))
@@ -44,21 +46,34 @@ class TestSupports:
         sys = make_cycle_system([30])
         cert = greedy_markers(sys, 1, range(30))
         with pytest.raises(TowerError, match="too small"):
-            tower_supports(sys, cert, d=0, k=1, m=1)
+            tower_supports(sys, cert, k=1)
 
     def test_min_window_length(self):
         assert min_window_length(0, 1) == 2
         assert min_window_length(0, 2) == 5
+        # exact where a float would round 3 * 10**17 - 1 up
+        assert min_window_length(0, 10**17) == 3 * 10**17 - 1
         # boundary: m = 5 admissible for d=0, k'=2
         sys = make_cycle_system([100])
         cert = greedy_markers(sys, 5, range(100))
-        assert len(tower_supports(sys, cert, d=0, k=2, m=5)) == 3
+        assert len(tower_supports(sys, cert, k=2)) == 3
 
-    def test_mismatched_certificate(self):
-        sys = make_cycle_system([100])
-        cert = greedy_markers(sys, 3, range(100))
-        with pytest.raises(TowerError, match="built for m"):
-            tower_supports(sys, cert, d=0, k=1, m=5)
+    def test_window_refusal_matches_min_window_length(self):
+        # _check_window refuses exactly the m below min_window_length
+        for d, k in [(0, 1), (0, 2), (1, 1), (1, 3), (2, 5), (0, 10**17), (3, 10**17 + 1)]:
+            need = min_window_length(d, k)
+            _check_window(d, k, need)
+            with pytest.raises(TowerError, match="too small"):
+                _check_window(d, k, need - 1)
+
+    def test_reads_d_from_the_certificate(self):
+        # a d = 1 certificate gives 2d + 3 = 5 levels with no d passed, on a
+        # system that declares d = 0
+        sys = make_cycle_system([80])
+        cert = greedy_markers(sys, 9, range(80), d=1)
+        assert (sys.declared_dim, cert.d) == (0, 1)
+        points = tower_supports(sys, cert, k=1)
+        assert points.shape == (5, len(cert.markers), 2 * 9 + 1)
 
 
 def stepped_powers(sys, m):
@@ -120,45 +135,45 @@ class TestPartition:
     def build(self, K_prime=range(100)):
         sys = make_cycle_system([100])
         cert = greedy_markers(sys, 5, range(100))
-        sup = tower_supports(sys, cert, d=0, k=2, m=5)
-        return sys, sup, build_partition(sys, sup, m=5, k_prime=2, K_prime=K_prime)
+        points = tower_supports(sys, cert, k=2)
+        return sys, points, *build_partition(sys, points, k_prime=2, K_prime=K_prime)
 
     def test_values_are_equal_splits(self):
-        sys, sup, part = self.build()
+        sys, points, num, den = self.build()
         counts = {}
         jmax = 5 - 2
-        for supp in sup:
+        for supp in points[:, :, 5]:
             for j in range(-jmax, jmax + 1):
                 for x in sys.power_perm(j)[supp].tolist():
                     counts[x] = counts.get(x, 0) + 1
-        nonzero = [(x, v) for x, v in zip(part.points.ravel().tolist(), part.num.ravel().tolist()) if v]
+        nonzero = [(x, v) for x, v in zip(points.ravel().tolist(), num.ravel().tolist()) if v]
         for x, v in nonzero:
-            assert Fraction(v, part.den) == Fraction(1, counts[x])
+            assert Fraction(v, den) == Fraction(1, counts[x])
         # one value per covering pair, and both cover multiplicities occur here
         assert len(nonzero) == sum(counts.values())
         assert {counts[x] for x in counts} == {1, 2}
 
     def test_total_is_one_everywhere(self):
-        sys, _, part = self.build()
+        sys, points, num, den = self.build()
         totals = np.zeros(sys.n, dtype=np.int64)
-        np.add.at(totals, part.points.ravel(), part.num.ravel())
-        assert np.all(totals == part.den)
+        np.add.at(totals, points.ravel(), num.ravel())
+        assert np.all(totals == den)
 
     def test_total_vanishes_off_K_prime(self):
         # the deficit p_inf = 1 off K' is implicit: no partition value lives there
         K_prime = set(range(20, 70))
-        sys, _, part = self.build(sorted(K_prime))
+        sys, points, num, den = self.build(sorted(K_prime))
         totals = np.zeros(sys.n, dtype=np.int64)
-        np.add.at(totals, part.points.ravel(), part.num.ravel())
-        assert all(totals[x] == (part.den if x in K_prime else 0) for x in range(sys.n))
+        np.add.at(totals, points.ravel(), num.ravel())
+        assert all(totals[x] == (den if x in K_prime else 0) for x in range(sys.n))
 
     def test_uncovered_point_reported(self):
         sys = make_cycle_system([100])
         cert = greedy_markers(sys, 5, range(100))
-        sup = tower_supports(sys, cert, d=0, k=2, m=5)
+        points = tower_supports(sys, cert, k=2)
         with pytest.raises(TowerError, match="covered by no"):
             # k' too wide: admissible j-range shrinks to nothing
-            build_partition(sys, sup, m=5, k_prime=5, K_prime=range(100))
+            build_partition(sys, points, k_prime=5, K_prime=range(100))
 
 
 class TestFolner:
@@ -251,6 +266,20 @@ class TestExactTowers:
 
 
 class TestFamilyVerification:
+    def test_tower_points_computed_once(self, monkeypatch):
+        # tower_supports computes the points and build_partition reads them
+        calls = []
+        tower_points = towers._tower_points
+
+        def counted(*args):
+            calls.append(args)
+            return tower_points(*args)
+
+        monkeypatch.setattr(towers, "_tower_points", counted)
+        fam = build_tower_family(make_cycle_system([100]), d=0, k=1, m=5, eps="1/2", K=range(100))
+        assert len(calls) == 1
+        assert verify_tower(fam).ok()
+
     def test_acceptance_instance(self):
         sys = make_cycle_system([100])
         fam = build_tower_family(sys, d=0, k=1, m=5, eps="1/2", K=range(100))
