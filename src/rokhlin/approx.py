@@ -5,7 +5,8 @@ Given a finite family F of contractions with bounded Laurent support and a
 target tolerance eps, the pipeline
 
 1. derives the window parameters (k, eps', m, N) and splits the system into
-   short orbits (quotient side) and long orbits (ideal side);
+   short orbits (quotient side) and long orbits (ideal side), held with F,
+   eps and the norm tolerance in ``ApproxParams``, the input of every stage;
 2. picks a quasicentral cutoff e supported on the long-orbit part -- the
    default is the indicator of that part, which is an exactly central
    projection because the part is an invariant clopen union of cycles;
@@ -47,6 +48,7 @@ import numpy as np
 
 from .cstar import CornerFiber, CrossedElement, ElementOrbitFiber, fiber_sup_norm, norm
 from .dynsys import Check, Cycle, FiniteDynamicalSystem, InvariantSplit, invariant_split
+from .markers import window_length
 from .towers import TowerFamily, as_fraction, build_tower_family, rung_step, verify_tower
 
 __all__ = [
@@ -80,7 +82,7 @@ def window_parameters(d: int, k: int, eps_prime) -> tuple[int, int]:
     if eps_prime <= 0:
         raise ApproxError("eps' must be positive")
     m = (2 * d + 3) * k * math.ceil(1 / eps_prime)
-    return m, (d + 1) * (4 * m + 1)
+    return m, window_length(d, m)
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +91,12 @@ def window_parameters(d: int, k: int, eps_prime) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ApproxParams:
-    """Window parameters for one approximation run.
+    """The one input record of an approximation run, read by every stage.
 
     eps' is the square-root modulus: |s - t| < eps' forces
     |sqrt(s) - sqrt(t)| < eps/(2k+1) on [0, 1], realized by the closed form
     eps' = (eps/(2k+1))^2.  m = (2d+3) k ceil(1/eps') and N = (d+1)(4m+1).
+    ``norm_tol`` is the slack of every certified norm and of every claim.
     """
 
     F: tuple[CrossedElement, ...]
@@ -104,11 +107,15 @@ class ApproxParams:
     m: int
     N: int
     split: InvariantSplit
-    quotient_only: bool
+    norm_tol: float
 
     @property
     def sys(self) -> FiniteDynamicalSystem:
         return self.F[0].sys
+
+    @property
+    def quotient_only(self) -> bool:
+        return not self.split.long.any()
 
 
 def derive_params(
@@ -148,8 +155,7 @@ def derive_params(
             f"split parameter is {N}"
         )
     return ApproxParams(
-        F=tuple(F), eps=eps, d=d, k=k, eps_prime=eps_prime, m=m, N=N,
-        split=split, quotient_only=not split.long.any(),
+        F=tuple(F), eps=eps, d=d, k=k, eps_prime=eps_prime, m=m, N=N, split=split, norm_tol=norm_tol
     )
 
 
@@ -170,13 +176,12 @@ class QuasicentralReport:
     vanishes exactly.  The compressed-approximation error is the quotient
     corner claim, measured by ``assemble_and_verify``.
     ``is_central_projection`` holds when e is 0/1-valued and invariant under
-    the map.
+    the map.  F and the norm tolerance are read from ``params``.
     """
 
     e: np.ndarray
     is_central_projection: bool
-    F: tuple[CrossedElement, ...]
-    norm_tol: float
+    params: ApproxParams
 
     def sqrt(self) -> np.ndarray:
         return np.sqrt(self.e)
@@ -190,33 +195,28 @@ class QuasicentralReport:
         if self.is_central_projection:
             # e is 0/1-valued and invariant, so both compressions keep each
             # coefficient whole or zero and the defect is exactly zero
-            return tuple(0.0 for _ in self.F)
-        root, coroot = self.sqrt(), self.cosqrt()
-        return tuple(norm(b.compressed(root) + b.compressed(coroot) - b, self.norm_tol).value for b in self.F)
+            return tuple(0.0 for _ in self.params.F)
+        root, coroot, tol = self.sqrt(), self.cosqrt(), self.params.norm_tol
+        return tuple(norm(b.compressed(root) + b.compressed(coroot) - b, tol).value for b in self.params.F)
 
 
-def quasicentral_unit(
-    sys: FiniteDynamicalSystem,
-    split: InvariantSplit,
-    F: Sequence[CrossedElement],
-    e_values: np.ndarray | None = None,
-    norm_tol: float = 1e-3,
-) -> QuasicentralReport:
+def quasicentral_unit(params: ApproxParams, e_values: np.ndarray | None = None) -> QuasicentralReport:
+    sys, long = params.sys, params.split.long
     if e_values is None:
         # indicator of the invariant clopen long-orbit part: a central
         # projection, so the corner-splitting defects vanish exactly and the
         # compressed condition reduces to the quotient error
-        return QuasicentralReport(split.long.astype(float), True, tuple(F), norm_tol)
+        return QuasicentralReport(long.astype(float), True, params)
     e = np.asarray(e_values, dtype=float)
     if e.shape != (sys.n,):
         raise ApproxError(f"e must have one value per point, got shape {e.shape}")
     if not np.all((e >= 0) & (e <= 1)):  # NaN fails both comparisons
         raise ApproxError("e must take values in [0, 1]")
-    outside = np.flatnonzero((e != 0) & ~split.long)
+    outside = np.flatnonzero((e != 0) & ~long)
     if outside.size:
         raise ApproxError(f"e is supported outside the long-orbit part at {sys.labels[outside[0]]!r}")
     central = bool(np.all((e == 0) | (e == 1)) and np.array_equal(e[sys.perm], e))
-    return QuasicentralReport(e, central, tuple(F), norm_tol)
+    return QuasicentralReport(e, central, params)
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +241,10 @@ class QuotientSide:
     ``cstar.fiber_sup_norm`` reads its sup in closed form where that is at
     most the norm tolerance wide: the arc's sagitta 2 sin^2(pi / 2s) times
     the top singular value of W+ + phi W- over the midpoint phases phi.
+    The system, k and eps are read from ``params``.
     """
 
-    sys: FiniteDynamicalSystem
-    eps: Fraction
+    params: ApproxParams
     cycles: tuple[Cycle, ...]
     node_count: dict[int, int]
 
@@ -259,22 +259,15 @@ class QuotientSide:
         return [fib for fib in fibers if fib.L]
 
 
-def quotient_approx(
-    split: InvariantSplit,
-    F: Sequence[CrossedElement],
-    eps,
-    sys: FiniteDynamicalSystem,
-) -> QuotientSide:
+def quotient_approx(params: ApproxParams) -> QuotientSide:
     """Build the hat-node approximation of the short-orbit quotient."""
-    eps = as_fraction(eps)
-    k = max(1, max((b.support_radius() for b in F), default=1))
-    cycles = tuple(c for c in sys.orbits().cycles if not split.long[c.base])
+    cycles = tuple(c for c in params.sys.orbits().cycles if not params.split.long[c.base])
     node_count: dict[int, int] = {}
     for cyc in cycles:
-        s = math.ceil(2 * math.pi * cyc.length * k / float(eps))
+        s = math.ceil(2 * math.pi * cyc.length * params.k / float(params.eps))
         s += s % 2  # arc parity needs an even arc count for two colors
         node_count[cyc.base] = max(s, 2)
-    return QuotientSide(sys=sys, eps=eps, cycles=cycles, node_count=node_count)
+    return QuotientSide(params=params, cycles=cycles, node_count=node_count)
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +414,16 @@ def make_ledger(d: int) -> DimensionLedger:
 class CPFactorization:
     """The assembled approximation with all measured errors and counts.
 
-    ``sqrt_step`` holds the measured square-root step, its bound eps/(2k+1)
-    and ``strict``, the one pass rule for it: the step must stay strictly
-    below the bound.  The declared summand count is an upper bound on the
-    order-zero colours, so the count passes when the actual count stays at or
-    below it (``summand_excess`` is 0).
+    ``sqrt_step`` is the square-root step row: the measured step against its
+    bound eps/(2k+1), passing only strictly below it.  The declared summand
+    count is an upper bound on the order-zero colours, so the count passes
+    when the actual count stays at or below it (``summand_excess`` is 0).
     """
 
-    params: ApproxParams
     final: ClaimReport
     quotient_corner: ClaimReport
     ideal_corner: ClaimReport | None
-    sqrt_step: dict | None
+    sqrt_step: Check | None
     summands_actual: int
     summands_declared: int
     ledger: DimensionLedger
@@ -446,8 +437,7 @@ class CPFactorization:
     def checks(self) -> tuple[Check, ...]:
         claims = (self.quotient_corner, self.ideal_corner, self.final)
         rows = [row for claim in claims if claim is not None for row in claim.checks]
-        if (step := self.sqrt_step) is not None:
-            rows.append(Check("sqrt_step", step["sqrt_step"], step["sqrt_step_bound"], step["strict"]))
+        rows += [self.sqrt_step] if self.sqrt_step is not None else []
         rows.append(Check.at_most("summand_count_defect", self.summand_excess, 0))
         rows.append(Check.at_most("ledger_identity_violations", int(not self.ledger.identities_hold()), 0))
         return tuple(rows)
@@ -467,7 +457,6 @@ def assemble_and_verify(
     quotient: QuotientSide,
     ideal: IdealSide | None,
     equnit: QuasicentralReport,
-    norm_tol: float = 1e-3,
 ) -> CPFactorization:
     """Measure the three claims for the assembled two-sided approximation in
     one pass per element b.
@@ -493,16 +482,15 @@ def assemble_and_verify(
 
     Each field set is read by one ``cstar.fiber_sup_norm`` call, which picks
     every fiber's solver: a seam corner takes its closed form where that is
-    at most norm_tol wide, and its grid otherwise (an entry that wraps more
-    than once, as u^5 on a 3-cycle, or a ``slack`` above norm_tol).
+    at most the norm tolerance wide, and its grid otherwise (an entry that
+    wraps more than once, as u^5 on a 3-cycle, or a ``slack`` above it).
 
     Bounds: quotient corner (d+3) eps, ideal corner (2d+3) eps, final
     (3d+7) eps, with order-zero colors 2 + (2d+3) observed and
     (d+2) + (2d+3) = 3d+5 declared.  The square-root step must stay strictly
     below eps/(2k+1).
     """
-    sys = params.sys
-    d = params.d
+    sys, d, eps, norm_tol = params.sys, params.d, params.eps, params.norm_tol
     root, coroot = equnit.sqrt(), equnit.cosqrt()
     quotient_measured, ideal_measured, final_measured = [], [], []
     for b in params.F:
@@ -520,20 +508,16 @@ def assemble_and_verify(
         quotient_measured.append(quotient_err)
         final_measured.append(final)
 
-    eps = params.eps
-    step_info = ideal_report = None
+    step_row = ideal_report = None
     if ideal is not None:
-        step, step_bound = ideal.sqrt_step_sup(), float(eps) / (2 * params.k + 1)
-        step_info = {"sqrt_step": step, "sqrt_step_bound": step_bound, "strict": step < step_bound}
+        step, bound = ideal.sqrt_step_sup(), float(eps) / (2 * params.k + 1)
+        step_row = Check("sqrt_step", step, bound, step < bound)
         ideal_report = ClaimReport("ideal_corner", float((2 * d + 3) * eps), norm_tol, tuple(ideal_measured))
     return CPFactorization(
-        params=params,
         final=ClaimReport("final_assembly", float((3 * d + 7) * eps), norm_tol, tuple(final_measured)),
-        quotient_corner=ClaimReport(
-            "quotient_corner", float((d + 3) * quotient.eps), norm_tol, tuple(quotient_measured)
-        ),
+        quotient_corner=ClaimReport("quotient_corner", float((d + 3) * eps), norm_tol, tuple(quotient_measured)),
         ideal_corner=ideal_report,
-        sqrt_step=step_info,
+        sqrt_step=step_row,
         summands_actual=quotient.order_zero_colors + (ideal.levels if ideal is not None else 0),
         summands_declared=3 * d + 5,
         ledger=make_ledger(d),
@@ -569,14 +553,14 @@ def run_approximation(
 ) -> ApproximationRun:
     """Run the whole pipeline: parameters, cutoff, towers, both sides, assembly."""
     params = derive_params(F, eps, sys, N_override=N_override, norm_tol=norm_tol)
-    quotient = quotient_approx(params.split, F, params.eps, sys)
-    equnit = quasicentral_unit(sys, params.split, F, e_values, norm_tol)
+    quotient = quotient_approx(params)
+    equnit = quasicentral_unit(params, e_values)
     ideal = None
     tower_ok = True
     if not params.quotient_only:
         ideal = ideal_approx(params, equnit.e)
         tower_ok = verify_tower(ideal.family).ok()
-    factorization = assemble_and_verify(params, quotient, ideal, equnit, norm_tol)
+    factorization = assemble_and_verify(params, quotient, ideal, equnit)
     return ApproximationRun(
         params=params, equnit=equnit, quotient=quotient, ideal=ideal,
         tower_ok=tower_ok, factorization=factorization,

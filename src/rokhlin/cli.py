@@ -109,17 +109,13 @@ def _object(keys, texts, pad: str) -> str:
 
 def _texts(values, pad: str) -> list[str]:
     """The JSON text of each value; when the values share one exact type it
-    is checked once, for the whole container.  A container of [re, im] pairs
-    of floats writes each pair with one format."""
+    is checked once, for the whole container."""
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is float:
         return _float_texts(np.array(values, dtype=np.float64))
     if kind is str:
         return list(map(_escape, values))
-    if kind is list and set(map(len, values)) == {2} and set(map(type, chain.from_iterable(values))) == {float}:
-        inner = pad + "  "
-        return [f"[\n{inner}{re:.17g},\n{inner}{im:.17g}\n{pad}]" for re, im in values]
     return [_text(v, pad) for v in values]
 
 
@@ -432,8 +428,7 @@ def run_approx(args: dict, source: dict | None) -> dict:
         for lab, v in args["e"].items():
             e_values[_point(sys, lab)] = _finite_number(v, f"e at {lab!r}")
     run = run_approximation(
-        sys, F, args["epsilon"], N_override=args["N"], e_values=e_values,
-        norm_tol=_ratio_float(args["tol"]),
+        sys, F, args["epsilon"], N_override=args["N"], e_values=e_values, norm_tol=_ratio_float(args["tol"])
     )
     fz = run.factorization
     p = run.params

@@ -22,11 +22,17 @@ __all__ = [
     "check_cycle_lengths",
     "greedy_markers",
     "marker_certificate",
+    "window_length",
 ]
 
 
 class MarkerError(ValueError):
     """A marker precondition or postcondition failed."""
+
+
+def window_length(d: int, m: int) -> int:
+    """Length (d+1)(4m+1) of the forward window whose translates of a marker set cover K."""
+    return (d + 1) * (4 * m + 1)
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,7 @@ class MarkerCertificate:
 
     @property
     def window_length(self) -> int:
-        return (self.d + 1) * (4 * self.m + 1)
+        return window_length(self.d, self.m)
 
     @property
     def checks(self) -> tuple[Check, ...]:
@@ -73,7 +79,7 @@ def marker_certificate(
         d = sys.declared_dim
     Z = np.unique(np.asarray(markers, np.int64))
     in_K = sys.mask(K)
-    N = (d + 1) * (4 * m + 1)
+    N = window_length(d, m)
 
     flag_a, wit_a = True, None
     counts = sys.translate_counts(Z, -m, m)
@@ -100,7 +106,7 @@ def check_cycle_lengths(sys: FiniteDynamicalSystem, m: int, K: ArrayLike, d: int
     if m < 1:
         raise MarkerError(f"m must be >= 1, got {m}")
     orbs = sys.orbits()
-    N = (d + 1) * (4 * m + 1)
+    N = window_length(d, m)
     K = np.asarray(K, np.int64)
     short = orbs.start[K[orbs.length[K] <= N]]
     if short.size:

@@ -131,7 +131,10 @@ def tower_supports(sys: FiniteDynamicalSystem, cert: MarkerCertificate, k: int) 
     d, m = cert.d, cert.m
     _check_window(d, k, m)
     if not cert.ok():
-        raise TowerError(f"marker certificate failed: {cert}")
+        cover = None if cert.witness_cover is None else sys.labels[cert.witness_cover]
+        where = {"translate_disjointness_violations": cert.witness_disjoint, "covering_violations": cover}
+        failed = "; ".join(f"{c.name} at {where[c.name]!r}" for c in cert.checks if not c.passed)
+        raise TowerError(f"marker certificate failed: {failed}")
     shifts = (2 * (m - k) + 1) * np.arange(2 * d + 3) + (m - k) + 1
     anchors = np.sort(sys.orbits().iterate(shifts[:, None], cert.markers), axis=1)
     points = _tower_points(sys, anchors, m)

@@ -209,12 +209,12 @@ def test_criterion_8_quotient_approximation():
         )
         # the coefficient bound dominates the norm, so this is a contraction
         F.append((1.0 / raw.coefficient_bound()) * raw)
-    params = derive_params(F, "1/10", sys)
-    quotient = quotient_approx(params.split, F, "1/10", sys)
-    equnit = quasicentral_unit(sys, params.split, F)
+    params = derive_params(F, "1/10", sys, norm_tol=1e-3)
+    quotient = quotient_approx(params)
+    equnit = quasicentral_unit(params)
     # with the whole system short and the default cutoff, the corner error is
     # exactly the raw hat-interpolation error on the quotient
-    rep = assemble_and_verify(params, quotient, None, equnit, norm_tol=1e-3).quotient_corner
+    rep = assemble_and_verify(params, quotient, None, equnit).quotient_corner
     raw_error = rep.max_measured
     elapsed = time.monotonic() - start
     ok = (

@@ -51,3 +51,30 @@ def test_point_sets_are_arrays_on_the_tower_path():
     assert anchors.shape == (3, len(cert.markers))
     for cyc in sys.orbits().cycles:
         assert isinstance(cyc.order, np.ndarray) and not cyc.order.flags.writeable
+
+
+def test_approx_stages_read_their_inputs_from_params():
+    # F, eps, k, the split, the system and the norm tolerance live in
+    # ApproxParams; no stage takes one of them beside it, and no stage record
+    # keeps its own copy
+    import inspect
+    from dataclasses import fields
+
+    from rokhlin import approx
+
+    stages = ("quotient_approx", "quasicentral_unit", "ideal_approx", "assemble_and_verify")
+    assert {name: list(inspect.signature(getattr(approx, name)).parameters) for name in stages} == {
+        "quotient_approx": ["params"],
+        "quasicentral_unit": ["params", "e_values"],
+        "ideal_approx": ["params", "e"],
+        "assemble_and_verify": ["params", "quotient", "ideal", "equnit"],
+    }
+    records = (approx.QuotientSide, approx.QuasicentralReport, approx.CPFactorization)
+    assert {cls.__name__: [f.name for f in fields(cls)] for cls in records} == {
+        "QuotientSide": ["params", "cycles", "node_count"],
+        "QuasicentralReport": ["e", "is_central_projection", "params"],
+        "CPFactorization": [
+            "final", "quotient_corner", "ideal_corner", "sqrt_step",
+            "summands_actual", "summands_declared", "ledger",
+        ],
+    }

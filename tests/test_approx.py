@@ -32,7 +32,7 @@ from rokhlin.cstar import (
     fiber_sup_norm,
     norm,
 )
-from rokhlin.dynsys import invariant_split, make_cycle_system
+from rokhlin.dynsys import make_cycle_system
 from rokhlin.towers import verify_tower
 
 from dense_reference import (
@@ -50,6 +50,15 @@ from dense_reference import (
 
 def unit(sys, power=1):
     return CrossedElement.unitary(sys, power)
+
+
+def short_params(b, eps):
+    """Parameters that put every cycle of b's system on the quotient side,
+    with k = max(1, radius of b): the unitary u^k stands in for b, which
+    need not be a contraction."""
+    sys = b.sys
+    longest = max(c.length for c in sys.orbits().cycles)
+    return derive_params([unit(sys, max(1, b.support_radius()))], eps, sys, N_override=longest)
 
 
 def bump(sys, cycle_length):
@@ -123,7 +132,7 @@ class TestQuasicentral:
     def test_default_is_central_projection(self):
         sys = make_cycle_system([3, 100])
         p = derive_params([unit(sys)], "3/2", sys, N_override=25)
-        rep = quasicentral_unit(sys, p.split, p.F)
+        rep = quasicentral_unit(p)
         assert rep.is_central_projection
         assert np.all(rep.e[p.split.long] == 1.0)
         # e vanishes on the short part, where the lifted quotient maps live
@@ -133,7 +142,7 @@ class TestQuasicentral:
     def test_central_corner_split_is_exact(self):
         sys = make_cycle_system([3, 100])
         p = derive_params([unit(sys)], "3/2", sys, N_override=25)
-        rep = quasicentral_unit(sys, p.split, p.F)
+        rep = quasicentral_unit(p)
         b = bump(sys, 100) * unit(sys)
         defect = b.compressed(rep.sqrt()) + b.compressed(rep.cosqrt()) - b
         assert defect.coefficient_bound() < 1e-15
@@ -145,7 +154,7 @@ class TestQuasicentral:
         e = np.zeros(sys.n)
         for pos, x in enumerate(cyc.order):
             e[x] = 0.5 * (1 + math.cos(2 * math.pi * pos / 100))
-        rep = quasicentral_unit(sys, p.split, p.F, e_values=e)
+        rep = quasicentral_unit(p, e_values=e)
         assert not rep.is_central_projection
         assert rep.corner_errors[0] > 0  # genuinely measured for the unitary
 
@@ -178,12 +187,12 @@ class TestQuasicentral:
         p = derive_params([unit(sys)], "3/2", sys, N_override=25)
         e = np.ones(sys.n)
         with pytest.raises(ApproxError, match=r"^e is supported outside the long-orbit part at 'c0p00'$"):
-            quasicentral_unit(sys, p.split, p.F, e_values=e)
+            quasicentral_unit(p, e_values=e)
         # the first offending point in index order is named
         e = np.zeros(sys.n)
         e[[sys.index["c0p02"], sys.index["c1p05"], sys.index["c0p01"]]] = 0.5
         with pytest.raises(ApproxError, match=r"^e is supported outside the long-orbit part at 'c0p01'$"):
-            quasicentral_unit(sys, p.split, p.F, e_values=e)
+            quasicentral_unit(p, e_values=e)
 
     def test_e_range_checked(self):
         sys = make_cycle_system([3, 100])
@@ -191,7 +200,7 @@ class TestQuasicentral:
         e = np.zeros(sys.n)
         e[np.flatnonzero(p.split.long)[0]] = 1.5
         with pytest.raises(ApproxError, match=r"\[0, 1\]"):
-            quasicentral_unit(sys, p.split, p.F, e_values=e)
+            quasicentral_unit(p, e_values=e)
 
 
 class TestQuotientSide:
@@ -199,20 +208,20 @@ class TestQuotientSide:
         # the quotient factor over a fixed point is functions on the circle
         sys = make_cycle_system([1])
         u = unit(sys)
-        p = derive_params([u], 0.1, sys)
-        q = quotient_approx(p.split, [u], 0.1, sys)
-        equnit = quasicentral_unit(sys, p.split, [u])
-        rep = assemble_and_verify(p, q, None, equnit, norm_tol=1e-4).quotient_corner
+        p = derive_params([u], 0.1, sys, norm_tol=1e-4)
+        q = quotient_approx(p)
+        equnit = quasicentral_unit(p)
+        rep = assemble_and_verify(p, q, None, equnit).quotient_corner
         assert q.order_zero_colors == 2
         assert rep.max_measured <= 0.1
 
     def test_constants_reproduced_exactly(self):
         sys = make_cycle_system([3, 5])
         one = CrossedElement.from_function(sys, np.ones(sys.n))
-        p = derive_params([one], 0.1, sys)
-        q = quotient_approx(p.split, [one], 0.1, sys)
-        equnit = quasicentral_unit(sys, p.split, [one])
-        rep = assemble_and_verify(p, q, None, equnit, norm_tol=1e-6).quotient_corner
+        p = derive_params([one], 0.1, sys, norm_tol=1e-6)
+        q = quotient_approx(p)
+        equnit = quasicentral_unit(p)
+        rep = assemble_and_verify(p, q, None, equnit).quotient_corner
         assert rep.max_measured < 1e-9  # hat weights sum to one
 
     def test_empty_short_part_gives_zero_error(self):
@@ -225,7 +234,7 @@ class TestQuotientSide:
         sys = make_cycle_system([3, 5])
         u = unit(sys)
         p = derive_params([u], 0.1, sys)
-        q = quotient_approx(p.split, [u], 0.1, sys)
+        q = quotient_approx(p)
         for cyc in q.cycles:
             s = q.node_count[cyc.base]
             assert s % 2 == 0
@@ -236,7 +245,7 @@ class TestQuotientSide:
         rng = np.random.default_rng(1)
         u = unit(sys)
         p = derive_params([u], 0.1, sys)
-        q = quotient_approx(p.split, [u], 0.1, sys)
+        q = quotient_approx(p)
         assert q.cycles
         for _ in range(5):
             a = CrossedElement(
@@ -260,10 +269,10 @@ class TestQuotientSide:
                 {i: rng.standard_normal(sys.n) + 1j * rng.standard_normal(sys.n) for i in (-2, -1, 0, 1, 2)},
             )
             F.append((1.0 / raw.coefficient_bound()) * raw)
-        p = derive_params(F, 0.1, sys)
-        q = quotient_approx(p.split, F, 0.1, sys)
-        equnit = quasicentral_unit(sys, p.split, F)
-        rep = assemble_and_verify(p, q, None, equnit, norm_tol=1e-3).quotient_corner
+        p = derive_params(F, 0.1, sys, norm_tol=1e-3)
+        q = quotient_approx(p)
+        equnit = quasicentral_unit(p)
+        rep = assemble_and_verify(p, q, None, equnit).quotient_corner
         assert q.order_zero_colors == 2
         assert rep.max_measured <= 0.1
         # every corner closes in closed form; the raw per-element
@@ -298,7 +307,7 @@ def corner_cases(draw):
     b = CrossedElement(sys, coeffs)
     b = (1.0 / b.coefficient_bound()) * b
     for eps in ("1/2", "3/2", "4"):
-        q = quotient_approx(invariant_split(sys, L), [b], eps, sys)
+        q = quotient_approx(short_params(b, eps))
         s = q.node_count[sys.orbits().cycles[0].base]
         if s * L * L <= _DENSE_STACK_ENTRIES:
             return b, q
@@ -343,9 +352,9 @@ class TestCornerFiber:
         assert corner.lip() >= dense.parts[0].lip()
         # the sup on the corner's grid (a corner wrapped in a combined fiber
         # takes the dense path), and the two certified intervals
-        res = fiber_sup_norm(q.sys, [CombinedFiber([corner])], 1e-2)
-        ref = fiber_sup_norm(q.sys, [dense], 1e-2)
-        n = res.grids[q.sys.labels[cyc.base]]
+        res = fiber_sup_norm(q.params.sys, [CombinedFiber([corner])], 1e-2)
+        ref = fiber_sup_norm(q.params.sys, [dense], 1e-2)
+        n = res.grids[q.params.sys.labels[cyc.base]]
         assert abs(res.value - _sigma_exact(dense.matrices(_grid(n))).max()) <= roundoff(cyc.length)
         assert res.value <= ref.upper + roundoff(cyc.length)
         assert ref.value <= res.upper + roundoff(cyc.length)
@@ -355,7 +364,7 @@ class TestCornerFiber:
         rng = np.random.default_rng(41)
         b = CrossedElement(sys, {i: rng.standard_normal(9) + 1j * rng.standard_normal(9) for i in (-2, -1, 0, 1, 2)})
         b = (1.0 / b.coefficient_bound()) * b
-        q = quotient_approx(invariant_split(sys, 9), [b], "1/2", sys)
+        q = quotient_approx(short_params(b, "1/2"))
         cyc = q.cycles[0]
         return b, q, dense_quotient_fiber(b, cyc, q.node_count[cyc.base]), _grid(512)
 
@@ -363,10 +372,10 @@ class TestCornerFiber:
         # the corner closes (2r <= L, so its slack is 0); wrapped in a
         # combined fiber it takes the grid and names the dense solver
         b, q, _, _ = self.mutation_case()
-        label = q.sys.labels[q.cycles[0].base]
+        label = q.params.sys.labels[q.cycles[0].base]
         (corner,) = q.corner_fibers(b)
-        assert fiber_sup_norm(q.sys, [corner], 1e-2).solvers == {label: "closed"}
-        res = fiber_sup_norm(q.sys, [CombinedFiber([corner])], 1e-2)
+        assert fiber_sup_norm(q.params.sys, [corner], 1e-2).solvers == {label: "closed"}
+        res = fiber_sup_norm(q.params.sys, [CombinedFiber([corner])], 1e-2)
         assert res.solvers == {label: "dense"}
 
     def assert_caught(self, monkeypatch, mutate):
@@ -420,7 +429,7 @@ def closed_corner_cases(draw):
     b = CrossedElement(sys, {i: rng.standard_normal(L) + 1j * rng.standard_normal(L)
                              for i in range(-radius, radius + 1)})
     b = (1.0 / b.coefficient_bound()) * b
-    return b, quotient_approx(invariant_split(sys, L), [b], eps, sys)
+    return b, quotient_approx(short_params(b, eps))
 
 
 def check_closed_form(b, q, tol=1e-3):
@@ -432,7 +441,7 @@ def check_closed_form(b, q, tol=1e-3):
     cyc = q.cycles[0]
     s = q.node_count[cyc.base]
     corners = q.corner_fibers(b)
-    res = fiber_sup_norm(q.sys, corners, tol)
+    res = fiber_sup_norm(q.params.sys, corners, tol)
     if any(fib.slack > tol for fib in corners):  # measured on the grid instead
         return res
     assert set(res.solvers.values()) <= {"closed"}
@@ -459,7 +468,7 @@ class TestClosedCorner:
         # W- = 0: sigma is |g| sigma(W+), so the slack is 0 and the value is
         # the sup
         sys = make_cycle_system([3, 7])
-        q = quotient_approx(invariant_split(sys, 7), [unit(sys)], "3/10", sys)
+        q = quotient_approx(short_params(unit(sys), "3/10"))
         corners = q.corner_fibers(unit(sys))
         res = fiber_sup_norm(sys, corners, 1e-3)
         assert res.value == 2 * math.sin(math.pi / 128) ** 2 and all(fib.slack == 0 for fib in corners)
@@ -483,7 +492,7 @@ class TestClosedCorner:
     def test_long_power_takes_the_grid(self):
         # u^5 on a 3-cycle wraps twice: no closed form
         sys = make_cycle_system([3])
-        q = quotient_approx(invariant_split(sys, 3), [unit(sys, 5)], "3/2", sys)
+        q = quotient_approx(short_params(unit(sys, 5), "3/2"))
         (corner,) = q.corner_fibers(unit(sys, 5))
         assert corner.wrapped is None and corner.slack == math.inf
 
@@ -494,7 +503,7 @@ class TestClosedCorner:
         rng = np.random.default_rng(41)
         b = CrossedElement(sys, {i: rng.standard_normal(9) + 1j * rng.standard_normal(9) for i in (-2, -1, 0, 1, 2)})
         b = (1.0 / b.coefficient_bound()) * b
-        q = quotient_approx(invariant_split(sys, 9), [b], "1/2", sys)
+        q = quotient_approx(short_params(b, "1/2"))
         (corner,) = q.corner_fibers(b)
         assert corner.wrapped[0].any() and corner.wrapped[1].any() and not corner.phased
         res = check_closed_form(b, q)
@@ -510,8 +519,7 @@ class TestClosedCorner:
         rng = np.random.default_rng(seed)
         b = CrossedElement(sys, {i: rng.standard_normal(5) + 1j * rng.standard_normal(5) for i in (-1, 0, 1)})
         b = (1.0 / b.coefficient_bound()) * b
-        one, tiny = (fiber_sup_norm(sys, quotient_approx(invariant_split(sys, 5), [c * b], "1/2", sys)
-                                    .corner_fibers(c * b), c * 1e-3)
+        one, tiny = (fiber_sup_norm(sys, quotient_approx(short_params(c * b, "1/2")).corner_fibers(c * b), c * 1e-3)
                      for c in (1.0, 1e-170))
         assert set(one.solvers.values()) == set(tiny.solvers.values()) == {"closed"}
         assert one.value > 0 and tiny.value / 1e-170 == pytest.approx(one.value, rel=1e-12)
@@ -524,8 +532,7 @@ class TestClosedCorner:
         rng = np.random.default_rng(5)
         twice = CrossedElement(sys, {i: rng.standard_normal(3) + 1j * rng.standard_normal(3) for i in (0, 5)})
         for a, eps in ((b, "1/2"), (twice, "3/2")):
-            one, tiny = (quotient_approx(invariant_split(a.sys, a.sys.n), [c * a], eps, a.sys).corner_fibers(c * a)[0]
-                         for c in (1.0, 1e-170))
+            one, tiny = (quotient_approx(short_params(c * a, eps)).corner_fibers(c * a)[0] for c in (1.0, 1e-170))
             if one.wrapped is not None:
                 assert one.phased and tiny.phased and tiny.slack / 1e-170 == pytest.approx(one.slack, rel=1e-12)
             got, want = fiber_sup_norm(a.sys, [tiny], 1e-173), fiber_sup_norm(a.sys, [one], 1e-3)
@@ -540,17 +547,17 @@ class TestClosedCorner:
         rng = np.random.default_rng(41)
         b = CrossedElement(sys, {i: rng.standard_normal(4) + 1j * rng.standard_normal(4) for i in range(-3, 4)})
         b = (1.0 / b.coefficient_bound()) * b
-        return b, quotient_approx(invariant_split(sys, 4), [b], "1/2", sys)
+        return b, quotient_approx(short_params(b, "1/2"))
 
     def test_many_phases_take_the_grid(self):
         # past _CLOSED_MAX_PHASES a phased corner goes to its grid, whose
         # size does not grow with s
         b, _ = self.mutation_case()
-        q = quotient_approx(invariant_split(b.sys, 4), [b], "1/2000", b.sys)
+        p = derive_params([b], "1/2000", b.sys, norm_tol=1e-3)
+        q = quotient_approx(p)
         (corner,) = q.corner_fibers(b)
         assert corner.phased and corner.s // 2 > cstar._CLOSED_MAX_PHASES and corner.slack == math.inf
-        p = derive_params([b], "1/2000", b.sys)
-        rep = assemble_and_verify(p, q, None, quasicentral_unit(b.sys, p.split, [b]), 1e-3).quotient_corner
+        rep = assemble_and_verify(p, q, None, quasicentral_unit(p)).quotient_corner
         assert rep.measured == (fiber_sup_norm(b.sys, [corner], 1e-3).value,)
 
     @pytest.mark.parametrize("closes", [True, False], ids=["closed", "grid"])
@@ -559,12 +566,12 @@ class TestClosedCorner:
         # tol and on its grid otherwise; the two brackets overlap (eps = 4
         # keeps the slack near tol = 1e-3, so the grid stays small)
         b, _ = self.mutation_case()
-        q = quotient_approx(invariant_split(b.sys, 4), [b], "4", b.sys)
+        q = quotient_approx(short_params(b, "4"))
         (corner,) = q.corner_fibers(b)
         tol = corner.slack * (2.0 if closes else 0.5)
-        res = fiber_sup_norm(q.sys, [corner], tol)
+        res = fiber_sup_norm(q.params.sys, [corner], tol)
         assert res.solvers == {"c0p0": "closed" if closes else "dense"} and res.tol == tol
-        other = fiber_sup_norm(q.sys, [corner], corner.slack * (0.5 if closes else 2.0))
+        other = fiber_sup_norm(q.params.sys, [corner], corner.slack * (0.5 if closes else 2.0))
         closed, grid = (res, other) if closes else (other, res)
         assert grid.value <= closed.value + corner.slack + _BLEND_ROUNDOFF
         assert closed.value <= grid.upper + _BLEND_ROUNDOFF
@@ -575,11 +582,11 @@ class TestClosedCorner:
         # in one fiber_sup_norm call, which picks each one's solver
         sys = make_cycle_system([3, 7])
         b = unit(sys, 5)
-        p = derive_params([b], "3/2", sys)
-        q = quotient_approx(p.split, [b], "3/2", sys)
+        p = derive_params([b], "3/2", sys, norm_tol=1e-3)
+        q = quotient_approx(p)
         res = fiber_sup_norm(sys, q.corner_fibers(b), 1e-3)
         assert sorted(res.solvers.values()) == ["closed", "dense"]
-        rep = assemble_and_verify(p, q, None, quasicentral_unit(sys, p.split, [b]), 1e-3).quotient_corner
+        rep = assemble_and_verify(p, q, None, quasicentral_unit(p)).quotient_corner
         assert rep.measured == (res.value,) and res.value == max(v for v, _ in res.per_orbit.values())
 
     def test_unmutated_case_passes(self):
@@ -814,10 +821,10 @@ class TestIdealSide:
                 assert np.linalg.svd(blocks, compute_uv=False)[:, 0].max() <= bound, (name, l)
 
     def test_sqrt_step_strict(self):
-        info = self.run.factorization.sqrt_step
-        assert info["sqrt_step"] == self.ideal.sqrt_step_sup()
-        assert info["strict"]
-        assert info["sqrt_step"] < info["sqrt_step_bound"]
+        row = self.run.factorization.sqrt_step
+        assert row.measured == self.ideal.sqrt_step_sup()
+        assert row.passed
+        assert row.measured < row.bound
 
     def test_family_is_built_from_params_on_the_support_of_e(self):
         params, e = self.run.params, self.run.equnit.e
@@ -850,7 +857,7 @@ class TestClaimsAndAssembly:
         assert fz.quotient_corner.passed
         assert fz.ideal_corner.passed
         assert fz.final.passed
-        assert fz.sqrt_step["strict"]
+        assert fz.sqrt_step.passed
         assert run.passed()
 
     def test_final_collects_both_sides(self, shared_run):

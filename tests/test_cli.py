@@ -361,7 +361,7 @@ class TestApproxScenario:
         run = run_approximation(
             sys, [parse_element(sys, lit) for lit in doc["elements"]], doc["epsilon"], norm_tol=doc["tol"]
         )
-        assert not run.factorization.sqrt_step["strict"]
+        assert not run.factorization.sqrt_step.passed
         assert not row["pass"] and not run.passed()
 
 
@@ -839,8 +839,8 @@ _repeated_floats = st.sampled_from([_REPEATS, _REPEATS + [0.0], _REPEATS + [-0.0
     )
 )
 
-# containers of [re, im] pairs, the encoder's one-format-per-pair path, and the
-# same with one odd member that must take the general path
+# containers of [re, im] pairs, with and without one odd member: the general
+# list path writes each as the reference encoder does
 _pair = st.lists(_floats, min_size=2, max_size=2)
 _odd_member = st.one_of(
     st.integers(),

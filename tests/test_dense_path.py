@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rokhlin import cstar
-from rokhlin.approx import quotient_approx
+from rokhlin.approx import derive_params, quotient_approx
 from rokhlin.cli import main
 from rokhlin.cstar import (
     CornerFiber,
@@ -39,7 +39,7 @@ from rokhlin.cstar import (
     fiber_sup_norm,
     norm,
 )
-from rokhlin.dynsys import invariant_split, make_cycle_system
+from rokhlin.dynsys import make_cycle_system
 
 from dense_reference import (
     CombinedFiber,
@@ -146,7 +146,10 @@ def quotient_fibers(lengths, b_coeffs, eps):
     builds it: seam corners, each tied to the dense field it is a block of."""
     sys = make_cycle_system(lengths)
     b = b_coeffs(sys)
-    q = quotient_approx(invariant_split(sys, max(lengths)), [b], eps, sys)
+    # u^k puts every cycle on the quotient side with k = max(1, radius of b)
+    # and, unlike b, is a contraction
+    unit = CrossedElement.unitary(sys, max(1, b.support_radius()))
+    q = quotient_approx(derive_params([unit], eps, sys, N_override=max(lengths)))
     fibers = q.corner_fibers(b)
     for fib in fibers:
         _DENSE[fib] = dense_quotient_fiber(b, fib.cycle, fib.s)

@@ -48,6 +48,23 @@ class TestSupports:
         with pytest.raises(TowerError, match="too small"):
             tower_supports(sys, cert, k=1)
 
+    def test_failed_certificate_is_named_in_one_short_line(self):
+        # one marker on a 900-cycle leaves points uncovered: the refusal
+        # names the failed row and its witness point by label, not the
+        # certificate's 900-point mask
+        sys = make_cycle_system([900])
+        with pytest.raises(TowerError) as uncovered:
+            build_tower_family(sys, 0, 1, 20, "1/2", range(900), markers=[0])
+        message = str(uncovered.value)
+        assert len(message) < 200 and "\n" not in message
+        assert "covering_violations at 'c0p000'" in message and "disjointness" not in message
+        # markers 30 apart overlap within [-20, 20]: the other row is named
+        with pytest.raises(TowerError) as overlapping:
+            build_tower_family(sys, 0, 1, 20, "1/2", range(900), markers=range(0, 900, 30))
+        assert str(overlapping.value) == (
+            "marker certificate failed: translate_disjointness_violations at ('c0p010', (-20, 10))"
+        )
+
     def test_min_window_length(self):
         assert min_window_length(0, 1) == 2
         assert min_window_length(0, 2) == 5
