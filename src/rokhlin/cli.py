@@ -242,8 +242,8 @@ def parse_element(sys: FiniteDynamicalSystem, literal) -> CrossedElement:
         raise ScenarioError("element literal must be a list of band entries")
     coeffs: dict[int, np.ndarray] = {}
     for entry in literal:
-        if not isinstance(entry, dict) or not _is_int(entry.get("power")):
-            raise ScenarioError(f"bad band entry {entry!r}: 'power' must be an integer")
+        if not isinstance(entry, dict) or not _is_int(entry.get("power")) or abs(entry["power"]) >= 2**62:
+            raise ScenarioError(f"bad band entry {entry!r}: 'power' must be an integer of magnitude below 2^62")
         i = entry["power"]
         for key in entry:
             if key not in ("power", "coefficients", "constant"):
@@ -308,7 +308,7 @@ def run_markers(args: dict, source: dict | None) -> dict:
     d = args["d"] if args["d"] is not None else sys.declared_dim
     cert = greedy_markers(sys, args["m"], np.arange(sys.n), d)
     rep["markers"] = {
-        "positions": sorted(map(sys.labels.__getitem__, cert.markers.tolist())),
+        "positions": list(map(sys.labels.__getitem__, cert.markers.tolist())),
         "count": len(cert.markers),
         "m": cert.m,
         "d": cert.d,
@@ -323,21 +323,21 @@ def run_markers(args: dict, source: dict | None) -> dict:
     return rep
 
 
-def _rung_values(family: TowerFamily, l: int, rank: np.ndarray, keys: np.ndarray) -> dict:
+def _rung_values(family: TowerFamily, l: int, keys: np.ndarray) -> dict:
     """Nonzero tower values of level l keyed by rung, then by point label.
 
-    A rung's table is columns (``_Columns``), not a dict: its points in label
-    order (``rank[x]`` is the place of point x's label in sorted order) and
-    their values num / den.  ``_text`` writes it through the same object
-    writer as a dict, from ``keys``, every point's key text computed once per
-    system, and one text per distinct value.
+    A rung's table is columns (``_Columns``), not a dict: its points in index
+    order, which is label order, and their values num / den.  ``_text``
+    writes it through the same object writer as a dict, from ``keys``, every
+    point's key text computed once per system, and one text per distinct
+    value.
     """
     out = {}
     for col in range(2 * family.m + 1):
         nz = np.flatnonzero(family.num[l, :, col])
         if nz.size:
             points = family.points[l, nz, col]
-            order = np.argsort(rank[points])
+            order = np.argsort(points)
             out[str(col - family.m)] = _Columns(keys, points[order], family.num[l, nz[order], col] / family.den)
     return out
 
@@ -350,15 +350,15 @@ def run_towers(args: dict, source: dict | None) -> dict:
     rep = _report_shell("towers", dict(args, d=d, epsilon=eps))
     family = build_tower_family(sys, d, args["k"], args["m"], eps, np.arange(sys.n))
     tower = verify_tower(family)
-    rank, keys = sys.orbits().rank, _key_texts(sys.labels)
+    keys = _key_texts(sys.labels)
     rep["towers"] = {
         "levels": family.levels,
         "k_prime": family.k_prime,
-        "supports": [sorted(map(sys.labels.__getitem__, s)) for s in family.points[:, :, family.m].tolist()],
+        "supports": [list(map(sys.labels.__getitem__, s)) for s in family.points[:, :, family.m].tolist()],
         "step_bound": tower.step_bound,
         "step_measured": tower.step_measured,
         "conservation_exact": tower.conservation_exact,
-        "values": [_rung_values(family, l, rank, keys) for l in range(family.levels)],
+        "values": [_rung_values(family, l, keys) for l in range(family.levels)],
     }
     rep["assertions"] += tower.checks
     return rep

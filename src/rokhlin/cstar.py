@@ -529,7 +529,7 @@ class CornerFiber:
     def _arcs(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Index of the node before each lam and lam's fraction of the arc."""
         pos = np.mod(np.angle(lams), 2 * math.pi) * self.s / (2 * math.pi)
-        return np.floor(pos).astype(int) % self.s, (pos - np.floor(pos))[:, None, None]
+        return np.floor(pos) % self.s, (pos - np.floor(pos))[:, None, None]
 
     def matrices(self, lams: np.ndarray) -> np.ndarray:
         j0, frac = self._arcs(lams)

@@ -1,18 +1,21 @@
 """Finite dynamical systems: a labelled point set with an invertible forward map.
 
-Points carry opaque string labels; every algorithm works on integer indices
-against a stable label table.  Besides its labels and map a system holds
-only a declared covering dimension ``d``.  The dimension is caller-supplied
+Points carry opaque string labels and are numbered in label order, so point
+x is the x-th label in sorted order; every algorithm works on those integer
+indices.  Besides its labels and its permutation a system holds only a
+declared covering dimension ``d``.  The dimension is caller-supplied
 metadata: a finite sample set is zero-dimensional, but the tower and
 bookkeeping formulas downstream must be exercised at the dimension of the
-space being sampled.
+space being sampled.  ``load_system`` is the one reader of a label map.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -56,43 +59,40 @@ class FiniteDynamicalSystem:
     """A finite set of labelled points with a bijective forward map.
 
     Attributes:
-        labels: tuple of point labels, in construction order.
+        labels: tuple of point labels, strictly increasing: point x is the
+            x-th label.
         perm: ``perm[x]`` is the index of the forward image of point ``x``.
         declared_dim: the covering dimension the system is standing in for.
     """
 
-    def __init__(self, points: Sequence[str], forward: Mapping[str, str], declared_dim: int = 0):
-        labels = tuple(points)
+    def __init__(self, labels: Sequence[str], perm, declared_dim: int = 0):
+        self.labels = labels = tuple(labels)
         n = len(labels)
-        index = dict(zip(labels, range(n)))
-        if len(index) != n:
-            raise SystemFormatError("duplicate point labels")
-        self.labels = labels
-        self.index = index
-
-        if forward.keys() != index.keys():
-            missing = sorted(set(labels) - set(forward.keys()))
-            extra = sorted(set(forward.keys()) - set(labels))
-            raise SystemFormatError(f"map domain mismatch: missing={missing} extra={extra}")
-        # one C-level lookup pass: the index of each point's target
-        try:
-            perm = np.fromiter(map(index.__getitem__, map(forward.__getitem__, labels)), np.int64, n)
-        except KeyError:
-            target = next(t for t in forward.values() if t not in index)
-            raise SystemFormatError(f"map target {target!r} is not a point") from None
+        if not all(map(operator.lt, labels, labels[1:])):
+            raise SystemFormatError("labels must be strictly increasing")
+        perm = np.asarray(perm)
+        if perm.shape != (n,) or not np.issubdtype(perm.dtype, np.integer):
+            raise SystemFormatError(f"perm must be an integer array of length {n}, got {perm.dtype} {perm.shape}")
+        if n and not 0 <= perm.min() <= perm.max() < n:
+            raise SystemFormatError(f"perm index {perm[(perm < 0) | (perm >= n)][0]} is not a point")
         hits = np.bincount(perm, minlength=n)
-        if n and hits.max(initial=0) > 1:
+        if hits.max(initial=0) > 1:
             dups = [labels[t] for t in np.nonzero(hits > 1)[0]]
             raise SystemFormatError(f"map is not injective: targets {dups} have multiple preimages")
-        self.perm = perm
-        self.perm_inv = np.empty_like(perm)
-        self.perm_inv[perm] = np.arange(n)
+        self.perm = perm.astype(np.int64)
+        self.perm_inv = np.empty_like(self.perm)
+        self.perm_inv[self.perm] = np.arange(n)
 
-        if int(declared_dim) != declared_dim or declared_dim < 0:
-            raise SystemFormatError(f"dimension must be a nonnegative integer, got {declared_dim}")
+        if not isinstance(declared_dim, (int, np.integer)) or isinstance(declared_dim, bool) or declared_dim < 0:
+            raise SystemFormatError(f"dimension must be a nonnegative integer, got {declared_dim!r}")
         self.declared_dim = int(declared_dim)
 
         self._orbits: OrbitDecomposition | None = None
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """The index of each label, built on first read."""
+        return dict(zip(self.labels, range(self.n)))
 
     @property
     def n(self) -> int:
@@ -155,8 +155,7 @@ class OrbitDecomposition:
 
     ``order`` concatenates the cycles' orders; point x lies on the cycle
     ``order[start[x] : start[x] + length[x]]`` at position ``pos[x]``, so
-    alpha_i(x) = ``order[start[x] + (pos[x] + i) % length[x]]``.  ``rank[x]``
-    is the place of point x's label in sorted label order.
+    alpha_i(x) = ``order[start[x] + (pos[x] + i) % length[x]]``.
     """
 
     cycles: tuple[Cycle, ...]
@@ -164,7 +163,6 @@ class OrbitDecomposition:
     start: np.ndarray
     length: np.ndarray
     pos: np.ndarray
-    rank: np.ndarray
 
     def lengths(self) -> list[int]:
         return [c.length for c in self.cycles]
@@ -184,50 +182,46 @@ class InvariantSplit:
     long: np.ndarray
 
 
-def _base_rank_and_position(sys: FiniteDynamicalSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per point, its label rank, the least label rank on its cycle and its
-    distance from the point holding that rank (its base), by pointer doubling
-    over perm and perm_inv: array operations only, no per-point walk."""
+def _base_and_position(sys: FiniteDynamicalSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, the least index on its cycle (its base) and its distance
+    from the base, by pointer doubling over perm and perm_inv: array
+    operations only, no per-point walk."""
     n = sys.n
-    by_label = np.fromiter(sorted(range(n), key=sys.labels.__getitem__), dtype=np.int64, count=n)
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_label] = np.arange(n)
-    low, hop = rank, sys.perm
+    base, hop = np.arange(n), sys.perm
     while True:
         # the minimum over the next 2^(r+1) iterates equals the one over 2^r
         # everywhere only once it is constant on each cycle: the cycle minimum
-        nxt = np.minimum(low, low[hop])
-        if np.array_equal(nxt, low):
+        nxt = np.minimum(base, base[hop])
+        if np.array_equal(nxt, base):
             break
-        low, hop = nxt, hop[hop]
-    base = by_label[low]
+        base, hop = nxt, hop[hop]
     is_base = base == np.arange(n)
-    # list ranking along perm_inv; a base points at itself with distance 0
+    # pointer jumping along perm_inv; a base points at itself with distance 0
     pos, back = (~is_base).astype(np.int64), np.where(is_base, np.arange(n), sys.perm_inv)
     while not np.array_equal(back, base):
         pos, back = pos + pos[back], back[back]
-    return rank, low, pos
+    return base, pos
 
 
 def orbit_decomposition(sys: FiniteDynamicalSystem) -> OrbitDecomposition:
-    """Decompose the point set into cycles, each anchored at its least label.
+    """Decompose the point set into cycles, each anchored at its least index.
 
-    Cycles come in the order of their bases' labels, each starting at its
-    base (see _base_rank_and_position).
+    Cycles come in the order of their bases, each starting at its base (see
+    _base_and_position).
     """
-    rank, low, pos = _base_rank_and_position(sys)
-    sizes = np.bincount(low, minlength=sys.n)  # cycle length, indexed by its base's rank
+    base, pos = _base_and_position(sys)
+    sizes = np.bincount(base, minlength=sys.n)  # cycle length, indexed by its base
     offsets = np.cumsum(sizes) - sizes
-    start, length = offsets[low], sizes[low]
+    start, length = offsets[base], sizes[base]
     order = np.empty(sys.n, dtype=np.int64)
     order[start + pos] = np.arange(sys.n)
     order.flags.writeable = False
     offsets, sizes = offsets[sizes > 0], sizes[sizes > 0]
     cycles = tuple(
-        Cycle(base=base, length=size, order=order[a : a + size])
-        for base, a, size in zip(order[offsets].tolist(), offsets.tolist(), sizes.tolist())
+        Cycle(base=b, length=size, order=order[a : a + size])
+        for b, a, size in zip(order[offsets].tolist(), offsets.tolist(), sizes.tolist())
     )
-    return OrbitDecomposition(cycles=cycles, order=order, start=start, length=length, pos=pos, rank=rank)
+    return OrbitDecomposition(cycles=cycles, order=order, start=start, length=length, pos=pos)
 
 
 def invariant_split(sys: FiniteDynamicalSystem, N: int) -> InvariantSplit:
@@ -281,10 +275,6 @@ def quotient_report(sys: FiniteDynamicalSystem) -> QuotientReport:
     )
 
 
-def _cycle_labels(ci: int, length: int, cw: int, pw: int) -> list[str]:
-    return [f"c{ci:0{cw}d}p{j:0{pw}d}" for j in range(length)]
-
-
 def make_cycle_system(lengths: Sequence[int], d: int = 0) -> FiniteDynamicalSystem:
     """Disjoint union of cycles; point j of cycle c is labelled ``c{c}p{j}``
     (zero-padded) and steps to point j + 1 mod its cycle's length."""
@@ -293,15 +283,12 @@ def make_cycle_system(lengths: Sequence[int], d: int = 0) -> FiniteDynamicalSyst
         raise ValueError("lengths must be nonempty")
     if any(length < 1 for length in lengths):
         raise ValueError(f"cycle lengths must be positive, got {lengths}")
-    cw = len(str(len(lengths) - 1))
-    pw = len(str(max(lengths) - 1))
-    points: list[str] = []
-    forward: dict[str, str] = {}
-    for ci, L in enumerate(lengths):
-        labs = _cycle_labels(ci, L, cw, pw)
-        points.extend(labs)
-        forward.update(zip(labs, labs[1:] + labs[:1]))
-    return FiniteDynamicalSystem(points, forward, d)
+    cw, pw = len(str(len(lengths) - 1)), len(str(max(lengths) - 1))
+    labels = [f"c{ci:0{cw}d}p{j:0{pw}d}" for ci, L in enumerate(lengths) for j in range(L)]
+    ends = np.cumsum(lengths)
+    perm = np.arange(1, ends[-1] + 1)
+    perm[ends - 1] = ends - lengths  # each cycle's end steps to its start
+    return FiniteDynamicalSystem(labels, perm, d)
 
 
 def make_rotation_system(q: int, p: int, d: int = 1) -> FiniteDynamicalSystem:
@@ -309,9 +296,7 @@ def make_rotation_system(q: int, p: int, d: int = 1) -> FiniteDynamicalSystem:
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
     pw = len(str(q - 1))
-    points = [f"t{j:0{pw}d}" for j in range(q)]
-    forward = {points[j]: points[(j + p) % q] for j in range(q)}
-    return FiniteDynamicalSystem(points, forward, d)
+    return FiniteDynamicalSystem([f"t{j:0{pw}d}" for j in range(q)], (np.arange(q) + p % q) % q, d)
 
 
 _SCHEMA_KEYS = {"points", "map", "dimension"}
@@ -320,9 +305,10 @@ _SCHEMA_KEYS = {"points", "map", "dimension"}
 def load_system(document: str) -> FiniteDynamicalSystem:
     """Parse and validate a JSON system description.
 
-    Schema: ``points`` (array of strings), ``map`` (object point -> point),
-    optional ``dimension`` (nonnegative integer).  Unknown fields are
-    rejected; all invariants are checked eagerly.
+    Schema: ``points`` (array of strings, in any order), ``map`` (object
+    point -> point), optional ``dimension`` (a nonnegative JSON integer).
+    Unknown fields are rejected; all invariants are checked eagerly.  The
+    points are numbered in label order.
     """
     try:
         doc = json.loads(document)
@@ -341,5 +327,18 @@ def load_system(document: str) -> FiniteDynamicalSystem:
     fwd = doc["map"]
     if not isinstance(fwd, dict):
         raise SystemFormatError("'map' must be an object")
-    return FiniteDynamicalSystem(points, fwd, doc.get("dimension", 0))
-
+    labels = sorted(points)
+    index = dict(zip(labels, range(len(labels))))
+    if len(index) != len(labels):
+        raise SystemFormatError("duplicate point labels")
+    if fwd.keys() != index.keys():
+        missing = sorted(index.keys() - fwd.keys())
+        extra = sorted(fwd.keys() - index.keys())
+        raise SystemFormatError(f"map domain mismatch: missing={missing} extra={extra}")
+    # one C-level lookup pass: the index of each point's target
+    try:
+        perm = np.fromiter(map(index.__getitem__, map(fwd.__getitem__, labels)), np.int64, len(labels))
+    except (KeyError, TypeError):
+        target = next(t for t in fwd.values() if not isinstance(t, str) or t not in index)
+        raise SystemFormatError(f"map target {target!r} is not a point") from None
+    return FiniteDynamicalSystem(labels, perm, doc.get("dimension", 0))

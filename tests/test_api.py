@@ -53,6 +53,18 @@ def test_point_sets_are_arrays_on_the_tower_path():
         assert isinstance(cyc.order, np.ndarray) and not cyc.order.flags.writeable
 
 
+def test_a_system_is_sorted_labels_and_a_permutation():
+    # one point order: a point's index is its label's place in sorted order,
+    # so the constructor takes no label map and no orbit record keeps a rank
+    import inspect
+    from dataclasses import fields
+
+    from rokhlin.dynsys import FiniteDynamicalSystem, OrbitDecomposition
+
+    assert list(inspect.signature(FiniteDynamicalSystem).parameters) == ["labels", "perm", "declared_dim"]
+    assert "rank" not in [f.name for f in fields(OrbitDecomposition)]
+
+
 def test_approx_stages_read_their_inputs_from_params():
     # F, eps, k, the split, the system and the norm tolerance live in
     # ApproxParams; no stage takes one of them beside it, and no stage record

@@ -4,7 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import shutil
 import time
 import tracemalloc
 from pathlib import Path
@@ -68,6 +70,25 @@ class TestOrbitsCommand:
         assert rep["error"] == {"type": "SystemFormatError", "message": "unknown fields: ['metric']"}
         assert not rep["assertions"][0]["pass"]
         assert "Traceback" not in captured.err
+
+    def _refusal(self, tmp_path, capsys, text):
+        spath = tmp_path / "sys.json"
+        spath.write_text(text)
+        rc = main(["orbits", "--system", str(spath)])
+        captured = capsys.readouterr()
+        assert rc == 2 and "Traceback" not in captured.err
+        return json.loads(captured.out)["error"]
+
+    def test_map_target_that_is_not_a_string(self, tmp_path, capsys):
+        error = self._refusal(tmp_path, capsys, json.dumps({"points": ["a", "b"], "map": {"a": ["b"], "b": "a"}}))
+        assert error == {"type": "SystemFormatError", "message": "map target ['b'] is not a point"}
+
+    @pytest.mark.parametrize("value, shown", [
+        ("[1]", "[1]"), ("null", "None"), ("1e400", "inf"), ("true", "True"), ('"2"', "'2'"),
+    ], ids=["list", "null", "overflow", "bool", "string"])
+    def test_dimension_must_be_a_json_integer(self, tmp_path, capsys, value, shown):
+        error = self._refusal(tmp_path, capsys, '{"points": ["a"], "map": {"a": "a"}, "dimension": %s}' % value)
+        assert error == {"type": "SystemFormatError", "message": f"dimension must be a nonnegative integer, got {shown}"}
 
 
 class TestDeterminism:
@@ -743,6 +764,24 @@ def test_approx_at_a_tiny_epsilon(tmp_path, capsys):
     assert main(["approx", "--scenario", str(scen)]) == 0
 
 
+@pytest.mark.parametrize("command, power", [
+    ("approx", 10**20), ("approx", 2**62), ("approx", 2**62 - 1), ("approx", 1 - 2**62),
+    ("norm", 10**300), ("norm", 2**62 - 1),
+], ids=["approx 10^20", "approx 2^62", "approx 2^62-1", "approx 1-2^62", "norm 10^300", "norm 2^62-1"])
+def test_large_band_powers_end_in_a_report(command, power, tmp_path, capsys):
+    # |power| >= 2^62 is refused; below it the corner of a short orbit has
+    # more than 2^63 nodes, and its node index stays a float
+    band = [{"power": power, "coefficients": {"c0p0": [1e-300, 0]}}]
+    fields = {"element": band} if command == "norm" else {"elements": [band], "epsilon": "3/2"}
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(dict(fields, command=command, system=str(SCENARIOS / "system_3_10.json"), tol=1e-3)))
+    rc = main([command, "--scenario", str(scen)])
+    out, err = capsys.readouterr()
+    assert rc in (0, 2) and "Traceback" not in err
+    if abs(power) >= 2**62:
+        assert rc == 2 and "'power' must be an integer of magnitude below 2^62" in json.loads(out)["error"]["message"]
+
+
 def test_periodic_runs_period_1001(tmp_path, capsys):
     spath = write_system(tmp_path, lengths=(7, 11, 13))
     tracemalloc.start()
@@ -954,7 +993,7 @@ class TestReportEncoding:
         rep = run_scenario(tmp_path / "towers.json")
         tables = rep["towers"]["values"]
         assert {rung for table in tables for rung in table} >= {"-1", "-10", "-2"}
-        _assert_columns_write_as_dicts(rep, points)
+        _assert_columns_write_as_dicts(rep, sorted(points))
 
     def test_towers_report_with_shuffled_labels(self, tmp_path, capsys):
         rng = random.Random(5)
@@ -1112,3 +1151,32 @@ def test_shipped_report_bytes_are_pinned(name, monkeypatch, capsys):
     else:
         text = emit_report(run_scenario(f"scenarios/{name}.json"), None)
     assert hashlib.sha256(text.encode()).hexdigest() == _REPORT_SHA256[name]
+
+
+def _report_from(root, name):
+    """The report of scenarios/<name>.json, run from root as the pins run it."""
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        return emit_report(run_scenario(f"scenarios/{name}.json"), None)
+    finally:
+        os.chdir(cwd)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_point_order_in_a_system_file_does_not_matter(tmp_path_factory, seed):
+    # the shipped systems with their points and maps listed in a random
+    # order: the same labels and perm, and the pinned report bytes
+    rng = random.Random(seed)
+    root = tmp_path_factory.mktemp("shuffled")
+    shutil.copytree(SCENARIOS, root / "scenarios")
+    for spath in (root / "scenarios").glob("system_*.json"):
+        doc = json.loads(spath.read_text())
+        doc["points"] = rng.sample(doc["points"], len(doc["points"]))
+        doc["map"] = dict(rng.sample(list(doc["map"].items()), len(doc["map"])))
+        spath.write_text(json.dumps(doc))
+        want, got = load_system((SCENARIOS / spath.name).read_text()), load_system(spath.read_text())
+        assert got.labels == want.labels and np.array_equal(got.perm, want.perm)
+    for name in ("approx_small", "markers_100", "norm_unitary", "orbits_3_10", "periodic_2_3_4", "towers_100"):
+        assert hashlib.sha256(_report_from(root, name).encode()).hexdigest() == _REPORT_SHA256[name], name

@@ -31,7 +31,7 @@ from rokhlin.cstar import (
     periodic_embedding,
     primitive_spectrum,
 )
-from rokhlin.dynsys import FiniteDynamicalSystem, load_system, make_cycle_system
+from rokhlin.dynsys import load_system, make_cycle_system
 
 from dense_reference import (
     InterpolationFiber,
@@ -970,10 +970,11 @@ class TestLanczosChunks:
     def test_long_cycle_streams_the_grid(self):
         # a radius-1 element on an 8000-cycle built from labels (no metric):
         # its 64-point grid splits into chunks of _LANCZOS_CHUNK_BYTES, and
-        # the value is that of one chunk holding every point
+        # the value is that of one chunk holding every point; the unpadded
+        # labels are not in sorted order, so the system is read as a file
         L = 8000
         labels = [f"p{j}" for j in range(L)]
-        sys = FiniteDynamicalSystem(labels, dict(zip(labels, labels[1:] + labels[:1])))
+        sys = load_system(json.dumps({"points": labels, "map": dict(zip(labels, labels[1:] + labels[:1]))}))
         rng = np.random.default_rng(8000)
         a = random_element(sys, 1, rng, scale=0.2)
         fib = ElementOrbitFiber(a, sys.orbits().cycles[0])

@@ -85,7 +85,7 @@ def permutation_systems(draw):
         for j in range(L):
             forward[labels[cyc[j]]] = labels[cyc[(j + 1) % L]]
         offset += L
-    return FiniteDynamicalSystem(labels, forward)
+    return load_system(doc_for(labels, forward))
 
 
 def doc_for(points, mapping, **extra):
@@ -113,7 +113,7 @@ class TestLoadSystem:
             load_system(doc_for(points, mapping))
 
     def test_perm_and_inverse_follow_the_labels(self):
-        sys = FiniteDynamicalSystem(["c", "a", "b"], {"a": "b", "b": "c", "c": "a"})
+        sys = load_system(doc_for(["c", "a", "b"], {"a": "b", "b": "c", "c": "a"}))
         assert sys.perm.tolist() == [1, 2, 0] and sys.perm_inv.tolist() == [2, 0, 1]
         assert sys.perm.dtype == sys.perm_inv.dtype == np.int64
 
@@ -139,6 +139,27 @@ class TestLoadSystem:
     def test_map_target_unknown(self):
         with pytest.raises(SystemFormatError):
             load_system(doc_for(["a"], {"a": "z"}))
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("labels, perm, message", [
+        (["b", "a"], [0, 1], "labels must be strictly increasing"),
+        (["a", "a"], [0, 1], "labels must be strictly increasing"),
+        (["a", "b"], [0], r"perm must be an integer array of length 2, got int64 \(1,\)"),
+        (["a", "b"], [0, 2], "perm index 2 is not a point"),
+        (["a", "b"], [-1, 0], "perm index -1 is not a point"),
+        (["a", "b"], [1.0, 0.0], r"perm must be an integer array of length 2, got float64 \(2,\)"),
+        (["a", "b"], [1, 1], r"map is not injective: targets \['b'\] have multiple preimages"),
+    ], ids=["unsorted", "duplicate", "length", "past-the-end", "negative", "float", "repeated-target"])
+    def test_refuses_anything_but_sorted_labels_and_a_permutation(self, labels, perm, message):
+        with pytest.raises(SystemFormatError, match=f"^{message}$"):
+            FiniteDynamicalSystem(labels, np.array(perm))
+
+    def test_takes_sorted_labels_and_an_index_array(self):
+        sys = FiniteDynamicalSystem(["a", "b", "c"], np.array([2, 0, 1], dtype=np.int32), np.int8(2))
+        assert sys.perm.tolist() == [2, 0, 1] and sys.perm_inv.tolist() == [1, 2, 0]
+        assert sys.perm.dtype == np.int64 and sys.declared_dim == 2
+        assert sys.index == {"a": 0, "b": 1, "c": 2}
 
 
 class TestFactories:
@@ -242,15 +263,13 @@ class TestOrbitsAndSplit:
     @given(permutation_systems())
     def test_decomposition_matches_the_walk(self, sys):
         cycles, order, start, length, pos = walk_decomposition(sys)
-        rank = np.empty(sys.n, dtype=np.int64)
-        rank[sorted(range(sys.n), key=sys.labels.__getitem__)] = np.arange(sys.n)
         dec = orbit_decomposition(sys)
         assert len(dec.cycles) == len(cycles)
         for got, want in zip(dec.cycles, cycles):
             assert (got.base, got.length) == (want.base, want.length)
             assert np.array_equal(got.order, want.order)
             assert not got.order.flags.writeable and np.shares_memory(got.order, dec.order)
-        for name, want in (("order", order), ("start", start), ("length", length), ("pos", pos), ("rank", rank)):
+        for name, want in (("order", order), ("start", start), ("length", length), ("pos", pos)):
             got = getattr(dec, name)
             assert got.dtype == np.int64 and np.array_equal(got, want), name
 
@@ -323,9 +342,7 @@ class TestQuotientReport:
         assert rep.quotient_dim == 3
 
     def test_empty_system(self):
-        from rokhlin.dynsys import FiniteDynamicalSystem
-
-        empty = FiniteDynamicalSystem([], {}, 0)
+        empty = load_system(doc_for([], {}))
         rep = quotient_report(empty)
         assert rep.rows == ()
         assert rep.quotient_size == 0
@@ -356,7 +373,7 @@ def shuffled_cycle_systems(draw, max_length=8):
         forward.update((cyc[j], cyc[(j + 1) % L]) for j in range(L))
         offset += L
     points = draw(st.permutations(labels))
-    return FiniteDynamicalSystem(points, forward)
+    return load_system(doc_for(points, forward))
 
 
 class TestCycleCoordinates:
@@ -374,12 +391,16 @@ class TestCycleCoordinates:
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=40, unique=True), st.data())
-    def test_rank_is_sorted_label_order(self, labels, data):
+    def test_point_order_in_a_file_does_not_matter(self, labels, data):
+        # point x is the x-th label in sorted order, whatever order the file
+        # lists the points and the map in
+        forward = dict(zip(labels, data.draw(st.permutations(labels))))
+        sys = load_system(doc_for(labels, forward))
+        assert sys.labels == tuple(sorted(labels))
+        assert [sys.labels[t] for t in sys.perm.tolist()] == [forward[lab] for lab in sys.labels]
         points = data.draw(st.permutations(labels))
-        forward = dict(zip(points, data.draw(st.permutations(points))))
-        sys = FiniteDynamicalSystem(points, forward)
-        in_order = sorted(points)
-        assert sys.orbits().rank.tolist() == [in_order.index(lab) for lab in points]
+        shuffled = load_system(doc_for(points, dict(data.draw(st.permutations(list(forward.items()))))))
+        assert shuffled.labels == sys.labels and np.array_equal(shuffled.perm, sys.perm)
 
     @settings(max_examples=150, deadline=None)
     @given(shuffled_cycle_systems(max_length=40), st.data(), st.integers(-60, 60), st.integers(-1, 100))

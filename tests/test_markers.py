@@ -295,10 +295,11 @@ class TestLocalMarker:
         # the symmetric group on three letters acting on itself by left
         # translation: the fold must work without any commutativity
         import itertools as it
+        import json
 
         import numpy as np
 
-        from rokhlin.dynsys import FiniteDynamicalSystem
+        from rokhlin.dynsys import load_system
 
         elements = sorted(it.permutations(range(3)))
         index = {g: i for i, g in enumerate(elements)}
@@ -315,7 +316,7 @@ class TestLocalMarker:
         ident = (0, 1, 2)
         labels = ["".join(map(str, g)) for g in elements]
         metric = np.ones((6, 6)) - np.eye(6)
-        sys = FiniteDynamicalSystem(labels, {lab: lab for lab in labels}, 1)
+        sys = load_system(json.dumps({"points": labels, "map": {lab: lab for lab in labels}, "dimension": 1}))
 
         def action(g):
             return np.array([index[compose(g, x)] for x in elements])
