@@ -409,6 +409,8 @@ def run_norm(args: dict, source: dict | None) -> dict:
         },
         "coefficient_bound": a.coefficient_bound(),
     }
+    # value + tol is an upper bound only where every solved point settled
+    rep["assertions"].append(Check.at_most("lanczos_unconverged", result.unconverged, 0))
     for name, bound in args["expect"].items():
         if name == "value_at_most":
             rep["assertions"].append(Check.at_most("norm_value", result.value, float(bound)))

@@ -56,15 +56,18 @@ value grows with the step count (interlacing) and, from any start and even
 without reorthogonalization, stays below the top eigenvalue up to roundoff
 (Paige).
 
-Each top Ritz value is certified from below by a Sturm count on the Lanczos
-tridiagonal: the count says whether an eigenvalue lies at or above a point.
-Small batches estimate the top eigenvalue with one dense eigensolve, and one
-Sturm sweep tests a few points a few ulps of the Gershgorin scale below the
-estimate, with a guard above it; columns where none passes or the guard
-finds an eigenvalue, and batches too large for a cheap eigensolve, bisect
-with Sturm counts instead (counted in NormResult.ritz_bisections).  Every
-value is the largest diagonal entry or a point that passed the Sturm test
-(Rump, "Verification methods", Acta Numerica 2010).
+Each check estimates the top Ritz values of the batch (_ritz_estimate): one
+dense eigensolve for small batches, Sturm bisection for batches too large
+for a cheap eigensolve; a Sturm count on the Lanczos tridiagonal says
+whether an eigenvalue lies at or above a point, so a bisected value is
+certified as it stands.  The stop test reads the estimates, and a dense
+estimate is certified once, at the check where its lam leaves the batch
+(_top_ritz): one Sturm sweep tests a few points a few ulps of the Gershgorin
+scale below the estimate, with a guard above it, and columns where none
+passes or the guard finds an eigenvalue bisect (counted in
+NormResult.ritz_bisections).  Every value is the largest diagonal entry or a
+point that passed the Sturm test (Rump, "Verification methods", Acta
+Numerica 2010).
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ _LANCZOS_SEED = 0x5EED
 # radius 1-2) take 18-41 at point 0, and 3.0 steps a point from its Ritz
 # vector moved off the cut over the 26 further points their searches solve
 # (the floor is 2: checks at steps 1 and 2); points still moving at the cap
-# count as NormResult.unconverged
+# are certified there and count as NormResult.unconverged
 _LANCZOS_MAX_STEPS = 256
 # one dense eigensolve of m tridiagonals of size k, with one Sturm sweep,
 # beats Sturm bisection while m k^2 is at most this (one BLAS thread, 2-vCPU
@@ -641,51 +644,78 @@ def _sturm_above(alpha: np.ndarray, b2: np.ndarray, x: np.ndarray) -> np.ndarray
     return top >= 0
 
 
-def _top_ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, int]:
-    """Certified lower bound on the top eigenvalue of each symmetric
-    tridiagonal (one per column: diagonal alpha, subdiagonal beta >= 0), and
-    the number of columns that took bisection.
+def _finite_columns(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Mask of the tridiagonals (columns) whose entries are all finite."""
+    return np.isfinite(alpha).all(axis=0) & np.isfinite(beta).all(axis=0)
 
-    While m k^2 <= _RITZ_DENSE_MAX, one batched eigensolve estimates each top
-    eigenvalue est.  One Sturm sweep then tests the candidates est minus
-    _RITZ_BACKOFF ulps of the Gershgorin scale (max|alpha| + 2 max beta),
-    clamped at max alpha, and the guard est plus the widest back-off; the
-    first candidate with an eigenvalue at or above it is the result, unless an
-    eigenvalue lies at or above the guard (the estimate is too low to give a
-    close bound; eigvalsh loses accuracy over a wide dynamic range).  Those
-    columns, the ones with no passing candidate and larger batches bisect
-    with Sturm counts from max alpha up to max alpha + 2 max beta
-    (Gershgorin), _BISECT_STEPS times.  Max alpha always has an eigenvalue at
-    or above it, so every result is a lower bound.  A column holding a value
-    that is not finite (a Lanczos step overflowed) reads NaN."""
+
+def _bisect_top(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Certified lower bound on the top eigenvalue of each tridiagonal by
+    Sturm bisection from max alpha up to max alpha + 2 max beta
+    (Gershgorin), _BISECT_STEPS times: max alpha always has an eigenvalue
+    at or above it."""
+    lo, b2 = alpha.max(axis=0), beta * beta
+    hi = lo + 2 * beta.max(axis=0, initial=0.0)
+    for _ in range(_BISECT_STEPS):
+        x = 0.5 * (lo + hi)
+        above = _sturm_above(alpha, b2, x)
+        lo, hi = np.where(above, x, lo), np.where(above, hi, x)
+    return lo
+
+
+def _ritz_estimate(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Top eigenvalue of each symmetric tridiagonal (one per column: diagonal
+    alpha, subdiagonal beta >= 0), and whether the values are certified lower
+    bounds already.  While m k^2 <= _RITZ_DENSE_MAX (m the columns with
+    finite entries) one batched eigensolve estimates them, which _top_ritz
+    certifies; larger batches bisect (_bisect_top), certified as they
+    stand.  A column holding a value that is not finite (a Lanczos step
+    overflowed) reads NaN.  Each column's value depends on its own entries
+    and on the batch size alone."""
     k, m = alpha.shape
-    finite = np.isfinite(alpha).all(axis=0) & np.isfinite(beta).all(axis=0)
+    finite = _finite_columns(alpha, beta)
     if not finite.all():
-        out = np.full(m, np.nan)
-        out[finite], bisected = _top_ritz(alpha[:, finite], beta[:, finite])
+        est = np.full(m, np.nan)
+        est[finite], certified = _ritz_estimate(alpha[:, finite], beta[:, finite])
+        return est, certified
+    if m * k * k > _RITZ_DENSE_MAX:
+        return _bisect_top(alpha, beta), True
+    tri, i = np.zeros((m, k, k)), np.arange(k)
+    tri[:, i, i] = alpha.T
+    tri[:, i[1:], i[:-1]] = beta.T  # eigvalsh reads the lower triangle
+    return np.linalg.eigvalsh(tri)[:, -1], False
+
+
+def _top_ritz(alpha: np.ndarray, beta: np.ndarray, est: np.ndarray) -> tuple[np.ndarray, int]:
+    """Certified lower bound on the top eigenvalue of each symmetric
+    tridiagonal (one per column: diagonal alpha, subdiagonal beta >= 0) from
+    an estimate est of it (see _ritz_estimate), and the number of columns
+    that took bisection.
+
+    One Sturm sweep tests the candidates est minus _RITZ_BACKOFF ulps of the
+    Gershgorin scale (max|alpha| + 2 max beta), clamped at max alpha, and
+    the guard est plus the widest back-off; the first candidate with an
+    eigenvalue at or above it is the result, unless an eigenvalue lies at or
+    above the guard (the estimate is too low to give a close bound; eigvalsh
+    loses accuracy over a wide dynamic range).  Those columns and the ones
+    with no passing candidate bisect (_bisect_top).  Max alpha always has an
+    eigenvalue at or above it, so every result is a lower bound.  A column
+    holding a value that is not finite reads NaN."""
+    finite = _finite_columns(alpha, beta)
+    if not finite.all():
+        out = np.full(len(est), np.nan)
+        out[finite], bisected = _top_ritz(alpha[:, finite], beta[:, finite], est[finite])
         return out, bisected
-    lo, b2, bmax = alpha.max(axis=0), beta * beta, beta.max(axis=0, initial=0.0)
-    out, todo = lo.copy(), np.arange(m)
-    if m * k * k <= _RITZ_DENSE_MAX:
-        tri, i = np.zeros((m, k, k)), np.arange(k)
-        tri[:, i, i] = alpha.T
-        tri[:, i[1:], i[:-1]] = beta.T  # eigvalsh reads the lower triangle
-        est = np.linalg.eigvalsh(tri)[:, -1]
-        ulp = np.spacing(np.abs(alpha).max(axis=0) + 2 * bmax)
-        back = np.array(_RITZ_BACKOFF, dtype=float)[:, None] * ulp
-        points = np.vstack([np.maximum(est - back, lo), est + back[-1]])
-        above = _sturm_above(alpha, b2, points)
-        passed = above[:-1].any(axis=0) & ~above[-1]
-        out[passed] = points[above[:-1].argmax(axis=0), todo][passed]
-        todo = todo[~passed]
+    lo, bmax = alpha.max(axis=0), beta.max(axis=0, initial=0.0)
+    ulp = np.spacing(np.abs(alpha).max(axis=0) + 2 * bmax)
+    back = np.array(_RITZ_BACKOFF, dtype=float)[:, None] * ulp
+    points = np.vstack([np.maximum(est - back, lo), est + back[-1]])
+    above = _sturm_above(alpha, beta * beta, points)
+    passed = above[:-1].any(axis=0) & ~above[-1]
+    out = points[above[:-1].argmax(axis=0), np.arange(len(est))]
+    todo = np.flatnonzero(~passed)
     if todo.size:
-        alpha, b2, lo = alpha[:, todo], b2[:, todo], lo[todo]
-        hi = lo + 2 * bmax[todo]
-        for _ in range(_BISECT_STEPS):
-            x = 0.5 * (lo + hi)
-            above = _sturm_above(alpha, b2, x)
-            lo, hi = np.where(above, x, lo), np.where(above, hi, x)
-        out[todo] = lo
+        out[todo] = _bisect_top(alpha[:, todo], beta[:, todo])
     return out, int(todo.size)
 
 
@@ -720,20 +750,24 @@ def _sigma_max_lanczos(fiber: ElementOrbitFiber, lams: np.ndarray, start: np.nda
     a top vector of a(1) with no weight near c starts every lam at its top
     vector (P(1) = 1, and c = 0 leaves x as it is).  Top Ritz values are
     recomputed at every step up to 8 and every k/4 steps after step k; a lam
-    whose estimate moved by at most _REL_TOL relative since the last check
-    leaves the batch.  Any start gives lower bounds: a Ritz value never
-    exceeds the top eigenvalue, up to roundoff.
+    whose estimate (_ritz_estimate) moved by at most _REL_TOL relative since
+    the last check leaves the batch, and so does one whose steps overflowed
+    (it reads NaN) and, at the step cap, every lam.  A lam's value is
+    certified once, as it leaves, on the tridiagonal of that check
+    (_top_ritz, unless the estimate bisected and is certified already).  Any
+    start gives lower bounds: a Ritz value never exceeds the top
+    eigenvalue, up to roundoff.
 
-    Returns the estimates, the number of lams still moving at the step cap,
-    the number of Lanczos steps summed over the lams, the number of checks
-    (one per lam) whose Ritz value took bisection, and, for a single lam
-    with a finite estimate, its top Ritz vector Q y (Q the Lanczos basis, y
-    the top eigenvector of the tridiagonal), else None.  The basis is kept
-    only while a full one, _LANCZOS_MAX_STEPS vectors, fits in
+    Returns the values, the number of lams still moving at the step cap, the
+    number of Lanczos steps summed over the lams, the number of lams whose
+    certificate took bisection, and, for a single lam from a cold start (no
+    ``start``) with a finite value, its top Ritz vector Q y (Q the Lanczos
+    basis, y the top eigenvector of the tridiagonal), else None.  The basis
+    is kept only while a full one, _LANCZOS_MAX_STEPS vectors, fits in
     _LANCZOS_CHUNK_BYTES (L <= 8,192); a longer cycle returns no Ritz
-    vector.  A lam whose steps overflowed reads NaN (see _top_ritz) and
-    leaves the batch."""
-    if start is None or not np.linalg.norm(start) > 0:  # a fiber vanishing at the seed point
+    vector."""
+    cold = start is None
+    if cold or not np.linalg.norm(start) > 0:  # a fiber vanishing at the seed point
         re, im = np.random.default_rng(_LANCZOS_SEED).standard_normal((2, fiber.L))
         start = re + 1j * im
     q = np.tile(start / np.linalg.norm(start), (len(lams), 1))
@@ -743,7 +777,7 @@ def _sigma_max_lanczos(fiber: ElementOrbitFiber, lams: np.ndarray, start: np.nda
     alpha, beta = np.zeros((2, _LANCZOS_MAX_STEPS, len(lams)))
     est, active = np.zeros(len(lams)), np.arange(len(lams))
     terms, adj_terms = fiber.twists(lams)
-    basis = [] if len(lams) == 1 and 16 * fiber.L * _LANCZOS_MAX_STEPS <= _LANCZOS_CHUNK_BYTES else None
+    basis = [] if cold and len(lams) == 1 and 16 * fiber.L * _LANCZOS_MAX_STEPS <= _LANCZOS_CHUNK_BYTES else None
     check, steps, bisections = 1, 0, 0
     for k in range(1, _LANCZOS_MAX_STEPS + 1):
         steps += len(active)
@@ -752,16 +786,24 @@ def _sigma_max_lanczos(fiber: ElementOrbitFiber, lams: np.ndarray, start: np.nda
         w = _shifted_sum(adj_terms, _shifted_sum(terms, q))
         alpha[k - 1] = np.vecdot(q, w).real
         w -= alpha[k - 1, :, None] * q + beta[k - 2, :, None] * q_prev  # q_prev = 0 at k = 1
-        beta[k - 1] = np.linalg.norm(w, axis=1)
+        beta[k - 1] = np.sqrt(np.add.reduce((w.conj() * w).real, axis=1))
         # beta = 0: the Krylov space is invariant, so its Ritz values are exact
         q_prev, q = q, w / np.where(beta[k - 1] > 0, beta[k - 1], 1.0)[:, None]
         if k < min(check, _LANCZOS_MAX_STEPS):
             continue
         check += max(1, k // 4)
-        top, bisected = _top_ritz(alpha[:k], beta[: k - 1])
-        new, bisections = np.sqrt(np.maximum(top, 0.0)), bisections + bisected
+        top, certified = _ritz_estimate(alpha[:k], beta[: k - 1])
+        new = np.sqrt(np.maximum(top, 0.0))
         keep = np.abs(new - est[active]) > _REL_TOL * new
         est[active] = new
+        # a lam leaving the batch (settled, not finite, or at the cap) reads
+        # its certified value at this step
+        leave = ~keep | (k == _LANCZOS_MAX_STEPS)
+        if certified:
+            bisections += int(np.isfinite(top[leave]).sum())
+        elif leave.any():
+            top, bisected = _top_ritz(alpha[:k, leave], beta[: k - 1, leave], top[leave])
+            est[active[leave]], bisections = np.sqrt(np.maximum(top, 0.0)), bisections + bisected
         if not keep.all():
             active = active[keep]
             if not active.size:
@@ -789,9 +831,10 @@ class NormResult:
     ``per_orbit`` the per-orbit maxima with their attaining circle points,
     ``unconverged`` the number of evaluated points whose Lanczos estimate
     was still moving at the step cap, ``lanczos_steps`` the Lanczos steps
-    summed over the evaluated points, ``ritz_bisections`` the point checks
-    whose top Ritz value was certified by bisection rather than by a dense
-    estimate and one Sturm sweep, and ``solvers`` the solver of each orbit
+    summed over the evaluated points, ``ritz_bisections`` the points whose
+    top Ritz value was certified by bisection rather than by a dense
+    estimate and one Sturm sweep (one certificate a point), and ``solvers``
+    the solver of each orbit
     (see _solver).  ``tol`` is always the caller's.  A ``"band"`` orbit (an
     element fiber f u^i of one band) reads max|f| exactly at lam = 1 with a
     grid of 1, and a ``"closed"`` orbit (a seam corner in closed form) has

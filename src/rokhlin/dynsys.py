@@ -284,7 +284,10 @@ def make_cycle_system(lengths: Sequence[int], d: int = 0) -> FiniteDynamicalSyst
     if any(length < 1 for length in lengths):
         raise ValueError(f"cycle lengths must be positive, got {lengths}")
     cw, pw = len(str(len(lengths) - 1)), len(str(max(lengths) - 1))
-    labels = [f"c{ci:0{cw}d}p{j:0{pw}d}" for ci, L in enumerate(lengths) for j in range(L)]
+    suffixes = [f"p{j:0{pw}d}" for j in range(max(lengths))]
+    labels = []
+    for ci, L in enumerate(lengths):
+        labels += map(f"c{ci:0{cw}d}".__add__, suffixes[:L])
     ends = np.cumsum(lengths)
     perm = np.arange(1, ends[-1] + 1)
     perm[ends - 1] = ends - lengths  # each cycle's end steps to its start
@@ -341,4 +344,6 @@ def load_system(document: str) -> FiniteDynamicalSystem:
     except (KeyError, TypeError):
         target = next(t for t in fwd.values() if not isinstance(t, str) or t not in index)
         raise SystemFormatError(f"map target {target!r} is not a point") from None
-    return FiniteDynamicalSystem(labels, perm, doc.get("dimension", 0))
+    sys = FiniteDynamicalSystem(labels, perm, doc.get("dimension", 0))
+    sys.index = index  # the dict its first read of ``index`` would build again
+    return sys

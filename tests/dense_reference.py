@@ -13,9 +13,10 @@ than from the family's tower coordinates.
 Norms: power iteration on a truncated window of the shift representation,
 an oracle for rokhlin.cstar.norm that never forms a fiber; the Gram
 matrices of fibers built from matrix powers of the shift, an oracle that
-shares no builder with the program; and Lanczos at every point of a lam
-grid, as the program solved grids before it refined them by
-branch-and-bound.
+shares no builder with the program; Lanczos at every point of a lam grid,
+as the program solved grids before it refined them by branch-and-bound; and
+the Lanczos loop as it ran before it certified each lam once, as it leaves
+the batch (lanczos_reference).
 
 Fibers: the dense L x L fiber of an orbit, as the program represented it
 before every solver took band or seam form: the u-image as an explicit shift
@@ -32,12 +33,20 @@ from typing import Sequence
 import numpy as np
 
 from rokhlin.cstar import (
+    _LANCZOS_MAX_STEPS,
+    _LANCZOS_SEED,
+    _REL_TOL,
     _UNIT_TOL,
     CrossedElement,
     ElementOrbitFiber,
     _grid,
+    _quiet_cut,
     _rep_points,
+    _ritz_estimate,
+    _seam_rows,
+    _shifted_sum,
     _sigma_max_lanczos,
+    _top_ritz,
     _twist,
 )
 from rokhlin.dynsys import Cycle, FiniteDynamicalSystem
@@ -310,6 +319,47 @@ def lanczos_sweep(fiber: ElementOrbitFiber, lams: np.ndarray):
         rest, *more, _ = _sigma_max_lanczos(fiber, lams[1:], ritz)
         sigma, counts = np.concatenate([sigma, rest]), [c + m for c, m in zip(counts, more)]
     return (sigma, *counts)
+
+
+def lanczos_reference(fiber: ElementOrbitFiber, lams: np.ndarray, start: np.ndarray | None = None):
+    """Lanczos sigma per lam as rokhlin.cstar._sigma_max_lanczos ran before
+    it certified each lam once, as it leaves the batch: every check
+    certifies the top Ritz value of every active lam, and the stop test
+    reads the certified values.  Returns the sigma, the lams still moving at
+    the step cap and the Lanczos steps summed over the lams."""
+    if start is None or not np.linalg.norm(start) > 0:
+        re, im = np.random.default_rng(_LANCZOS_SEED).standard_normal((2, fiber.L))
+        start = re + 1j * im
+    q = np.tile(start / np.linalg.norm(start), (len(lams), 1))
+    q[:, : _quiet_cut(start, fiber.radius)] *= np.conj(lams)[:, None]
+    q_prev = np.zeros_like(q)
+    alpha, beta = np.zeros((2, _LANCZOS_MAX_STEPS, len(lams)))
+    est, active = np.zeros(len(lams)), np.arange(len(lams))
+    terms, adj_terms = fiber.twists(lams)
+    check, steps = 1, 0
+    for k in range(1, _LANCZOS_MAX_STEPS + 1):
+        steps += len(active)
+        w = _shifted_sum(adj_terms, _shifted_sum(terms, q))
+        alpha[k - 1] = np.vecdot(q, w).real
+        w -= alpha[k - 1, :, None] * q + beta[k - 2, :, None] * q_prev
+        beta[k - 1] = np.linalg.norm(w, axis=1)
+        q_prev, q = q, w / np.where(beta[k - 1] > 0, beta[k - 1], 1.0)[:, None]
+        if k < min(check, _LANCZOS_MAX_STEPS):
+            continue
+        check += max(1, k // 4)
+        top, certified = _ritz_estimate(alpha[:k], beta[: k - 1])
+        if not certified:
+            top = _top_ritz(alpha[:k], beta[: k - 1], top)[0]
+        new = np.sqrt(np.maximum(top, 0.0))
+        keep = np.abs(new - est[active]) > _REL_TOL * new
+        est[active] = new
+        if not keep.all():
+            active = active[keep]
+            if not active.size:
+                break
+            q, q_prev, alpha, beta = q[keep], q_prev[keep], alpha[:, keep], beta[:, keep]
+            terms, adj_terms = _seam_rows(terms, keep), _seam_rows(adj_terms, keep)
+    return est, len(active), steps
 
 
 def regular_window_norm(a: CrossedElement, cycle: Cycle, half_width: int,

@@ -185,6 +185,23 @@ class TestScenarios:
         assert got["upper"] >= 1.5 * 10.0**exp and got["value"] == pytest.approx(1.5 * 10.0**exp, rel=1e-12)
         assert got["tol"] == 10.0 ** (exp - 3)
 
+    def test_unconverged_lanczos_fails_its_row(self, tmp_path, capsys):
+        # u + 1/2 on a 300-cycle is lam-circulant: the top of a(lam)*a(lam)
+        # is a cluster of width O(1/L^2), and at tol 1e-4 most solved points
+        # are still moving at the Lanczos step cap, so value + tol is no
+        # certified upper bound and the run fails on that row alone
+        spath = write_system(tmp_path, lengths=(300,))
+        scen = tmp_path / "s.json"
+        scen.write_text(json.dumps({
+            "command": "norm", "system": spath.name, "tol": 1e-4,
+            "element": [{"power": 1, "constant": [1.0, 0.0]}, {"power": 0, "constant": [0.5, 0.0]}],
+        }))
+        assert main(["norm", "--scenario", str(scen)]) == 1
+        rep = json.loads(capsys.readouterr().out)
+        (row,) = rep["assertions"]
+        assert row["name"] == "lanczos_unconverged" and not row["pass"]
+        assert 0 < row["measured"] <= rep["norm"]["evaluations"] and row["bound"] == 0
+
     def test_wrong_command_in_scenario(self, tmp_path):
         scen = tmp_path / "s.json"
         scen.write_text(json.dumps({"command": "towers"}))
@@ -1130,7 +1147,7 @@ _REPORT_SHA256 = {
     "approx_small": "1ea87ef96e371857a805095ac26c7341fe08160a3bd687e5f212e8dc6fc7c61e",
     "approx_short_1200": "51c82876a699b4a49c156137e2e6ee04928b269530b8ccfc516c79fe2c050747",
     "markers_100": "2a8d4a60ae3181bae8684dc04a60ea3a95494e49eb6b9db9b373e8b7f94c5492",
-    "norm_unitary": "38e9687fa4f6e148f650ae3c90fc259969794cea2d4633b321756e4aa0b461ff",
+    "norm_unitary": "4a96ed605d6b92d2824f91eebf269d2911696d9acbf2b6c3a753e515c17bb5b1",
     "orbits_3_10": "56a04782ffb03a9227805e96ec41e6b86fdd5a353c7a32efc3a34012c71d7ca0",
     # the last digits of periodic's roundoff residuals rest on numpy's SIMD
     # complex-multiply kernel (a fused multiply-add gives lam * conj(lam) an
@@ -1138,7 +1155,7 @@ _REPORT_SHA256 = {
     # this pin alone is a residual's roundoff, not a fault in the program
     "periodic_2_3_4": "19434e96cae37618538aef8d8d1c8c6015ab21897153f824ddcda121819a1b4b",
     "towers_100": "b800d1781d25a408e1738a48fbb225bac54d525dcd1b19fb29c63432b6d5d3e3",
-    "verify-all": "cd7cedd69ea5881756dc88e1a57d157e30ed1d864ae3b738c828f5219eea2c3c",
+    "verify-all": "47ba471bb2b4819663880f6fcaf60a10f0af30bcfccdf400117bd858a5de29c1",
 }
 
 

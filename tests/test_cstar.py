@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rokhlin import cstar
@@ -22,6 +22,7 @@ from rokhlin.cstar import (
     _band_product,
     _grid,
     _quiet_cut,
+    _ritz_estimate,
     _seam_rows,
     _sigma_max_lanczos,
     _sturm_above,
@@ -38,6 +39,7 @@ from dense_reference import (
     dense_fiber_sigma,
     dense_holonomy,
     element_matrices,
+    lanczos_reference,
     lanczos_sweep,
     orbit_isomorphism,
     orbit_rep,
@@ -831,7 +833,7 @@ class TestOracleAgreement:
         _, _, cold, _, _ = _sigma_max_lanczos(fib, _grid(256))
         assert 256 * 2 <= warm <= cold / 2
         assert lanczos_sweep(fib, _grid(256))[2] == warm
-        # every check certified its dense estimate with a Sturm sweep
+        # every point's certificate passed on one Sturm sweep, with no bisection
         assert bisections == 0
 
     def test_unconverged_counts_points_at_the_cap(self):
@@ -1154,7 +1156,9 @@ def _top_in_long_double(alpha, beta):
 
 class TestRitzCertificate:
     """``_top_ritz``: a lower bound on the top eigenvalue of each tridiagonal
-    that passes the Sturm test and lies within 1e-12 relative of it."""
+    that passes the Sturm test and lies within 1e-12 relative of it, from the
+    estimate ``_ritz_estimate`` gives; and the Lanczos loop, which reads the
+    estimate at every check and certifies each lam once, as it leaves."""
 
     @staticmethod
     def _assert_certified(alpha, beta, value):
@@ -1168,7 +1172,15 @@ class TestRitzCertificate:
     @given(_tridiagonals())
     def test_certified_lower_bound(self, tri):
         alpha, beta = tri
-        value, bisections = _top_ritz(alpha, beta)
+        est, certified = _ritz_estimate(alpha, beta)
+        if certified:
+            # a batch too large for one eigensolve bisects: certified as it stands
+            self._assert_certified(alpha, beta, est)
+        else:
+            # a column's dense estimate is the same in any batch holding it
+            half = _ritz_estimate(alpha[:, ::2], beta[:, ::2])
+            assert half[1] is False and np.array_equal(half[0], est[::2])
+        value, bisections = _top_ritz(alpha, beta, est)
         self._assert_certified(alpha, beta, value)
         assert 0 <= bisections <= alpha.shape[1]
 
@@ -1180,17 +1192,67 @@ class TestRitzCertificate:
         alpha, beta = rng.random((20, 8)), rng.random((19, 8))
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) * (1 + error))
-        value, bisections = _top_ritz(alpha, beta)
+        est, certified = _ritz_estimate(alpha, beta)
+        value, bisections = _top_ritz(alpha, beta, est)
         # and through a norm on the Lanczos path
         a, fib = _close_top_pair_element()
         result = norm(a, 1e-2)
         monkeypatch.undo()
-        assert bisections == 8
+        assert not certified and bisections == 8
         self._assert_certified(alpha, beta, value)
-        assert result.ritz_bisections > 0
+        # one certificate a point solved, each of them bisected
+        assert result.ritz_bisections == result.evaluations
         mats = element_matrices(fib, np.array([result.argmax[1]]))
         exact = np.linalg.svd(mats[0], compute_uv=False)[0]
         assert exact * (1 - 1e-10) <= result.value <= exact * (1 + 1e-12)
+
+    def test_each_lam_is_certified_once_as_it_leaves(self, monkeypatch):
+        # no lam reaches the step cap, so every check's batch takes the dense
+        # estimate: each returned sigma is the root of a _top_ritz output,
+        # and _top_ritz certifies each lam once
+        _, fib = _close_top_pair_element()
+        lams = _grid(32)
+        top_ritz, outputs = cstar._top_ritz, []
+
+        def spy(alpha, beta, est):
+            out, bisected = top_ritz(alpha, beta, est)
+            outputs.append(out)
+            return out, bisected
+
+        monkeypatch.setattr(cstar, "_top_ritz", spy)
+        sigma, unconverged, steps, bisections = lanczos_sweep(fib, lams)
+        monkeypatch.undo()
+        certified = np.sqrt(np.maximum(np.concatenate(outputs), 0.0))
+        assert unconverged == 0 and bisections == 0 and steps > 2 * len(lams)
+        assert len(certified) == len(lams)
+        assert np.array_equal(np.sort(certified), np.sort(sigma))
+        exact = np.linalg.svd(element_matrices(fib, lams), compute_uv=False)[:, 0]
+        assert np.all(sigma <= exact * (1 + 1e-12))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(L=st.integers(1, 300), radius=st.integers(1, 3), constant=st.booleans(),
+           n=st.sampled_from([2, 8, 32]), seed=st.integers(0, 2**32 - 1))
+    @example(L=300, radius=1, constant=True, n=32, seed=2)
+    def test_values_match_a_certificate_at_every_check(self, L, radius, constant, n, seed):
+        # against the loop that certified every active lam at every check
+        # and stopped on certified values: the stop test now reads the
+        # estimates, which may move a lam's stop step, but not its value by
+        # more than the Lanczos tolerance; in the example every point is
+        # still moving at the step cap
+        rng = np.random.default_rng(seed)
+        sys = make_cycle_system([L])
+        if constant:
+            draws = rng.standard_normal((2 * radius + 1, 2)) @ [1, 1j]
+            a = CrossedElement(sys, {i: np.full(L, c) for i, c in zip(range(-radius, radius + 1), draws)})
+        else:
+            a = random_element(sys, radius, rng, scale=0.3)
+        fib = ElementOrbitFiber(a, sys.orbits().cycles[0])
+        lams = _grid(n)
+        cold, *_, ritz = _sigma_max_lanczos(fib, lams[:1])
+        warm = _sigma_max_lanczos(fib, lams[1:], ritz)[0]
+        ref_cold, ref_warm = lanczos_reference(fib, lams[:1])[0], lanczos_reference(fib, lams[1:], ritz)[0]
+        for got, want in ((cold, ref_cold), (warm, ref_warm)):
+            assert np.all(np.abs(got - want) <= 1e-13 * want.max())
 
 
 class _RebuiltOnSlice(np.ndarray):

@@ -117,6 +117,12 @@ class TestLoadSystem:
         assert sys.perm.tolist() == [1, 2, 0] and sys.perm_inv.tolist() == [2, 0, 1]
         assert sys.perm.dtype == sys.perm_inv.dtype == np.int64
 
+    def test_keeps_its_label_index(self):
+        # the dict load_system fills perm from is the system's index, so no
+        # first read builds it again
+        sys = load_system(doc_for(["c", "a", "b"], {"a": "b", "b": "c", "c": "a"}))
+        assert "index" in sys.__dict__ and sys.index == {"a": 0, "b": 1, "c": 2}
+
     def test_unknown_field_rejected(self):
         with pytest.raises(SystemFormatError, match="unknown fields"):
             load_system(doc_for(["a"], {"a": "a"}, extra=1))
@@ -167,6 +173,12 @@ class TestFactories:
         sys = make_cycle_system([3, 10])
         assert sys.n == 13
         assert brute_orbit_lengths(sys) == [3, 10]
+
+    @pytest.mark.parametrize("lengths", [[1], [3, 10], [7, 1, 12, 100, 3, 5, 9, 2, 4, 6, 11]])
+    def test_cycle_labels_are_zero_padded(self, lengths):
+        cw, pw = len(str(len(lengths) - 1)), len(str(max(lengths) - 1))
+        want = [f"c{ci:0{cw}d}p{j:0{pw}d}" for ci, L in enumerate(lengths) for j in range(L)]
+        assert list(make_cycle_system(lengths).labels) == want
 
     def test_single_fixed_point(self):
         sys = make_cycle_system([1])
